@@ -20,9 +20,9 @@ from .core import (
     NoiseVector,
     RecoveryInstance,
     SparseVector,
-    matrix_sha256,
+    as_array,
     save_instance,
-    save_matrix,
+    save_matrix_addressed,
 )
 from .linops import IndexSet, restricted_gram
 
@@ -78,7 +78,7 @@ def build_masking_vector(
     the exact solution of the linear program behind the full ratio (see
     ``_ratio_maximizer``), rescaled so ||X^T X v||_inf = 1.
     """
-    data = x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     d = data.shape[1]
     m = restricted_gram(data, s)
     try:
@@ -182,7 +182,7 @@ def build_indistinguishable_pair(
     ``s`` and ``t`` must be disjoint and equally sized (each half the sparsity
     budget of the instances being emulated).
     """
-    data = x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     d = data.shape[1]
     if len(np.intersect1d(s.indices, t.indices)):
         raise ValueError("masking and base supports must be disjoint")
@@ -215,7 +215,7 @@ def build_metric_impossibility_pair(
     noise: both members force sup-norm estimation error 1/2 on some member
     while every such metric stays near zero.
     """
-    data = x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     n, d = data.shape
     if not 0 <= i < d:
         raise ValueError(f"column index {i} out of range for d={d}")
@@ -239,11 +239,7 @@ def save_pair(
     """Write the two instances as JSON sharing one content-addressed matrix file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / f"{stem}-matrix.tmp"
-    save_matrix(x, tmp)
-    digest = matrix_sha256(tmp)
-    matrix_path = out_dir / f"matrix-{digest[:16]}.bin"
-    tmp.replace(matrix_path)
+    matrix_path = save_matrix_addressed(x, out_dir)
 
     inst1 = RecoveryInstance(
         x=x, y=pair.shared_y, truth=pair.theta1, noise=pair.xi1, model=ModelTag.ADAPTIVE

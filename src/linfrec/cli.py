@@ -14,24 +14,28 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .adversarial import build_indistinguishable_pair, save_pair
 from .core import (
     Dims,
     Ensemble,
     ModelTag,
     NoiseVector,
-    SparseVector,
     build_instance,
     load_matrix,
-    matrix_sha256,
+    rng_from,
     sample_ensemble,
     save_instance,
-    save_matrix,
+    save_matrix_addressed,
 )
-from .harness import ExperimentConfig, read_csv, recompute_pass, run_experiment, summarize, write_csv
-from .linops import IndexSet
+from .harness import (
+    ExperimentConfig,
+    disjoint_subsets,
+    make_signal,
+    read_csv,
+    recompute_pass,
+    run_experiment,
+    summarize,
+)
 from .ripcert import certificate_to_json, certify_l2_rip, certify_linf_rip, certify_pi
 
 __all__ = ["main"]
@@ -44,22 +48,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dims = Dims(n=args.n, d=args.d, k=args.k)
     x = sample_ensemble(dims, _ENSEMBLES[args.ensemble], args.seed)
-
-    rng = np.random.default_rng(args.seed + 1)
-    support = np.sort(rng.choice(dims.d, size=dims.k, replace=False))
-    theta = np.zeros(dims.d)
-    theta[support] = rng.choice([-1.0, 1.0], size=dims.k) * args.signal_magnitude
-    truth = SparseVector.from_dense(theta, budget=dims.k)
+    signal = {"kind": "constant", "magnitude": args.signal_magnitude}
+    truth = make_signal(dims.d, dims.k, rng_from(args.seed, 1), signal)
     if args.noise == "zero":
         noise = NoiseVector.zero(dims.n)
     else:
         noise = NoiseVector.gaussian(dims.n, args.sigma, args.seed + 2)
     inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
 
-    tmp = out / "matrix.tmp"
-    save_matrix(x, tmp)
-    matrix_path = out / f"matrix-{matrix_sha256(tmp)[:16]}.bin"
-    tmp.replace(matrix_path)
+    matrix_path = save_matrix_addressed(x, out)
     inst_path = out / f"instance-{args.seed}.json"
     save_instance(inst, inst_path, matrix_path)
     print(json.dumps({"matrix": str(matrix_path), "instance": str(inst_path)}))
@@ -68,10 +65,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    records, summary = run_experiment(cfg)
-    out = args.out or cfg.output
-    if out:
-        write_csv(records, out)
+    cfg.output = args.out or cfg.output
+    _, summary = run_experiment(cfg)
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -94,11 +89,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_adversarial(args: argparse.Namespace) -> int:
     dims = Dims(n=args.n, d=args.d, k=args.k)
     x = sample_ensemble(dims, _ENSEMBLES[args.ensemble], args.seed)
-    rng = np.random.default_rng(args.seed + 1)
     half = max(dims.k // 2, 1)
-    pick = rng.choice(dims.d, size=2 * half, replace=False)
-    s = IndexSet(np.sort(pick[:half]).astype(np.int64))
-    t = IndexSet(np.sort(pick[half:]).astype(np.int64))
+    s, t = disjoint_subsets(dims.d, half, half, rng_from(args.seed, 1))
     pair = build_indistinguishable_pair(x, s, t, args.base_magnitude)
     p1, p2, pm = save_pair(pair, x, args.out_dir, stem=f"pair-{args.seed}")
     print(json.dumps({"member1": str(p1), "member2": str(p2), "matrix": str(pm)}))
@@ -169,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("config")
-    p.add_argument("--out", default=None, help="CSV output path (overrides config)")
+    p.add_argument("--out", default=None, help="CSV output path (replaces the config's output)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("certify", help="certify a matrix property")

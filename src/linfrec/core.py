@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +27,9 @@ __all__ = [
     "NoiseVector",
     "RecoveryInstance",
     "SparseVector",
+    "as_array",
     "build_instance",
+    "draw_design",
     "load_instance",
     "load_matrix",
     "matrix_sha256",
@@ -35,6 +38,7 @@ __all__ = [
     "sample_ensemble",
     "save_instance",
     "save_matrix",
+    "save_matrix_addressed",
 ]
 
 RESIDUAL_RTOL = 1e-10
@@ -97,8 +101,6 @@ class MeasurementMatrix:
 
     data: np.ndarray
     ensemble: Ensemble
-    seed: int | None = None
-    scale_variance: float | None = None
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -113,12 +115,24 @@ class MeasurementMatrix:
     def d(self) -> int:
         return self.data.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.data[:, j]
-
     @classmethod
     def explicit(cls, data: np.ndarray) -> "MeasurementMatrix":
         return cls(data=np.asarray(data, dtype=np.float64), ensemble=Ensemble.EXPLICIT)
+
+
+def as_array(x: MeasurementMatrix | np.ndarray) -> np.ndarray:
+    """The float64 array behind a matrix argument (no copy for a MeasurementMatrix)."""
+    return x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
+
+
+def draw_design(rng: np.random.Generator, rows: int, d: int, ensemble: Ensemble) -> np.ndarray:
+    """A rows x d array of i.i.d. entries of variance 1/rows, drawn from ``rng``."""
+    if ensemble is Ensemble.GAUSSIAN_SCALED:
+        return rng.standard_normal((rows, d)) / np.sqrt(rows)
+    if ensemble is Ensemble.RADEMACHER_SCALED:
+        signs = rng.integers(0, 2, size=(rows, d)).astype(np.float64) * 2.0 - 1.0
+        return signs / np.sqrt(rows)
+    raise ValueError(f"cannot sample ensemble {ensemble!r}; use MeasurementMatrix.explicit")
 
 
 def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> MeasurementMatrix:
@@ -128,15 +142,7 @@ def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> MeasurementMat
     bit-identical matrices.
     """
     ensemble = Ensemble(ensemble)
-    rng = rng_from(seed)
-    if ensemble is Ensemble.GAUSSIAN_SCALED:
-        data = rng.standard_normal((dims.n, dims.d)) / np.sqrt(dims.n)
-    elif ensemble is Ensemble.RADEMACHER_SCALED:
-        signs = rng.integers(0, 2, size=(dims.n, dims.d)).astype(np.float64) * 2.0 - 1.0
-        data = signs / np.sqrt(dims.n)
-    else:
-        raise ValueError(f"cannot sample ensemble {ensemble!r}; use MeasurementMatrix.explicit")
-    return MeasurementMatrix(data=data, ensemble=ensemble, seed=int(seed), scale_variance=1.0 / dims.n)
+    return MeasurementMatrix(data=draw_design(rng_from(seed), dims.n, dims.d, ensemble), ensemble=ensemble)
 
 
 @dataclass
@@ -255,6 +261,19 @@ def save_matrix(m: MeasurementMatrix, path: str | Path) -> None:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<II", m.n, m.d))
         fh.write(np.ascontiguousarray(m.data, dtype="<f8").tobytes())
+
+
+def save_matrix_addressed(m: MeasurementMatrix, out_dir: str | Path) -> Path:
+    """Write ``m`` into ``out_dir`` under a name taken from its sha256; return the path.
+
+    Equal matrices land in one file, so instances can share it by name.
+    """
+    out_dir = Path(out_dir)
+    tmp = out_dir / f"{os.getpid()}.matrix.tmp"  # per process: concurrent writers never share it
+    save_matrix(m, tmp)
+    path = out_dir / f"matrix-{matrix_sha256(tmp)[:16]}.bin"
+    tmp.replace(path)
+    return path
 
 
 def load_matrix(path: str | Path) -> MeasurementMatrix:

@@ -23,7 +23,17 @@ import numpy as np
 
 from . import frozen
 from .adversarial import build_indistinguishable_pair, build_metric_impossibility_pair
-from .core import Dims, Ensemble, ModelTag, NoiseVector, SparseVector, build_instance, sample_ensemble
+from .core import (
+    Dims,
+    Ensemble,
+    MeasurementMatrix,
+    ModelTag,
+    NoiseVector,
+    SparseVector,
+    build_instance,
+    rng_from,
+    sample_ensemble,
+)
 from .linops import IndexSet
 from .metrics import compute_metrics
 from .padaptive import (
@@ -34,6 +44,7 @@ from .padaptive import (
     threshold_stats,
 )
 from .recovery import (
+    BOUND_SLACK,
     DEFAULT_THRESHOLD_C,
     IhtParams,
     ObliviousParams,
@@ -50,6 +61,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentKind",
     "TrialRecord",
+    "disjoint_subsets",
+    "make_signal",
     "read_csv",
     "recompute_pass",
     "run_experiment",
@@ -143,17 +156,12 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(words[0])
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    from .core import rng_from
-
-    return rng_from(seed, tag)
-
-
-def _make_signal(d: int, k: int, rng: np.random.Generator, spec: dict, magnitude: float | None = None) -> SparseVector:
+def make_signal(d: int, k: int, rng: np.random.Generator, spec: dict, magnitude: float | None = None) -> SparseVector:
+    """A k-sparse signal on a uniform random support with uniform random signs."""
     kind = spec.get("kind", "pm_uniform")
     mag = float(magnitude if magnitude is not None else spec.get("magnitude", 1.0))
     support = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
-    signs = rng.integers(0, 2, size=k) * 2.0 - 1.0
+    signs = rng.integers(2, size=k) * 2.0 - 1.0
     if kind == "pm_uniform":
         vals = signs * rng.uniform(0.5, 1.5, size=k) * mag
     elif kind == "pm_uniform_above":  # magnitudes in [mag, 2*mag]
@@ -176,7 +184,8 @@ def _make_noise(n: int, spec: dict, seed: int) -> NoiseVector:
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def _disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator) -> tuple[IndexSet, IndexSet]:
+def disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator) -> tuple[IndexSet, IndexSet]:
+    """Two disjoint uniform random index sets of the given sizes."""
     pick = rng.choice(d, size=size_a + size_b, replace=False)
     return (
         IndexSet(np.sort(pick[:size_a]).astype(np.int64)),
@@ -184,36 +193,51 @@ def _disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator
     )
 
 
+def _gram_noise(x: MeasurementMatrix, noise: NoiseVector) -> float:
+    """||X^T xi||_inf."""
+    return float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
+
+
+def _oblivious_instance(dims: Dims, cfg: ExperimentConfig, seed: int):
+    """An oblivious-model instance and its noise level ||X^T xi||_inf."""
+    x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
+    truth = make_signal(dims.d, dims.k, rng_from(seed, 1), cfg.signal)
+    noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
+    return build_instance(x, truth, noise, ModelTag.OBLIVIOUS), _gram_noise(x, noise)
+
+
+def _masking_pair(dims: Dims, cfg: ExperimentConfig, seed: int):
+    """A design and an indistinguishable pair on disjoint supports of size k/2."""
+    x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
+    half = max(dims.k // 2, 1)
+    s, t = disjoint_subsets(dims.d, half, half, rng_from(seed, 1))
+    base = float(cfg.algorithm.get("base_magnitude", 1.0))
+    return x, base, build_indistinguishable_pair(x, s, t, base)
+
+
 # ---------------------------------------------------------------------------
-# Trial bodies.  Each returns (error, error_l2, metric_sigma, bound, passed,
-# extra); the runner wraps them in TrialRecord.
+# Trial bodies return (error, error_l2, metric_sigma, bound, extra); each
+# kind's pass rule reads only the error, bound and extra columns, so the CSV
+# alone decides it.  _KINDS pairs the two.
 # ---------------------------------------------------------------------------
 
 
 def _trial_oblivious(dims: Dims, cfg: ExperimentConfig, seed: int):
-    x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
-    truth = _make_signal(dims.d, dims.k, _rng(seed, 1), cfg.signal)
-    noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
-    inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
-    msig = float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
+    inst, msig = _oblivious_instance(dims, cfg, seed)
     r = max(msig * math.sqrt(math.log(dims.n)), 1e-12)
-    R = float(np.linalg.norm(truth.values))
+    R = float(np.linalg.norm(inst.truth.values))
     c = float(cfg.algorithm.get("c", DEFAULT_THRESHOLD_C))
-    rep = oblivious_recover(x, inst.y, ObliviousParams(k=dims.k, R=R, r=r, c=c), truth=truth, noise=noise)
+    rep = oblivious_recover(
+        inst.x, inst.y, ObliviousParams(k=dims.k, R=R, r=r, c=c), truth=inst.truth, noise=inst.noise
+    )
     const = float(cfg.algorithm.get("error_constant", frozen.OBLIVIOUS_ERROR_CONSTANT))
-    bound = const * r
-    return rep.linf_error, rep.l2_error, msig, bound, rep.linf_error <= bound, {"r": r}
+    return rep.linf_error, rep.l2_error, msig, const * r, {"r": r}
 
 
 def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
-    x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
-    rng = _rng(seed, 1)
-    half = max(dims.k // 2, 1)
-    s, t = _disjoint_subsets(dims.d, half, half, rng)
-    base = float(cfg.algorithm.get("base_magnitude", 1.0))
-    pair = build_indistinguishable_pair(x, s, t, base)
+    x, base, pair = _masking_pair(dims, cfg, seed)
     truth, xi = pair.theta1, pair.xi1
-    msig = float(np.max(np.abs(x.data.T @ xi.values), initial=0.0))
+    msig = _gram_noise(x, xi)
     r = float(cfg.algorithm.get("r", base / 100.0))
     params = IhtParams(k=dims.k, R=base, r=r)
     cert = None
@@ -224,42 +248,31 @@ def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     if cert is not None:
         extra["cert_value"] = cert.achieved
         extra["certified"] = 1.0 if cert.holds else 0.0
-    return rep.linf_error, rep.l2_error, msig, rep.bound_value, bool(rep.bound_holds), extra
+    return rep.linf_error, rep.l2_error, msig, rep.bound_value, extra
 
 
 def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
-    x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
-    truth = _make_signal(dims.d, dims.k, _rng(seed, 1), cfg.signal)
-    noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
-    inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
-    msig = float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
+    inst, msig = _oblivious_instance(dims, cfg, seed)
     r = float(cfg.noise.get("sigma", 1.0)) / 100.0
-    R = float(np.linalg.norm(truth.values))
+    R = float(np.linalg.norm(inst.truth.values))
     params = ReductionParams(k=dims.k, R=R, r=r)
-    rep = osr_reduction(x, inst.y, params, truth=truth, noise=noise)
+    rep = osr_reduction(inst.x, inst.y, params, truth=inst.truth, noise=inst.noise)
     const = float(cfg.algorithm.get("error_constant", frozen.REDUCTION_ERROR_CONSTANT))
     bound = const * msig * math.sqrt(math.log(dims.n) * math.log(R / r)) if R > r else const * msig
-    return rep.linf_error, rep.l2_error, msig, bound, rep.linf_error <= bound, {"r": r}
+    return rep.linf_error, rep.l2_error, msig, bound, {"r": r}
 
 
 def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
-    x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
-    rng = _rng(seed, 1)
-    half = max(dims.k // 2, 1)
-    s, t = _disjoint_subsets(dims.d, half, half, rng)
-    base = float(cfg.algorithm.get("base_magnitude", 1.0))
-    pair = build_indistinguishable_pair(x, s, t, base)
+    x, _, pair = _masking_pair(dims, cfg, seed)
 
     y1 = x.data @ pair.theta1.values + pair.xi1.values
     y2 = x.data @ pair.theta2.values + pair.xi2.values
     ytol = 1e-9 * (1.0 + float(np.max(np.abs(pair.shared_y), initial=0.0)))
     a_ok = float(np.max(np.abs(y1 - y2), initial=0.0)) <= ytol
 
-    m1 = float(np.max(np.abs(x.data.T @ pair.xi1.values), initial=0.0))
-    m2 = float(np.max(np.abs(x.data.T @ pair.xi2.values), initial=0.0))
+    m1 = _gram_noise(x, pair.xi1)
+    m2 = _gram_noise(x, pair.xi2)
     sep = float(np.max(np.abs(pair.theta1.values - pair.theta2.values)))
-    bound = 2.0 * max(m1, m2)
-    b_ok = sep >= bound
 
     R = max(float(np.linalg.norm(pair.theta1.values)), float(np.linalg.norm(pair.theta2.values)))
     r = max(max(m1, m2) * math.sqrt(math.log(dims.n)), 1e-12)
@@ -278,20 +291,20 @@ def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
         "err_member2": e2,
         "gram_noise1": m1,
     }
-    return sep, None, m1, bound, b_ok, extra
+    return sep, None, m1, 2.0 * max(m1, m2), extra
 
 
 def _trial_linf_rip_sweep(dims: Dims, cfg: ExperimentConfig, seed: int):
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
     eps = float(cfg.algorithm.get("epsilon", 0.25))
     cert = certify_linf_rip(x, eps, dims.k, mode="exact")
-    return cert.achieved, None, None, eps, cert.achieved <= eps, {"s": float(dims.k)}
+    return cert.achieved, None, None, eps, {"s": float(dims.k)}
 
 
 def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
     mode = cfg.algorithm.get("mode", "equivalence")
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
-    rng = _rng(seed, 1)
+    rng = rng_from(seed, 1)
     if mode == "impossibility":
         i = int(rng.integers(dims.d))
         pair = build_metric_impossibility_pair(x, i)
@@ -300,29 +313,24 @@ def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
         mr = compute_metrics(x, pair.xi1, s)
         scaled_l2 = mr.m_l2 * math.sqrt(dims.n) * math.sqrt(math.log(dims.k) / dims.n)
         candidates = [mr.m_linf, scaled_l2] + ([mr.m_ols] if mr.m_ols is not None else [])
-        worst = max(candidates)
         forced = float(np.max(np.abs(pair.theta1.values - pair.theta2.values)))
-        bound = forced / 3.0
-        passed = worst < bound
         extra = {"m_linf": mr.m_linf, "m_l2_scaled": scaled_l2, "m_ols": mr.m_ols or 0.0}
-        return worst, None, mr.m_gram, bound, passed, extra
+        return max(candidates), None, mr.m_gram, forced / 3.0, extra
 
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     s = IndexSet(np.sort(rng.choice(dims.d, size=dims.k, replace=False)).astype(np.int64))
     mr = compute_metrics(x, noise, s)
-    ratio = mr.ratios.get("ols_over_support")
     low = float(cfg.algorithm.get("ratio_low", 1.0 / 6.0))
     high = float(cfg.algorithm.get("ratio_high", 6.0))
-    passed = ratio is not None and low <= ratio <= high
     extra = {"bound_low": low, "m_ols": mr.m_ols or 0.0, "m_gram_support": mr.m_gram_support}
-    return ratio, None, mr.m_gram, high, passed, extra
+    return mr.ratios.get("ols_over_support"), None, mr.m_gram, high, extra
 
 
 def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     sigma = float(cfg.noise.get("sigma", 1.0))
     snr_mult = float(cfg.algorithm.get("snr_multiple", 100.0))
     min_signal = snr_mult * sigma * math.sqrt(math.log(dims.d))
-    truth = _make_signal(dims.d, dims.k, _rng(seed, 1), {"kind": "pm_uniform_above"}, magnitude=min_signal)
+    truth = make_signal(dims.d, dims.k, rng_from(seed, 1), {"kind": "pm_uniform_above"}, magnitude=min_signal)
     oracle = MaskedOracle(dims, truth, sigma, derive_seed(seed, 0), ensemble=cfg.ensemble)
     n_rounds = int(cfg.algorithm.get("rounds", math.ceil(2.0 * math.log(dims.k))))
     params = SupportEstimatorParams(
@@ -336,42 +344,66 @@ def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     rep = adaptive_support_recover(oracle, params)
     const = float(cfg.algorithm.get("error_constant", frozen.PARTIAL_ADAPTIVE_ERROR_CONSTANT))
     bound = const * sigma * math.sqrt(math.log(dims.d))
-    exact = bool(rep.diagnostics.get("exact_support"))
-    passed = exact and rep.linf_error <= bound
     extra = {
-        "exact_support": 1.0 if exact else 0.0,
+        "exact_support": 1.0 if rep.diagnostics.get("exact_support") else 0.0,
         "rows_consumed": float(rep.diagnostics["rows_consumed"]),
         "realized_sigma": float(rep.diagnostics["realized_round_sigma"]),
     }
-    return rep.linf_error, rep.l2_error, None, bound, passed, extra
+    return rep.linf_error, rep.l2_error, None, bound, extra
 
 
 def _trial_threshold_stats(dims: Dims, cfg: ExperimentConfig, seed: int):
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
-    msig = float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
+    msig = _gram_noise(x, noise)
     snr_mult = float(cfg.algorithm.get("snr_multiple", 80.0))
-    truth = _make_signal(
-        dims.d, dims.k, _rng(seed, 1), {"kind": "pm_uniform_above"}, magnitude=snr_mult * msig
+    truth = make_signal(
+        dims.d, dims.k, rng_from(seed, 1), {"kind": "pm_uniform_above"}, magnitude=snr_mult * msig
     )
     y = x.data @ truth.values + noise.values
     stats = threshold_stats(x, y, truth, 0.5 * snr_mult * msig)
     fp_cap = float(cfg.algorithm.get("fp_cap_factor", 2.0)) * dims.k
     fn_cap = float(cfg.algorithm.get("fn_cap", 0.95))
-    passed = len(stats.s_fp) <= fp_cap and stats.fn_energy_ratio <= fn_cap
     extra = {"fn_ratio": stats.fn_energy_ratio, "fn_cap": fn_cap, "fp": float(len(stats.s_fp))}
-    return float(len(stats.s_fp)), None, msig, fp_cap, passed, extra
+    return float(len(stats.s_fp)), None, msig, fp_cap, extra
 
 
-_TRIALS = {
-    ExperimentKind.OBLIVIOUS_RECOVERY: _trial_oblivious,
-    ExperimentKind.ADAPTIVE_RECOVERY: _trial_adaptive,
-    ExperimentKind.REDUCTION_RECOVERY: _trial_reduction,
-    ExperimentKind.SEPARATION: _trial_separation,
-    ExperimentKind.LINF_RIP_SWEEP: _trial_linf_rip_sweep,
-    ExperimentKind.METRIC_EQUIVALENCE: _trial_metric_equivalence,
-    ExperimentKind.PARTIAL_ADAPTIVE: _trial_partial_adaptive,
-    ExperimentKind.THRESHOLD_STATS: _trial_threshold_stats,
+def _within(error: float, bound: float, extra: dict) -> bool:
+    return error <= bound
+
+
+def _within_slack(error: float, bound: float, extra: dict) -> bool:
+    return error <= bound + BOUND_SLACK  # the tolerance adaptive_iht's bound_holds uses
+
+
+def _reaches(error: float, bound: float, extra: dict) -> bool:
+    return error >= bound
+
+
+def _metric_pass(error: float, bound: float, extra: dict) -> bool:
+    if "bound_low" in extra:  # equivalence: the ols/support ratio lies in [low, high]
+        return extra["bound_low"] <= error <= bound
+    return error < bound  # impossibility: the worst metric stays below forced/3
+
+
+def _exact_support_within(error: float, bound: float, extra: dict) -> bool:
+    return extra["exact_support"] >= 1.0 and error <= bound
+
+
+def _threshold_pass(error: float, bound: float, extra: dict) -> bool:
+    return error <= bound and extra["fn_ratio"] <= extra["fn_cap"]
+
+
+# kind -> (trial body, pass rule over (error, bound, extra))
+_KINDS = {
+    ExperimentKind.OBLIVIOUS_RECOVERY: (_trial_oblivious, _within),
+    ExperimentKind.ADAPTIVE_RECOVERY: (_trial_adaptive, _within_slack),
+    ExperimentKind.REDUCTION_RECOVERY: (_trial_reduction, _within),
+    ExperimentKind.SEPARATION: (_trial_separation, _reaches),
+    ExperimentKind.LINF_RIP_SWEEP: (_trial_linf_rip_sweep, _within),
+    ExperimentKind.METRIC_EQUIVALENCE: (_trial_metric_equivalence, _metric_pass),
+    ExperimentKind.PARTIAL_ADAPTIVE: (_trial_partial_adaptive, _exact_support_within),
+    ExperimentKind.THRESHOLD_STATS: (_trial_threshold_stats, _threshold_pass),
 }
 
 
@@ -381,13 +413,11 @@ def _run_one(cfg: ExperimentConfig, grid_index: int, trial: int) -> TrialRecord:
     seed = derive_seed(cfg.master_seed, grid_index, trial)
     start = time.perf_counter()
     try:
-        error, error_l2, msig, bound, passed, extra = _TRIALS[cfg.kind](dims, cfg, seed)
+        error, error_l2, msig, bound, extra = _KINDS[cfg.kind][0](dims, cfg, seed)
     except Exception as exc:  # recorded, not fatal
         error = error_l2 = msig = bound = None
-        passed = False
-        extra = {"failed": 1.0}
-        extra["failure"] = type(exc).__name__
-    return TrialRecord(
+        extra = {"failed": 1.0, "failure": type(exc).__name__}
+    rec = TrialRecord(
         experiment=cfg.kind.value,
         grid_index=grid_index,
         n=dims.n,
@@ -399,10 +429,12 @@ def _run_one(cfg: ExperimentConfig, grid_index: int, trial: int) -> TrialRecord:
         error_l2=error_l2,
         metric_sigma=msig,
         bound=bound,
-        passed=bool(passed),
+        passed=False,
         extra=extra,
-        wall_time_s=time.perf_counter() - start,
     )
+    rec.passed = recompute_pass(rec)
+    rec.wall_time_s = time.perf_counter() - start
+    return rec
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
@@ -471,20 +503,9 @@ def summarize(records: list[TrialRecord]) -> dict:
 
 def recompute_pass(rec: TrialRecord) -> bool:
     """Re-derive the pass flag from the record's own columns."""
-    kind = ExperimentKind(rec.experiment)
     if rec.error is None or rec.bound is None:
         return False
-    if kind is ExperimentKind.SEPARATION:
-        return rec.error >= rec.bound
-    if kind is ExperimentKind.METRIC_EQUIVALENCE:
-        if "bound_low" in rec.extra:
-            return rec.extra["bound_low"] <= rec.error <= rec.bound
-        return rec.error < rec.bound  # impossibility mode: worst metric below forced/3
-    if kind is ExperimentKind.PARTIAL_ADAPTIVE:
-        return rec.extra.get("exact_support", 0.0) >= 1.0 and rec.error <= rec.bound
-    if kind is ExperimentKind.THRESHOLD_STATS:
-        return rec.error <= rec.bound and rec.extra.get("fn_ratio", 1.0) <= rec.extra.get("fn_cap", 0.95)
-    return rec.error <= rec.bound
+    return bool(_KINDS[ExperimentKind(rec.experiment)][1](rec.error, rec.bound, rec.extra))
 
 
 # ---------------------------------------------------------------------------

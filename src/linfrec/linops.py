@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MeasurementMatrix, SparseVector
+from .core import MeasurementMatrix, SparseVector, as_array
 
 __all__ = [
     "IndexSet",
@@ -30,8 +30,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 MAX_ITER_CAP = 100_000
-# Fixed GD step 1/(1 + eps_hat); eps_hat = 0.5 when no RIP estimate is supplied.
-DEFAULT_RIP_EPSILON = 0.5
+# Fixed GD step 1/(1 + RIP_EPSILON) for restricted Grams within RIP_EPSILON of I.
+RIP_EPSILON = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ class SolverFailure(RuntimeError):
         self.residual = residual
 
 
-def _mat(x: MeasurementMatrix | np.ndarray) -> np.ndarray:
-    return x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
-
-
 def hard_threshold_values(v: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude coordinates (ties to the smaller index)."""
     v = np.asarray(v, dtype=np.float64)
@@ -117,7 +113,7 @@ def restricted_gram(x: MeasurementMatrix | np.ndarray, s: IndexSet) -> np.ndarra
     """[X^T X]_{S x S} as an |S| x |S| array."""
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = _mat(x)[:, s.indices]
+    cols = as_array(x)[:, s.indices]
     g = cols.T @ cols
     return 0.5 * (g + g.T)  # symmetrize roundoff
 
@@ -129,33 +125,26 @@ def dense_restricted_solve(
     return np.linalg.solve(restricted_gram(x, s), np.asarray(b, dtype=np.float64))
 
 
-def _gd_solve(
-    cols: np.ndarray,
-    b: np.ndarray,
-    tol: float,
-    max_iter: int | None,
-    rip_epsilon: float | None,
-) -> tuple[np.ndarray, float, int]:
+def _gd_solve(cols: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None) -> np.ndarray:
     """Fixed-step gradient descent on 0.5 w^T A w - b^T w with A = cols^T cols.
 
     Matrix-free: each step costs two products through ``cols``.  Converges
     whenever eig(A) lies in (0, 2/step); with A near the identity (the
     RIP-scale regime) the step 1/(1+eps) contracts geometrically.
     """
-    eps = DEFAULT_RIP_EPSILON if rip_epsilon is None else float(rip_epsilon)
-    step = 1.0 / (1.0 + eps)
+    step = 1.0 / (1.0 + RIP_EPSILON)
     bnorm = float(np.max(np.abs(b), initial=0.0))
     target = tol * (1.0 + bnorm)
     if max_iter is None:
-        kappa = (1.0 + eps) / max(1.0 - eps, 1e-3)
+        kappa = (1.0 + RIP_EPSILON) / max(1.0 - RIP_EPSILON, 1e-3)
         max_iter = min(MAX_ITER_CAP, 10 * max(1, math.ceil(math.log2(kappa * max(bnorm, 1.0) / tol))))
     w = np.zeros(len(b))
     resid = bnorm
-    for it in range(max_iter):
+    for _ in range(max_iter):
         g = cols.T @ (cols @ w) - b
         resid = float(np.max(np.abs(g), initial=0.0))
         if resid <= target:
-            return w, resid, it
+            return w
         if not np.isfinite(resid) or resid > 1e9 * (1.0 + bnorm):
             break  # diverging: step too large for this spectrum
         w -= step * g
@@ -168,7 +157,6 @@ def restricted_ols(
     rhs: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    rip_epsilon: float | None = None,
 ) -> np.ndarray:
     """Solve [X^T X]_{S x S} w = X_{S:}^T rhs iteratively.
 
@@ -178,10 +166,9 @@ def restricted_ols(
     """
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = _mat(x)[:, s.indices]
+    cols = as_array(x)[:, s.indices]
     b = cols.T @ np.asarray(rhs, dtype=np.float64)
-    w, resid, _ = _gd_solve(cols, b, tol, max_iter, rip_epsilon)
-    return w
+    return _gd_solve(cols, b, tol, max_iter)
 
 
 def apply_restricted_inverse(
@@ -190,14 +177,12 @@ def apply_restricted_inverse(
     v: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    rip_epsilon: float | None = None,
 ) -> np.ndarray:
     """Solve [X^T X]_{S x S} w = v for v already in coefficient space."""
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = _mat(x)[:, s.indices]
+    cols = as_array(x)[:, s.indices]
     b = np.asarray(v, dtype=np.float64)
     if len(b) != len(s):
         raise ValueError(f"right-hand side length {len(b)} != |S| = {len(s)}")
-    w, resid, _ = _gd_solve(cols, b, tol, max_iter, rip_epsilon)
-    return w
+    return _gd_solve(cols, b, tol, max_iter)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MeasurementMatrix, NoiseVector
+from .core import MeasurementMatrix, NoiseVector, as_array
 from .linops import IndexSet, SolverFailure, restricted_ols
 
 __all__ = ["MetricReport", "compute_metrics"]
@@ -37,7 +37,7 @@ def compute_metrics(
     xi: NoiseVector | np.ndarray,
     s: IndexSet,
 ) -> MetricReport:
-    data = x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     noise = xi.values if isinstance(xi, NoiseVector) else np.asarray(xi, dtype=np.float64)
     n = data.shape[0]
     if len(noise) != n:

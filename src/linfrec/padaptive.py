@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, MeasurementMatrix, SparseVector, rng_from
+from .core import Dims, Ensemble, MeasurementMatrix, SparseVector, as_array, draw_design, rng_from
 from .linops import IndexSet, hard_threshold_values, restricted_ols
 from .recovery import IhtParams, RecoveryReport, iht
 
@@ -80,12 +80,7 @@ class MaskedOracle:
             raise ValueError("must request at least one row")
         qi = len(self.query_log)
         rng = rng_from(self.master_seed, qi)
-        if self.ensemble is Ensemble.GAUSSIAN_SCALED:
-            data = rng.standard_normal((rows, self.dims.d)) / math.sqrt(rows)
-        elif self.ensemble is Ensemble.RADEMACHER_SCALED:
-            data = (rng.integers(0, 2, size=(rows, self.dims.d)).astype(np.float64) * 2.0 - 1.0) / math.sqrt(rows)
-        else:
-            raise ValueError(f"oracle cannot draw ensemble {self.ensemble!r}")
+        data = draw_design(rng, rows, self.dims.d, self.ensemble)
         xi = rng.standard_normal(rows) * self.noise_sigma
         if len(mask):
             data[:, mask.indices] = 0.0
@@ -93,11 +88,7 @@ class MaskedOracle:
         self.query_log.append(
             QueryRecord(rows=rows, mask=[int(i) for i in mask.indices], sub_seed=qi)
         )
-        x = MeasurementMatrix(
-            data=data, ensemble=self.ensemble, seed=self.master_seed,
-            scale_variance=1.0 / rows,
-        )
-        return x, y
+        return MeasurementMatrix(data=data, ensemble=self.ensemble), y
 
     def rows_consumed(self) -> int:
         return sum(q.rows for q in self.query_log)
@@ -150,7 +141,7 @@ def threshold_stats(
     it on the support.  ``fn_energy_ratio`` is the fraction of signal l2 mass
     sitting on the false negatives.
     """
-    data = x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     corr = np.abs(data.T @ np.asarray(y, dtype=np.float64))
     on = np.zeros(data.shape[1], dtype=bool)
     on[truth.support] = True
@@ -246,7 +237,6 @@ def adaptive_support_recover(
     realized.append(
         float(np.max(np.abs(xf.data.T @ (yf - xf.data @ oracle.truth.values)), initial=0.0))
     )
-    solver_residual = None
     if len(t_cur):
         w = restricted_ols(xf, t_cur, yf)
         theta[t_cur.indices] = w
@@ -255,7 +245,6 @@ def adaptive_support_recover(
     report = RecoveryReport(
         estimate=SparseVector.from_dense(theta, budget=params.k),
         iterations=params.N,
-        solver_residual=solver_residual,
         diagnostics={
             "support_trace": support_trace,
             "support_sets": support_sets,

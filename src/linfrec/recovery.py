@@ -9,14 +9,13 @@ sqrt(2T) for the same reason.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MeasurementMatrix, NoiseVector, SparseVector
-from .linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols, restricted_gram
+from .core import MeasurementMatrix, NoiseVector, SparseVector, as_array
+from .linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols
 from .ripcert import CertKind, RipCertificate
 
 __all__ = [
@@ -30,12 +29,12 @@ __all__ = [
     "osr_reduction",
 ]
 
-logger = logging.getLogger(__name__)
-
 # Universal constants with no closed form; fixed once, overridable per call
 # through the params dataclasses.
 DEFAULT_THRESHOLD_C = 1.0 / 80.0  # support-identification threshold is r / c
 DEFAULT_HOLDOUT_C = 1.0 / 20.0    # holdout test fires above rho / c'
+# Roundoff slack when checking the adaptive bound r + 2 ||X^T xi||_inf.
+BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,15 +92,10 @@ class RecoveryReport:
     linf_error: float | None = None
     l2_error: float | None = None
     metric_sigma: float | None = None  # ||X^T xi||_inf when the noise is known
-    solver_residual: float | None = None
     bound_value: float | None = None
     bound_holds: bool | None = None
     certified: bool | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _mat(x) -> np.ndarray:
-    return x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
 
 
 def _finish(
@@ -140,7 +134,7 @@ def iht(
     record_iterates: bool = False,
 ) -> RecoveryReport:
     """Gradient step then keep-top-k, for ceil(log2(R/r)) iterations."""
-    data = _mat(x)
+    data = as_array(x)
     y = np.asarray(y, dtype=np.float64)
     if len(y) != data.shape[0]:
         raise ValueError(f"y length {len(y)} != n {data.shape[0]}")
@@ -183,18 +177,15 @@ def adaptive_iht(
     if report.metric_sigma is not None:
         report.bound_value = params.r + 2.0 * report.metric_sigma
         if report.linf_error is not None:
-            report.bound_holds = bool(report.linf_error <= report.bound_value + 1e-12)
+            report.bound_holds = bool(report.linf_error <= report.bound_value + BOUND_SLACK)
     return report
 
 
 def _split_rows(data: np.ndarray, y: np.ndarray, parts: int) -> tuple[list, list, int]:
     n = data.shape[0]
     m = parts * (n // parts)
-    dropped = n - m
-    if dropped:
-        logger.warning("truncating %d rows to split %d ways", dropped, parts)
     rows = np.arange(m).reshape(parts, -1)
-    return [data[r] for r in rows], [y[r] for r in rows], dropped
+    return [data[r] for r in rows], [y[r] for r in rows], n - m
 
 
 def oblivious_recover(
@@ -212,7 +203,7 @@ def oblivious_recover(
     the last third and adds the correction.  Output support is contained in
     supp(warm start) union L.
     """
-    data = _mat(x)
+    data = as_array(x)
     y = np.asarray(y, dtype=np.float64)
     scale = math.sqrt(3.0)
     xs, ys, dropped = _split_rows(scale * data, scale * y, 3)
@@ -228,21 +219,13 @@ def oblivious_recover(
     l_idx = np.flatnonzero(np.abs(corr) >= params.r / params.c).astype(np.int64)
 
     theta = theta_hat.copy()
-    solver_residual = None
     if len(l_idx):
-        l_set = IndexSet(l_idx)
-        w = restricted_ols(x3, l_set, r3)
-        gram_l = restricted_gram(x3, l_set)
-        solver_residual = float(
-            np.max(np.abs(gram_l @ w - x3[:, l_idx].T @ r3), initial=0.0)
-        )
-        theta[l_idx] += w
+        theta[l_idx] += restricted_ols(x3, IndexSet(l_idx), r3)
 
     budget = int(len(warm.estimate.support) + len(l_idx))
     report = RecoveryReport(
         estimate=SparseVector.from_dense(theta, budget=max(budget, 1)),
         iterations=warm.iterations,
-        solver_residual=solver_residual,
         diagnostics={
             "support_size": int(np.count_nonzero(theta)),
             "correction_support": len(l_idx),
@@ -269,7 +252,7 @@ def osr_reduction(
     step cannot be solved counts as a failed check: the estimate never
     existed, so the last validated iterate is returned.
     """
-    data = _mat(x)
+    data = as_array(x)
     y = np.asarray(y, dtype=np.float64)
     d = data.shape[1]
     if params.r >= params.R:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementMatrix, rng_from
+from .core import MeasurementMatrix, as_array, rng_from
 from .linops import IndexSet, inf_op_norm
 
 __all__ = [
@@ -95,7 +95,7 @@ def certificate_to_json(cert: RipCertificate) -> str:
 
 
 def _gram(x: MeasurementMatrix | np.ndarray) -> np.ndarray:
-    data = x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     g = data.T @ data
     return 0.5 * (g + g.T)
 
@@ -103,6 +103,33 @@ def _gram(x: MeasurementMatrix | np.ndarray) -> np.ndarray:
 def _sampled_subset(d: int, s: int, seed: int, index: int) -> np.ndarray:
     # per-subset derived seed: results do not depend on evaluation order
     return np.sort(rng_from(seed, index).choice(d, size=s, replace=False))
+
+
+def _scan_certificate(kind: CertKind, epsilon: float, s: int, subsets, value, exact: bool) -> RipCertificate:
+    """Certificate from the worst ``value(idx)`` over ``subsets``.
+
+    A failure carries the worst subset as its witness; a clean scan holds
+    when it was exhaustive and is only a lower bound (without a witness)
+    when it was sampled.
+    """
+    worst = -np.inf
+    witness = None
+    for sub in subsets:
+        idx = np.asarray(sub, dtype=np.int64)
+        val = value(idx)
+        if val > worst:
+            worst = val
+            witness = idx
+    if worst <= epsilon:
+        verdict = Verdict.HOLDS if exact else Verdict.LOWER_BOUND_ONLY
+        wit = IndexSet(witness) if exact and witness is not None else None
+    else:
+        verdict = Verdict.FAILS
+        wit = IndexSet(witness)
+    return RipCertificate(
+        kind=kind, threshold=float(epsilon), s=s, verdict=verdict,
+        achieved=float(worst), witness=wit, exact=exact,
+    )
 
 
 def certify_l2_rip(
@@ -123,8 +150,6 @@ def certify_l2_rip(
     g = _gram(x)
     d = g.shape[0]
     s = min(int(s), d)
-    worst = -np.inf
-    witness = None
 
     if mode == "exact":
         n_subsets = math.comb(d, s)
@@ -133,28 +158,14 @@ def certify_l2_rip(
                 f"C({d},{s}) = {n_subsets} subsets exceeds the exact budget {EXACT_SUBSET_BUDGET}"
             )
         subsets = itertools.combinations(range(d), s)
-        exact = True
     else:
         subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
-        exact = False
 
-    for sub in subsets:
-        idx = np.asarray(sub, dtype=np.int64)
+    def deviation(idx: np.ndarray) -> float:
         evals = np.linalg.eigvalsh(g[np.ix_(idx, idx)])
-        dev = float(max(abs(evals[0] - 1.0), abs(evals[-1] - 1.0)))
-        if dev > worst:
-            worst = dev
-            witness = idx
-    if worst <= epsilon:
-        verdict = Verdict.HOLDS if exact else Verdict.LOWER_BOUND_ONLY
-        wit = IndexSet(witness) if exact and witness is not None else None
-    else:
-        verdict = Verdict.FAILS
-        wit = IndexSet(witness)
-    return RipCertificate(
-        kind=CertKind.L2_RIP, threshold=float(epsilon), s=s, verdict=verdict,
-        achieved=float(worst), witness=wit, exact=exact,
-    )
+        return float(max(abs(evals[0] - 1.0), abs(evals[-1] - 1.0)))
+
+    return _scan_certificate(CertKind.L2_RIP, epsilon, s, subsets, deviation, exact=mode == "exact")
 
 
 def _greedy_linf_value(g: np.ndarray, s: int) -> tuple[float, np.ndarray]:
@@ -210,22 +221,9 @@ def certify_linf_rip(
         )
 
     dev = g - np.eye(d)
-    worst = -np.inf
-    witness = None
-    for t in range(trials):
-        idx = _sampled_subset(d, s, seed, t).astype(np.int64)
-        val = inf_op_norm(dev[np.ix_(idx, idx)])
-        if val > worst:
-            worst = val
-            witness = idx
-    if worst <= epsilon:
-        return RipCertificate(
-            kind=CertKind.LINF_RIP, threshold=float(epsilon), s=s,
-            verdict=Verdict.LOWER_BOUND_ONLY, achieved=float(worst), witness=None, exact=False,
-        )
-    return RipCertificate(
-        kind=CertKind.LINF_RIP, threshold=float(epsilon), s=s, verdict=Verdict.FAILS,
-        achieved=float(worst), witness=IndexSet(witness), exact=False,
+    subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
+    return _scan_certificate(
+        CertKind.LINF_RIP, epsilon, s, subsets, lambda idx: inf_op_norm(dev[np.ix_(idx, idx)]), exact=False
     )
 
 
@@ -246,7 +244,7 @@ def certify_pi(x: MeasurementMatrix | np.ndarray, alpha: float) -> RipCertificat
 
 def welch_floor(x: MeasurementMatrix | np.ndarray) -> float:
     """Average squared correlation of normalized columns; always >= 1/n."""
-    data = x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
+    data = as_array(x)
     norms = np.linalg.norm(data, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column")

@@ -25,6 +25,7 @@ def test_gen_writes_loadable_instance(tmp_path, capsys):
     inst = load_instance(paths["instance"])
     assert inst.x.n == 30 and inst.x.d == 12
     assert inst.truth.nnz == 3
+    assert np.all(np.abs(inst.truth.values[inst.truth.support]) == 1.0)
 
 
 def test_certify_outputs_json_certificate(tmp_path, capsys):
@@ -71,6 +72,20 @@ def test_run_twice_identical_files(tmp_path, capsys):
     assert run_cli(capsys, "run", str(cfg_path), "--out", str(out1))[0] == 0
     assert run_cli(capsys, "run", str(cfg_path), "--out", str(out2))[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_run_out_replaces_config_output(tmp_path, capsys, monkeypatch):
+    cfg = {
+        "kind": "oblivious_recovery",
+        "grid": [{"n": 240, "d": 30, "k": 3}],
+        "trials": 1,
+        "master_seed": 7,
+        "output": "from-config.csv",
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "run", "cfg.json", "--out", "x.csv")[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "x.csv"]
 
 
 def test_adversarial_writes_shared_pair(tmp_path, capsys):

@@ -8,6 +8,7 @@ from linfrec.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     ExperimentKind,
+    TrialRecord,
     derive_seed,
     read_csv,
     recompute_pass,
@@ -122,6 +123,17 @@ def test_pass_flags_recomputable(kind, grid, algorithm):
     records, _ = run_experiment(cfg)
     for rec in records:
         assert rec.passed == recompute_pass(rec)
+
+
+def test_adaptive_pass_flag_recomputable_within_bound_slack():
+    # adaptive_iht accepts its bound up to roundoff slack; a record the trial
+    # wrote as passed on that slack must recompute as passed from the row
+    rec = TrialRecord(
+        experiment=ExperimentKind.ADAPTIVE_RECOVERY.value,
+        grid_index=0, n=200, d=40, k=4, trial=0, seed=0,
+        error=1.0 + 5e-13, error_l2=None, metric_sigma=None, bound=1.0, passed=True,
+    )
+    assert recompute_pass(rec) == rec.passed
 
 
 def test_partial_adaptive_budget_honesty():
