@@ -128,11 +128,14 @@ def as_array(x: MeasurementMatrix | np.ndarray) -> np.ndarray:
 def draw_design(rng: np.random.Generator, rows: int, d: int, ensemble: Ensemble) -> np.ndarray:
     """A rows x d array of i.i.d. entries of variance 1/rows, drawn from ``rng``."""
     if ensemble is Ensemble.GAUSSIAN_SCALED:
-        return rng.standard_normal((rows, d)) / np.sqrt(rows)
-    if ensemble is Ensemble.RADEMACHER_SCALED:
-        signs = rng.integers(0, 2, size=(rows, d)).astype(np.float64) * 2.0 - 1.0
-        return signs / np.sqrt(rows)
-    raise ValueError(f"cannot sample ensemble {ensemble!r}; use MeasurementMatrix.explicit")
+        z = rng.standard_normal((rows, d))
+    elif ensemble is Ensemble.RADEMACHER_SCALED:
+        z = rng.integers(0, 2, size=(rows, d)).astype(np.float64)
+        z *= 2.0
+        z -= 1.0
+    else:
+        raise ValueError(f"cannot sample ensemble {ensemble!r}; use MeasurementMatrix.explicit")
+    return np.divide(z, np.sqrt(rows), out=z)
 
 
 def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> MeasurementMatrix:

@@ -545,28 +545,41 @@ def _parse_extra(text: str) -> dict:
 
 
 def write_csv(records: list[TrialRecord], path: str | Path) -> None:
+    """Write ``records`` to ``path``, replacing any file already there.
+
+    The rows go to a per-process temp file beside ``path``, which then takes
+    the place of the old file by unlink and rename.  Truncating an existing
+    file, or renaming over one, makes ext4 (``auto_da_alloc``) flush it,
+    which costs tens of milliseconds per write.
+    """
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in sorted(records, key=lambda r: (r.grid_index, r.trial)):
-            writer.writerow(
-                [
-                    rec.experiment,
-                    rec.grid_index,
-                    rec.n,
-                    rec.d,
-                    rec.k,
-                    rec.trial,
-                    rec.seed,
-                    _fmt(rec.error),
-                    _fmt(rec.error_l2),
-                    _fmt(rec.metric_sigma),
-                    _fmt(rec.bound),
-                    _fmt(rec.passed),
-                    _fmt_extra(rec.extra),
-                ]
-            )
+    tmp = path.with_name(f"{os.getpid()}.csv.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for rec in sorted(records, key=lambda r: (r.grid_index, r.trial)):
+                writer.writerow(
+                    [
+                        rec.experiment,
+                        rec.grid_index,
+                        rec.n,
+                        rec.d,
+                        rec.k,
+                        rec.trial,
+                        rec.seed,
+                        _fmt(rec.error),
+                        _fmt(rec.error_l2),
+                        _fmt(rec.metric_sigma),
+                        _fmt(rec.bound),
+                        _fmt(rec.passed),
+                        _fmt_extra(rec.extra),
+                    ]
+                )
+        path.unlink(missing_ok=True)
+        tmp.rename(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_csv(path: str | Path) -> list[TrialRecord]:

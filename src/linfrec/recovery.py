@@ -182,10 +182,10 @@ def adaptive_iht(
 
 
 def _split_rows(data: np.ndarray, y: np.ndarray, parts: int) -> tuple[list, list, int]:
-    n = data.shape[0]
-    m = parts * (n // parts)
-    rows = np.arange(m).reshape(parts, -1)
-    return [data[r] for r in rows], [y[r] for r in rows], n - m
+    """``parts`` equal consecutive row blocks (views), and the rows left over."""
+    size = data.shape[0] // parts
+    blocks = [slice(i * size, (i + 1) * size) for i in range(parts)]
+    return [data[b] for b in blocks], [y[b] for b in blocks], data.shape[0] - parts * size
 
 
 def oblivious_recover(

@@ -10,6 +10,10 @@ Three properties of the Gram deviation G = X^T X - I are certified:
   off-diagonal magnitudes, so no subset enumeration is needed.
 * pairwise incoherence: an entrywise bound on |G_ij|.
 
+The exact sup-norm and incoherence certifiers never hold G whole: they scan
+it in panels of consecutive rows, X[:, lo:hi]^T X, each at most PANEL_BYTES,
+so their memory is O(n d + PANEL_BYTES) rather than O(d^2).
+
 Also provides the averaged-coherence floor (which is at least 1/n for any
 matrix) and the minimum sample count compatible with sup-norm RIP at (eps, s).
 """
@@ -42,6 +46,10 @@ __all__ = [
 ]
 
 EXACT_SUBSET_BUDGET = 10**6
+
+# Bytes of one panel of Gram rows (524 rows at d = 4000).  The sup-norm scan
+# holds two panels at once: the rows and their partitioned copy.
+PANEL_BYTES = 16 * 2**20
 
 
 class CertKind(str, enum.Enum):
@@ -168,33 +176,43 @@ def certify_l2_rip(
     return _scan_certificate(CertKind.L2_RIP, epsilon, s, subsets, deviation, exact=mode == "exact")
 
 
-def _greedy_linf_value(g: np.ndarray, s: int) -> tuple[float, np.ndarray]:
+def _abs_deviation_panels(data: np.ndarray):
+    """Yield ``(lo, |[X^T X - I]_{lo:hi, :}|)`` over consecutive row panels.
+
+    A panel spanning all d rows is the very ``X.T @ X`` product of the dense
+    Gram.  Narrower panels are general matrix products, whose rounding may
+    differ from the dense product's in the last bit of some entries.
+    """
+    d = data.shape[1]
+    rows = max(1, PANEL_BYTES // (8 * d))
+    for lo in range(0, d, rows):
+        p = data[:, lo : lo + rows].T @ data
+        r = np.arange(p.shape[0])
+        p[r, lo + r] -= 1.0
+        yield lo, np.abs(p, out=p)
+
+
+def _linf_panel_scan(data: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     """Exact max over |S| <= s of the restricted deviation's max-row-l1 norm.
 
     For anchor row i the maximizing subset is i plus the s-1 largest
     off-diagonal magnitudes in that row; all terms are nonnegative so smaller
-    subsets never win.
+    subsets never win.  The first row reaching the maximum is the anchor.
     """
-    d = g.shape[0]
-    dev = g - np.eye(d)
-    absdev = np.abs(dev)
+    take = min(s - 1, data.shape[1] - 1)
     best = -np.inf
-    best_subset = None
-    take = min(s - 1, d - 1)
-    for i in range(d):
-        row = absdev[i].copy()
-        diag = row[i]
-        row[i] = -np.inf
+    anchor, anchor_row = -1, None
+    for lo, p in _abs_deviation_panels(data):
+        r = np.arange(p.shape[0])
+        vals = p[r, lo + r].copy()
+        p[r, lo + r] = -np.inf
         if take > 0:
-            top = np.argpartition(row, -take)[-take:]
-            val = diag + float(row[top].sum())
-        else:
-            top = np.empty(0, dtype=np.int64)
-            val = diag
-        if val > best:
-            best = float(val)
-            best_subset = np.sort(np.concatenate(([i], top))).astype(np.int64)
-    return best, best_subset
+            vals += np.partition(p, -take, axis=1)[:, -take:].sum(axis=1)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, anchor, anchor_row = float(vals[i]), lo + i, p[i].copy()
+    top = np.argpartition(anchor_row, -take)[-take:] if take > 0 else np.empty(0, dtype=np.int64)
+    return best, np.sort(np.concatenate(([anchor], top))).astype(np.int64)
 
 
 def certify_linf_rip(
@@ -206,35 +224,38 @@ def certify_linf_rip(
     seed: int = 0,
 ) -> RipCertificate:
     """Check the sup-norm RIP: row-l1 of every restricted deviation <= eps."""
-    g = _gram(x)
-    d = g.shape[0]
+    data = as_array(x)
+    d = data.shape[1]
     s = min(int(s), d)
     if s < 1:
         raise ValueError("subset size must be at least 1")
 
     if mode == "exact":
-        worst, witness = _greedy_linf_value(g, s)
+        worst, witness = _linf_panel_scan(data, s)
         verdict = Verdict.HOLDS if worst <= epsilon else Verdict.FAILS
         return RipCertificate(
             kind=CertKind.LINF_RIP, threshold=float(epsilon), s=s, verdict=verdict,
             achieved=float(worst), witness=IndexSet(witness), exact=True,
         )
 
-    dev = g - np.eye(d)
+    def deviation(idx: np.ndarray) -> float:
+        cols = data[:, idx]
+        return inf_op_norm(cols.T @ cols - np.eye(len(idx)))
+
     subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
-    return _scan_certificate(
-        CertKind.LINF_RIP, epsilon, s, subsets, lambda idx: inf_op_norm(dev[np.ix_(idx, idx)]), exact=False
-    )
+    return _scan_certificate(CertKind.LINF_RIP, epsilon, s, subsets, deviation, exact=False)
 
 
 def certify_pi(x: MeasurementMatrix | np.ndarray, alpha: float) -> RipCertificate:
-    """Entrywise bound on |[X^T X - I]_{ij}|; always exact (one Gram pass)."""
-    g = _gram(x)
-    d = g.shape[0]
-    dev = np.abs(g - np.eye(d))
-    flat = int(np.argmax(dev))
-    i, j = divmod(flat, d)
-    worst = float(dev[i, j])
+    """Entrywise bound on |[X^T X - I]_{ij}|; always exact (one Gram pass).
+
+    The witness is the first largest entry in row-major order.
+    """
+    worst, i, j = -np.inf, 0, 0
+    for lo, p in _abs_deviation_panels(as_array(x)):
+        pi, pj = divmod(int(np.argmax(p)), p.shape[1])
+        if p[pi, pj] > worst:
+            worst, i, j = float(p[pi, pj]), lo + pi, pj
     verdict = Verdict.HOLDS if worst <= alpha else Verdict.FAILS
     return RipCertificate(
         kind=CertKind.PAIRWISE_INCOHERENCE, threshold=float(alpha), s=2,
@@ -243,14 +264,17 @@ def certify_pi(x: MeasurementMatrix | np.ndarray, alpha: float) -> RipCertificat
 
 
 def welch_floor(x: MeasurementMatrix | np.ndarray) -> float:
-    """Average squared correlation of normalized columns; always >= 1/n."""
+    """Average squared correlation of normalized columns; always >= 1/n.
+
+    ||U^T U||_F = ||U U^T||_F, so the smaller of the two Gram matrices is formed.
+    """
     data = as_array(x)
     norms = np.linalg.norm(data, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column")
     u = data / norms
-    g = u.T @ u
-    d = data.shape[1]
+    n, d = u.shape
+    g = u @ u.T if n < d else u.T @ u
     return float(np.sum(g * g) / (d * d))
 
 

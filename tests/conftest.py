@@ -40,6 +40,34 @@ def brute_force_linf_cert(g: np.ndarray, s: int) -> float:
     return best
 
 
+def dense_linf_scan(g: np.ndarray, s: int) -> tuple[float, np.ndarray]:
+    """Greedy sup-norm RIP value and witness from a whole Gram matrix, row by row.
+
+    The certifier's former dense path: for anchor row i, the diagonal term plus
+    the s-1 largest off-diagonal magnitudes; the first strict maximum wins.
+    """
+    d = g.shape[0]
+    dev = g - np.eye(d)
+    absdev = np.abs(dev)
+    best = -np.inf
+    best_subset = None
+    take = min(s - 1, d - 1)
+    for i in range(d):
+        row = absdev[i].copy()
+        diag = row[i]
+        row[i] = -np.inf
+        if take > 0:
+            top = np.argpartition(row, -take)[-take:]
+            val = diag + float(row[top].sum())
+        else:
+            top = np.empty(0, dtype=np.int64)
+            val = diag
+        if val > best:
+            best = float(val)
+            best_subset = np.sort(np.concatenate(([i], top))).astype(np.int64)
+    return best, best_subset
+
+
 def brute_force_sign_max(m_inv: np.ndarray) -> float:
     """max over u in {-1,+1}^s of ||m_inv u||_inf by exhaustive search."""
     s = m_inv.shape[0]

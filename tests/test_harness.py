@@ -95,6 +95,18 @@ def test_csv_roundtrip(tmp_path):
     assert header == CSV_COLUMNS
 
 
+def test_write_csv_replaces_existing_file(tmp_path):
+    records, _ = run_experiment(tiny_config(ExperimentKind.THRESHOLD_STATS, grid=[{"n": 300, "d": 60, "k": 4}]))
+    path = tmp_path / "r.csv"
+    path.write_text("stale contents that are longer than nothing\n" * 200)
+    write_csv(records, path)
+    fresh = tmp_path / "fresh.csv"
+    write_csv(records, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert len(read_csv(path)) == len(records)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "r.csv"]
+
+
 def test_header_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("foo,bar\n1,2\n")

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_linf_cert, orthonormal_columns
+from conftest import brute_force_linf_cert, dense_linf_scan, orthonormal_columns
+from linfrec import ripcert
 from linfrec.core import Dims, Ensemble, sample_ensemble
 from linfrec.ripcert import (
     BudgetExceeded,
@@ -17,6 +19,32 @@ from linfrec.ripcert import (
     linf_rip_sample_floor,
     welch_floor,
 )
+
+
+# (n, d, s, ensemble): s = 1, s > d, d not a multiple of the forced panel
+# heights, and a Rademacher design whose Gram entries tie often.
+SCAN_SHAPES = [
+    (50, 40, 1, "gaussian"),
+    (30, 20, 25, "gaussian"),
+    (10, 5, 3, "gaussian"),
+    (100, 333, 7, "gaussian"),
+    (64, 777, 5, "gaussian"),
+    (200, 1000, 40, "gaussian"),
+    (100, 333, 7, "rademacher"),
+    (200, 1000, 40, "rademacher"),
+]
+
+
+def scan_design(n: int, d: int, ensemble: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if ensemble == "gaussian":
+        return rng.standard_normal((n, d)) / np.sqrt(n)
+    return (rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0) / np.sqrt(n)
+
+
+def panel_gram(x: np.ndarray, rows: int) -> np.ndarray:
+    """The Gram rows exactly as panels of ``rows`` rows compute them."""
+    return np.vstack([x[:, lo : lo + rows].T @ x for lo in range(0, x.shape[1], rows)])
 
 
 def planted_matrix(d: int, eps0: float) -> np.ndarray:
@@ -89,6 +117,51 @@ class TestLinfRip:
             cert = certify_linf_rip(x, epsilon=0.5, s=s)
             oracle = brute_force_linf_cert(x.T @ x, s)
             assert cert.achieved == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("n,d,s,ensemble", SCAN_SHAPES)
+    def test_panel_scan_equals_row_loop(self, monkeypatch, n, d, s, ensemble, rows):
+        # panel products round like a dense Gram only when one panel spans it
+        # (the same X^T X call); the scan itself must add nothing of its own
+        for seed in range(3):
+            x = scan_design(n, d, ensemble, seed)
+            if rows is None:
+                assert ripcert.PANEL_BYTES >= 8 * d * d  # one panel: the dense product itself
+                g = x.T @ x
+            else:
+                monkeypatch.setattr(ripcert, "PANEL_BYTES", 8 * d * rows)
+                g = panel_gram(x, rows)
+            cert = certify_linf_rip(x, epsilon=0.5, s=s)
+            achieved, witness = dense_linf_scan(g, min(s, d))
+            assert cert.achieved == achieved
+            assert np.array_equal(cert.witness.indices, witness)
+            pi = certify_pi(x, alpha=0.1)
+            dev = np.abs(g - np.eye(d))
+            i, j = divmod(int(np.argmax(dev)), d)
+            assert pi.achieved == dev[i, j]
+            assert np.array_equal(pi.witness.indices, np.unique([i, j]))
+
+    def test_multi_panel_scan_matches_dense_gram(self):
+        # d = 3000 spans 5 default panels; their rounding may differ from the
+        # dense X^T X product in the last bit, never by more
+        x = sample_ensemble(Dims(n=64, d=3000, k=6), Ensemble.GAUSSIAN_SCALED, seed=8)
+        assert ripcert.PANEL_BYTES < 8 * 3000 * 3000
+        cert = certify_linf_rip(x, epsilon=0.5, s=6)
+        achieved, witness = dense_linf_scan(x.data.T @ x.data, 6)
+        assert cert.achieved == pytest.approx(achieved, rel=1e-14)
+        assert np.array_equal(cert.witness.indices, witness)
+
+    def test_exact_scan_never_holds_a_dense_gram(self):
+        n, d = 64, 3000
+        x = sample_ensemble(Dims(n=n, d=d, k=20), Ensemble.GAUSSIAN_SCALED, seed=3)
+        tracemalloc.start()
+        try:
+            certify_linf_rip(x, epsilon=0.25, s=20)
+            certify_pi(x, alpha=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * d
 
     def test_value_grows_roughly_linearly_in_s(self):
         x = sample_ensemble(Dims(n=200, d=50, k=10), Ensemble.GAUSSIAN_SCALED, seed=5)
