@@ -2,8 +2,8 @@
 """Time and peak memory of the exact sup-norm RIP certificate against d.
 
 Each dimension runs in a fresh interpreter, so its peak resident set
-(``ru_maxrss``) belongs to that one certificate: draw X (n x d, Gaussian),
-then ``certify_linf_rip(X, eps, s, mode="exact")``.  The curve is merged into
+(``ru_maxrss``) belongs to that one certificate: draw X (1000 x d, Gaussian),
+then ``certify_linf_rip(X, 0.25, 20, mode="exact")``.  The curve is merged into
 the JSON file under ``--label``, next to curves recorded earlier, so one file
 can hold the curves of two checkouts.  Run from the repository root:
 
@@ -27,21 +27,24 @@ import time
 from pathlib import Path
 
 
-def measure(n: int, d: int, s: int, eps: float, seed: int) -> dict:
+N, S, EPS = 1000, 20, 0.25  # rows, subset size and threshold of every point
+
+
+def measure(d: int, seed: int) -> dict:
     from linfrec.core import Dims, Ensemble, sample_ensemble
     from linfrec.ripcert import certify_linf_rip
 
     t0 = time.perf_counter()
-    x = sample_ensemble(Dims(n=n, d=d, k=s), Ensemble.GAUSSIAN_SCALED, seed)
+    x = sample_ensemble(Dims(n=N, d=d, k=S), Ensemble.GAUSSIAN_SCALED, seed)
     t1 = time.perf_counter()
-    cert = certify_linf_rip(x, eps, s, mode="exact")
+    cert = certify_linf_rip(x, EPS, S, mode="exact")
     t2 = time.perf_counter()
     return {
         "d": d,
         "sample_s": t1 - t0,
         "certify_s": t2 - t1,
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "design_mb": 8.0 * n * d / 2**20,
+        "design_mb": 8.0 * N * d / 2**20,
         "achieved": cert.achieved,
         "verdict": cert.verdict.value,
     }
@@ -67,22 +70,18 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this curve in the output file")
     ap.add_argument("--dims", type=int, nargs="+", default=[4000, 8000, 16000, 32000])
-    ap.add_argument("--n", type=int, default=1000)
-    ap.add_argument("--s", type=int, default=20)
-    ap.add_argument("--eps", type=float, default=0.25)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="BENCH_certify_curve.json")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)  # one dimension, in this process
     args = ap.parse_args()
 
     if args.child is not None:
-        print(json.dumps(measure(args.n, args.child, args.s, args.eps, args.seed)))
+        print(json.dumps(measure(args.child, args.seed)))
         return 0
 
     points = []
     for d in args.dims:
-        cmd = [sys.executable, __file__, "--label", args.label, "--child", str(d),
-               "--n", str(args.n), "--s", str(args.s), "--eps", str(args.eps), "--seed", str(args.seed)]
+        cmd = [sys.executable, __file__, "--label", args.label, "--child", str(d), "--seed", str(args.seed)]
         out = subprocess.run(cmd, capture_output=True, text=True, check=True)
         point = json.loads(out.stdout.strip().splitlines()[-1])
         print(json.dumps(point))
@@ -94,9 +93,9 @@ def main() -> int:
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc[args.label] = {
         **measured_code(),
-        "n": args.n,
-        "s": args.s,
-        "eps": args.eps,
+        "n": N,
+        "s": S,
+        "eps": EPS,
         "seed": args.seed,
         "python": platform.python_version(),
         "numpy": numpy.__version__,

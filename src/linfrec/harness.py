@@ -547,10 +547,9 @@ def _parse_extra(text: str) -> dict:
 def write_csv(records: list[TrialRecord], path: str | Path) -> None:
     """Write ``records`` to ``path``, replacing any file already there.
 
-    The rows go to a per-process temp file beside ``path``, which then takes
-    the place of the old file by unlink and rename.  Truncating an existing
-    file, or renaming over one, makes ext4 (``auto_da_alloc``) flush it,
-    which costs tens of milliseconds per write.
+    A per-process temp file is renamed to ``path`` after the old file is
+    unlinked: ext4 (``auto_da_alloc``) flushes a file that is truncated or
+    renamed over, which costs tens of milliseconds per write.
     """
     path = Path(path)
     tmp = path.with_name(f"{os.getpid()}.csv.tmp")

@@ -204,7 +204,7 @@ def _linf_panel_scan(data: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     anchor, anchor_row = -1, None
     for lo, p in _abs_deviation_panels(data):
         r = np.arange(p.shape[0])
-        vals = p[r, lo + r].copy()
+        vals = p[r, lo + r]
         p[r, lo + r] = -np.inf
         if take > 0:
             vals += np.partition(p, -take, axis=1)[:, -take:].sum(axis=1)
