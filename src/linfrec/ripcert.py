@@ -155,8 +155,8 @@ def certify_l2_rip(
     requires at most EXACT_SUBSET_BUDGET subsets.  Sampled mode can only
     certify failure; a clean pass is reported as a lower bound.
     """
-    g = _gram(x)
-    d = g.shape[0]
+    data = as_array(x)
+    d = data.shape[1]
     s = min(int(s), d)
 
     if mode == "exact":
@@ -168,6 +168,7 @@ def certify_l2_rip(
         subsets = itertools.combinations(range(d), s)
     else:
         subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
+    g = _gram(data)
 
     def deviation(idx: np.ndarray) -> float:
         evals = np.linalg.eigvalsh(g[np.ix_(idx, idx)])

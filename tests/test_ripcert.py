@@ -83,6 +83,17 @@ class TestL2Rip:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             certify_l2_rip(np.eye(60), epsilon=0.5, s=10)
+        # refused before any d x d Gram is formed
+        d = 3000
+        x = np.ones((8, d))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                certify_l2_rip(x, epsilon=0.5, s=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * d
 
     def test_sampled_pass_is_lower_bound_only(self):
         x = sample_ensemble(Dims(n=500, d=40, k=2), Ensemble.GAUSSIAN_SCALED, seed=1)
@@ -142,8 +153,8 @@ class TestLinfRip:
             assert np.array_equal(pi.witness.indices, np.unique([i, j]))
 
     def test_multi_panel_scan_matches_dense_gram(self):
-        # d = 3000 spans 5 default panels; their rounding may differ from the
-        # dense X^T X product in the last bit, never by more
+        # d = 3000 spans 5 default panels, general matrix products whose
+        # rounding may differ from the dense X^T X product's in the last bits
         x = sample_ensemble(Dims(n=64, d=3000, k=6), Ensemble.GAUSSIAN_SCALED, seed=8)
         assert ripcert.PANEL_BYTES < 8 * 3000 * 3000
         cert = certify_linf_rip(x, epsilon=0.5, s=6)
