@@ -19,7 +19,7 @@ from .core import (
     sample_ensemble,
 )
 from .linops import IndexSet, SolverFailure, hard_threshold, inf_op_norm, restricted_gram, restricted_ols
-from .recovery import IhtParams, ObliviousParams, RecoveryReport, ReductionParams, adaptive_iht, iht, oblivious_recover, osr_reduction
+from .recovery import IhtParams, ObliviousParams, RecoveryReport, ReductionParams, iht, oblivious_recover, osr_reduction
 from .ripcert import RipCertificate, certify_l2_rip, certify_linf_rip, certify_pi, linf_rip_sample_floor, welch_floor
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "RipCertificate",
     "SolverFailure",
     "SparseVector",
-    "adaptive_iht",
     "build_instance",
     "certify_l2_rip",
     "certify_linf_rip",

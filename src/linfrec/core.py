@@ -269,13 +269,18 @@ def save_matrix(m: MeasurementMatrix, path: str | Path) -> None:
 def save_matrix_addressed(m: MeasurementMatrix, out_dir: str | Path) -> Path:
     """Write ``m`` into ``out_dir`` under a name taken from its sha256; return the path.
 
-    Equal matrices land in one file, so instances can share it by name.
+    Equal matrices land in one file, so instances can share it by name.  When
+    that file exists the new copy is dropped: equal names mean equal bytes, and
+    renaming over an existing file forces a flush on ext4.
     """
     out_dir = Path(out_dir)
     tmp = out_dir / f"{os.getpid()}.matrix.tmp"  # per process: concurrent writers never share it
     save_matrix(m, tmp)
     path = out_dir / f"matrix-{matrix_sha256(tmp)[:16]}.bin"
-    tmp.replace(path)
+    if path.exists():
+        tmp.unlink()
+    else:
+        tmp.replace(path)
     return path
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import frozen
-from .adversarial import build_indistinguishable_pair, build_metric_impossibility_pair
+from .adversarial import ConstructionFailure, build_indistinguishable_pair, build_metric_impossibility_pair
 from .core import (
     Dims,
     Ensemble,
@@ -34,26 +34,26 @@ from .core import (
     rng_from,
     sample_ensemble,
 )
-from .linops import IndexSet
+from .linops import IndexSet, SolverFailure
 from .metrics import compute_metrics
 from .padaptive import (
     MaskedOracle,
+    SupportBlowupError,
     SupportEstimatorParams,
     adaptive_support_recover,
     default_r_inf,
     threshold_stats,
 )
 from .recovery import (
-    BOUND_SLACK,
     DEFAULT_THRESHOLD_C,
     IhtParams,
     ObliviousParams,
     ReductionParams,
-    adaptive_iht,
+    iht,
     oblivious_recover,
     osr_reduction,
 )
-from .ripcert import certify_linf_rip
+from .ripcert import BudgetExceeded, certify_linf_rip
 
 __all__ = [
     "CSV_COLUMNS",
@@ -88,6 +88,12 @@ CSV_COLUMNS = [
 ]
 
 THREADS_ENV = "LINFREC_THREADS"
+
+# Roundoff slack when checking the adaptive bound r + 2 ||X^T xi||_inf.
+BOUND_SLACK = 1e-12
+
+# Expected ways for a trial to fail; they are recorded, anything else is a bug.
+DOMAIN_FAILURES = (SolverFailure, ConstructionFailure, SupportBlowupError, BudgetExceeded)
 
 
 class ExperimentKind(str, enum.Enum):
@@ -198,6 +204,12 @@ def _gram_noise(x: MeasurementMatrix, noise: NoiseVector) -> float:
     return float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
 
 
+def _errors(estimate: SparseVector, truth: SparseVector) -> tuple[float, float]:
+    """Sup-norm and l2 distance of an estimate from the truth."""
+    delta = estimate.values - truth.values
+    return float(np.max(np.abs(delta), initial=0.0)), float(np.linalg.norm(delta))
+
+
 def _oblivious_instance(dims: Dims, cfg: ExperimentConfig, seed: int):
     """An oblivious-model instance and its noise level ||X^T xi||_inf."""
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
@@ -218,7 +230,8 @@ def _masking_pair(dims: Dims, cfg: ExperimentConfig, seed: int):
 # ---------------------------------------------------------------------------
 # Trial bodies return (error, error_l2, metric_sigma, bound, extra); each
 # kind's pass rule reads only the error, bound and extra columns, so the CSV
-# alone decides it.  _KINDS pairs the two.
+# alone decides it.  _KINDS pairs the two.  Estimators never see the truth;
+# the trial body scores their estimate with _errors.
 # ---------------------------------------------------------------------------
 
 
@@ -227,11 +240,9 @@ def _trial_oblivious(dims: Dims, cfg: ExperimentConfig, seed: int):
     r = max(msig * math.sqrt(math.log(dims.n)), 1e-12)
     R = float(np.linalg.norm(inst.truth.values))
     c = float(cfg.algorithm.get("c", DEFAULT_THRESHOLD_C))
-    rep = oblivious_recover(
-        inst.x, inst.y, ObliviousParams(k=dims.k, R=R, r=r, c=c), truth=inst.truth, noise=inst.noise
-    )
+    rep = oblivious_recover(inst.x, inst.y, ObliviousParams(k=dims.k, R=R, r=r, c=c))
     const = float(cfg.algorithm.get("error_constant", frozen.OBLIVIOUS_ERROR_CONSTANT))
-    return rep.linf_error, rep.l2_error, msig, const * r, {"r": r}
+    return *_errors(rep.estimate, inst.truth), msig, const * r, {"r": r}
 
 
 def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
@@ -243,12 +254,12 @@ def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     cert = None
     if cfg.algorithm.get("certify", False):
         cert = certify_linf_rip(x, 0.25, 2 * dims.k, mode="exact")
-    rep = adaptive_iht(x, pair.shared_y, params, certificate=cert, truth=truth, noise=xi)
+    rep = iht(x, pair.shared_y, params)
     extra = {"r": r, "v_linf": float(np.max(np.abs(pair.theta2.values - pair.theta1.values)))}
     if cert is not None:
         extra["cert_value"] = cert.achieved
         extra["certified"] = 1.0 if cert.holds else 0.0
-    return rep.linf_error, rep.l2_error, msig, rep.bound_value, extra
+    return *_errors(rep.estimate, truth), msig, r + 2.0 * msig, extra
 
 
 def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
@@ -256,10 +267,10 @@ def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
     r = float(cfg.noise.get("sigma", 1.0)) / 100.0
     R = float(np.linalg.norm(inst.truth.values))
     params = ReductionParams(k=dims.k, R=R, r=r)
-    rep = osr_reduction(inst.x, inst.y, params, truth=inst.truth, noise=inst.noise)
+    rep = osr_reduction(inst.x, inst.y, params)
     const = float(cfg.algorithm.get("error_constant", frozen.REDUCTION_ERROR_CONSTANT))
     bound = const * msig * math.sqrt(math.log(dims.n) * math.log(R / r)) if R > r else const * msig
-    return rep.linf_error, rep.l2_error, msig, bound, {"r": r}
+    return *_errors(rep.estimate, inst.truth), msig, bound, {"r": r}
 
 
 def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
@@ -277,8 +288,8 @@ def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
     R = max(float(np.linalg.norm(pair.theta1.values)), float(np.linalg.norm(pair.theta2.values)))
     r = max(max(m1, m2) * math.sqrt(math.log(dims.n)), 1e-12)
     rep = oblivious_recover(x, pair.shared_y, ObliviousParams(k=dims.k, R=R, r=r))
-    e1 = float(np.max(np.abs(rep.estimate.values - pair.theta1.values)))
-    e2 = float(np.max(np.abs(rep.estimate.values - pair.theta2.values)))
+    e1 = _errors(rep.estimate, pair.theta1)[0]
+    e2 = _errors(rep.estimate, pair.theta2)[0]
     guarantee_c = float(cfg.algorithm.get("problem_constant", 2.0))
     tol = 1e-12
     c_ok = (e1 > guarantee_c * m1 + tol) or (e2 > guarantee_c * m2 + tol)
@@ -345,11 +356,11 @@ def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     const = float(cfg.algorithm.get("error_constant", frozen.PARTIAL_ADAPTIVE_ERROR_CONSTANT))
     bound = const * sigma * math.sqrt(math.log(dims.d))
     extra = {
-        "exact_support": 1.0 if rep.diagnostics.get("exact_support") else 0.0,
+        "exact_support": 1.0 if np.array_equal(rep.estimate.support, truth.support) else 0.0,
         "rows_consumed": float(rep.diagnostics["rows_consumed"]),
-        "realized_sigma": float(rep.diagnostics["realized_round_sigma"]),
+        "realized_sigma": max(q.noise_corr for q in oracle.query_log),
     }
-    return rep.linf_error, rep.l2_error, None, bound, extra
+    return *_errors(rep.estimate, truth), None, bound, extra
 
 
 def _trial_threshold_stats(dims: Dims, cfg: ExperimentConfig, seed: int):
@@ -373,7 +384,7 @@ def _within(error: float, bound: float, extra: dict) -> bool:
 
 
 def _within_slack(error: float, bound: float, extra: dict) -> bool:
-    return error <= bound + BOUND_SLACK  # the tolerance adaptive_iht's bound_holds uses
+    return error <= bound + BOUND_SLACK
 
 
 def _reaches(error: float, bound: float, extra: dict) -> bool:
@@ -414,7 +425,7 @@ def _run_one(cfg: ExperimentConfig, grid_index: int, trial: int) -> TrialRecord:
     start = time.perf_counter()
     try:
         error, error_l2, msig, bound, extra = _KINDS[cfg.kind][0](dims, cfg, seed)
-    except Exception as exc:  # recorded, not fatal
+    except DOMAIN_FAILURES as exc:  # recorded, not fatal
         error = error_l2 = msig = bound = None
         extra = {"failed": 1.0, "failure": type(exc).__name__}
     rec = TrialRecord(

@@ -1,6 +1,6 @@
-"""The four estimators: IHT, three-phase oblivious recovery, the geometric
-holdout reduction, and IHT under the sup-norm restricted isometry (adaptive
-noise regime).
+"""The estimators: IHT (for both noise regimes), three-phase oblivious
+recovery, and the geometric holdout reduction.  Each sees only the design,
+the observation and its parameters; scoring against the truth is the caller's.
 
 The oblivious pipeline splits rows three ways and rescales by sqrt(3) so each
 split keeps unit column variance; the reduction splits 2T ways and rescales by
@@ -14,16 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MeasurementMatrix, NoiseVector, SparseVector, as_array
+from .core import MeasurementMatrix, SparseVector, as_array
 from .linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols
-from .ripcert import CertKind, RipCertificate
 
 __all__ = [
     "IhtParams",
     "ObliviousParams",
     "RecoveryReport",
     "ReductionParams",
-    "adaptive_iht",
     "iht",
     "oblivious_recover",
     "osr_reduction",
@@ -33,8 +31,6 @@ __all__ = [
 # through the params dataclasses.
 DEFAULT_THRESHOLD_C = 1.0 / 80.0  # support-identification threshold is r / c
 DEFAULT_HOLDOUT_C = 1.0 / 20.0    # holdout test fires above rho / c'
-# Roundoff slack when checking the adaptive bound r + 2 ||X^T xi||_inf.
-BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,28 +85,7 @@ class ReductionParams:
 class RecoveryReport:
     estimate: SparseVector
     iterations: int
-    linf_error: float | None = None
-    l2_error: float | None = None
-    metric_sigma: float | None = None  # ||X^T xi||_inf when the noise is known
-    bound_value: float | None = None
-    bound_holds: bool | None = None
-    certified: bool | None = None
     diagnostics: dict = field(default_factory=dict)
-
-
-def _finish(
-    report: RecoveryReport,
-    x: np.ndarray,
-    truth: SparseVector | None,
-    noise: NoiseVector | None,
-) -> RecoveryReport:
-    if truth is not None:
-        delta = report.estimate.values - truth.values
-        report.linf_error = float(np.max(np.abs(delta), initial=0.0))
-        report.l2_error = float(np.linalg.norm(delta))
-    if noise is not None:
-        report.metric_sigma = float(np.max(np.abs(x.T @ noise.values), initial=0.0))
-    return report
 
 
 def _iht_values(
@@ -129,11 +104,13 @@ def iht(
     x: MeasurementMatrix | np.ndarray,
     y: np.ndarray,
     params: IhtParams,
-    truth: SparseVector | None = None,
-    noise: NoiseVector | None = None,
     record_iterates: bool = False,
 ) -> RecoveryReport:
-    """Gradient step then keep-top-k, for ceil(log2(R/r)) iterations."""
+    """Gradient step then keep-top-k, for ceil(log2(R/r)) iterations.
+
+    Under adaptive noise with a sup-norm RIP certificate at (eps <= 1/4, 2k)
+    the sup-norm error is at most r + 2 ||X^T xi||_inf.
+    """
     data = as_array(x)
     y = np.asarray(y, dtype=np.float64)
     if len(y) != data.shape[0]:
@@ -145,39 +122,6 @@ def iht(
     )
     if record_iterates:
         report.diagnostics["iterates"] = trace
-    return _finish(report, data, truth, noise)
-
-
-def adaptive_iht(
-    x: MeasurementMatrix | np.ndarray,
-    y: np.ndarray,
-    params: IhtParams,
-    certificate: RipCertificate | None = None,
-    truth: SparseVector | None = None,
-    noise: NoiseVector | None = None,
-    record_iterates: bool = False,
-) -> RecoveryReport:
-    """IHT run for the adaptive-noise regime (R bounds ||theta*||_inf).
-
-    The iteration is identical to :func:`iht`; what changes is the guarantee.
-    When a holding sup-norm RIP certificate at (eps <= 1/4, 2k) accompanies
-    the design and truth/noise are known, the report records whether the
-    error bound ``r + 2 ||X^T xi||_inf`` held on this instance.  Without a
-    certificate the bound is reported as unverified (certified=False).
-    """
-    report = iht(x, y, params, truth=truth, noise=noise, record_iterates=record_iterates)
-    cert_ok = (
-        certificate is not None
-        and certificate.kind is CertKind.LINF_RIP
-        and certificate.holds
-        and certificate.threshold <= 0.25
-        and certificate.s >= 2 * params.k
-    )
-    report.certified = bool(cert_ok) if certificate is not None else False
-    if report.metric_sigma is not None:
-        report.bound_value = params.r + 2.0 * report.metric_sigma
-        if report.linf_error is not None:
-            report.bound_holds = bool(report.linf_error <= report.bound_value + BOUND_SLACK)
     return report
 
 
@@ -192,8 +136,6 @@ def oblivious_recover(
     x: MeasurementMatrix | np.ndarray,
     y: np.ndarray,
     params: ObliviousParams,
-    truth: SparseVector | None = None,
-    noise: NoiseVector | None = None,
 ) -> RecoveryReport:
     """Three-phase recovery: IHT warm start, support thresholding, restricted OLS.
 
@@ -223,7 +165,7 @@ def oblivious_recover(
         theta[l_idx] += restricted_ols(x3, IndexSet(l_idx), r3)
 
     budget = int(len(warm.estimate.support) + len(l_idx))
-    report = RecoveryReport(
+    return RecoveryReport(
         estimate=SparseVector.from_dense(theta, budget=max(budget, 1)),
         iterations=warm.iterations,
         diagnostics={
@@ -232,15 +174,12 @@ def oblivious_recover(
             "truncated_rows": dropped,
         },
     )
-    return _finish(report, data, truth, noise)
 
 
 def osr_reduction(
     x: MeasurementMatrix | np.ndarray,
     y: np.ndarray,
     params: ReductionParams,
-    truth: SparseVector | None = None,
-    noise: NoiseVector | None = None,
 ) -> RecoveryReport:
     """Geometric-threshold reduction with holdout validation.
 
@@ -256,8 +195,7 @@ def osr_reduction(
     y = np.asarray(y, dtype=np.float64)
     d = data.shape[1]
     if params.r >= params.R:
-        report = RecoveryReport(estimate=SparseVector.zeros(d, params.k), iterations=0)
-        return _finish(report, data, truth, noise)
+        return RecoveryReport(estimate=SparseVector.zeros(d, params.k), iterations=0)
 
     big_t = math.ceil(math.log2(params.R / params.r))
     scale = math.sqrt(2.0 * big_t)
@@ -290,7 +228,7 @@ def osr_reduction(
             break
         theta_prev = theta_next
 
-    report = RecoveryReport(
+    return RecoveryReport(
         estimate=SparseVector.from_dense(theta_prev, budget=params.k),
         iterations=big_t if stop_round is None else stop_round,
         diagnostics={
@@ -301,4 +239,3 @@ def osr_reduction(
             "truncated_rows": dropped,
         },
     )
-    return _finish(report, data, truth, noise)

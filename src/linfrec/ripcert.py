@@ -10,9 +10,10 @@ Three properties of the Gram deviation G = X^T X - I are certified:
   off-diagonal magnitudes, so no subset enumeration is needed.
 * pairwise incoherence: an entrywise bound on |G_ij|.
 
-The exact sup-norm and incoherence certifiers never hold G whole: they scan
-it in panels of consecutive rows, X[:, lo:hi]^T X, each at most PANEL_BYTES,
-so their memory is O(n d + PANEL_BYTES) rather than O(d^2).
+Only exact l2 certification, whose subset budget bounds d, holds G whole.
+The exact sup-norm and incoherence certifiers scan it in row panels
+X[:, lo:hi]^T X of at most PANEL_BYTES each, so their memory is
+O(n d + PANEL_BYTES); the sampled modes form only s x s blocks.
 
 Also provides the averaged-coherence floor (which is at least 1/n for any
 matrix) and the minimum sample count compatible with sup-norm RIP at (eps, s).
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MeasurementMatrix, as_array, rng_from
-from .linops import IndexSet, inf_op_norm
+from .linops import IndexSet, inf_op_norm, restricted_gram
 
 __all__ = [
     "BudgetExceeded",
@@ -152,7 +153,8 @@ def certify_l2_rip(
 
     Exact mode enumerates all size-s subsets (eigenvalues of principal
     submatrices interlace, so size-s blocks dominate smaller ones) and
-    requires at most EXACT_SUBSET_BUDGET subsets.  Sampled mode can only
+    requires at most EXACT_SUBSET_BUDGET subsets (which bounds d, so it reads
+    the whole Gram).  Sampled mode forms only its s x s blocks and can only
     certify failure; a clean pass is reported as a lower bound.
     """
     data = as_array(x)
@@ -166,12 +168,14 @@ def certify_l2_rip(
                 f"C({d},{s}) = {n_subsets} subsets exceeds the exact budget {EXACT_SUBSET_BUDGET}"
             )
         subsets = itertools.combinations(range(d), s)
+        g = _gram(data)
     else:
         subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
-    g = _gram(data)
+        g = None
 
     def deviation(idx: np.ndarray) -> float:
-        evals = np.linalg.eigvalsh(g[np.ix_(idx, idx)])
+        block = restricted_gram(data, IndexSet(idx)) if g is None else g[np.ix_(idx, idx)]
+        evals = np.linalg.eigvalsh(block)
         return float(max(abs(evals[0] - 1.0), abs(evals[-1] - 1.0)))
 
     return _scan_certificate(CertKind.L2_RIP, epsilon, s, subsets, deviation, exact=mode == "exact")

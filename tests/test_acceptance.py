@@ -23,7 +23,7 @@ from linfrec.core import (
 )
 from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment
 from linfrec.linops import IndexSet, dense_restricted_solve, restricted_gram, restricted_ols
-from linfrec.recovery import IhtParams, adaptive_iht
+from linfrec.recovery import IhtParams, iht
 from linfrec.ripcert import certify_linf_rip, certify_pi, welch_floor
 
 
@@ -59,11 +59,8 @@ def test_criterion_01_exact_half_step_contraction():
             s = IndexSet(np.sort(rng.choice(free, size=min(2 * k, len(free)), replace=False)).astype(np.int64))
             noise = NoiseVector.adversarial(x.data @ build_masking_vector(x, s).v.values)
         inst = build_instance(x, truth, noise, ModelTag.ADAPTIVE)
-        rep = adaptive_iht(
-            x, inst.y, IhtParams(k=k, R=1.0, r=0.01), certificate=cert,
-            truth=truth, noise=noise, record_iterates=True,
-        )
-        eps, sigma_m = cert.achieved, rep.metric_sigma
+        rep = iht(x, inst.y, IhtParams(k=k, R=1.0, r=0.01), record_iterates=True)
+        eps, sigma_m = cert.achieved, float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
         iterates = rep.diagnostics["iterates"]
         for prev, nxt in zip(iterates, iterates[1:]):
             half = prev + x.data.T @ (inst.y - x.data @ prev)

@@ -19,6 +19,7 @@ from linfrec.core import (
     sample_ensemble,
     save_instance,
     save_matrix,
+    save_matrix_addressed,
 )
 from linfrec.core import MeasurementMatrix
 
@@ -158,6 +159,17 @@ def test_matrix_file_roundtrip(tmp_path, rng):
     save_matrix(m, p2)
     assert p.read_bytes() == p2.read_bytes()
     assert matrix_sha256(p) == matrix_sha256(p2)
+
+
+def test_addressed_save_keeps_an_existing_file(tmp_path, rng):
+    m = MeasurementMatrix.explicit(rng.standard_normal((7, 5)))
+    first = save_matrix_addressed(m, tmp_path)
+    inode = first.stat().st_ino
+    again = save_matrix_addressed(m, tmp_path)
+    assert again == first
+    assert again.stat().st_ino == inode  # not renamed over
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
+    assert np.array_equal(load_matrix(again).data, m.data)
 
 
 def test_matrix_file_bad_magic(tmp_path):

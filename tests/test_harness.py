@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from linfrec import harness
 from linfrec.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -138,7 +139,7 @@ def test_pass_flags_recomputable(kind, grid, algorithm):
 
 
 def test_adaptive_pass_flag_recomputable_within_bound_slack():
-    # adaptive_iht accepts its bound up to roundoff slack; a record the trial
+    # the adaptive kind accepts its bound up to roundoff slack; a record the trial
     # wrote as passed on that slack must recompute as passed from the row
     rec = TrialRecord(
         experiment=ExperimentKind.ADAPTIVE_RECOVERY.value,
@@ -176,6 +177,18 @@ def test_failures_recorded_not_fatal():
     for rec in records:
         assert rec.extra["failure"] == "SupportBlowupError"
         assert rec.passed is False and rec.error is None
+
+
+def test_unexpected_errors_propagate(monkeypatch):
+    # only domain failures are recorded per trial; a bug stops the run
+    def broken(dims, cfg, seed):
+        raise KeyError("not a domain failure")
+
+    kind = ExperimentKind.OBLIVIOUS_RECOVERY
+    monkeypatch.setitem(harness._KINDS, kind, (broken, harness._KINDS[kind][1]))
+    monkeypatch.delenv("LINFREC_THREADS", raising=False)
+    with pytest.raises(KeyError):
+        run_experiment(tiny_config(kind, trials=1))
 
 
 def test_separation_summary_records_both_regressions():

@@ -75,6 +75,13 @@ class TestMaskedOracle:
         x2, _ = o.masked_observe(10, IndexSet.from_iterable([]))
         assert not np.array_equal(x1.data, x2.data)
 
+    def test_noise_corr_recorded_but_not_transcribed(self):
+        # with a zero truth the observation is the noise itself
+        o = MaskedOracle(Dims(n=100, d=30, k=2), SparseVector.zeros(30, 2), 0.7, master_seed=5)
+        x, y = o.masked_observe(20, IndexSet.from_iterable([3]))
+        assert o.query_log[0].noise_corr == float(np.max(np.abs(x.data.T @ y)))
+        assert "noise_corr" not in o.transcript_json()
+
     def test_transcript_replay(self):
         o = make_oracle(seed=77)
         obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7], [0])]
@@ -144,6 +151,35 @@ class FakeOrthonormalOracle:
         return sum(r for r, _ in self.query_log)
 
 
+class TruthlessOracle:
+    """Forwards an oracle's query interface; has no ``truth`` to read."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.dims = inner.dims
+
+    def masked_observe(self, rows, mask):
+        return self._inner.masked_observe(rows, mask)
+
+    def rows_consumed(self):
+        return self._inner.rows_consumed()
+
+
+def monotone_fixture():
+    d, k, n = 200, 4, 1200
+    sigma = 0.2
+    min_sig = 100.0 * sigma * math.sqrt(math.log(d))
+    rng = np.random.default_rng(15)
+    support = np.sort(rng.choice(d, size=k, replace=False))
+    truth = sparse(d, support, rng.choice([-1.0, 1.0], k) * min_sig)
+    oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, sigma, master_seed=16)
+    params = SupportEstimatorParams(
+        k=k, n_total=n, N=3, R=float(np.linalg.norm(truth.values)),
+        r2=sigma, r_inf=default_r_inf(sigma, d),
+    )
+    return oracle, params
+
+
 class TestAdaptiveSupportRecover:
     def test_orthonormal_noiseless_exact_after_warm_start(self):
         d, k = 24, 3
@@ -155,8 +191,8 @@ class TestAdaptiveSupportRecover:
         rep = adaptive_support_recover(oracle, params)
         # phase one alone finds the support; later rounds add nothing
         assert rep.diagnostics["support_trace"][0] == k
-        assert rep.diagnostics["exact_support"]
-        assert rep.linf_error <= 1e-8
+        assert np.array_equal(rep.estimate.support, truth.support)
+        assert np.max(np.abs(rep.estimate.values - truth.values)) <= 1e-8
 
     def test_zero_truth_returns_zero(self):
         d = 40
@@ -167,17 +203,8 @@ class TestAdaptiveSupportRecover:
         assert rep.diagnostics["support_trace"] == [0, 0, 0, 0]
 
     def test_monotone_mask_growth_and_budget(self):
-        d, k, n = 200, 4, 1200
-        sigma = 0.2
-        min_sig = 100.0 * sigma * math.sqrt(math.log(d))
-        rng = np.random.default_rng(15)
-        support = np.sort(rng.choice(d, size=k, replace=False))
-        truth = sparse(d, support, rng.choice([-1.0, 1.0], k) * min_sig)
-        oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, sigma, master_seed=16)
-        params = SupportEstimatorParams(
-            k=k, n_total=n, N=3, R=float(np.linalg.norm(truth.values)),
-            r2=sigma, r_inf=default_r_inf(sigma, d),
-        )
+        oracle, params = monotone_fixture()
+        n = params.n_total
         adaptive_support_recover(oracle, params)
         # phase two masks grow monotonically; total row budget is exact
         masks = [set(q.mask) for q in oracle.query_log[1:-1]]
@@ -186,6 +213,15 @@ class TestAdaptiveSupportRecover:
         assert oracle.rows_consumed() == n
         # sanity on the stated split: warm + N rounds + remainder-absorbing final
         assert params.warm_rows + params.N * params.round_rows + params.final_rows == n
+
+    def test_estimator_never_reads_the_truth(self):
+        bare, params = monotone_fixture()
+        hidden = TruthlessOracle(monotone_fixture()[0])
+        assert not hasattr(hidden, "truth")
+        want = adaptive_support_recover(bare, params)
+        got = adaptive_support_recover(hidden, params)
+        assert np.array_equal(got.estimate.values, want.estimate.values)
+        assert got.diagnostics == want.diagnostics
 
     def test_support_blowup_error(self):
         d, k = 3000, 2
@@ -243,7 +279,7 @@ class TestAdaptiveSupportRecover:
                 r2=sigma, r_inf=default_r_inf(sigma, d),
             )
             rep = adaptive_support_recover(oracle, params)
-            exact += rep.diagnostics["exact_support"]
+            exact += np.array_equal(rep.estimate.support, truth.support)
         assert exact >= 0.9 * trials
 
 

@@ -22,7 +22,6 @@ from linfrec.recovery import (
     IhtParams,
     ObliviousParams,
     ReductionParams,
-    adaptive_iht,
     iht,
     oblivious_recover,
     osr_reduction,
@@ -37,6 +36,15 @@ def make_signal(d, k, rng, values=None):
         values = rng.choice([-1.0, 1.0], size=k)
     theta[support] = values
     return SparseVector.from_dense(theta, budget=k)
+
+
+def linf_error(rep, truth):
+    return float(np.max(np.abs(rep.estimate.values - truth.values), initial=0.0))
+
+
+def gram_noise(x, noise):
+    """||X^T xi||_inf."""
+    return float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
 
 
 class TestIhtParams:
@@ -67,8 +75,8 @@ class TestIht:
         truth = make_signal(d, k, rng, values=np.array([2.0, -1.0, 0.5]))
         x = MeasurementMatrix.explicit(np.eye(d))
         y = x.data @ truth.values
-        rep = iht(x, y, IhtParams(k=k, R=3.0, r=0.4), truth=truth, record_iterates=True)
-        assert rep.linf_error == 0.0
+        rep = iht(x, y, IhtParams(k=k, R=3.0, r=0.4), record_iterates=True)
+        assert linf_error(rep, truth) == 0.0
         # the gradient step lands on the signal at the very first iterate
         assert np.array_equal(rep.diagnostics["iterates"][1], truth.values)
 
@@ -94,16 +102,10 @@ class TestIht:
             noise = NoiseVector.gaussian(n, 0.05, 6000 + t)
             inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
             r = 0.1
-            rep = iht(x, inst.y, IhtParams(k=k, R=float(np.linalg.norm(truth.values)), r=r),
-                      truth=truth, noise=noise)
-            bound = r + 5.0 * math.sqrt(3 * k) * rep.metric_sigma
-            hits += rep.l2_error <= bound
+            rep = iht(x, inst.y, IhtParams(k=k, R=float(np.linalg.norm(truth.values)), r=r))
+            bound = r + 5.0 * math.sqrt(3 * k) * gram_noise(x, noise)
+            hits += np.linalg.norm(rep.estimate.values - truth.values) <= bound
         assert hits >= 0.95 * trials
-
-    def test_deployment_mode_leaves_errors_absent(self, rng):
-        x = sample_ensemble(Dims(n=20, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 2)
-        rep = iht(x, rng.standard_normal(20), IhtParams(k=2, R=1.0, r=0.5))
-        assert rep.linf_error is None and rep.l2_error is None and rep.metric_sigma is None
 
 
 def orthonormal_split_design(d, blocks, sub_seed=0):
@@ -118,8 +120,8 @@ class TestOblivious:
         x = orthonormal_split_design(d, 3, sub_seed=10)
         truth = make_signal(d, k, rng, values=np.array([1.0, -2.0, 0.75]))
         y = x @ truth.values
-        rep = oblivious_recover(x, y, ObliviousParams(k=k, R=3.0, r=0.01), truth=truth)
-        assert rep.linf_error <= 1e-9
+        rep = oblivious_recover(x, y, ObliviousParams(k=k, R=3.0, r=0.01))
+        assert linf_error(rep, truth) <= 1e-9
 
     def test_zero_signal_pure_noise_below_threshold(self, rng):
         n, d = 90, 20
@@ -150,9 +152,8 @@ class TestOblivious:
             rep = oblivious_recover(
                 x, inst.y,
                 ObliviousParams(k=k, R=float(np.linalg.norm(truth.values)), r=r),
-                truth=truth,
             )
-            hits += rep.linf_error <= 20.0 * r
+            hits += linf_error(rep, truth) <= 20.0 * r
         assert hits >= 0.9 * trials
 
 
@@ -172,9 +173,9 @@ class TestReduction:
         x = np.vstack(blocks) / math.sqrt(2 * big_t)
         truth = make_signal(d, k, rng, values=np.array([2.0, -1.5]))
         y = x @ truth.values
-        rep = osr_reduction(x, y, ReductionParams(k=k, R=R, r=r), truth=truth)
+        rep = osr_reduction(x, y, ReductionParams(k=k, R=R, r=r))
         assert rep.diagnostics["stop_round"] is None
-        assert rep.linf_error <= 1e-9
+        assert linf_error(rep, truth) <= 1e-9
 
     def _undersampled_instance(self, seed):
         # r two decades below the noise scale: the deep rounds are hopeless
@@ -186,26 +187,31 @@ class TestReduction:
         noise = NoiseVector.gaussian(n, 0.05, seed + 100)
         inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
         params = ReductionParams(k=k, R=float(np.linalg.norm(truth.values)), r=0.05 / 100)
-        return x, inst, params, truth, noise
+        return x, inst, params, truth
 
     def test_failed_holdout_returns_previous_iterate(self):
-        x, inst, params, truth, noise = self._undersampled_instance(100)
-        rep = osr_reduction(x, inst.y, params, truth=truth, noise=noise)
+        x, inst, params, truth = self._undersampled_instance(100)
+        rep = osr_reduction(x, inst.y, params)
         assert rep.diagnostics["stop_round"] == 2
         assert rep.diagnostics["stop_reason"] == "holdout_rejection"
         # the returned iterate passed its own holdout: error stays at the
         # validated resolution, far above r but far below the signal scale
-        assert rep.linf_error < 4.0
+        assert linf_error(rep, truth) < 4.0
 
     def test_inner_solver_failure_counts_as_rejection(self):
         # a seed where the diverging inner warm start floods the correction
         # support before the holdout fires; the round is rejected and the
         # last validated iterate comes back
-        x, inst, params, truth, noise = self._undersampled_instance(102)
-        rep = osr_reduction(x, inst.y, params, truth=truth, noise=noise)
+        x, inst, params, truth = self._undersampled_instance(102)
+        rep = osr_reduction(x, inst.y, params)
         assert rep.diagnostics["stop_reason"] == "inner_solver_failure"
         # error sits at the last validated resolution, not at the junk scale
-        assert rep.linf_error < 8.0
+        assert linf_error(rep, truth) < 8.0
+
+
+# IHT in the adaptive regime: R bounds ||theta*||_inf and, under a sup-norm RIP
+# certificate at (eps <= 1/4, 2k), the error is at most r + 2 ||X^T xi||_inf.
+ADAPTIVE_BOUND_SLACK = 1e-12
 
 
 class TestAdaptiveIht:
@@ -214,18 +220,11 @@ class TestAdaptiveIht:
         truth = make_signal(d, k, rng, values=np.array([1.0, -0.5]))
         x = MeasurementMatrix.explicit(np.eye(d))
         y = x.data @ truth.values
-        rep = adaptive_iht(x, y, IhtParams(k=k, R=1.0, r=0.1), truth=truth,
-                           noise=NoiseVector.zero(d))
-        assert rep.linf_error == 0.0
-        assert rep.bound_holds is True
-
-    def test_without_certificate_reports_unverified(self, rng):
-        x = sample_ensemble(Dims(n=40, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 11)
-        truth = make_signal(10, 2, rng)
-        y = x.data @ truth.values
-        rep = adaptive_iht(x, y, IhtParams(k=2, R=1.0, r=0.1), truth=truth)
-        assert rep.certified is False
-        assert rep.bound_value is None  # noise unknown, no bound to report
+        params = IhtParams(k=k, R=1.0, r=0.1)
+        rep = iht(x, y, params)
+        assert linf_error(rep, truth) == 0.0
+        bound = params.r + 2.0 * gram_noise(x, NoiseVector.zero(d))
+        assert linf_error(rep, truth) <= bound + ADAPTIVE_BOUND_SLACK
 
     def _certified_fixture(self, seed, adversarial_noise):
         d, k, n = 100, 2, 4000
@@ -248,11 +247,9 @@ class TestAdaptiveIht:
     def test_contraction_per_iteration_on_certified_fixture(self, adversarial_noise):
         x, inst, cert, truth, noise = self._certified_fixture(42, adversarial_noise)
         params = IhtParams(k=truth.budget, R=1.0, r=0.01)
-        rep = adaptive_iht(
-            x, inst.y, params, certificate=cert, truth=truth, noise=noise, record_iterates=True
-        )
+        rep = iht(x, inst.y, params, record_iterates=True)
         eps = cert.achieved
-        sigma_m = rep.metric_sigma
+        sigma_m = gram_noise(x, noise)
         iterates = rep.diagnostics["iterates"]
         for prev, nxt in zip(iterates, iterates[1:]):
             half = prev + x.data.T @ (inst.y - x.data @ prev)
@@ -261,8 +258,8 @@ class TestAdaptiveIht:
             e_next = np.max(np.abs(nxt - truth.values))
             assert e_half <= eps * e_prev + sigma_m + 1e-9
             assert e_next <= 2 * eps * e_prev + 2 * sigma_m + 1e-9
-        assert rep.certified is True
-        assert rep.bound_holds is True
+        assert cert.holds and cert.threshold <= 0.25 and cert.s >= 2 * params.k
+        assert linf_error(rep, truth) <= params.r + 2.0 * sigma_m + ADAPTIVE_BOUND_SLACK
 
 
 class TestSupportIdentificationThreshold:

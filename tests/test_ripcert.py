@@ -106,6 +106,18 @@ class TestL2Rip:
         assert cert.verdict is Verdict.FAILS
         assert cert.witness is not None
 
+    def test_sampled_never_holds_a_dense_gram(self):
+        d = 3000
+        x = sample_ensemble(Dims(n=64, d=d, k=5), Ensemble.GAUSSIAN_SCALED, seed=4)
+        tracemalloc.start()
+        try:
+            cert = certify_l2_rip(x, epsilon=0.5, s=5, mode="sampled", trials=20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * d
+        assert not cert.exact
+
 
 class TestLinfRip:
     def test_identity_holds(self):
