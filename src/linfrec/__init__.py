@@ -9,7 +9,6 @@ and adaptive noise regimes, and a seeded Monte Carlo harness.
 from .core import (
     Dims,
     Ensemble,
-    MeasurementMatrix,
     ModelTag,
     NoiseKind,
     NoiseVector,
@@ -29,7 +28,6 @@ __all__ = [
     "Ensemble",
     "IhtParams",
     "IndexSet",
-    "MeasurementMatrix",
     "ModelTag",
     "NoiseKind",
     "NoiseVector",

@@ -15,12 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    MeasurementMatrix,
     ModelTag,
     NoiseVector,
     RecoveryInstance,
     SparseVector,
-    as_array,
     save_instance,
     save_matrix_addressed,
 )
@@ -62,9 +60,7 @@ class IndistinguishablePair:
     shared_y: np.ndarray
 
 
-def build_masking_vector(
-    x: MeasurementMatrix | np.ndarray, s: IndexSet, normalize: bool = True
-) -> MaskingVector:
+def build_masking_vector(x: np.ndarray, s: IndexSet, normalize: bool = True) -> MaskingVector:
     """Build v supported on S maximizing ||v||_inf per unit of ||X^T X v||_inf.
 
     With M the restricted Gram, the sign pattern u of the max-l1 row of
@@ -78,9 +74,8 @@ def build_masking_vector(
     the exact solution of the linear program behind the full ratio (see
     ``_ratio_maximizer``), rescaled so ||X^T X v||_inf = 1.
     """
-    data = as_array(x)
-    d = data.shape[1]
-    m = restricted_gram(data, s)
+    d = x.shape[1]
+    m = restricted_gram(x, s)
     try:
         m_inv = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
@@ -96,11 +91,11 @@ def build_masking_vector(
 
     v = np.zeros(d)
     v[s.indices] = v_s
-    gram_v = data.T @ (data @ v)
+    gram_v = x.T @ (x @ v)
     linf_gram = float(np.max(np.abs(gram_v)))
     if normalize:
-        v[s.indices] = _ratio_maximizer(data.T @ data[:, s.indices], s, row_l1)
-        gram_v = data.T @ (data @ v)
+        v[s.indices] = _ratio_maximizer(x.T @ x[:, s.indices], s, row_l1)
+        gram_v = x.T @ (x @ v)
         scale = float(np.max(np.abs(gram_v)))
         if scale == 0.0:
             raise ConstructionFailure("cannot normalize: X^T X v vanished")
@@ -171,7 +166,7 @@ def _check_shared(y1: np.ndarray, y2: np.ndarray) -> None:
 
 
 def build_indistinguishable_pair(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     s: IndexSet,
     t: IndexSet,
     base_magnitude: float,
@@ -182,32 +177,29 @@ def build_indistinguishable_pair(
     ``s`` and ``t`` must be disjoint and equally sized (each half the sparsity
     budget of the instances being emulated).
     """
-    data = as_array(x)
-    d = data.shape[1]
+    d = x.shape[1]
     if len(np.intersect1d(s.indices, t.indices)):
         raise ValueError("masking and base supports must be disjoint")
     if len(s) != len(t):
         raise ValueError(f"|S| = {len(s)} and |T| = {len(t)} must be equal (both k/2)")
 
-    mv = build_masking_vector(data, s, normalize=True)
+    mv = build_masking_vector(x, s, normalize=True)
     budget = len(s) + len(t)
 
     theta_bar = np.zeros(d)
     theta_bar[t.indices] = float(base_magnitude)
     theta1 = SparseVector.from_dense(theta_bar, budget=budget)
     theta2 = SparseVector.from_dense(theta_bar + mv.v.values, budget=budget)
-    xi1 = NoiseVector.adversarial(data @ mv.v.values)
-    xi2 = NoiseVector.zero(data.shape[0])
+    xi1 = NoiseVector.adversarial(x @ mv.v.values)
+    xi2 = NoiseVector.zero(x.shape[0])
 
-    y1 = data @ theta1.values + xi1.values
-    y2 = data @ theta2.values
+    y1 = x @ theta1.values + xi1.values
+    y2 = x @ theta2.values
     _check_shared(y1, y2)
     return IndistinguishablePair(theta1=theta1, theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y1)
 
 
-def build_metric_impossibility_pair(
-    x: MeasurementMatrix | np.ndarray, i: int
-) -> IndistinguishablePair:
+def build_metric_impossibility_pair(x: np.ndarray, i: int) -> IndistinguishablePair:
     """The one-column pair: (0, X e_i) versus (e_i, 0), sharing y = column i.
 
     Demonstrates that noise-side error metrics (||xi||_inf, scaled ||xi||_2,
@@ -215,24 +207,23 @@ def build_metric_impossibility_pair(
     noise: both members force sup-norm estimation error 1/2 on some member
     while every such metric stays near zero.
     """
-    data = as_array(x)
-    n, d = data.shape
+    n, d = x.shape
     if not 0 <= i < d:
         raise ValueError(f"column index {i} out of range for d={d}")
     e_i = np.zeros(d)
     e_i[i] = 1.0
     theta1 = SparseVector.zeros(d, budget=1)
     theta2 = SparseVector.from_dense(e_i, budget=1)
-    xi1 = NoiseVector.adversarial(data[:, i].copy())
+    xi1 = NoiseVector.adversarial(x[:, i].copy())
     xi2 = NoiseVector.zero(n)
-    y = data[:, i].copy()
-    _check_shared(y, data @ theta2.values)
+    y = x[:, i].copy()
+    _check_shared(y, x @ theta2.values)
     return IndistinguishablePair(theta1=theta1, theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y)
 
 
 def save_pair(
     pair: IndistinguishablePair,
-    x: MeasurementMatrix,
+    x: np.ndarray,
     out_dir: str | Path,
     stem: str = "pair",
 ) -> tuple[Path, Path, Path]:

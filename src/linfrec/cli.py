@@ -2,9 +2,8 @@
 
 Subcommands: ``gen`` writes an instance to disk, ``run`` executes an
 experiment config, ``certify`` checks a matrix property, ``adversarial``
-writes an indistinguishable instance pair, ``sweep`` expands a grid config,
-``report`` aggregates result CSVs.  Exit codes: 0 success, 1 runtime failure,
-2 usage error.
+writes an indistinguishable instance pair, ``report`` aggregates result
+CSVs.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .core import (
 )
 from .harness import (
     ExperimentConfig,
+    derive_seed,
     disjoint_subsets,
     make_signal,
     read_csv,
@@ -53,7 +53,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.noise == "zero":
         noise = NoiseVector.zero(dims.n)
     else:
-        noise = NoiseVector.gaussian(dims.n, args.sigma, args.seed + 2)
+        noise = NoiseVector.gaussian(dims.n, args.sigma, derive_seed(args.seed, 2))
     inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
 
     matrix_path = save_matrix_addressed(x, out)
@@ -72,14 +72,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    needed = ["alpha"] if args.kind == "pi" else ["eps", "s"]
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        args.usage_error(f"--kind {args.kind} requires {' and '.join(missing)}")
     x = load_matrix(args.matrix)
     if args.kind == "pi":
-        if args.alpha is None:
-            raise SystemExit(2)
         cert = certify_pi(x, args.alpha)
     else:
-        if args.eps is None or args.s is None:
-            raise SystemExit(2)
         fn = certify_l2_rip if args.kind == "l2-rip" else certify_linf_rip
         cert = fn(x, args.eps, args.s, mode=args.mode, trials=args.trials, seed=args.seed)
     print(certificate_to_json(cert))
@@ -94,23 +94,6 @@ def _cmd_adversarial(args: argparse.Namespace) -> int:
     pair = build_indistinguishable_pair(x, s, t, args.base_magnitude)
     p1, p2, pm = save_pair(pair, x, args.out_dir, stem=f"pair-{args.seed}")
     print(json.dumps({"member1": str(p1), "member2": str(p2), "matrix": str(pm)}))
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    expanded = []
-    for gi, point in enumerate(cfg.grid):
-        doc = json.loads(cfg.to_json())
-        doc["grid"] = [point]
-        doc["master_seed"] = cfg.master_seed
-        doc["output"] = None if cfg.output is None else f"{Path(cfg.output).stem}-g{gi}.csv"
-        expanded.append(doc)
-    text = json.dumps(expanded, indent=2)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
     return 0
 
 
@@ -173,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_certify)
+    p.set_defaults(fn=_cmd_certify, usage_error=p.error)
 
     p = sub.add_parser("adversarial", help="write an indistinguishable instance pair")
     p.add_argument("--n", type=int, required=True)
@@ -184,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-magnitude", type=float, default=1.0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=_cmd_adversarial)
-
-    p = sub.add_parser("sweep", help="expand a grid config into per-point configs")
-    p.add_argument("config")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("report", help="aggregate result CSVs")
     p.add_argument("csv", nargs="+")

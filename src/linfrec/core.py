@@ -21,13 +21,11 @@ import numpy as np
 __all__ = [
     "Dims",
     "Ensemble",
-    "MeasurementMatrix",
     "ModelTag",
     "NoiseKind",
     "NoiseVector",
     "RecoveryInstance",
     "SparseVector",
-    "as_array",
     "build_instance",
     "draw_design",
     "load_instance",
@@ -75,7 +73,6 @@ class Dims:
 class Ensemble(str, enum.Enum):
     GAUSSIAN_SCALED = "gaussian_scaled"
     RADEMACHER_SCALED = "rademacher_scaled"
-    EXPLICIT = "explicit"
 
 
 class NoiseKind(str, enum.Enum):
@@ -91,42 +88,8 @@ class ModelTag(str, enum.Enum):
     PARTIALLY_ADAPTIVE = "partially_adaptive"
 
 
-@dataclass
-class MeasurementMatrix:
-    """Dense n x d design with ensemble provenance.
-
-    For the scaled ensembles every entry has variance ``1/n`` (Gaussian
-    ``N(0, 1/n)`` or Rademacher ``+-1/sqrt(n)``), so ``E[X^T X] = I_d``.
-    """
-
-    data: np.ndarray
-    ensemble: Ensemble
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if self.data.ndim != 2:
-            raise ValueError("matrix data must be 2-D")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def explicit(cls, data: np.ndarray) -> "MeasurementMatrix":
-        return cls(data=np.asarray(data, dtype=np.float64), ensemble=Ensemble.EXPLICIT)
-
-
-def as_array(x: MeasurementMatrix | np.ndarray) -> np.ndarray:
-    """The float64 array behind a matrix argument (no copy for a MeasurementMatrix)."""
-    return x.data if isinstance(x, MeasurementMatrix) else np.asarray(x, dtype=np.float64)
-
-
 def draw_design(rng: np.random.Generator, rows: int, d: int, ensemble: Ensemble) -> np.ndarray:
-    """A rows x d array of i.i.d. entries of variance 1/rows, drawn from ``rng``."""
+    """A fresh C-ordered rows x d float64 array of i.i.d. entries of variance 1/rows."""
     if ensemble is Ensemble.GAUSSIAN_SCALED:
         z = rng.standard_normal((rows, d))
     elif ensemble is Ensemble.RADEMACHER_SCALED:
@@ -134,18 +97,18 @@ def draw_design(rng: np.random.Generator, rows: int, d: int, ensemble: Ensemble)
         z *= 2.0
         z -= 1.0
     else:
-        raise ValueError(f"cannot sample ensemble {ensemble!r}; use MeasurementMatrix.explicit")
+        raise ValueError(f"cannot sample ensemble {ensemble!r}")
     return np.divide(z, np.sqrt(rows), out=z)
 
 
-def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> MeasurementMatrix:
-    """Draw an n x d matrix with i.i.d. entries of variance 1/n.
+def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> np.ndarray:
+    """Draw an n x d design with i.i.d. entries of variance 1/n.
 
-    Deterministic in ``seed``: two calls with equal arguments return
-    bit-identical matrices.
+    For the scaled ensembles every entry is ``N(0, 1/n)`` or ``+-1/sqrt(n)``,
+    so ``E[X^T X] = I_d``.  Deterministic in ``seed``: two calls with equal
+    arguments return bit-identical matrices.
     """
-    ensemble = Ensemble(ensemble)
-    return MeasurementMatrix(data=draw_design(rng_from(seed), dims.n, dims.d, ensemble), ensemble=ensemble)
+    return draw_design(rng_from(seed), dims.n, dims.d, Ensemble(ensemble))
 
 
 @dataclass
@@ -226,7 +189,7 @@ class RecoveryInstance:
     construction.
     """
 
-    x: MeasurementMatrix
+    x: np.ndarray
     y: np.ndarray
     truth: SparseVector
     noise: NoiseVector
@@ -234,21 +197,22 @@ class RecoveryInstance:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
-        resid = self.y - self.x.data @ self.truth.values - self.noise.values
+        resid = self.y - self.x @ self.truth.values - self.noise.values
         tol = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(self.y), initial=0.0)))
         if float(np.max(np.abs(resid), initial=0.0)) > tol:
             raise ValueError("observation is not X@truth + noise to roundoff")
 
 
 def build_instance(
-    x: MeasurementMatrix, truth: SparseVector, noise: NoiseVector, model: ModelTag
+    x: np.ndarray, truth: SparseVector, noise: NoiseVector, model: ModelTag
 ) -> RecoveryInstance:
     """Assemble an instance, computing y = X theta + xi."""
-    if truth.d != x.d:
-        raise ValueError(f"truth length {truth.d} != d {x.d}")
-    if len(noise.values) != x.n:
-        raise ValueError(f"noise length {len(noise.values)} != n {x.n}")
-    y = x.data @ truth.values + noise.values
+    n, d = x.shape
+    if truth.d != d:
+        raise ValueError(f"truth length {truth.d} != d {d}")
+    if len(noise.values) != n:
+        raise ValueError(f"noise length {len(noise.values)} != n {n}")
+    y = x @ truth.values + noise.values
     return RecoveryInstance(x=x, y=y, truth=truth, noise=noise, model=ModelTag(model))
 
 
@@ -258,16 +222,16 @@ def build_instance(
 # ---------------------------------------------------------------------------
 
 
-def save_matrix(m: MeasurementMatrix, path: str | Path) -> None:
+def save_matrix(x: np.ndarray, path: str | Path) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<II", m.n, m.d))
-        fh.write(np.ascontiguousarray(m.data, dtype="<f8").tobytes())
+        fh.write(struct.pack("<II", *x.shape))
+        fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
 
 
-def save_matrix_addressed(m: MeasurementMatrix, out_dir: str | Path) -> Path:
-    """Write ``m`` into ``out_dir`` under a name taken from its sha256; return the path.
+def save_matrix_addressed(x: np.ndarray, out_dir: str | Path) -> Path:
+    """Write ``x`` into ``out_dir`` under a name taken from its sha256; return the path.
 
     Equal matrices land in one file, so instances can share it by name.  When
     that file exists the new copy is dropped: equal names mean equal bytes, and
@@ -275,7 +239,7 @@ def save_matrix_addressed(m: MeasurementMatrix, out_dir: str | Path) -> Path:
     """
     out_dir = Path(out_dir)
     tmp = out_dir / f"{os.getpid()}.matrix.tmp"  # per process: concurrent writers never share it
-    save_matrix(m, tmp)
+    save_matrix(x, tmp)
     path = out_dir / f"matrix-{matrix_sha256(tmp)[:16]}.bin"
     if path.exists():
         tmp.unlink()
@@ -284,7 +248,8 @@ def save_matrix_addressed(m: MeasurementMatrix, out_dir: str | Path) -> Path:
     return path
 
 
-def load_matrix(path: str | Path) -> MeasurementMatrix:
+def load_matrix(path: str | Path) -> np.ndarray:
+    """The float64 n x d array stored at ``path`` (a fresh, writable copy)."""
     raw = Path(path).read_bytes()
     if raw[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
         raise ValueError(f"{path}: bad magic bytes")
@@ -292,12 +257,11 @@ def load_matrix(path: str | Path) -> MeasurementMatrix:
     body = raw[len(MATRIX_MAGIC) + 8 :]
     if len(body) != 8 * n * d:
         raise ValueError(f"{path}: payload is {len(body)} bytes, expected {8 * n * d}")
-    data = np.frombuffer(body, dtype="<f8").reshape(n, d).astype(np.float64)
-    return MeasurementMatrix(data=data, ensemble=Ensemble.EXPLICIT)
+    return np.frombuffer(body, dtype="<f8").reshape(n, d).astype(np.float64)
 
 
-def matrix_to_csv(m: MeasurementMatrix, path: str | Path) -> None:
-    np.savetxt(path, m.data, delimiter=",", fmt="%.17g")
+def matrix_to_csv(x: np.ndarray, path: str | Path) -> None:
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")
 
 
 def matrix_sha256(path: str | Path) -> str:

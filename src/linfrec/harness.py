@@ -16,7 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .adversarial import ConstructionFailure, build_indistinguishable_pair, buil
 from .core import (
     Dims,
     Ensemble,
-    MeasurementMatrix,
     ModelTag,
     NoiseVector,
     SparseVector,
@@ -127,15 +126,13 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("need at least one trial")
 
-    def to_json(self) -> str:
-        doc = asdict(self)
-        doc["kind"] = self.kind.value
-        doc["ensemble"] = self.ensemble.value
-        return json.dumps(doc, indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        doc = json.loads(text)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**doc)
 
 
 @dataclass
@@ -199,9 +196,9 @@ def disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator)
     )
 
 
-def _gram_noise(x: MeasurementMatrix, noise: NoiseVector) -> float:
+def _gram_noise(x: np.ndarray, noise: NoiseVector) -> float:
     """||X^T xi||_inf."""
-    return float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
+    return float(np.max(np.abs(x.T @ noise.values), initial=0.0))
 
 
 def _errors(estimate: SparseVector, truth: SparseVector) -> tuple[float, float]:
@@ -276,8 +273,8 @@ def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
 def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
     x, _, pair = _masking_pair(dims, cfg, seed)
 
-    y1 = x.data @ pair.theta1.values + pair.xi1.values
-    y2 = x.data @ pair.theta2.values + pair.xi2.values
+    y1 = x @ pair.theta1.values + pair.xi1.values
+    y2 = x @ pair.theta2.values + pair.xi2.values
     ytol = 1e-9 * (1.0 + float(np.max(np.abs(pair.shared_y), initial=0.0)))
     a_ok = float(np.max(np.abs(y1 - y2), initial=0.0)) <= ytol
 
@@ -371,7 +368,7 @@ def _trial_threshold_stats(dims: Dims, cfg: ExperimentConfig, seed: int):
     truth = make_signal(
         dims.d, dims.k, rng_from(seed, 1), {"kind": "pm_uniform_above"}, magnitude=snr_mult * msig
     )
-    y = x.data @ truth.values + noise.values
+    y = x @ truth.values + noise.values
     stats = threshold_stats(x, y, truth, 0.5 * snr_mult * msig)
     fp_cap = float(cfg.algorithm.get("fp_cap_factor", 2.0)) * dims.k
     fn_cap = float(cfg.algorithm.get("fn_cap", 0.95))

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import MeasurementMatrix, SparseVector, as_array
+from .core import SparseVector
 
 __all__ = [
     "IndexSet",
@@ -109,18 +109,16 @@ def inf_op_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m).sum(axis=1)))
 
 
-def restricted_gram(x: MeasurementMatrix | np.ndarray, s: IndexSet) -> np.ndarray:
+def restricted_gram(x: np.ndarray, s: IndexSet) -> np.ndarray:
     """[X^T X]_{S x S} as an |S| x |S| array."""
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = as_array(x)[:, s.indices]
+    cols = x[:, s.indices]
     g = cols.T @ cols
     return 0.5 * (g + g.T)  # symmetrize roundoff
 
 
-def dense_restricted_solve(
-    x: MeasurementMatrix | np.ndarray, s: IndexSet, b: np.ndarray
-) -> np.ndarray:
+def dense_restricted_solve(x: np.ndarray, s: IndexSet, b: np.ndarray) -> np.ndarray:
     """Solve [X^T X]_{S x S} w = b by a dense factorization (oracle path)."""
     return np.linalg.solve(restricted_gram(x, s), np.asarray(b, dtype=np.float64))
 
@@ -152,7 +150,7 @@ def _gd_solve(cols: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None)
 
 
 def restricted_ols(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     s: IndexSet,
     rhs: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -166,13 +164,13 @@ def restricted_ols(
     """
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = as_array(x)[:, s.indices]
+    cols = x[:, s.indices]
     b = cols.T @ np.asarray(rhs, dtype=np.float64)
     return _gd_solve(cols, b, tol, max_iter)
 
 
 def apply_restricted_inverse(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     s: IndexSet,
     v: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -181,7 +179,7 @@ def apply_restricted_inverse(
     """Solve [X^T X]_{S x S} w = v for v already in coefficient space."""
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = as_array(x)[:, s.indices]
+    cols = x[:, s.indices]
     b = np.asarray(v, dtype=np.float64)
     if len(b) != len(s):
         raise ValueError(f"right-hand side length {len(b)} != |S| = {len(s)}")

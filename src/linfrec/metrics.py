@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MeasurementMatrix, NoiseVector, as_array
+from .core import NoiseVector
 from .linops import IndexSet, SolverFailure, restricted_ols
 
 __all__ = ["MetricReport", "compute_metrics"]
@@ -33,21 +33,20 @@ class MetricReport:
 
 
 def compute_metrics(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     xi: NoiseVector | np.ndarray,
     s: IndexSet,
 ) -> MetricReport:
-    data = as_array(x)
     noise = xi.values if isinstance(xi, NoiseVector) else np.asarray(xi, dtype=np.float64)
-    n = data.shape[0]
+    n = x.shape[0]
     if len(noise) != n:
         raise ValueError(f"noise length {len(noise)} != n {n}")
-    corr = data.T @ noise
+    corr = x.T @ noise
     m_gram = float(np.max(np.abs(corr), initial=0.0))
     m_gram_support = float(np.max(np.abs(corr[s.indices]), initial=0.0))
     diagnostics = {}
     try:
-        w = restricted_ols(data, s, noise)
+        w = restricted_ols(x, s, noise)
         m_ols = float(np.max(np.abs(w), initial=0.0))
     except SolverFailure as exc:
         m_ols = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, MeasurementMatrix, SparseVector, as_array, draw_design, rng_from
+from .core import Dims, Ensemble, SparseVector, draw_design, rng_from
 from .linops import IndexSet, hard_threshold_values, restricted_ols
 from .recovery import IhtParams, RecoveryReport, iht
 
@@ -77,20 +77,20 @@ class MaskedOracle:
         self.ensemble = Ensemble(ensemble)
         self.query_log: list[QueryRecord] = []
 
-    def masked_observe(self, rows: int, mask: IndexSet) -> tuple[MeasurementMatrix, np.ndarray]:
+    def masked_observe(self, rows: int, mask: IndexSet) -> tuple[np.ndarray, np.ndarray]:
         if rows < 1:
             raise ValueError("must request at least one row")
         qi = len(self.query_log)
         rng = rng_from(self.master_seed, qi)
-        data = draw_design(rng, rows, self.dims.d, self.ensemble)
+        x = draw_design(rng, rows, self.dims.d, self.ensemble)
         xi = rng.standard_normal(rows) * self.noise_sigma
         if len(mask):
-            data[:, mask.indices] = 0.0
-        signal = data @ self.truth.values
+            x[:, mask.indices] = 0.0
+        signal = x @ self.truth.values
         y = signal + xi
-        corr = float(np.max(np.abs(data.T @ (y - signal)), initial=0.0))
+        corr = float(np.max(np.abs(x.T @ (y - signal)), initial=0.0))
         self.query_log.append(QueryRecord(rows, [int(i) for i in mask.indices], qi, corr))
-        return MeasurementMatrix(data=data, ensemble=self.ensemble), y
+        return x, y
 
     def rows_consumed(self) -> int:
         return sum(q.rows for q in self.query_log)
@@ -109,7 +109,7 @@ class MaskedOracle:
         return json.dumps(doc)
 
     @classmethod
-    def replay(cls, transcript: str, truth: SparseVector) -> list[tuple[MeasurementMatrix, np.ndarray]]:
+    def replay(cls, transcript: str, truth: SparseVector) -> list[tuple[np.ndarray, np.ndarray]]:
         """Regenerate the (X, y) sequence of a recorded transcript."""
         doc = json.loads(transcript)
         if doc.get("format") != "linfrec-oracle-transcript-v1":
@@ -132,7 +132,7 @@ class ThresholdStats:
 
 
 def threshold_stats(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     y: np.ndarray,
     truth: SparseVector,
     threshold: float,
@@ -143,9 +143,8 @@ def threshold_stats(
     it on the support.  ``fn_energy_ratio`` is the fraction of signal l2 mass
     sitting on the false negatives.
     """
-    data = as_array(x)
-    corr = np.abs(data.T @ np.asarray(y, dtype=np.float64))
-    on = np.zeros(data.shape[1], dtype=bool)
+    corr = np.abs(x.T @ np.asarray(y, dtype=np.float64))
+    on = np.zeros(x.shape[1], dtype=bool)
     on[truth.support] = True
     hit = corr >= threshold
     s_fp = IndexSet(np.flatnonzero(hit & ~on).astype(np.int64))
@@ -218,7 +217,7 @@ def adaptive_support_recover(
 
     for _ in range(params.N):
         xi_blk, yi = oracle.masked_observe(params.round_rows, t_cur)
-        corr = np.abs(xi_blk.data.T @ yi)
+        corr = np.abs(xi_blk.T @ yi)
         found = np.flatnonzero(corr >= params.r_inf).astype(np.int64)
         t_cur = t_cur.union(IndexSet(found))
         support_trace.append(len(t_cur))

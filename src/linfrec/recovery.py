@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MeasurementMatrix, SparseVector, as_array
+from .core import SparseVector
 from .linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols
 
 __all__ = [
@@ -101,7 +101,7 @@ def _iht_values(
 
 
 def iht(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     y: np.ndarray,
     params: IhtParams,
     record_iterates: bool = False,
@@ -111,12 +111,11 @@ def iht(
     Under adaptive noise with a sup-norm RIP certificate at (eps <= 1/4, 2k)
     the sup-norm error is at most r + 2 ||X^T xi||_inf.
     """
-    data = as_array(x)
     y = np.asarray(y, dtype=np.float64)
-    if len(y) != data.shape[0]:
-        raise ValueError(f"y length {len(y)} != n {data.shape[0]}")
+    if len(y) != x.shape[0]:
+        raise ValueError(f"y length {len(y)} != n {x.shape[0]}")
     n_iters = params.max_iters
-    theta, trace = _iht_values(data, y, params.k, n_iters, record_iterates)
+    theta, trace = _iht_values(x, y, params.k, n_iters, record_iterates)
     report = RecoveryReport(
         estimate=SparseVector.from_dense(theta, budget=params.k), iterations=n_iters
     )
@@ -133,7 +132,7 @@ def _split_rows(data: np.ndarray, y: np.ndarray, parts: int) -> tuple[list, list
 
 
 def oblivious_recover(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     y: np.ndarray,
     params: ObliviousParams,
 ) -> RecoveryReport:
@@ -145,10 +144,9 @@ def oblivious_recover(
     the last third and adds the correction.  Output support is contained in
     supp(warm start) union L.
     """
-    data = as_array(x)
     y = np.asarray(y, dtype=np.float64)
     scale = math.sqrt(3.0)
-    xs, ys, dropped = _split_rows(scale * data, scale * y, 3)
+    xs, ys, dropped = _split_rows(scale * x, scale * y, 3)
     x1, x2, x3 = xs
     y1, y2, y3 = ys
 
@@ -177,7 +175,7 @@ def oblivious_recover(
 
 
 def osr_reduction(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     y: np.ndarray,
     params: ReductionParams,
 ) -> RecoveryReport:
@@ -191,15 +189,14 @@ def osr_reduction(
     step cannot be solved counts as a failed check: the estimate never
     existed, so the last validated iterate is returned.
     """
-    data = as_array(x)
     y = np.asarray(y, dtype=np.float64)
-    d = data.shape[1]
+    d = x.shape[1]
     if params.r >= params.R:
         return RecoveryReport(estimate=SparseVector.zeros(d, params.k), iterations=0)
 
     big_t = math.ceil(math.log2(params.R / params.r))
     scale = math.sqrt(2.0 * big_t)
-    xs, ys, dropped = _split_rows(scale * data, scale * y, 2 * big_t)
+    xs, ys, dropped = _split_rows(scale * x, scale * y, 2 * big_t)
 
     theta_prev = np.zeros(d)
     rho = params.R

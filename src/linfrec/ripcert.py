@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementMatrix, as_array, rng_from
+from .core import rng_from
 from .linops import IndexSet, inf_op_norm, restricted_gram
 
 __all__ = [
@@ -103,9 +103,8 @@ def certificate_to_json(cert: RipCertificate) -> str:
     return json.dumps(doc)
 
 
-def _gram(x: MeasurementMatrix | np.ndarray) -> np.ndarray:
-    data = as_array(x)
-    g = data.T @ data
+def _gram(x: np.ndarray) -> np.ndarray:
+    g = x.T @ x
     return 0.5 * (g + g.T)
 
 
@@ -142,7 +141,7 @@ def _scan_certificate(kind: CertKind, epsilon: float, s: int, subsets, value, ex
 
 
 def certify_l2_rip(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     epsilon: float,
     s: int,
     mode: str = "exact",
@@ -157,8 +156,7 @@ def certify_l2_rip(
     the whole Gram).  Sampled mode forms only its s x s blocks and can only
     certify failure; a clean pass is reported as a lower bound.
     """
-    data = as_array(x)
-    d = data.shape[1]
+    d = x.shape[1]
     s = min(int(s), d)
 
     if mode == "exact":
@@ -168,46 +166,46 @@ def certify_l2_rip(
                 f"C({d},{s}) = {n_subsets} subsets exceeds the exact budget {EXACT_SUBSET_BUDGET}"
             )
         subsets = itertools.combinations(range(d), s)
-        g = _gram(data)
+        g = _gram(x)
     else:
         subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
         g = None
 
     def deviation(idx: np.ndarray) -> float:
-        block = restricted_gram(data, IndexSet(idx)) if g is None else g[np.ix_(idx, idx)]
+        block = restricted_gram(x, IndexSet(idx)) if g is None else g[np.ix_(idx, idx)]
         evals = np.linalg.eigvalsh(block)
         return float(max(abs(evals[0] - 1.0), abs(evals[-1] - 1.0)))
 
     return _scan_certificate(CertKind.L2_RIP, epsilon, s, subsets, deviation, exact=mode == "exact")
 
 
-def _abs_deviation_panels(data: np.ndarray):
+def _abs_deviation_panels(x: np.ndarray):
     """Yield ``(lo, |[X^T X - I]_{lo:hi, :}|)`` over consecutive row panels.
 
     A panel spanning all d rows is the very ``X.T @ X`` product of the dense
     Gram.  Narrower panels are general matrix products, whose rounding may
     differ from the dense product's in the last bit of some entries.
     """
-    d = data.shape[1]
+    d = x.shape[1]
     rows = max(1, PANEL_BYTES // (8 * d))
     for lo in range(0, d, rows):
-        p = data[:, lo : lo + rows].T @ data
+        p = x[:, lo : lo + rows].T @ x
         r = np.arange(p.shape[0])
         p[r, lo + r] -= 1.0
         yield lo, np.abs(p, out=p)
 
 
-def _linf_panel_scan(data: np.ndarray, s: int) -> tuple[float, np.ndarray]:
+def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     """Exact max over |S| <= s of the restricted deviation's max-row-l1 norm.
 
     For anchor row i the maximizing subset is i plus the s-1 largest
     off-diagonal magnitudes in that row; all terms are nonnegative so smaller
     subsets never win.  The first row reaching the maximum is the anchor.
     """
-    take = min(s - 1, data.shape[1] - 1)
+    take = min(s - 1, x.shape[1] - 1)
     best = -np.inf
     anchor, anchor_row = -1, None
-    for lo, p in _abs_deviation_panels(data):
+    for lo, p in _abs_deviation_panels(x):
         r = np.arange(p.shape[0])
         vals = p[r, lo + r]
         p[r, lo + r] = -np.inf
@@ -221,7 +219,7 @@ def _linf_panel_scan(data: np.ndarray, s: int) -> tuple[float, np.ndarray]:
 
 
 def certify_linf_rip(
-    x: MeasurementMatrix | np.ndarray,
+    x: np.ndarray,
     epsilon: float,
     s: int,
     mode: str = "exact",
@@ -229,14 +227,13 @@ def certify_linf_rip(
     seed: int = 0,
 ) -> RipCertificate:
     """Check the sup-norm RIP: row-l1 of every restricted deviation <= eps."""
-    data = as_array(x)
-    d = data.shape[1]
+    d = x.shape[1]
     s = min(int(s), d)
     if s < 1:
         raise ValueError("subset size must be at least 1")
 
     if mode == "exact":
-        worst, witness = _linf_panel_scan(data, s)
+        worst, witness = _linf_panel_scan(x, s)
         verdict = Verdict.HOLDS if worst <= epsilon else Verdict.FAILS
         return RipCertificate(
             kind=CertKind.LINF_RIP, threshold=float(epsilon), s=s, verdict=verdict,
@@ -244,20 +241,20 @@ def certify_linf_rip(
         )
 
     def deviation(idx: np.ndarray) -> float:
-        cols = data[:, idx]
+        cols = x[:, idx]
         return inf_op_norm(cols.T @ cols - np.eye(len(idx)))
 
     subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
     return _scan_certificate(CertKind.LINF_RIP, epsilon, s, subsets, deviation, exact=False)
 
 
-def certify_pi(x: MeasurementMatrix | np.ndarray, alpha: float) -> RipCertificate:
+def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
     """Entrywise bound on |[X^T X - I]_{ij}|; always exact (one Gram pass).
 
     The witness is the first largest entry in row-major order.
     """
     worst, i, j = -np.inf, 0, 0
-    for lo, p in _abs_deviation_panels(as_array(x)):
+    for lo, p in _abs_deviation_panels(x):
         pi, pj = divmod(int(np.argmax(p)), p.shape[1])
         if p[pi, pj] > worst:
             worst, i, j = float(p[pi, pj]), lo + pi, pj
@@ -268,16 +265,15 @@ def certify_pi(x: MeasurementMatrix | np.ndarray, alpha: float) -> RipCertificat
     )
 
 
-def welch_floor(x: MeasurementMatrix | np.ndarray) -> float:
+def welch_floor(x: np.ndarray) -> float:
     """Average squared correlation of normalized columns; always >= 1/n.
 
     ||U^T U||_F = ||U U^T||_F, so the smaller of the two Gram matrices is formed.
     """
-    data = as_array(x)
-    norms = np.linalg.norm(data, axis=0)
+    norms = np.linalg.norm(x, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column")
-    u = data / norms
+    u = x / norms
     n, d = u.shape
     g = u @ u.T if n < d else u.T @ u
     return float(np.sum(g * g) / (d * d))

@@ -100,6 +100,17 @@ def dense_lp_ratio(x: np.ndarray, s: np.ndarray) -> float:
     return best
 
 
+def is_design(x, shape: tuple[int, int]) -> bool:
+    """True for the design contract: a writable, C-ordered, 2-D float64 ndarray."""
+    return (
+        type(x) is np.ndarray
+        and x.dtype == np.float64
+        and x.shape == shape
+        and x.flags.c_contiguous
+        and x.flags.writeable
+    )
+
+
 def orthonormal_columns(n: int, d: int, seed: int) -> np.ndarray:
     """n x d matrix with exactly orthonormal columns (n >= d)."""
     rng = np.random.default_rng(seed)

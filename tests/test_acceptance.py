@@ -57,13 +57,13 @@ def test_criterion_01_exact_half_step_contraction():
         else:
             free = np.setdiff1d(np.arange(d), truth.support)
             s = IndexSet(np.sort(rng.choice(free, size=min(2 * k, len(free)), replace=False)).astype(np.int64))
-            noise = NoiseVector.adversarial(x.data @ build_masking_vector(x, s).v.values)
+            noise = NoiseVector.adversarial(x @ build_masking_vector(x, s).v.values)
         inst = build_instance(x, truth, noise, ModelTag.ADAPTIVE)
         rep = iht(x, inst.y, IhtParams(k=k, R=1.0, r=0.01), record_iterates=True)
-        eps, sigma_m = cert.achieved, float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
+        eps, sigma_m = cert.achieved, float(np.max(np.abs(x.T @ noise.values), initial=0.0))
         iterates = rep.diagnostics["iterates"]
         for prev, nxt in zip(iterates, iterates[1:]):
-            half = prev + x.data.T @ (inst.y - x.data @ prev)
+            half = prev + x.T @ (inst.y - x @ prev)
             e_half = float(np.max(np.abs(half - truth.values)))
             e_prev = float(np.max(np.abs(prev - truth.values)))
             slack = eps * e_prev + sigma_m + 1e-9 - e_half

@@ -16,7 +16,7 @@ from linfrec.adversarial import (
     build_metric_impossibility_pair,
     save_pair,
 )
-from linfrec.core import Dims, Ensemble, MeasurementMatrix, load_instance, sample_ensemble
+from linfrec.core import Dims, Ensemble, load_instance, sample_ensemble
 from linfrec.linops import IndexSet, restricted_gram
 
 
@@ -64,7 +64,7 @@ class TestMaskingVector:
         s = IndexSet.from_iterable(range(20))
         mv = build_masking_vector(x, s, normalize=True)
         assert mv.normalized
-        gram_v = x.data.T @ (x.data @ mv.v.values)
+        gram_v = x.T @ (x @ mv.v.values)
         assert np.max(np.abs(gram_v)) == pytest.approx(1.0, abs=1e-9)
         # linf_gram_v keeps the pre-normalization value
         assert mv.linf_gram_v > 1.0
@@ -117,7 +117,7 @@ class TestMaskingVector:
             x = gaussian(n, d, seed=4000 + seed)
             s = IndexSet.from_iterable(range(k // 2))
             mv = build_masking_vector(x, s, normalize=False)
-            img = x.data.T @ (x.data @ mv.v.values)
+            img = x.T @ (x @ mv.v.values)
             on = np.max(np.abs(img[s.indices]))
             off = np.max(np.abs(np.delete(img, s.indices)))
             hits += off <= 10.0 * on
@@ -160,12 +160,12 @@ class TestIndistinguishablePair:
         # square identity: the Gram is exact, v is the sign vector, and the
         # separation equals the noise correlation scale (no adversary gain)
         d = 10
-        x = MeasurementMatrix.explicit(np.eye(d))
+        x = np.eye(d)
         s = IndexSet.from_iterable([0, 1])
         t = IndexSet.from_iterable([2, 3])
         pair = build_indistinguishable_pair(x, s, t, base_magnitude=1.0)
         sep = np.max(np.abs(pair.theta1.values - pair.theta2.values))
-        m1 = np.max(np.abs(x.data.T @ pair.xi1.values))
+        m1 = np.max(np.abs(x.T @ pair.xi1.values))
         assert sep == pytest.approx(1.0, abs=1e-12)
         assert m1 == pytest.approx(1.0, abs=1e-12)
 
@@ -175,8 +175,8 @@ class TestIndistinguishablePair:
             pair = build_indistinguishable_pair(
                 x, IndexSet.from_iterable(range(10)), IndexSet.from_iterable(range(10, 20)), 2.0
             )
-            y1 = x.data @ pair.theta1.values + pair.xi1.values
-            y2 = x.data @ pair.theta2.values + pair.xi2.values
+            y1 = x @ pair.theta1.values + pair.xi1.values
+            y2 = x @ pair.theta2.values + pair.xi2.values
             tol = 1e-9 * (1.0 + np.max(np.abs(pair.shared_y)))
             assert np.max(np.abs(y1 - y2)) <= tol
 
@@ -209,7 +209,7 @@ class TestMetricImpossibilityPair:
         for i in (0, 7, 39):
             pair = build_metric_impossibility_pair(x, i)
             assert np.max(np.abs(pair.theta1.values - pair.theta2.values)) == 1.0
-            assert np.array_equal(pair.shared_y, x.data[:, i])
+            assert np.array_equal(pair.shared_y, x[:, i])
 
     def test_noise_metrics_stay_small(self):
         # the planted column has tiny sup norm and order-one l2 norm, far
@@ -244,6 +244,6 @@ class TestPairSerialization:
         assert doc1["matrix"] == doc2["matrix"]  # same file, same content hash
         inst1 = load_instance(p1)
         inst2 = load_instance(p2)
-        assert np.array_equal(inst1.x.data, inst2.x.data)
+        assert np.array_equal(inst1.x, inst2.x)
         assert np.allclose(inst1.y, inst2.y, atol=1e-12)
         assert np.array_equal(inst2.noise.values, np.zeros(40))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from linfrec.cli import main
-from linfrec.core import load_instance, load_matrix, sample_ensemble, save_matrix, Dims, Ensemble
+from linfrec.core import Dims, Ensemble, NoiseVector, load_instance, sample_ensemble, save_matrix
+from linfrec.harness import derive_seed
 
 
 def run_cli(capsys, *argv):
@@ -23,9 +24,23 @@ def test_gen_writes_loadable_instance(tmp_path, capsys):
     assert code == 0
     paths = json.loads(out)
     inst = load_instance(paths["instance"])
-    assert inst.x.n == 30 and inst.x.d == 12
+    assert inst.x.shape == (30, 12)
     assert inst.truth.nnz == 3
     assert np.all(np.abs(inst.truth.values[inst.truth.support]) == 1.0)
+
+
+def test_gen_noise_has_its_own_stream(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "gen", "--n", "30", "--d", "12", "--k", "3", "--seed", "5",
+        "--sigma", "0.1", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    noise = load_instance(json.loads(out)["instance"]).noise.values
+    assert np.array_equal(noise, NoiseVector.gaussian(30, 0.1, derive_seed(5, 2)).values)
+    # not the design of `gen --seed 7`, rescaled
+    other = sample_ensemble(Dims(n=30, d=12, k=3), Ensemble.GAUSSIAN_SCALED, 7).ravel()[:30]
+    assert not np.allclose(noise, 0.1 * np.sqrt(30) * other)
 
 
 def test_certify_outputs_json_certificate(tmp_path, capsys):
@@ -56,6 +71,38 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["certify"])  # missing required arguments
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, missing",
+    [
+        (["--kind", "pi"], "--alpha"),
+        (["--kind", "linf-rip", "--s", "3"], "--eps"),
+        (["--kind", "l2-rip", "--eps", "0.5"], "--s"),
+    ],
+)
+def test_certify_missing_flag_is_usage_error(capsys, flags, missing):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["certify", "m.bin", *flags])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert err.splitlines()[-1].endswith(f"requires {missing}")
+
+
+def test_sweep_is_an_unknown_command():
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sweep", "cfg.json"])
+    assert exc_info.value.code == 2
+
+
+def test_run_unknown_config_key_is_reported(tmp_path, capsys):
+    cfg = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "trails": 1, "master_seed": 7}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 1
+    assert err.startswith("linfrec: error: unknown config keys: trails")
 
 
 def test_run_twice_identical_files(tmp_path, capsys):
@@ -102,22 +149,6 @@ def test_adversarial_writes_shared_pair(tmp_path, capsys):
     assert json.loads(open(paths["member1"]).read())["matrix"]["sha256"] == json.loads(
         open(paths["member2"]).read()
     )["matrix"]["sha256"]
-
-
-def test_sweep_expands_grid(tmp_path, capsys):
-    cfg = {
-        "kind": "separation",
-        "grid": [{"n": 16, "d": 100, "k": 16}, {"n": 64, "d": 100, "k": 32}],
-        "trials": 1,
-        "master_seed": 3,
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, "sweep", str(cfg_path))
-    assert code == 0
-    expanded = json.loads(out)
-    assert len(expanded) == 2
-    assert all(len(e["grid"]) == 1 for e in expanded)
 
 
 def test_report_matches_recount_oracle(tmp_path, capsys):

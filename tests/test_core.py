@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_design
+
 from linfrec.core import (
     Dims,
     Ensemble,
@@ -21,7 +23,6 @@ from linfrec.core import (
     save_matrix,
     save_matrix_addressed,
 )
-from linfrec.core import MeasurementMatrix
 
 
 def test_dims_validation():
@@ -39,22 +40,22 @@ def test_seed_determinism(ensemble):
     dims = Dims(n=2, d=2, k=1)
     a = sample_ensemble(dims, ensemble, seed=99)
     b = sample_ensemble(dims, ensemble, seed=99)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
     c = sample_ensemble(dims, ensemble, seed=100)
-    assert not np.array_equal(a.data, c.data)
+    assert not np.array_equal(a, c)
 
 
 def test_rademacher_entries_exact():
     dims = Dims(n=10_000, d=16, k=1)
     m = sample_ensemble(dims, Ensemble.RADEMACHER_SCALED, seed=3)
-    assert set(np.unique(m.data)) == {-0.01, 0.01}
+    assert set(np.unique(m)) == {-0.01, 0.01}
 
 
 def test_gaussian_moments():
     # Monte Carlo moment check against the declared law N(0, 1/n).
     dims = Dims(n=1000, d=100, k=1)
     m = sample_ensemble(dims, Ensemble.GAUSSIAN_SCALED, seed=5)
-    entries = m.data.ravel()
+    entries = m.ravel()
     stderr = np.sqrt(1.0 / dims.n) / np.sqrt(entries.size)
     assert abs(entries.mean()) <= 4 * stderr
     assert abs(entries.var() - 1e-3) <= 0.05 * 1e-3
@@ -64,23 +65,23 @@ def test_gaussian_moments():
 def test_empirical_variance_five_percent(ensemble):
     dims = Dims(n=1000, d=120, k=1)  # n*d >= 1e5
     m = sample_ensemble(dims, ensemble, seed=11)
-    assert abs(m.data.var() - 1.0 / dims.n) <= 0.05 / dims.n
+    assert abs(m.var() - 1.0 / dims.n) <= 0.05 / dims.n
 
 
 def test_fourth_moment_separates_ensembles():
     # Standardized fourth moment: 3 for Gaussian, 1 for Rademacher.
     dims = Dims(n=1000, d=1000, k=1)  # n*d = 1e6
-    g = sample_ensemble(dims, Ensemble.GAUSSIAN_SCALED, seed=21).data.ravel()
+    g = sample_ensemble(dims, Ensemble.GAUSSIAN_SCALED, seed=21).ravel()
     kurt_g = np.mean(g**4) / np.mean(g**2) ** 2
     assert abs(kurt_g - 3.0) <= 0.2
-    r = sample_ensemble(dims, Ensemble.RADEMACHER_SCALED, seed=21).data.ravel()
+    r = sample_ensemble(dims, Ensemble.RADEMACHER_SCALED, seed=21).ravel()
     kurt_r = np.mean(r**4) / np.mean(r**2) ** 2
     assert abs(kurt_r - 1.0) <= 1e-12
 
 
 def test_sample_ensemble_rejects_explicit():
     with pytest.raises(ValueError):
-        sample_ensemble(Dims(n=2, d=2, k=1), Ensemble.EXPLICIT, seed=0)
+        sample_ensemble(Dims(n=2, d=2, k=1), "explicit", seed=0)
 
 
 def test_sparse_vector_invariants():
@@ -102,21 +103,21 @@ def test_noise_vector_invariants():
 
 
 def test_build_instance_identity_design():
-    x = MeasurementMatrix.explicit(np.eye(2))
+    x = np.eye(2)
     truth = SparseVector.from_dense(np.array([1.0, 0.0]), budget=1)
     inst = build_instance(x, truth, NoiseVector.zero(2), ModelTag.OBLIVIOUS)
     assert np.array_equal(inst.y, [1.0, 0.0])
 
 
 def test_build_instance_zero_noise_exact(rng):
-    x = MeasurementMatrix.explicit(rng.standard_normal((6, 4)))
+    x = rng.standard_normal((6, 4))
     truth = SparseVector.from_dense(np.array([0.0, 1.5, 0.0, -2.0]), budget=2)
     inst = build_instance(x, truth, NoiseVector.zero(6), ModelTag.OBLIVIOUS)
-    assert np.array_equal(inst.y, x.data @ truth.values)
+    assert np.array_equal(inst.y, x @ truth.values)
 
 
 def test_build_instance_pure_noise():
-    x = MeasurementMatrix.explicit(np.eye(3))
+    x = np.eye(3)
     truth = SparseVector.zeros(3, budget=1)
     e1 = np.array([1.0, 0.0, 0.0])
     inst = build_instance(x, truth, NoiseVector.explicit(e1), ModelTag.ADAPTIVE)
@@ -124,7 +125,7 @@ def test_build_instance_pure_noise():
 
 
 def test_build_instance_shape_mismatch():
-    x = MeasurementMatrix.explicit(np.eye(3))
+    x = np.eye(3)
     with pytest.raises(ValueError):
         build_instance(x, SparseVector.zeros(4, 1), NoiseVector.zero(3), ModelTag.OBLIVIOUS)
     with pytest.raises(ValueError):
@@ -132,9 +133,9 @@ def test_build_instance_shape_mismatch():
 
 
 def test_recovery_instance_residual_check(rng):
-    x = MeasurementMatrix.explicit(rng.standard_normal((5, 3)))
+    x = rng.standard_normal((5, 3))
     truth = SparseVector.from_dense(np.array([1.0, 0.0, 0.0]), budget=1)
-    y_bad = x.data @ truth.values + 1e-3
+    y_bad = x @ truth.values + 1e-3
     with pytest.raises(ValueError):
         RecoveryInstance(x=x, y=y_bad, truth=truth, noise=NoiseVector.zero(5), model=ModelTag.OBLIVIOUS)
 
@@ -145,15 +146,15 @@ def test_seed_determinism_property(n, d, seed):
     dims = Dims(n=n, d=d, k=1)
     a = sample_ensemble(dims, Ensemble.GAUSSIAN_SCALED, seed)
     b = sample_ensemble(dims, Ensemble.GAUSSIAN_SCALED, seed)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_matrix_file_roundtrip(tmp_path, rng):
-    m = MeasurementMatrix.explicit(rng.standard_normal((7, 5)))
+    m = rng.standard_normal((7, 5))
     p = tmp_path / "m.bin"
     save_matrix(m, p)
     back = load_matrix(p)
-    assert np.array_equal(back.data, m.data)
+    assert np.array_equal(back, m)
     # identical content twice -> identical bytes (content addressable)
     p2 = tmp_path / "m2.bin"
     save_matrix(m, p2)
@@ -162,14 +163,43 @@ def test_matrix_file_roundtrip(tmp_path, rng):
 
 
 def test_addressed_save_keeps_an_existing_file(tmp_path, rng):
-    m = MeasurementMatrix.explicit(rng.standard_normal((7, 5)))
+    m = rng.standard_normal((7, 5))
     first = save_matrix_addressed(m, tmp_path)
     inode = first.stat().st_ino
     again = save_matrix_addressed(m, tmp_path)
     assert again == first
     assert again.stat().st_ino == inode  # not renamed over
     assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
-    assert np.array_equal(load_matrix(again).data, m.data)
+    assert np.array_equal(load_matrix(again), m)
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+def test_producers_return_c_ordered_float64_arrays(tmp_path, ensemble):
+    x = sample_ensemble(Dims(n=9, d=4, k=1), ensemble, seed=1)
+    assert is_design(x, (9, 4))
+    save_matrix(x, tmp_path / "m.bin")
+    assert is_design(load_matrix(tmp_path / "m.bin"), (9, 4))
+
+
+def test_writers_take_a_plain_array_bit_for_bit(tmp_path, rng):
+    x = rng.standard_normal((7, 5))
+    save_matrix(x, tmp_path / "m.bin")
+    assert load_matrix(tmp_path / "m.bin").tobytes() == x.tobytes()
+    # the file is row-major whatever the memory order of the array
+    save_matrix(np.asfortranarray(x), tmp_path / "f.bin")
+    assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "m.bin").read_bytes()
+
+    out = tmp_path / "addressed"
+    out.mkdir()
+    mp = save_matrix_addressed(x, out)
+    assert load_matrix(mp).tobytes() == x.tobytes()
+    truth = SparseVector.from_dense(np.array([0.0, 2.0, 0.0, 0.0, -1.0]), budget=2)
+    inst = build_instance(x, truth, NoiseVector.gaussian(7, 0.1, seed=3), ModelTag.OBLIVIOUS)
+    assert inst.x is x
+    save_instance(inst, out / "inst.json", mp)
+    back = load_instance(out / "inst.json")
+    assert back.x.tobytes() == x.tobytes()
+    assert back.y.tobytes() == inst.y.tobytes()
 
 
 def test_matrix_file_bad_magic(tmp_path):
@@ -180,11 +210,11 @@ def test_matrix_file_bad_magic(tmp_path):
 
 
 def test_matrix_csv_export(tmp_path, rng):
-    m = MeasurementMatrix.explicit(rng.standard_normal((4, 3)))
+    m = rng.standard_normal((4, 3))
     p = tmp_path / "m.csv"
     matrix_to_csv(m, p)
     back = np.loadtxt(p, delimiter=",")
-    assert np.allclose(back, m.data, atol=0, rtol=0)
+    assert np.allclose(back, m, atol=0, rtol=0)
 
 
 def test_instance_roundtrip_and_hash_check(tmp_path):

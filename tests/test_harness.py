@@ -31,14 +31,6 @@ def tiny_config(kind, **overrides):
     return ExperimentConfig(**base)
 
 
-def test_config_json_roundtrip():
-    cfg = tiny_config(ExperimentKind.OBLIVIOUS_RECOVERY)
-    back = ExperimentConfig.from_json(cfg.to_json())
-    assert back.kind is cfg.kind
-    assert back.grid == cfg.grid
-    assert back.master_seed == cfg.master_seed
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(ExperimentKind.OBLIVIOUS_RECOVERY, grid=[])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from linfrec.core import Dims, Ensemble, MeasurementMatrix, NoiseVector, sample_ensemble
+from linfrec.core import Dims, Ensemble, NoiseVector, sample_ensemble
 from linfrec.frozen import (
     METRIC_CHAIN_DELTA,
     METRIC_CHAIN_LOWER_A,
@@ -25,7 +25,7 @@ def test_zero_noise_all_metrics_zero():
 
 def test_identity_design_unit_noise():
     n = 6
-    x = MeasurementMatrix.explicit(np.eye(n))
+    x = np.eye(n)
     xi = np.zeros(n)
     xi[0] = 1.0
     mr = compute_metrics(x, xi, IndexSet.from_iterable([0]))
@@ -38,7 +38,7 @@ def test_identity_design_unit_noise():
 
 def test_support_metric_never_exceeds_full_metric(rng):
     for _ in range(10):
-        x = MeasurementMatrix.explicit(rng.standard_normal((30, 15)) / math.sqrt(30))
+        x = rng.standard_normal((30, 15)) / math.sqrt(30)
         xi = rng.standard_normal(30)
         s = IndexSet(np.sort(rng.choice(15, size=5, replace=False)).astype(np.int64))
         mr = compute_metrics(x, xi, s)
@@ -60,7 +60,7 @@ def test_norm_comparisons_deterministic(xi):
 
 
 def test_ratio_fields_match_definitions(rng):
-    x = MeasurementMatrix.explicit(rng.standard_normal((40, 12)) / math.sqrt(40))
+    x = rng.standard_normal((40, 12)) / math.sqrt(40)
     xi = rng.standard_normal(40)
     s = IndexSet.from_iterable([1, 4, 9])
     mr = compute_metrics(x, xi, s)

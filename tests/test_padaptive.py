@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import orthonormal_columns
-from linfrec.core import Dims, Ensemble, MeasurementMatrix, SparseVector
+from conftest import is_design, orthonormal_columns
+from linfrec.core import Dims, Ensemble, SparseVector
 from linfrec.linops import IndexSet
 from linfrec.padaptive import (
     MaskedOracle,
@@ -41,7 +41,7 @@ class TestMaskedOracle:
         truth = sparse(30, [4], [2.0])
         o = MaskedOracle(Dims(n=100, d=30, k=1), truth, 0.0, master_seed=6)
         x, y = o.masked_observe(25, IndexSet.from_iterable([]))
-        assert np.array_equal(y, x.data @ truth.values)
+        assert np.array_equal(y, x @ truth.values)
 
     def test_replay_determinism(self):
         o1 = make_oracle(seed=42)
@@ -49,14 +49,14 @@ class TestMaskedOracle:
         for mask in ([], [1], [1, 7]):
             x1, y1 = o1.masked_observe(15, IndexSet.from_iterable(mask))
             x2, y2 = o2.masked_observe(15, IndexSet.from_iterable(mask))
-            assert np.array_equal(x1.data, x2.data)
+            assert np.array_equal(x1, x2)
             assert np.array_equal(y1, y2)
 
     def test_masked_columns_are_zero(self):
         o = make_oracle()
         mask = IndexSet.from_iterable([0, 3, 9])
         x, _ = o.masked_observe(12, mask)
-        assert np.all(x.data[:, mask.indices] == 0.0)
+        assert np.all(x[:, mask.indices] == 0.0)
 
     def test_masking_soundness(self):
         # truths that agree off the mask produce identical observations
@@ -73,13 +73,13 @@ class TestMaskedOracle:
         o = make_oracle()
         x1, _ = o.masked_observe(10, IndexSet.from_iterable([]))
         x2, _ = o.masked_observe(10, IndexSet.from_iterable([]))
-        assert not np.array_equal(x1.data, x2.data)
+        assert not np.array_equal(x1, x2)
 
     def test_noise_corr_recorded_but_not_transcribed(self):
         # with a zero truth the observation is the noise itself
         o = MaskedOracle(Dims(n=100, d=30, k=2), SparseVector.zeros(30, 2), 0.7, master_seed=5)
         x, y = o.masked_observe(20, IndexSet.from_iterable([3]))
-        assert o.query_log[0].noise_corr == float(np.max(np.abs(x.data.T @ y)))
+        assert o.query_log[0].noise_corr == float(np.max(np.abs(x.T @ y)))
         assert "noise_corr" not in o.transcript_json()
 
     def test_transcript_replay(self):
@@ -87,9 +87,15 @@ class TestMaskedOracle:
         obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7], [0])]
         replayed = MaskedOracle.replay(o.transcript_json(), o.truth)
         for (x1, y1), (x2, y2) in zip(obs, replayed):
-            assert np.array_equal(x1.data, x2.data)
+            assert np.array_equal(x1, x2)
             assert np.array_equal(y1, y2)
 
+
+    def test_observations_are_c_ordered_float64_arrays(self):
+        o = make_oracle(seed=3)
+        obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7])]
+        for x, _ in obs + MaskedOracle.replay(o.transcript_json(), o.truth):
+            assert is_design(x, (10, 50))
 
 class TestThresholdStats:
     def test_noiseless_orthonormal_below_min_signal(self):
@@ -114,13 +120,13 @@ class TestThresholdStats:
         hits = 0
         for t in range(trials):
             rng = np.random.default_rng(600 + t)
-            x = MeasurementMatrix.explicit(rng.standard_normal((n, d)) / np.sqrt(n))
+            x = rng.standard_normal((n, d)) / np.sqrt(n)
             xi = rng.standard_normal(n)
-            msig = float(np.max(np.abs(x.data.T @ xi)))
+            msig = float(np.max(np.abs(x.T @ xi)))
             support = np.sort(rng.choice(d, size=k, replace=False))
             vals = rng.choice([-1.0, 1.0], size=k) * rng.uniform(1.0, 2.0, size=k) * 80.0 * msig
             truth = sparse(d, support, vals)
-            y = x.data @ truth.values + xi
+            y = x @ truth.values + xi
             stats = threshold_stats(x, y, truth, threshold=40.0 * msig)
             hits += len(stats.s_fp) <= 2 * k and stats.fn_energy_ratio <= 0.95
         assert hits >= 0.9 * trials
@@ -145,7 +151,7 @@ class FakeOrthonormalOracle:
             data[:, mask.indices] = 0.0
         y = data @ self.truth.values
         self.query_log.append((rows, list(mask.indices)))
-        return MeasurementMatrix.explicit(data), y
+        return data, y
 
     def rows_consumed(self):
         return sum(r for r, _ in self.query_log)

@@ -10,7 +10,6 @@ from linfrec.adversarial import build_masking_vector
 from linfrec.core import (
     Dims,
     Ensemble,
-    MeasurementMatrix,
     ModelTag,
     NoiseVector,
     SparseVector,
@@ -44,7 +43,7 @@ def linf_error(rep, truth):
 
 def gram_noise(x, noise):
     """||X^T xi||_inf."""
-    return float(np.max(np.abs(x.data.T @ noise.values), initial=0.0))
+    return float(np.max(np.abs(x.T @ noise.values), initial=0.0))
 
 
 class TestIhtParams:
@@ -73,8 +72,8 @@ class TestIht:
     def test_identity_design_exact_in_one_iteration(self, rng):
         d, k = 12, 3
         truth = make_signal(d, k, rng, values=np.array([2.0, -1.0, 0.5]))
-        x = MeasurementMatrix.explicit(np.eye(d))
-        y = x.data @ truth.values
+        x = np.eye(d)
+        y = x @ truth.values
         rep = iht(x, y, IhtParams(k=k, R=3.0, r=0.4), record_iterates=True)
         assert linf_error(rep, truth) == 0.0
         # the gradient step lands on the signal at the very first iterate
@@ -147,7 +146,7 @@ class TestOblivious:
             truth = make_signal(d, k, master)
             noise = NoiseVector.gaussian(n, 0.05, 7500 + t)
             inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
-            msig = float(np.max(np.abs(x.data.T @ noise.values)))
+            msig = float(np.max(np.abs(x.T @ noise.values)))
             r = msig * math.sqrt(math.log(n))
             rep = oblivious_recover(
                 x, inst.y,
@@ -218,8 +217,8 @@ class TestAdaptiveIht:
     def test_identity_exact(self, rng):
         d, k = 10, 2
         truth = make_signal(d, k, rng, values=np.array([1.0, -0.5]))
-        x = MeasurementMatrix.explicit(np.eye(d))
-        y = x.data @ truth.values
+        x = np.eye(d)
+        y = x @ truth.values
         params = IhtParams(k=k, R=1.0, r=0.1)
         rep = iht(x, y, params)
         assert linf_error(rep, truth) == 0.0
@@ -237,7 +236,7 @@ class TestAdaptiveIht:
             free = np.setdiff1d(np.arange(d), truth.support)
             s = IndexSet(np.sort(rng.choice(free, size=2 * k, replace=False)).astype(np.int64))
             mv = build_masking_vector(x, s, normalize=True)
-            noise = NoiseVector.adversarial(x.data @ mv.v.values)
+            noise = NoiseVector.adversarial(x @ mv.v.values)
         else:
             noise = NoiseVector.gaussian(n, 0.02, seed + 1)
         inst = build_instance(x, truth, noise, ModelTag.ADAPTIVE)
@@ -252,7 +251,7 @@ class TestAdaptiveIht:
         sigma_m = gram_noise(x, noise)
         iterates = rep.diagnostics["iterates"]
         for prev, nxt in zip(iterates, iterates[1:]):
-            half = prev + x.data.T @ (inst.y - x.data @ prev)
+            half = prev + x.T @ (inst.y - x @ prev)
             e_half = np.max(np.abs(half - truth.values))
             e_prev = np.max(np.abs(prev - truth.values))
             e_next = np.max(np.abs(nxt - truth.values))
@@ -278,9 +277,9 @@ class TestSupportIdentificationThreshold:
             truth = make_signal(d, k, master, values=values)
             noise = NoiseVector.gaussian(n, 0.05, 8500 + t)
             inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
-            msig = float(np.max(np.abs(x.data.T @ noise.values)))
+            msig = float(np.max(np.abs(x.T @ noise.values)))
             r_inf = float(np.linalg.norm(truth.values)) / math.sqrt(k) + 3.0 * msig
-            selected = np.flatnonzero(np.abs(x.data.T @ inst.y) >= r_inf)
+            selected = np.flatnonzero(np.abs(x.T @ inst.y) >= r_inf)
             inside = np.all(np.isin(selected, truth.support))
             missed = np.setdiff1d(truth.support, selected)
             small = np.all(np.abs(truth.values[missed]) <= 4.0 * r_inf)
@@ -303,7 +302,7 @@ class TestRestrictedOlsErrorBound:
             sub = IndexSet(np.sort(master.choice(truth.support, size=k // 2, replace=False)).astype(np.int64))
             w = restricted_ols(x, sub, inst.y)
             err = float(np.max(np.abs(w - truth.values[sub.indices])))
-            msig = float(np.max(np.abs(x.data.T @ noise.values)))
+            msig = float(np.max(np.abs(x.T @ noise.values)))
             bound = 8.0 * msig + float(np.linalg.norm(truth.values)) / math.sqrt(k)
             hits += err <= bound
         assert hits >= 0.95 * trials
@@ -321,6 +320,6 @@ class TestNormPreservation:
         hits = 0
         for t in range(trials):
             x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 10_000 + t)
-            ratio = float(np.max(np.abs(x.data.T @ (x.data @ v)))) / float(np.max(np.abs(v)))
+            ratio = float(np.max(np.abs(x.T @ (x @ v)))) / float(np.max(np.abs(v)))
             hits += 0.5 <= ratio <= 2.0
         assert hits >= 0.95 * trials
