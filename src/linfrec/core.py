@@ -223,6 +223,8 @@ def build_instance(
 
 
 def save_matrix(x: np.ndarray, path: str | Path) -> None:
+    if x.ndim != 2:
+        raise ValueError(f"a design must be 2-D, got shape {x.shape}")
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)

@@ -202,6 +202,14 @@ def test_writers_take_a_plain_array_bit_for_bit(tmp_path, rng):
     assert back.y.tobytes() == inst.y.tobytes()
 
 
+def test_save_matrix_rejects_a_non_2d_array_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="2-D"):
+        save_matrix(np.zeros(3), tmp_path / "m.bin")
+    with pytest.raises(ValueError, match="2-D"):
+        save_matrix_addressed(np.zeros((2, 2, 2)), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_matrix_file_bad_magic(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOTAMATRIX")
