@@ -1,14 +1,12 @@
 """Deterministic linear-algebra primitives shared by every estimator.
 
-Hard thresholding, the max-row-l1 operator norm, restricted Gram blocks, and a
-first-order restricted least-squares solver.  The solver never forms an
-explicit inverse; a dense solve is exposed separately for small systems and as
-the test oracle.
+Hard thresholding, the max-row-l1 operator norm, restricted Gram blocks, and
+the one restricted least-squares solver: matrix-free conjugate gradients,
+which never forms the restricted Gram or its inverse.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -19,8 +17,6 @@ from .core import SparseVector
 __all__ = [
     "IndexSet",
     "SolverFailure",
-    "apply_restricted_inverse",
-    "dense_restricted_solve",
     "hard_threshold",
     "hard_threshold_values",
     "inf_op_norm",
@@ -29,9 +25,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-MAX_ITER_CAP = 100_000
-# Fixed GD step 1/(1 + RIP_EPSILON) for restricted Grams within RIP_EPSILON of I.
-RIP_EPSILON = 0.5
 
 
 @dataclass(frozen=True)
@@ -118,69 +111,55 @@ def restricted_gram(x: np.ndarray, s: IndexSet) -> np.ndarray:
     return 0.5 * (g + g.T)  # symmetrize roundoff
 
 
-def dense_restricted_solve(x: np.ndarray, s: IndexSet, b: np.ndarray) -> np.ndarray:
-    """Solve [X^T X]_{S x S} w = b by a dense factorization (oracle path)."""
-    return np.linalg.solve(restricted_gram(x, s), np.asarray(b, dtype=np.float64))
+def _cg_solve(cols: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Conjugate gradients on A w = b with A = cols^T cols, never forming A.
 
-
-def _gd_solve(cols: np.ndarray, b: np.ndarray, tol: float, max_iter: int | None) -> np.ndarray:
-    """Fixed-step gradient descent on 0.5 w^T A w - b^T w with A = cols^T cols.
-
-    Matrix-free: each step costs two products through ``cols``.  Converges
-    whenever eig(A) lies in (0, 2/step); with A near the identity (the
-    RIP-scale regime) the step 1/(1+eps) contracts geometrically.
+    Each step costs two products through ``cols``.  In exact arithmetic CG
+    ends within rank(A) <= min(rows, |S|) steps, and from w = 0 its iterates
+    stay in range(A), so a consistent singular system yields its min-norm
+    solution; the cap of twice that bound leaves room for rounding.  A small
+    recursive residual is confirmed on the true one b - A w, and CG restarts
+    from the true residual when they disagree.  It stops early only on
+    breakdown, p^T A p <= 0 or not finite, which for a PSD A means b has a
+    component outside range(A).
     """
-    step = 1.0 / (1.0 + RIP_EPSILON)
-    bnorm = float(np.max(np.abs(b), initial=0.0))
-    target = tol * (1.0 + bnorm)
-    if max_iter is None:
-        kappa = (1.0 + RIP_EPSILON) / max(1.0 - RIP_EPSILON, 1e-3)
-        max_iter = min(MAX_ITER_CAP, 10 * max(1, math.ceil(math.log2(kappa * max(bnorm, 1.0) / tol))))
+    target = DEFAULT_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0)))
     w = np.zeros(len(b))
-    resid = bnorm
-    for _ in range(max_iter):
-        g = cols.T @ (cols @ w) - b
-        resid = float(np.max(np.abs(g), initial=0.0))
-        if resid <= target:
-            return w
-        if not np.isfinite(resid) or resid > 1e9 * (1.0 + bnorm):
-            break  # diverging: step too large for this spectrum
-        w -= step * g
+    r = b.copy()
+    p = r.copy()
+    rr = float(r @ r)
+    for _ in range(2 * min(cols.shape)):
+        if float(np.max(np.abs(r), initial=0.0)) <= target:
+            r = b - cols.T @ (cols @ w)
+            if float(np.max(np.abs(r), initial=0.0)) <= target:
+                return w
+            p = r.copy()
+            rr = float(r @ r)
+        ap = cols.T @ (cols @ p)
+        pap = float(p @ ap)
+        if not (np.isfinite(pap) and pap > 0.0):
+            break
+        alpha = rr / pap
+        w += alpha * p
+        r -= alpha * ap
+        rr_next = float(r @ r)
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    resid = float(np.max(np.abs(b - cols.T @ (cols @ w)), initial=0.0))
+    if resid <= target:
+        return w
     raise SolverFailure("restricted least-squares did not converge", resid)
 
 
-def restricted_ols(
-    x: np.ndarray,
-    s: IndexSet,
-    rhs: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Solve [X^T X]_{S x S} w = X_{S:}^T rhs iteratively.
+def restricted_ols(x: np.ndarray, s: IndexSet, rhs: np.ndarray) -> np.ndarray:
+    """Solve [X^T X]_{S x S} w = X_{S:}^T rhs by matrix-free conjugate gradients.
 
     ``rhs`` lives in observation space (length n).  The returned w satisfies
-    ``||A w - b||_inf <= tol * (1 + ||b||_inf)`` or SolverFailure is raised
-    with the achieved residual.
+    ``||A w - b||_inf <= DEFAULT_TOL * (1 + ||b||_inf)`` on the true residual,
+    or SolverFailure is raised with the achieved residual.  A singular but
+    consistent system (such as |S| > n) yields its min-norm solution.
     """
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
     cols = x[:, s.indices]
-    b = cols.T @ np.asarray(rhs, dtype=np.float64)
-    return _gd_solve(cols, b, tol, max_iter)
-
-
-def apply_restricted_inverse(
-    x: np.ndarray,
-    s: IndexSet,
-    v: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Solve [X^T X]_{S x S} w = v for v already in coefficient space."""
-    if len(s) == 0:
-        raise ValueError("index set must be nonempty")
-    cols = x[:, s.indices]
-    b = np.asarray(v, dtype=np.float64)
-    if len(b) != len(s):
-        raise ValueError(f"right-hand side length {len(b)} != |S| = {len(s)}")
-    return _gd_solve(cols, b, tol, max_iter)
+    return _cg_solve(cols, cols.T @ np.asarray(rhs, dtype=np.float64))

@@ -25,7 +25,7 @@ __all__ = ["MetricReport", "compute_metrics"]
 class MetricReport:
     m_gram: float          # ||X^T xi||_inf over all columns
     m_gram_support: float  # ||X_{S:}^T xi||_inf
-    m_ols: float | None    # ||[X^T X]^{-1}_{SxS} X_{S:}^T xi||_inf (None if singular)
+    m_ols: float | None    # ||[X^T X]^+_{SxS} X_{S:}^T xi||_inf (None if the solve fails)
     m_l2: float            # ||xi||_2 / sqrt(n)
     m_linf: float          # ||xi||_inf
     ratios: dict = field(default_factory=dict)

@@ -78,6 +78,12 @@ def brute_force_sign_max(m_inv: np.ndarray) -> float:
     return best
 
 
+def dense_restricted_solve(x: np.ndarray, s, b: np.ndarray) -> np.ndarray:
+    """Solve [X^T X]_{S x S} w = b by a dense factorization; ``s`` is an IndexSet."""
+    cols = x[:, s.indices]
+    return np.linalg.solve(cols.T @ cols, np.asarray(b, dtype=np.float64))
+
+
 def dense_lp_ratio(x: np.ndarray, s: np.ndarray) -> float:
     """max over v supported on s of ||v||_inf / ||X^T X v||_inf.
 

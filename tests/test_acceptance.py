@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from conftest import brute_force_linf_cert, brute_force_sign_max, orthonormal_columns
+from conftest import brute_force_linf_cert, brute_force_sign_max, dense_restricted_solve, orthonormal_columns
 from linfrec import frozen
 from linfrec.adversarial import build_masking_vector
 from linfrec.core import (
@@ -22,7 +22,7 @@ from linfrec.core import (
     sample_ensemble,
 )
 from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment
-from linfrec.linops import IndexSet, dense_restricted_solve, restricted_gram, restricted_ols
+from linfrec.linops import IndexSet, restricted_gram, restricted_ols
 from linfrec.recovery import IhtParams, iht
 from linfrec.ripcert import certify_linf_rip, certify_pi, welch_floor
 

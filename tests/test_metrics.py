@@ -12,7 +12,7 @@ from linfrec.frozen import (
     METRIC_CHAIN_LOWER_A,
     METRIC_CHAIN_UPPER_A,
 )
-from linfrec.linops import IndexSet
+from linfrec.linops import IndexSet, SolverFailure
 from linfrec.metrics import compute_metrics
 
 
@@ -70,54 +70,22 @@ def test_ratio_fields_match_definitions(rng):
     assert 1.0 <= mr.ratios["l2_over_linf"] <= math.sqrt(40) + 1e-12
 
 
-def test_singular_system_reports_missing_ols():
+def test_singular_system_reports_missing_ols(monkeypatch):
+    # duplicate support columns: singular but consistent, so m_ols is the
+    # min-norm least-squares solution's sup norm
     x = np.column_stack([np.ones(5), np.ones(5), np.eye(5)[:, 0]])
     xi = np.array([1.0, -1.0, 0.5, 0.0, 0.0])
-    mr = compute_metrics(x, xi, IndexSet.from_iterable([0, 1]))
+    s = IndexSet.from_iterable([0, 1])
+    mr = compute_metrics(x, xi, s)
+    min_norm = np.linalg.lstsq(x[:, s.indices], xi, rcond=None)[0]
+    assert mr.m_ols == pytest.approx(np.max(np.abs(min_norm)), abs=1e-12)
+    assert "ols_failure" not in mr.diagnostics
+
+    def failing_solve(x, s, rhs):
+        raise SolverFailure("restricted least-squares did not converge", 1.0)
+
+    monkeypatch.setattr("linfrec.metrics.restricted_ols", failing_solve)
+    mr = compute_metrics(x, xi, s)
     assert mr.m_ols is None
-    assert "ols_failure" in mr.diagnostics
+    assert "achieved residual" in mr.diagnostics["ols_failure"]
     assert mr.ratios["ols_over_support"] is None
-
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=4)
-def _chain_draws(trials, n=1200, d=4000, k=10):
-    out = []
-    for t in range(trials):
-        rng = np.random.default_rng(200 + t)
-        x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 200 + t)
-        xi = NoiseVector.gaussian(n, 1.0, 300 + t)
-        s = IndexSet(np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64))
-        out.append((compute_metrics(x, xi, s), n, k))
-    return out
-
-
-class TestEquivalenceChain:
-    def _draws(self, trials, n=1200, d=4000, k=10):
-        return _chain_draws(trials, n, d, k)
-
-    def test_ols_within_factor_six_of_support_metric(self):
-        trials, hits = 40, 0
-        for mr, _, _ in self._draws(40):
-            ratio = mr.ratios["ols_over_support"]
-            hits += ratio is not None and 1.0 / 6.0 <= ratio <= 6.0
-        assert hits >= 0.95 * trials
-
-    def test_support_metric_upper_chain(self):
-        # support correlation at most A ||xi||_2 sqrt(ln(k/delta)/n)
-        trials, hits = 40, 0
-        for mr, n, k in self._draws(40):
-            l2 = mr.m_l2 * math.sqrt(n)
-            bound = METRIC_CHAIN_UPPER_A * l2 * math.sqrt(math.log(k / METRIC_CHAIN_DELTA) / n)
-            hits += mr.m_gram_support <= bound
-        assert hits >= 0.95 * trials
-
-    def test_support_metric_lower_chain(self):
-        # support correlation at least a ||xi||_2 / sqrt(n), k >= 16
-        trials, hits = 40, 0
-        for mr, n, k in self._draws(40, k=16):
-            l2 = mr.m_l2 * math.sqrt(n)
-            hits += mr.m_gram_support >= METRIC_CHAIN_LOWER_A * l2 / math.sqrt(n)
-        assert hits >= 0.95 * trials

@@ -16,7 +16,7 @@ from linfrec.core import (
     build_instance,
     sample_ensemble,
 )
-from linfrec.linops import IndexSet, restricted_ols
+from linfrec.linops import IndexSet, SolverFailure, restricted_ols
 from linfrec.recovery import (
     IhtParams,
     ObliviousParams,
@@ -197,10 +197,13 @@ class TestReduction:
         # validated resolution, far above r but far below the signal scale
         assert linf_error(rep, truth) < 4.0
 
-    def test_inner_solver_failure_counts_as_rejection(self):
-        # a seed where the diverging inner warm start floods the correction
-        # support before the holdout fires; the round is rejected and the
-        # last validated iterate comes back
+    def test_inner_solver_failure_counts_as_rejection(self, monkeypatch):
+        # the inner least-squares step is made to fail; the round is rejected
+        # and the last validated iterate comes back
+        def failing_solve(x, s, rhs):
+            raise SolverFailure("restricted least-squares did not converge", 1.0)
+
+        monkeypatch.setattr("linfrec.recovery.restricted_ols", failing_solve)
         x, inst, params, truth = self._undersampled_instance(102)
         rep = osr_reduction(x, inst.y, params)
         assert rep.diagnostics["stop_reason"] == "inner_solver_failure"
