@@ -59,10 +59,10 @@ GOLDEN = {
     "reduction": "e377f8a34739d8a267ab773ccb154bc7905ba3bed2c9734020c5274adb7daa10",
     "separation": "13e29d88ff0be59670638c0904ec9c69a8ff92e9b916e10083841ddd2f858653",
     "linf_rip_sweep": "d22330a1f088d3a359d6d083dcef24e6edd0e1d9af7963ba55bfbf46d5fbb196",
-    "metric_equivalence": "73fa073ab51b8597f177486401e971afd69d5ef1b8f21b2813d9247ed30d5707",
-    "metric_impossibility": "bb76f893d9b77811849ae5896da203422e1c5504994510a449a52a79394b4a00",
-    "partial_adaptive": "e18a72128d52298f1a4dfff4a70973a838d9af432b2ba6a01c0ff96d392e6d9c",
-    "partial_adaptive_rademacher": "0094e3080e42caaf05b6a9fd1dbe001a052b906d296c35df8688899755b5af55",
+    "metric_equivalence": "c5296fec455d57cb92f0fb74d2910ea1b14a86e3d893a6c256d3a0c97482c060",
+    "metric_impossibility": "d5b39f0d2c0d5546199bfe05a1ff4408ae797fe4afa5c06d68ba980d6d80452b",
+    "partial_adaptive": "c90c23e10be2322c5e7efa3ecc3a2440ca4b840aea630856011eb435155faf0a",
+    "partial_adaptive_rademacher": "36ac06338a987657786cb2655923560d8c58b57127378be95079d6cebb9adba3",
     "partial_adaptive_failing": "b2b7b858e64b1e8f53b290322214adc1f22b7b129377225f45aefd9c18cce3e7",
     "threshold_stats": "3b1e97bae763b1b1d02dc86fa9e5e37cefa72fbc88ef67f502807f0530bfa691",
     "scripts/configs/masking_sweep.json": "6cc6e880792da0a5842af16af72f137d1af65527543afcc7292d3a3b3187ecd0",
