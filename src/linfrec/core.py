@@ -199,7 +199,7 @@ class RecoveryInstance:
         self.y = np.asarray(self.y, dtype=np.float64)
         resid = self.y - self.x @ self.truth.values - self.noise.values
         tol = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(self.y), initial=0.0)))
-        if float(np.max(np.abs(resid), initial=0.0)) > tol:
+        if not float(np.max(np.abs(resid), initial=0.0)) <= tol:  # NaN fails too
             raise ValueError("observation is not X@truth + noise to roundoff")
 
 
@@ -255,11 +255,16 @@ def load_matrix(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
         raise ValueError(f"{path}: bad magic bytes")
+    if len(raw) < len(MATRIX_MAGIC) + 8:
+        raise ValueError(f"{path}: truncated header")
     n, d = struct.unpack_from("<II", raw, len(MATRIX_MAGIC))
     body = raw[len(MATRIX_MAGIC) + 8 :]
     if len(body) != 8 * n * d:
         raise ValueError(f"{path}: payload is {len(body)} bytes, expected {8 * n * d}")
-    return np.frombuffer(body, dtype="<f8").reshape(n, d).astype(np.float64)
+    x = np.frombuffer(body, dtype="<f8").reshape(n, d).astype(np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: payload has non-finite entries")
+    return x
 
 
 def matrix_to_csv(x: np.ndarray, path: str | Path) -> None:

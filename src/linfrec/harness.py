@@ -16,7 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,10 @@ class ExperimentConfig:
         self.ensemble = Ensemble(self.ensemble)
         if not self.grid:
             raise ValueError("dimension grid must be nonempty")
+        for i, point in enumerate(self.grid):
+            missing = [key for key in ("n", "d", "k") if key not in point]
+            if missing:
+                raise ValueError(f"grid point {i} lacks {', '.join(missing)}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
 
@@ -132,6 +136,10 @@ class ExperimentConfig:
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        missing = [name for name in required if name not in doc]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
         return cls(**doc)
 
 

@@ -88,6 +88,16 @@ class RecoveryReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _observations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``y`` as float64, checked to be finite with one entry per row of ``x``."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y has non-finite entries")
+    return y
+
+
 def _iht_values(
     x: np.ndarray, y: np.ndarray, k: int, n_iters: int, record: bool
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -111,9 +121,7 @@ def iht(
     Under adaptive noise with a sup-norm RIP certificate at (eps <= 1/4, 2k)
     the sup-norm error is at most r + 2 ||X^T xi||_inf.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if len(y) != x.shape[0]:
-        raise ValueError(f"y length {len(y)} != n {x.shape[0]}")
+    y = _observations(x, y)
     n_iters = params.max_iters
     theta, trace = _iht_values(x, y, params.k, n_iters, record_iterates)
     report = RecoveryReport(
@@ -144,7 +152,7 @@ def oblivious_recover(
     the last third and adds the correction.  Output support is contained in
     supp(warm start) union L.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _observations(x, y)
     scale = math.sqrt(3.0)
     xs, ys, dropped = _split_rows(scale * x, scale * y, 3)
     x1, x2, x3 = xs
@@ -189,7 +197,7 @@ def osr_reduction(
     step cannot be solved counts as a failed check: the estimate never
     existed, so the last validated iterate is returned.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _observations(x, y)
     d = x.shape[1]
     if params.r >= params.R:
         return RecoveryReport(estimate=SparseVector.zeros(d, params.k), iterations=0)

@@ -105,6 +105,32 @@ def test_run_unknown_config_key_is_reported(tmp_path, capsys):
     assert err.startswith("linfrec: error: unknown config keys: trails")
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "master_seed": 7},
+            "missing config keys: trials",
+        ),
+        (
+            {
+                "kind": "oblivious_recovery",
+                "grid": [{"n": 240, "d": 30, "k": 3}, {"n": 240, "d": 30}],
+                "trials": 1,
+                "master_seed": 7,
+            },
+            "grid point 1 lacks k",
+        ),
+    ],
+)
+def test_run_malformed_config_is_reported(tmp_path, capsys, cfg, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 1
+    assert err == f"linfrec: error: {message}\n"
+
+
 def test_run_twice_identical_files(tmp_path, capsys):
     cfg = {
         "kind": "oblivious_recovery",

@@ -1,11 +1,16 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import is_design
 
 from linfrec.core import (
+    MATRIX_MAGIC,
     Dims,
     Ensemble,
     ModelTag,
@@ -140,6 +145,29 @@ def test_recovery_instance_residual_check(rng):
         RecoveryInstance(x=x, y=y_bad, truth=truth, noise=NoiseVector.zero(5), model=ModelTag.OBLIVIOUS)
 
 
+def test_recovery_instance_rejects_nan_observation():
+    x = np.eye(3)
+    truth = SparseVector.zeros(3, 1)
+    with pytest.raises(ValueError):
+        RecoveryInstance(
+            x=x, y=np.array([np.nan, 0.0, 0.0]), truth=truth, noise=NoiseVector.zero(3), model=ModelTag.OBLIVIOUS
+        )
+
+
+def test_load_instance_rejects_nan_observation(tmp_path):
+    x = np.eye(3)
+    inst = build_instance(x, SparseVector.zeros(3, 1), NoiseVector.zero(3), ModelTag.OBLIVIOUS)
+    mp = tmp_path / "m.bin"
+    save_matrix(x, mp)
+    ip = tmp_path / "inst.json"
+    save_instance(inst, ip, mp)
+    doc = json.loads(ip.read_text())
+    doc["y"][0] = float("nan")
+    ip.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="observation"):
+        load_instance(ip)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 8), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_seed_determinism_property(n, d, seed):
@@ -215,6 +243,49 @@ def test_matrix_file_bad_magic(tmp_path):
     p.write_bytes(b"NOTAMATRIX")
     with pytest.raises(ValueError):
         load_matrix(p)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (MATRIX_MAGIC + b"\x01\x00", "truncated header"),
+        (MATRIX_MAGIC + struct.pack("<II", 1, 2) + np.array([0.0, np.nan]).tobytes(), "non-finite"),
+        (MATRIX_MAGIC + struct.pack("<II", 1, 1) + np.array([-np.inf]).tobytes(), "non-finite"),
+    ],
+)
+def test_matrix_file_malformed_or_non_finite(tmp_path, raw, message):
+    p = tmp_path / "m.bin"
+    p.write_bytes(raw)
+    with pytest.raises(ValueError, match=message):
+        load_matrix(p)
+
+
+def _matrix_file_bytes(data) -> bytes:
+    """Arbitrary bytes, or a well-formed header over any float64 payload, possibly cut short."""
+    n, d = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    payload = data.draw(arrays(np.float64, n * d, elements=st.floats(allow_nan=True, allow_infinity=True)))
+    raw = MATRIX_MAGIC + struct.pack("<II", n, d) + payload.astype("<f8").tobytes()
+    return data.draw(
+        st.one_of(
+            st.binary(max_size=40),
+            st.binary(max_size=40).map(lambda tail: MATRIX_MAGIC + tail),
+            st.integers(0, len(raw)).map(lambda cut: raw[:cut]),
+            st.just(raw),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_matrix_returns_a_finite_array_or_raises_value_error(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("fuzz") / "m.bin"
+    p.write_bytes(_matrix_file_bytes(data))
+    try:
+        x = load_matrix(p)
+    except ValueError:
+        return
+    assert x.dtype == np.float64 and x.ndim == 2
+    assert np.all(np.isfinite(x))
 
 
 def test_matrix_csv_export(tmp_path, rng):

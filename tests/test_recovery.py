@@ -68,6 +68,29 @@ class TestIhtParams:
             IhtParams(k=1, R=0.0, r=1.0)
 
 
+@pytest.mark.parametrize(
+    "estimator, params",
+    [
+        (iht, IhtParams(k=2, R=4.0, r=1.0)),
+        (oblivious_recover, ObliviousParams(k=2, R=4.0, r=1.0)),
+        (osr_reduction, ReductionParams(k=2, R=4.0, r=1.0)),
+    ],
+)
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        (np.array([np.nan] + [0.0] * 29), "non-finite"),
+        (np.array([0.0] * 29 + [np.inf]), "non-finite"),
+        (np.zeros(29), "shape"),
+        (np.zeros((30, 1)), "shape"),
+    ],
+)
+def test_estimators_reject_bad_observations(estimator, params, y, message):
+    x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
+    with pytest.raises(ValueError, match=message):
+        estimator(x, y, params)
+
+
 class TestIht:
     def test_identity_design_exact_in_one_iteration(self, rng):
         d, k = 12, 3
