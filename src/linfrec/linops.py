@@ -114,26 +114,21 @@ def restricted_gram(x: np.ndarray, s: IndexSet) -> np.ndarray:
 def _cg_solve(cols: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Conjugate gradients on A w = b with A = cols^T cols, never forming A.
 
-    Each step costs two products through ``cols``.  In exact arithmetic CG
-    ends within rank(A) <= min(rows, |S|) steps, and from w = 0 its iterates
-    stay in range(A), so a consistent singular system yields its min-norm
-    solution; the cap of twice that bound leaves room for rounding.  A small
-    recursive residual is confirmed on the true one b - A w, and CG restarts
-    from the true residual when they disagree.  It stops early only on
-    breakdown, p^T A p <= 0 or not finite, which for a PSD A means b has a
-    component outside range(A).
+    In exact arithmetic CG ends within rank(A) <= min(rows, |S|) steps, and
+    from w = 0 it stays in range(A), so a consistent singular system gets its
+    min-norm solution; twice that many steps leave room for rounding.  A small
+    recursive residual is confirmed on the true one, restarting from it if they
+    disagree.  Breakdown (p^T A p <= 0 or not finite) means b leaves range(A).
     """
     target = DEFAULT_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0)))
     w = np.zeros(len(b))
-    r = b.copy()
-    p = r.copy()
+    r = p = b
     rr = float(r @ r)
     for _ in range(2 * min(cols.shape)):
         if float(np.max(np.abs(r), initial=0.0)) <= target:
-            r = b - cols.T @ (cols @ w)
+            r = p = b - cols.T @ (cols @ w)
             if float(np.max(np.abs(r), initial=0.0)) <= target:
                 return w
-            p = r.copy()
             rr = float(r @ r)
         ap = cols.T @ (cols @ p)
         pap = float(p @ ap)
@@ -141,10 +136,9 @@ def _cg_solve(cols: np.ndarray, b: np.ndarray) -> np.ndarray:
             break
         alpha = rr / pap
         w += alpha * p
-        r -= alpha * ap
-        rr_next = float(r @ r)
-        p = r + (rr_next / rr) * p
-        rr = rr_next
+        r = r - alpha * ap
+        rr, rr_prev = float(r @ r), rr
+        p = r + (rr / rr_prev) * p
     resid = float(np.max(np.abs(b - cols.T @ (cols @ w)), initial=0.0))
     if resid <= target:
         return w
