@@ -89,3 +89,47 @@ def test_singular_system_reports_missing_ols(monkeypatch):
     assert mr.m_ols is None
     assert "achieved residual" in mr.diagnostics["ols_failure"]
     assert mr.ratios["ols_over_support"] is None
+
+
+from functools import lru_cache
+
+
+@lru_cache(maxsize=4)
+def _chain_draws(trials, n=1200, d=4000, k=10):
+    out = []
+    for t in range(trials):
+        rng = np.random.default_rng(200 + t)
+        x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 200 + t)
+        xi = NoiseVector.gaussian(n, 1.0, 300 + t)
+        s = IndexSet(np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64))
+        out.append((compute_metrics(x, xi, s), n, k))
+    return out
+
+
+class TestEquivalenceChain:
+    def _draws(self, trials, n=1200, d=4000, k=10):
+        return _chain_draws(trials, n, d, k)
+
+    def test_ols_within_factor_six_of_support_metric(self):
+        trials, hits = 40, 0
+        for mr, _, _ in self._draws(40):
+            ratio = mr.ratios["ols_over_support"]
+            hits += ratio is not None and 1.0 / 6.0 <= ratio <= 6.0
+        assert hits >= 0.95 * trials
+
+    def test_support_metric_upper_chain(self):
+        # support correlation at most A ||xi||_2 sqrt(ln(k/delta)/n)
+        trials, hits = 40, 0
+        for mr, n, k in self._draws(40):
+            l2 = mr.m_l2 * math.sqrt(n)
+            bound = METRIC_CHAIN_UPPER_A * l2 * math.sqrt(math.log(k / METRIC_CHAIN_DELTA) / n)
+            hits += mr.m_gram_support <= bound
+        assert hits >= 0.95 * trials
+
+    def test_support_metric_lower_chain(self):
+        # support correlation at least a ||xi||_2 / sqrt(n), k >= 16
+        trials, hits = 40, 0
+        for mr, n, k in self._draws(40, k=16):
+            l2 = mr.m_l2 * math.sqrt(n)
+            hits += mr.m_gram_support >= METRIC_CHAIN_LOWER_A * l2 / math.sqrt(n)
+        assert hits >= 0.95 * trials
