@@ -278,7 +278,7 @@ def _matrix_file_bytes(data) -> bytes:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_load_matrix_returns_a_finite_array_or_raises_value_error(tmp_path_factory, data):
-    p = tmp_path_factory.mktemp("fuzz") / "m.bin"
+    p = tmp_path_factory.getbasetemp() / "fuzzed-matrix.bin"
     p.write_bytes(_matrix_file_bytes(data))
     try:
         x = load_matrix(p)
