@@ -48,8 +48,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     dims = Dims(n=args.n, d=args.d, k=args.k)
     x = sample_ensemble(dims, _ENSEMBLES[args.ensemble], args.seed)
-    signal = {"kind": "constant", "magnitude": args.signal_magnitude}
-    truth = make_signal(dims.d, dims.k, rng_from(args.seed, 1), signal)
+    truth = make_signal(dims.d, dims.k, rng_from(args.seed, 1), "constant", args.signal_magnitude)
     if args.noise == "zero":
         noise = NoiseVector.zero(dims.n)
     else:

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo experiment runner with deterministic CSV output.
 
-A config names an experiment kind, a dimension grid, noise/signal specs, and
-algorithm knobs.  Each (grid point, trial) pair gets a seed derived by hashing
+A config names an experiment kind, a dimension grid, a noise spec, and the
+algorithm knobs its kind reads.  Each (grid point, trial) pair gets a seed derived by hashing
 ``(master_seed, grid_index, trial)``, so results are independent of execution
 order and reruns are byte-identical.  Wall-clock times are kept on the
 in-memory records only; they never reach the CSV, which must be reproducible.
@@ -40,11 +40,11 @@ from .padaptive import (
     SupportBlowupError,
     SupportEstimatorParams,
     adaptive_support_recover,
+    SNR_CONSTANT,
     default_r_inf,
     threshold_stats,
 )
 from .recovery import (
-    DEFAULT_THRESHOLD_C,
     IhtParams,
     ObliviousParams,
     ReductionParams,
@@ -91,6 +91,9 @@ THREADS_ENV = "LINFREC_THREADS"
 # Roundoff slack when checking the adaptive bound r + 2 ||X^T xi||_inf.
 BOUND_SLACK = 1e-12
 
+# Base magnitude of the masking pairs behind the adaptive and separation kinds.
+MASKING_BASE = 1.0
+
 # Expected ways for a trial to fail; they are recorded, anything else is a bug.
 DOMAIN_FAILURES = (SolverFailure, ConstructionFailure, SupportBlowupError, BudgetExceeded)
 
@@ -114,8 +117,7 @@ class ExperimentConfig:
     master_seed: int
     ensemble: Ensemble = Ensemble.GAUSSIAN_SCALED
     noise: dict = field(default_factory=lambda: {"kind": "gaussian", "sigma": 1.0})
-    signal: dict = field(default_factory=lambda: {"kind": "pm_uniform", "magnitude": 1.0})
-    algorithm: dict = field(default_factory=dict)
+    algorithm: dict = field(default_factory=dict)  # keys each kind reads: _KINDS
     output: str | None = None
 
     def __post_init__(self):
@@ -129,6 +131,9 @@ class ExperimentConfig:
                 raise ValueError(f"grid point {i} lacks {', '.join(missing)}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        unknown = sorted(set(self.algorithm) - _KINDS[self.kind][2])
+        if unknown:
+            raise ValueError(f"unknown algorithm keys for {self.kind.value}: {', '.join(unknown)}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -167,18 +172,18 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(words[0])
 
 
-def make_signal(d: int, k: int, rng: np.random.Generator, spec: dict, magnitude: float | None = None) -> SparseVector:
+def make_signal(
+    d: int, k: int, rng: np.random.Generator, kind: str = "pm_uniform", magnitude: float = 1.0
+) -> SparseVector:
     """A k-sparse signal on a uniform random support with uniform random signs."""
-    kind = spec.get("kind", "pm_uniform")
-    mag = float(magnitude if magnitude is not None else spec.get("magnitude", 1.0))
     support = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
     signs = rng.integers(2, size=k) * 2.0 - 1.0
     if kind == "pm_uniform":
-        vals = signs * rng.uniform(0.5, 1.5, size=k) * mag
-    elif kind == "pm_uniform_above":  # magnitudes in [mag, 2*mag]
-        vals = signs * rng.uniform(1.0, 2.0, size=k) * mag
+        vals = signs * rng.uniform(0.5, 1.5, size=k) * magnitude
+    elif kind == "pm_uniform_above":  # magnitudes in [magnitude, 2*magnitude]
+        vals = signs * rng.uniform(1.0, 2.0, size=k) * magnitude
     elif kind == "constant":
-        vals = signs * mag
+        vals = signs * magnitude
     else:
         raise ValueError(f"unknown signal kind {kind!r}")
     theta = np.zeros(d)
@@ -187,12 +192,9 @@ def make_signal(d: int, k: int, rng: np.random.Generator, spec: dict, magnitude:
 
 
 def _make_noise(n: int, spec: dict, seed: int) -> NoiseVector:
-    kind = spec.get("kind", "gaussian")
-    if kind == "zero":
+    if spec.get("kind", "gaussian") == "zero":
         return NoiseVector.zero(n)
-    if kind == "gaussian":
-        return NoiseVector.gaussian(n, float(spec.get("sigma", 1.0)), seed)
-    raise ValueError(f"unknown noise kind {kind!r}")
+    return NoiseVector.gaussian(n, float(spec.get("sigma", 1.0)), seed)
 
 
 def disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator) -> tuple[IndexSet, IndexSet]:
@@ -218,7 +220,7 @@ def _errors(estimate: SparseVector, truth: SparseVector) -> tuple[float, float]:
 def _oblivious_instance(dims: Dims, cfg: ExperimentConfig, seed: int):
     """An oblivious-model instance and its noise level ||X^T xi||_inf."""
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
-    truth = make_signal(dims.d, dims.k, rng_from(seed, 1), cfg.signal)
+    truth = make_signal(dims.d, dims.k, rng_from(seed, 1))
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     return build_instance(x, truth, noise, ModelTag.OBLIVIOUS), _gram_noise(x, noise)
 
@@ -228,8 +230,7 @@ def _masking_pair(dims: Dims, cfg: ExperimentConfig, seed: int):
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
     half = max(dims.k // 2, 1)
     s, t = disjoint_subsets(dims.d, half, half, rng_from(seed, 1))
-    base = float(cfg.algorithm.get("base_magnitude", 1.0))
-    return x, base, build_indistinguishable_pair(x, s, t, base)
+    return x, build_indistinguishable_pair(x, s, t, MASKING_BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +245,17 @@ def _trial_oblivious(dims: Dims, cfg: ExperimentConfig, seed: int):
     inst, msig = _oblivious_instance(dims, cfg, seed)
     r = max(msig * math.sqrt(math.log(dims.n)), 1e-12)
     R = float(np.linalg.norm(inst.truth.values))
-    c = float(cfg.algorithm.get("c", DEFAULT_THRESHOLD_C))
-    rep = oblivious_recover(inst.x, inst.y, ObliviousParams(k=dims.k, R=R, r=r, c=c))
+    rep = oblivious_recover(inst.x, inst.y, ObliviousParams(k=dims.k, R=R, r=r))
     const = float(cfg.algorithm.get("error_constant", frozen.OBLIVIOUS_ERROR_CONSTANT))
     return *_errors(rep.estimate, inst.truth), msig, const * r, {"r": r}
 
 
 def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
-    x, base, pair = _masking_pair(dims, cfg, seed)
+    x, pair = _masking_pair(dims, cfg, seed)
     truth, xi = pair.theta1, pair.xi1
     msig = _gram_noise(x, xi)
-    r = float(cfg.algorithm.get("r", base / 100.0))
-    params = IhtParams(k=dims.k, R=base, r=r)
+    r = MASKING_BASE / 100.0
+    params = IhtParams(k=dims.k, R=MASKING_BASE, r=r)
     cert = None
     if cfg.algorithm.get("certify", False):
         cert = certify_linf_rip(x, 0.25, 2 * dims.k, mode="exact")
@@ -279,7 +279,7 @@ def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
 
 
 def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
-    x, _, pair = _masking_pair(dims, cfg, seed)
+    x, pair = _masking_pair(dims, cfg, seed)
 
     y1 = x @ pair.theta1.values + pair.xi1.values
     y2 = x @ pair.theta2.values + pair.xi2.values
@@ -295,9 +295,8 @@ def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
     rep = oblivious_recover(x, pair.shared_y, ObliviousParams(k=dims.k, R=R, r=r))
     e1 = _errors(rep.estimate, pair.theta1)[0]
     e2 = _errors(rep.estimate, pair.theta2)[0]
-    guarantee_c = float(cfg.algorithm.get("problem_constant", 2.0))
-    tol = 1e-12
-    c_ok = (e1 > guarantee_c * m1 + tol) or (e2 > guarantee_c * m2 + tol)
+    tol = 1e-12  # the problem's guarantee: error <= 2 ||X^T xi||_inf
+    c_ok = (e1 > 2.0 * m1 + tol) or (e2 > 2.0 * m2 + tol)
 
     extra = {
         "a_ok": 1.0 if a_ok else 0.0,
@@ -336,17 +335,15 @@ def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     s = IndexSet(np.sort(rng.choice(dims.d, size=dims.k, replace=False)).astype(np.int64))
     mr = compute_metrics(x, noise, s)
-    low = float(cfg.algorithm.get("ratio_low", 1.0 / 6.0))
-    high = float(cfg.algorithm.get("ratio_high", 6.0))
-    extra = {"bound_low": low, "m_ols": mr.m_ols or 0.0, "m_gram_support": mr.m_gram_support}
-    return mr.ratios.get("ols_over_support"), None, mr.m_gram, high, extra
+    # the ols/support ratio must lie in [1/6, 6]
+    extra = {"bound_low": 1.0 / 6.0, "m_ols": mr.m_ols or 0.0, "m_gram_support": mr.m_gram_support}
+    return mr.ratios.get("ols_over_support"), None, mr.m_gram, 6.0, extra
 
 
 def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     sigma = float(cfg.noise.get("sigma", 1.0))
-    snr_mult = float(cfg.algorithm.get("snr_multiple", 100.0))
-    min_signal = snr_mult * sigma * math.sqrt(math.log(dims.d))
-    truth = make_signal(dims.d, dims.k, rng_from(seed, 1), {"kind": "pm_uniform_above"}, magnitude=min_signal)
+    min_signal = 100.0 * sigma * math.sqrt(math.log(dims.d))
+    truth = make_signal(dims.d, dims.k, rng_from(seed, 1), "pm_uniform_above", min_signal)
     oracle = MaskedOracle(dims, truth, sigma, derive_seed(seed, 0), ensemble=cfg.ensemble)
     n_rounds = int(cfg.algorithm.get("rounds", math.ceil(2.0 * math.log(dims.k))))
     params = SupportEstimatorParams(
@@ -354,7 +351,7 @@ def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
         n_total=dims.n,
         N=n_rounds,
         R=float(np.linalg.norm(truth.values)),
-        r2=float(cfg.algorithm.get("r2", sigma)),
+        r2=sigma,
         r_inf=float(cfg.algorithm.get("r_inf", default_r_inf(sigma, dims.d))),
     )
     rep = adaptive_support_recover(oracle, params)
@@ -372,16 +369,12 @@ def _trial_threshold_stats(dims: Dims, cfg: ExperimentConfig, seed: int):
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     msig = _gram_noise(x, noise)
-    snr_mult = float(cfg.algorithm.get("snr_multiple", 80.0))
-    truth = make_signal(
-        dims.d, dims.k, rng_from(seed, 1), {"kind": "pm_uniform_above"}, magnitude=snr_mult * msig
-    )
+    truth = make_signal(dims.d, dims.k, rng_from(seed, 1), "pm_uniform_above", SNR_CONSTANT * msig)
     y = x @ truth.values + noise.values
-    stats = threshold_stats(x, y, truth, 0.5 * snr_mult * msig)
-    fp_cap = float(cfg.algorithm.get("fp_cap_factor", 2.0)) * dims.k
-    fn_cap = float(cfg.algorithm.get("fn_cap", 0.95))
-    extra = {"fn_ratio": stats.fn_energy_ratio, "fn_cap": fn_cap, "fp": float(len(stats.s_fp))}
-    return float(len(stats.s_fp)), None, msig, fp_cap, extra
+    stats = threshold_stats(x, y, truth, 0.5 * SNR_CONSTANT * msig)
+    # at most 2k false positives, at most 95% of the signal mass missed
+    extra = {"fn_ratio": stats.fn_energy_ratio, "fn_cap": 0.95, "fp": float(len(stats.s_fp))}
+    return float(len(stats.s_fp)), None, msig, 2.0 * dims.k, extra
 
 
 def _within(error: float, bound: float, extra: dict) -> bool:
@@ -410,16 +403,19 @@ def _threshold_pass(error: float, bound: float, extra: dict) -> bool:
     return error <= bound and extra["fn_ratio"] <= extra["fn_cap"]
 
 
-# kind -> (trial body, pass rule over (error, bound, extra))
+# kind -> (trial body, pass rule over (error, bound, extra), cfg.algorithm keys
+# the trial body reads); a config setting any other algorithm key is rejected
 _KINDS = {
-    ExperimentKind.OBLIVIOUS_RECOVERY: (_trial_oblivious, _within),
-    ExperimentKind.ADAPTIVE_RECOVERY: (_trial_adaptive, _within_slack),
-    ExperimentKind.REDUCTION_RECOVERY: (_trial_reduction, _within),
-    ExperimentKind.SEPARATION: (_trial_separation, _reaches),
-    ExperimentKind.LINF_RIP_SWEEP: (_trial_linf_rip_sweep, _within),
-    ExperimentKind.METRIC_EQUIVALENCE: (_trial_metric_equivalence, _metric_pass),
-    ExperimentKind.PARTIAL_ADAPTIVE: (_trial_partial_adaptive, _exact_support_within),
-    ExperimentKind.THRESHOLD_STATS: (_trial_threshold_stats, _threshold_pass),
+    ExperimentKind.OBLIVIOUS_RECOVERY: (_trial_oblivious, _within, {"error_constant"}),
+    ExperimentKind.ADAPTIVE_RECOVERY: (_trial_adaptive, _within_slack, {"certify"}),
+    ExperimentKind.REDUCTION_RECOVERY: (_trial_reduction, _within, {"error_constant"}),
+    ExperimentKind.SEPARATION: (_trial_separation, _reaches, set()),
+    ExperimentKind.LINF_RIP_SWEEP: (_trial_linf_rip_sweep, _within, {"epsilon"}),
+    ExperimentKind.METRIC_EQUIVALENCE: (_trial_metric_equivalence, _metric_pass, {"mode"}),
+    ExperimentKind.PARTIAL_ADAPTIVE: (
+        _trial_partial_adaptive, _exact_support_within, {"rounds", "r_inf", "error_constant"}
+    ),
+    ExperimentKind.THRESHOLD_STATS: (_trial_threshold_stats, _threshold_pass, set()),
 }
 
 

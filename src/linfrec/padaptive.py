@@ -154,14 +154,14 @@ def threshold_stats(
     return ThresholdStats(s_fp=s_fp, s_fn=s_fn, fn_energy_ratio=ratio)
 
 
-def default_r_inf(noise_sigma: float, d: int, snr_constant: float = SNR_CONSTANT) -> float:
+def default_r_inf(noise_sigma: float, d: int) -> float:
     """Per-round correlation threshold from the known noise scale.
 
-    The analysis wants half the SNR constant times the realized per-round
+    The analysis wants half of ``SNR_CONSTANT`` times the realized per-round
     noise correlation level, which is not observable a priori; the Gaussian
     tail proxy sigma * sqrt(2 ln d) stands in for it.
     """
-    return 0.5 * snr_constant * noise_sigma * math.sqrt(2.0 * math.log(d))
+    return 0.5 * SNR_CONSTANT * noise_sigma * math.sqrt(2.0 * math.log(d))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ __all__ = [
     "osr_reduction",
 ]
 
-# Universal constants with no closed form; fixed once, overridable per call
-# through the params dataclasses.
+# Universal constants with no closed form; fixed once and read directly by
+# the estimators, never set per call.
 DEFAULT_THRESHOLD_C = 1.0 / 80.0  # support-identification threshold is r / c
 DEFAULT_HOLDOUT_C = 1.0 / 20.0    # holdout test fires above rho / c'
 
@@ -61,11 +61,6 @@ class ObliviousParams:
     k: int
     R: float
     r: float
-    c: float = DEFAULT_THRESHOLD_C
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("threshold constant c must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,12 +68,6 @@ class ReductionParams:
     k: int
     R: float
     r: float
-    c: float = DEFAULT_THRESHOLD_C
-    c_prime: float = DEFAULT_HOLDOUT_C
-
-    def __post_init__(self):
-        if self.c_prime <= 0:
-            raise ValueError("holdout constant c' must be positive")
 
 
 @dataclass
@@ -164,7 +153,7 @@ def oblivious_recover(
     r2 = y2 - x2 @ theta_hat
     r3 = y3 - x3 @ theta_hat
     corr = x2.T @ r2
-    l_idx = np.flatnonzero(np.abs(corr) >= params.r / params.c).astype(np.int64)
+    l_idx = np.flatnonzero(np.abs(corr) >= params.r / DEFAULT_THRESHOLD_C).astype(np.int64)
 
     theta = theta_hat.copy()
     if len(l_idx):
@@ -214,9 +203,7 @@ def osr_reduction(
     for t in range(big_t):
         rho /= 2.0
         try:
-            inner = oblivious_recover(
-                xs[2 * t], ys[2 * t], ObliviousParams(k=params.k, R=params.R, r=rho, c=params.c)
-            )
+            inner = oblivious_recover(xs[2 * t], ys[2 * t], ObliviousParams(k=params.k, R=params.R, r=rho))
         except SolverFailure:
             # an uncomputable estimate cannot pass validation; keep the last
             # holdout-validated iterate (rounds this deep are junk anyway)
@@ -227,7 +214,7 @@ def osr_reduction(
         xh, yh = xs[2 * t + 1], ys[2 * t + 1]
         stat = float(np.max(np.abs(xh.T @ (yh - xh @ theta_next)), initial=0.0))
         holdout_trace.append(stat)
-        if stat > rho / params.c_prime:
+        if stat > rho / DEFAULT_HOLDOUT_C:
             stop_round = t
             stop_reason = "holdout_rejection"
             break

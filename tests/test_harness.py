@@ -177,7 +177,7 @@ def test_unexpected_errors_propagate(monkeypatch):
         raise KeyError("not a domain failure")
 
     kind = ExperimentKind.OBLIVIOUS_RECOVERY
-    monkeypatch.setitem(harness._KINDS, kind, (broken, harness._KINDS[kind][1]))
+    monkeypatch.setitem(harness._KINDS, kind, (broken, *harness._KINDS[kind][1:]))
     monkeypatch.delenv("LINFREC_THREADS", raising=False)
     with pytest.raises(KeyError):
         run_experiment(tiny_config(kind, trials=1))
