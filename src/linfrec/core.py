@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ __all__ = [
     "SparseVector",
     "build_instance",
     "draw_design",
+    "json_field",
     "load_instance",
     "load_matrix",
     "matrix_sha256",
@@ -298,21 +300,54 @@ def save_instance(inst: RecoveryInstance, path: str | Path, matrix_file: str | P
     path.write_text(json.dumps(doc))
 
 
+def json_field(doc, kind, *keys):
+    """``doc[keys[0]][keys[1]]...``, checked to be a ``kind`` (never a bool).
+
+    A missing field or one of another type raises a ValueError naming it.
+    """
+    name = ".".join(str(key) for key in keys)
+    value = doc
+    for key in keys:
+        try:
+            value = value[key]
+        except (KeyError, IndexError, TypeError):
+            raise ValueError(f"missing field {name}") from None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"field {name} has type {type(value).__name__}")
+    return value
+
+
+def _json_floats(doc, length: int, *keys) -> np.ndarray:
+    """A JSON list of ``length`` numbers as a float64 array."""
+    name = ".".join(keys)
+    values = json_field(doc, list, *keys)
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {name} is not a list of numbers") from None
+    if values.shape != (length,):
+        raise ValueError(f"field {name} has shape {values.shape}, expected ({length},)")
+    return values
+
+
 def load_instance(path: str | Path) -> RecoveryInstance:
     path = Path(path)
     doc = json.loads(path.read_text())
-    if doc.get("format") != "linfrec-instance-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "linfrec-instance-v1":
         raise ValueError(f"{path}: not a linfrec instance file")
-    matrix_file = path.parent / doc["matrix"]["file"]
-    if matrix_sha256(matrix_file) != doc["matrix"]["sha256"]:
+    matrix_file = path.parent / json_field(doc, str, "matrix", "file")
+    if matrix_sha256(matrix_file) != json_field(doc, str, "matrix", "sha256"):
         raise ValueError(f"{matrix_file}: content hash mismatch")
     x = load_matrix(matrix_file)
-    truth = SparseVector.from_dense(np.asarray(doc["truth"]["values"]), doc["truth"]["budget"])
+    n, d = x.shape
+    truth = SparseVector.from_dense(
+        _json_floats(doc, d, "truth", "values"), json_field(doc, numbers.Integral, "truth", "budget")
+    )
     noise = NoiseVector(
-        values=np.asarray(doc["noise"]["values"]),
-        kind=NoiseKind(doc["noise"]["kind"]),
-        sigma=doc["noise"]["sigma"],
+        values=_json_floats(doc, n, "noise", "values"),
+        kind=NoiseKind(json_field(doc, str, "noise", "kind")),
+        sigma=json_field(doc, (numbers.Real, type(None)), "noise", "sigma"),
     )
     return RecoveryInstance(
-        x=x, y=np.asarray(doc["y"]), truth=truth, noise=noise, model=ModelTag(doc["model"])
+        x=x, y=_json_floats(doc, n, "y"), truth=truth, noise=noise, model=ModelTag(json_field(doc, str, "model"))
     )

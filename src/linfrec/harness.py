@@ -13,6 +13,7 @@ import csv
 import enum
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +31,7 @@ from .core import (
     NoiseVector,
     SparseVector,
     build_instance,
+    json_field,
     rng_from,
     sample_ensemble,
 )
@@ -123,29 +125,45 @@ class ExperimentConfig:
     def __post_init__(self):
         self.kind = ExperimentKind(self.kind)
         self.ensemble = Ensemble(self.ensemble)
-        if not self.grid:
-            raise ValueError("dimension grid must be nonempty")
+        if not isinstance(self.grid, list) or not self.grid:
+            raise ValueError("dimension grid must be a nonempty list")
+        doc = vars(self)
         for i, point in enumerate(self.grid):
+            _check_keys(point, ("n", "d", "k"), f"grid point {i}")
             missing = [key for key in ("n", "d", "k") if key not in point]
             if missing:
                 raise ValueError(f"grid point {i} lacks {', '.join(missing)}")
+            for key in ("n", "d", "k"):
+                json_field(doc, numbers.Integral, "grid", i, key)
+        json_field(doc, numbers.Integral, "trials")
+        json_field(doc, numbers.Integral, "master_seed")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        unknown = sorted(set(self.algorithm) - _KINDS[self.kind][2])
-        if unknown:
-            raise ValueError(f"unknown algorithm keys for {self.kind.value}: {', '.join(unknown)}")
+        _check_keys(self.noise, ("kind", "sigma"), "noise")
+        if self.noise.get("kind", "gaussian") not in ("gaussian", "zero"):
+            raise ValueError(f"unknown noise kind {self.noise['kind']!r}")
+        if "sigma" in self.noise:
+            json_field(doc, numbers.Real, "noise", "sigma")
+        _check_keys(self.algorithm, _KINDS[self.kind][2], "algorithm", f" for {self.kind.value}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = json.loads(text)
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        _check_keys(doc, [f.name for f in fields(cls)], "config")
         required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
         missing = [name for name in required if name not in doc]
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
         return cls(**doc)
+
+
+def _check_keys(doc, allowed, what: str, scope: str = "") -> None:
+    """Reject a ``doc`` that is not a JSON object or holds a key outside ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} is not an object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} keys{scope}: {', '.join(unknown)}")
 
 
 @dataclass

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, SparseVector, draw_design, rng_from
+from .core import Dims, Ensemble, SparseVector, draw_design, json_field, rng_from
 from .linops import IndexSet, hard_threshold_values, restricted_ols
 from .recovery import IhtParams, RecoveryReport, iht
 
@@ -80,6 +81,8 @@ class MaskedOracle:
     def masked_observe(self, rows: int, mask: IndexSet) -> tuple[np.ndarray, np.ndarray]:
         if rows < 1:
             raise ValueError("must request at least one row")
+        if len(mask) and mask.indices[-1] >= self.dims.d:
+            raise ValueError(f"mask index {mask.indices[-1]} is out of range for d={self.dims.d}")
         qi = len(self.query_log)
         rng = rng_from(self.master_seed, qi)
         x = draw_design(rng, rows, self.dims.d, self.ensemble)
@@ -112,15 +115,22 @@ class MaskedOracle:
     def replay(cls, transcript: str, truth: SparseVector) -> list[tuple[np.ndarray, np.ndarray]]:
         """Regenerate the (X, y) sequence of a recorded transcript."""
         doc = json.loads(transcript)
-        if doc.get("format") != "linfrec-oracle-transcript-v1":
+        if not isinstance(doc, dict) or doc.get("format") != "linfrec-oracle-transcript-v1":
             raise ValueError("not an oracle transcript")
-        dims = Dims(**doc["dims"])
+        dims = Dims(*(json_field(doc, numbers.Integral, "dims", key) for key in ("n", "d", "k")))
         oracle = cls(
-            dims, truth, doc["noise_sigma"], doc["master_seed"], Ensemble(doc["ensemble"])
+            dims,
+            truth,
+            json_field(doc, numbers.Real, "noise_sigma"),
+            json_field(doc, numbers.Integral, "master_seed"),
+            Ensemble(json_field(doc, str, "ensemble")),
         )
         out = []
-        for q in doc["queries"]:
-            out.append(oracle.masked_observe(q["rows"], IndexSet.from_iterable(q["mask"])))
+        for i in range(len(json_field(doc, list, "queries"))):
+            rows = json_field(doc, numbers.Integral, "queries", i, "rows")
+            n_mask = len(json_field(doc, list, "queries", i, "mask"))
+            mask = [json_field(doc, numbers.Integral, "queries", i, "mask", j) for j in range(n_mask)]
+            out.append(oracle.masked_observe(rows, IndexSet.from_iterable(mask)))
         return out
 
 

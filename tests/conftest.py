@@ -7,9 +7,11 @@ enumeration, dense factorizations, power iteration, exhaustive sign search.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def power_iteration_norm(m: np.ndarray, iters: int = 400, seed: int = 0) -> float:
@@ -122,6 +124,40 @@ def orthonormal_columns(n: int, d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, d)))
     return q[:, :d]
+
+
+# one value of each JSON type, for swapping a field's value for another type
+JSON_SWAPS = [None, True, 7, 0.5, "x", [], {}]
+
+
+def _json_paths(doc, prefix=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def mutated_json(data, doc):
+    """A copy of ``doc`` with one field dropped, cut short, or swapped for another JSON type.
+
+    ``data`` is a Hypothesis ``st.data()`` draw; the field is any key or list
+    index at any depth.
+    """
+    doc = json.loads(json.dumps(doc))
+    *head, last = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    value = parent[last]
+    ops = ["drop", "swap"] + (["cut"] if isinstance(value, list) and value else [])
+    op = data.draw(st.sampled_from(ops))
+    if op == "drop":
+        del parent[last]
+    elif op == "cut":
+        parent[last] = value[: data.draw(st.integers(0, len(value) - 1))]
+    else:
+        parent[last] = data.draw(st.sampled_from([v for v in JSON_SWAPS if type(v) is not type(value)]))
+    return doc
 
 
 @pytest.fixture

@@ -105,6 +105,9 @@ def test_run_unknown_config_key_is_reported(tmp_path, capsys):
     assert err.startswith("linfrec: error: unknown config keys: trails")
 
 
+VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "trials": 1, "master_seed": 7}
+
+
 @pytest.mark.parametrize(
     "cfg, message",
     [
@@ -121,6 +124,22 @@ def test_run_unknown_config_key_is_reported(tmp_path, capsys):
             },
             "grid point 1 lacks k",
         ),
+        ([{"kind": "oblivious_recovery"}], "config is not an object"),
+        (dict(VALID, grid=[5]), "grid point 0 is not an object"),
+        (dict(VALID, grid=[{"n": 240, "d": 30, "K": 3}]), "unknown grid point 0 keys: K"),
+        (dict(VALID, grid=[{"n": 240.0, "d": 30, "k": 3}]), "field grid.0.n has type float"),
+        (dict(VALID, grid=[{"n": 240, "d": True, "k": 3}]), "field grid.0.d has type bool"),
+        (dict(VALID, trials="2"), "field trials has type str"),
+        (dict(VALID, master_seed=None), "field master_seed has type NoneType"),
+        (dict(VALID, noise={"kind": "gaussian", "sigm": 0.01}), "unknown noise keys: sigm"),
+        (dict(VALID, noise={"kind": "laplace", "sigma": 0.01}), "unknown noise kind 'laplace'"),
+        (dict(VALID, noise={"sigma": "0.01"}), "field noise.sigma has type str"),
+        (dict(VALID, noise=[]), "noise is not an object"),
+        (dict(VALID, signal={"kind": "pm_uniform", "magnitude": 1.0}), "unknown config keys: signal"),
+        (
+            dict(VALID, kind="partial_adaptive", algorithm={"round": 2}),
+            "unknown algorithm keys for partial_adaptive: round",
+        ),
     ],
 )
 def test_run_malformed_config_is_reported(tmp_path, capsys, cfg, message):
@@ -129,6 +148,29 @@ def test_run_malformed_config_is_reported(tmp_path, capsys, cfg, message):
     code, _, err = run_cli(capsys, "run", str(cfg_path))
     assert code == 1
     assert err == f"linfrec: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("oblivious_recovery", "c"),
+        ("adaptive_recovery", "base_magnitude"),
+        ("adaptive_recovery", "r"),
+        ("separation", "problem_constant"),
+        ("metric_equivalence", "ratio_low"),
+        ("metric_equivalence", "ratio_high"),
+        ("partial_adaptive", "snr_multiple"),
+        ("partial_adaptive", "r2"),
+        ("threshold_stats", "fp_cap_factor"),
+        ("threshold_stats", "fn_cap"),
+    ],
+)
+def test_run_rejects_a_constant_set_as_an_algorithm_key(tmp_path, capsys, kind, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(VALID, kind=kind, algorithm={key: 1.0})))
+    code, _, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 1
+    assert err == f"linfrec: error: unknown algorithm keys for {kind}: {key}\n"
 
 
 def test_run_twice_identical_files(tmp_path, capsys):

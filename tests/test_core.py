@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import is_design
+from conftest import is_design, mutated_json
 
 from linfrec.core import (
     MATRIX_MAGIC,
@@ -286,6 +286,49 @@ def test_load_matrix_returns_a_finite_array_or_raises_value_error(tmp_path_facto
         return
     assert x.dtype == np.float64 and x.ndim == 2
     assert np.all(np.isfinite(x))
+
+
+def _saved_instance(out_dir):
+    """Path of a small saved instance and its JSON document."""
+    x = sample_ensemble(Dims(n=6, d=5, k=2), Ensemble.GAUSSIAN_SCALED, seed=4)
+    truth = SparseVector.from_dense(np.array([0.0, 1.5, 0.0, -2.0, 0.0]), budget=2)
+    inst = build_instance(x, truth, NoiseVector.gaussian(6, 0.1, seed=5), ModelTag.OBLIVIOUS)
+    path = out_dir / "inst.json"
+    save_instance(inst, path, save_matrix_addressed(x, out_dir))
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc.pop("y"), "missing field y"),
+        (lambda doc: doc["y"].pop(), r"field y has shape \(5,\), expected \(6,\)"),
+        (lambda doc: doc["truth"].__setitem__("budget", "2"), "field truth.budget has type str"),
+        (lambda doc: doc["noise"].__setitem__("values", None), "field noise.values has type NoneType"),
+    ],
+    ids=["no-y", "short-y", "str-budget", "null-noise-values"],
+)
+def test_load_instance_names_the_malformed_field(tmp_path, mutate, message):
+    path, doc = _saved_instance(tmp_path)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_instance(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_load_instance_returns_an_instance_or_raises_value_error(tmp_path_factory, data):
+    out = tmp_path_factory.getbasetemp() / "fuzzed-instance"
+    out.mkdir(exist_ok=True)
+    path, doc = _saved_instance(out)
+    path.write_text(json.dumps(mutated_json(data, doc)))
+    try:
+        inst = load_instance(path)
+    except ValueError:
+        return
+    assert is_design(inst.x, (6, 5))
+    assert inst.y.shape == (6,) and inst.truth.d == 5 and inst.noise.values.shape == (6,)
 
 
 def test_matrix_csv_export(tmp_path, rng):

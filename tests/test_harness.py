@@ -107,27 +107,55 @@ def test_header_mismatch_rejected(tmp_path):
         read_csv(path)
 
 
-@pytest.mark.parametrize(
-    "kind,grid,algorithm",
-    [
-        (ExperimentKind.OBLIVIOUS_RECOVERY, {"n": 240, "d": 40, "k": 3}, {}),
-        (ExperimentKind.ADAPTIVE_RECOVERY, {"n": 200, "d": 40, "k": 4}, {}),
-        (ExperimentKind.SEPARATION, {"n": 60, "d": 300, "k": 16}, {}),
-        (ExperimentKind.LINF_RIP_SWEEP, {"n": 300, "d": 30, "k": 4}, {"epsilon": 0.6}),
-        (ExperimentKind.METRIC_EQUIVALENCE, {"n": 200, "d": 400, "k": 5}, {}),
-        (ExperimentKind.THRESHOLD_STATS, {"n": 300, "d": 60, "k": 4}, {}),
-        (
-            ExperimentKind.PARTIAL_ADAPTIVE,
-            {"n": 900, "d": 100, "k": 4},
-            {"rounds": 2},
-        ),
-    ],
-)
+# one small run of every kind, and of both metric_equivalence modes
+TINY_RUNS = [
+    (ExperimentKind.OBLIVIOUS_RECOVERY, {"n": 240, "d": 40, "k": 3}, {}),
+    (ExperimentKind.ADAPTIVE_RECOVERY, {"n": 200, "d": 40, "k": 4}, {}),
+    (ExperimentKind.SEPARATION, {"n": 60, "d": 300, "k": 16}, {}),
+    (ExperimentKind.LINF_RIP_SWEEP, {"n": 300, "d": 30, "k": 4}, {"epsilon": 0.6}),
+    (ExperimentKind.METRIC_EQUIVALENCE, {"n": 200, "d": 400, "k": 5}, {}),
+    (ExperimentKind.THRESHOLD_STATS, {"n": 300, "d": 60, "k": 4}, {}),
+    (ExperimentKind.PARTIAL_ADAPTIVE, {"n": 900, "d": 100, "k": 4}, {"rounds": 2}),
+    (ExperimentKind.METRIC_EQUIVALENCE, {"n": 200, "d": 100, "k": 5}, {"mode": "impossibility"}),
+]
+
+
+@pytest.mark.parametrize("kind,grid,algorithm", TINY_RUNS)
 def test_pass_flags_recomputable(kind, grid, algorithm):
     cfg = tiny_config(kind, grid=[grid], algorithm=algorithm, trials=2, noise={"kind": "gaussian", "sigma": 0.1})
     records, _ = run_experiment(cfg)
     for rec in records:
         assert rec.passed == recompute_pass(rec)
+
+
+class RecordingDict(dict):
+    """A dict that records every key it is asked for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = set()
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("kind,grid,algorithm", TINY_RUNS)
+def test_trials_read_exactly_their_declared_algorithm_keys(kind, grid, algorithm):
+    cfg = tiny_config(kind, grid=[grid], algorithm=algorithm, trials=1, noise={"kind": "gaussian", "sigma": 0.1})
+    cfg.algorithm = RecordingDict(cfg.algorithm)
+    rec = harness._run_one(cfg, 0, 0)
+    assert "failed" not in rec.extra
+    # a key read but not declared would be rejected from a config; one declared but unread is a dead knob
+    assert cfg.algorithm.asked == harness._KINDS[kind][2]
 
 
 def test_adaptive_pass_flag_recomputable_within_bound_slack():

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import is_design, orthonormal_columns
+from conftest import is_design, mutated_json, orthonormal_columns
 from linfrec.core import Dims, Ensemble, SparseVector
 from linfrec.linops import IndexSet
 from linfrec.padaptive import (
@@ -96,6 +99,50 @@ class TestMaskedOracle:
         obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7])]
         for x, _ in obs + MaskedOracle.replay(o.transcript_json(), o.truth):
             assert is_design(x, (10, 50))
+
+    def test_mask_index_beyond_d_is_rejected(self):
+        o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
+        with pytest.raises(ValueError, match="mask index 99 is out of range for d=10"):
+            o.masked_observe(5, IndexSet.from_iterable([2, 99]))
+        assert o.query_log == []
+
+
+def _transcript():
+    """An oracle at d=10 after two queries, and its transcript document."""
+    o = make_oracle(d=10, truth=sparse(10, [1, 7], [3.0, -2.0]))
+    for mask in ([], [1, 7]):
+        o.masked_observe(4, IndexSet.from_iterable(mask))
+    return o, json.loads(o.transcript_json())
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc["dims"].pop("k"), "missing field dims.k"),
+        (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 99), "mask index 99 is out of range for d=10"),
+        (lambda doc: doc["queries"][0].__setitem__("rows", "4"), "field queries.0.rows has type str"),
+        (lambda doc: doc.__setitem__("master_seed", 1.5), "field master_seed has type float"),
+    ],
+    ids=["no-dims-k", "mask-index-99", "str-rows", "float-master-seed"],
+)
+def test_replay_names_the_malformed_field(mutate, message):
+    o, doc = _transcript()
+    mutate(doc)
+    with pytest.raises(ValueError, match=message):
+        MaskedOracle.replay(json.dumps(doc), o.truth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_replay_returns_observations_or_raises_value_error(data):
+    o, doc = _transcript()
+    try:
+        obs = MaskedOracle.replay(json.dumps(mutated_json(data, doc)), o.truth)
+    except ValueError:
+        return
+    for x, y in obs:
+        assert is_design(x, (len(y), 10))
+
 
 class TestThresholdStats:
     def test_noiseless_orthonormal_below_min_signal(self):
