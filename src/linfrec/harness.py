@@ -1,10 +1,11 @@
 """Seeded Monte Carlo experiment runner with deterministic CSV output.
 
 A config names an experiment kind, a dimension grid, a noise spec, and the
-algorithm knobs its kind reads.  Each (grid point, trial) pair gets a seed derived by hashing
-``(master_seed, grid_index, trial)``, so results are independent of execution
-order and reruns are byte-identical.  Wall-clock times are kept on the
-in-memory records only; they never reach the CSV, which must be reproducible.
+algorithm knobs its kind reads.  Each (grid point, trial) pair gets a seed
+derived by hashing ``(master_seed, grid_index, trial)``, so results are
+independent of execution order and reruns are byte-identical.  Wall-clock
+times are kept on the in-memory records only; they never reach the CSV, which
+must be reproducible.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .core import (
 from .linops import IndexSet, SolverFailure
 from .metrics import compute_metrics
 from .padaptive import (
+    SNR_CONSTANT,
     MaskedOracle,
     SupportBlowupError,
     SupportEstimatorParams,
     adaptive_support_recover,
-    SNR_CONSTANT,
     default_r_inf,
     threshold_stats,
 )
@@ -144,6 +145,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown noise kind {self.noise['kind']!r}")
         if "sigma" in self.noise:
             json_field(doc, numbers.Real, "noise", "sigma")
+        if self.output is not None:
+            json_field(doc, str, "output")
         _check_keys(self.algorithm, _KINDS[self.kind][2], "algorithm", f" for {self.kind.value}")
 
     @classmethod
@@ -313,7 +316,8 @@ def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
     rep = oblivious_recover(x, pair.shared_y, ObliviousParams(k=dims.k, R=R, r=r))
     e1 = _errors(rep.estimate, pair.theta1)[0]
     e2 = _errors(rep.estimate, pair.theta2)[0]
-    tol = 1e-12  # the problem's guarantee: error <= 2 ||X^T xi||_inf
+    tol = 1e-12
+    # does the estimate miss the problem's guarantee, error <= 2 ||X^T xi||_inf, on either member?
     c_ok = (e1 > 2.0 * m1 + tol) or (e2 > 2.0 * m2 + tol)
 
     extra = {

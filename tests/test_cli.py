@@ -135,6 +135,7 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
         (dict(VALID, noise={"kind": "laplace", "sigma": 0.01}), "unknown noise kind 'laplace'"),
         (dict(VALID, noise={"sigma": "0.01"}), "field noise.sigma has type str"),
         (dict(VALID, noise=[]), "noise is not an object"),
+        (dict(VALID, output=5), "field output has type int"),
         (dict(VALID, signal={"kind": "pm_uniform", "magnitude": 1.0}), "unknown config keys: signal"),
         (
             dict(VALID, kind="partial_adaptive", algorithm={"round": 2}),
