@@ -1,9 +1,11 @@
 """Domain types, random matrix ensembles, deterministic seeding, and file formats.
 
 Everything downstream (estimators, certifiers, the experiment harness) builds on
-the types here.  All randomness flows through counter-based Philox generators
-keyed by ``(seed, *subkeys)`` so that any draw -- including per-query resamples
-in the masked-oracle module -- is reproducible bit-for-bit.
+the types here.  All randomness flows through SFC64 generators keyed by
+``(seed, *subkeys)`` through a SeedSequence, so that any draw -- including
+per-query resamples in the masked-oracle module -- is reproducible
+bit-for-bit.  A design is drawn in fixed tiles, each from its own key, so a
+tile can be skipped or drawn alone without moving any other entry.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import numbers
 import os
 import struct
@@ -46,15 +49,25 @@ RESIDUAL_RTOL = 1e-10
 MATRIX_MAGIC = b"LFRMAT01"  # 8 magic bytes, then u32 n, u32 d, row-major f64 LE
 
 
-def rng_from(seed: int, *subkeys: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, *subkeys).
+# A design is drawn in tiles of TILE_ROWS x TILE_COLS entries, tile (i, j)
+# from rng_from(*key, i, j, TILE_TAG).  The tag is last and nonzero, so no
+# tile key reads as a shorter key padded with zeros (see rng_from).
+TILE_ROWS = 1024
+TILE_COLS = 16
+TILE_TAG = 0x74696C65  # "tile"
 
-    Distinct key tuples give independent streams; equal tuples give
-    bit-identical streams.  Philox is counter-based, so derived streams are
-    reproducible regardless of draw order elsewhere.
+
+def rng_from(seed: int, *subkeys: int) -> np.random.Generator:
+    """SFC64 generator keyed by (seed, *subkeys) through a SeedSequence.
+
+    Equal tuples give bit-identical streams and distinct tuples independent
+    ones, with one exception: a SeedSequence reads the key as 32-bit words
+    (two for an integer of 2**32 or more) and pads it with zero words to
+    four, so zeros at the end of a key that fit within those four words are
+    ignored.  ``(1, 2)``, ``(1, 2, 0)`` and ``(1, 2, 0, 0)`` give one stream.
     """
     ss = np.random.SeedSequence((int(seed),) + tuple(int(s) for s in subkeys))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 @dataclass(frozen=True)
@@ -90,17 +103,46 @@ class ModelTag(str, enum.Enum):
     PARTIALLY_ADAPTIVE = "partially_adaptive"
 
 
-def draw_design(rng: np.random.Generator, rows: int, d: int, ensemble: Ensemble) -> np.ndarray:
-    """A fresh C-ordered rows x d float64 array of i.i.d. entries of variance 1/rows."""
+def _unscaled_tile(rng: np.random.Generator, shape: tuple[int, int], ensemble: Ensemble) -> np.ndarray:
     if ensemble is Ensemble.GAUSSIAN_SCALED:
-        z = rng.standard_normal((rows, d))
-    elif ensemble is Ensemble.RADEMACHER_SCALED:
-        z = rng.integers(0, 2, size=(rows, d)).astype(np.float64)
-        z *= 2.0
-        z -= 1.0
-    else:
-        raise ValueError(f"cannot sample ensemble {ensemble!r}")
-    return np.divide(z, np.sqrt(rows), out=z)
+        return rng.standard_normal(shape)
+    z = rng.integers(0, 2, size=shape).astype(np.float64)
+    z *= 2.0
+    z -= 1.0
+    return z
+
+
+def draw_design(
+    key: tuple[int, ...], rows: int, d: int, ensemble: Ensemble, masked: np.ndarray | None = None
+) -> np.ndarray:
+    """A fresh C-ordered rows x d float64 array of i.i.d. entries of variance 1/rows.
+
+    Tile (i, j) holds rows ``[i*TILE_ROWS, (i+1)*TILE_ROWS)`` and columns
+    ``[j*TILE_COLS, (j+1)*TILE_COLS)``, cut at the edges of the array, and is
+    filled row-major from ``rng_from(*key, i, j, TILE_TAG)``.  Hence the
+    unscaled first rows of a draw equal the unscaled draw of fewer rows, and
+    the columns listed in ``masked`` are zero while every other entry is what
+    the unmasked draw holds.  A tile whose columns are all masked is not drawn.
+    """
+    ensemble = Ensemble(ensemble)
+    keep = np.ones(d, dtype=bool)
+    if masked is not None:
+        keep[masked] = False
+    col_tiles = []
+    for j, lo in enumerate(range(0, d, TILE_COLS)):
+        cols = keep[lo : lo + TILE_COLS]
+        if cols.any():
+            col_tiles.append((j, slice(lo, lo + len(cols)), None if cols.all() else ~cols))
+    root = math.sqrt(rows)
+    x = np.zeros((rows, d))
+    for i, top in enumerate(range(0, rows, TILE_ROWS)):
+        height = min(TILE_ROWS, rows - top)
+        for j, cols, drop in col_tiles:
+            tile = _unscaled_tile(rng_from(*key, i, j, TILE_TAG), (height, cols.stop - cols.start), ensemble)
+            if drop is not None:
+                tile[:, drop] = 0.0
+            np.divide(tile, root, out=x[top : top + height, cols])
+    return x
 
 
 def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> np.ndarray:
@@ -108,9 +150,10 @@ def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> np.ndarray:
 
     For the scaled ensembles every entry is ``N(0, 1/n)`` or ``+-1/sqrt(n)``,
     so ``E[X^T X] = I_d``.  Deterministic in ``seed``: two calls with equal
-    arguments return bit-identical matrices.
+    arguments return bit-identical matrices.  The design is
+    ``draw_design((seed,), n, d, ensemble)``.
     """
-    return draw_design(rng_from(seed), dims.n, dims.d, Ensemble(ensemble))
+    return draw_design((seed,), dims.n, dims.d, ensemble)
 
 
 @dataclass

@@ -54,9 +54,10 @@ class MaskedOracle:
     """Stateful query interface hiding a sparse truth.
 
     Every call to :meth:`masked_observe` draws a fresh design block (entries
-    of variance 1/rows) and fresh Gaussian noise, deterministically from
-    ``(master_seed, query_index)``, zeroes the masked columns, and returns
-    ``(X, y)`` with ``y = X theta + xi``.  The truth enters only through its
+    of variance 1/rows), keyed by ``(master_seed, query_index)`` with the
+    masked columns zero and their tiles left undrawn, and fresh Gaussian noise
+    from ``rng_from(master_seed, query_index)``; it returns ``(X, y)`` with
+    ``y = X theta + xi``.  A mask moves no unmasked entry and no noise entry.  The truth enters only through its
     unmasked coordinates.  Analysis code may read :attr:`truth` and each
     query's ``noise_corr`` in :attr:`query_log`; estimator code must not.
     """
@@ -84,11 +85,8 @@ class MaskedOracle:
         if len(mask) and mask.indices[-1] >= self.dims.d:
             raise ValueError(f"mask index {mask.indices[-1]} is out of range for d={self.dims.d}")
         qi = len(self.query_log)
-        rng = rng_from(self.master_seed, qi)
-        x = draw_design(rng, rows, self.dims.d, self.ensemble)
-        xi = rng.standard_normal(rows) * self.noise_sigma
-        if len(mask):
-            x[:, mask.indices] = 0.0
+        x = draw_design((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask.indices)
+        xi = rng_from(self.master_seed, qi).standard_normal(rows) * self.noise_sigma
         signal = x @ self.truth.values
         y = signal + xi
         corr = float(np.max(np.abs(x.T @ (y - signal)), initial=0.0))

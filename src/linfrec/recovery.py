@@ -2,9 +2,11 @@
 recovery, and the geometric holdout reduction.  Each sees only the design,
 the observation and its parameters; scoring against the truth is the caller's.
 
-The oblivious pipeline splits rows three ways and rescales by sqrt(3) so each
-split keeps unit column variance; the reduction splits 2T ways and rescales by
-sqrt(2T) for the same reason.
+The oblivious pipeline splits rows three ways and treats each split as if
+rescaled by sqrt(3), so it keeps unit column variance; the reduction splits
+2T ways for the same reason.  No rescaled copy is formed: an estimator takes
+the rows as they are and multiplies its length-d correlations by the split
+count (its ``gain``), which is what the rescaled rows would give.
 """
 
 from __future__ import annotations
@@ -88,12 +90,12 @@ def _observations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _iht_values(
-    x: np.ndarray, y: np.ndarray, k: int, n_iters: int, record: bool
+    x: np.ndarray, y: np.ndarray, k: int, n_iters: int, record: bool, gain: float
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     theta = np.zeros(x.shape[1])
     trace = [theta.copy()] if record else []
     for _ in range(n_iters):
-        theta = hard_threshold_values(theta + x.T @ (y - x @ theta), k)
+        theta = hard_threshold_values(theta + gain * (x.T @ (y - x @ theta)), k)
         if record:
             trace.append(theta.copy())
     return theta, trace
@@ -104,15 +106,18 @@ def iht(
     y: np.ndarray,
     params: IhtParams,
     record_iterates: bool = False,
+    *,
+    gain: float = 1.0,
 ) -> RecoveryReport:
     """Gradient step then keep-top-k, for ceil(log2(R/r)) iterations.
 
     Under adaptive noise with a sup-norm RIP certificate at (eps <= 1/4, 2k)
-    the sup-norm error is at most r + 2 ||X^T xi||_inf.
+    the sup-norm error is at most r + 2 ||X^T xi||_inf.  ``gain`` runs the
+    iteration on ``sqrt(gain) * (x, y)`` without forming that copy.
     """
     y = _observations(x, y)
     n_iters = params.max_iters
-    theta, trace = _iht_values(x, y, params.k, n_iters, record_iterates)
+    theta, trace = _iht_values(x, y, params.k, n_iters, record_iterates, gain)
     report = RecoveryReport(
         estimate=SparseVector.from_dense(theta, budget=params.k), iterations=n_iters
     )
@@ -132,6 +137,8 @@ def oblivious_recover(
     x: np.ndarray,
     y: np.ndarray,
     params: ObliviousParams,
+    *,
+    gain: float = 1.0,
 ) -> RecoveryReport:
     """Three-phase recovery: IHT warm start, support thresholding, restricted OLS.
 
@@ -139,20 +146,21 @@ def oblivious_recover(
     Phase 2 thresholds |X^T residual| at r/c on the second third to pick the
     correction support L.  Phase 3 solves restricted least squares on L over
     the last third and adds the correction.  Output support is contained in
-    supp(warm start) union L.
+    supp(warm start) union L.  Each third counts as rescaled by sqrt(3); with
+    ``gain`` the input counts as ``sqrt(gain) * (x, y)`` as well.
     """
     y = _observations(x, y)
-    scale = math.sqrt(3.0)
-    xs, ys, dropped = _split_rows(scale * x, scale * y, 3)
+    xs, ys, dropped = _split_rows(x, y, 3)
     x1, x2, x3 = xs
     y1, y2, y3 = ys
+    gain *= 3.0
 
-    warm = iht(x1, y1, IhtParams(k=params.k, R=params.R, r=math.sqrt(params.k) * params.r))
+    warm = iht(x1, y1, IhtParams(k=params.k, R=params.R, r=math.sqrt(params.k) * params.r), gain=gain)
     theta_hat = warm.estimate.values
 
     r2 = y2 - x2 @ theta_hat
     r3 = y3 - x3 @ theta_hat
-    corr = x2.T @ r2
+    corr = gain * (x2.T @ r2)
     l_idx = np.flatnonzero(np.abs(corr) >= params.r / DEFAULT_THRESHOLD_C).astype(np.int64)
 
     theta = theta_hat.copy()
@@ -192,8 +200,8 @@ def osr_reduction(
         return RecoveryReport(estimate=SparseVector.zeros(d, params.k), iterations=0)
 
     big_t = math.ceil(math.log2(params.R / params.r))
-    scale = math.sqrt(2.0 * big_t)
-    xs, ys, dropped = _split_rows(scale * x, scale * y, 2 * big_t)
+    parts = 2 * big_t
+    xs, ys, dropped = _split_rows(x, y, parts)
 
     theta_prev = np.zeros(d)
     rho = params.R
@@ -203,7 +211,9 @@ def osr_reduction(
     for t in range(big_t):
         rho /= 2.0
         try:
-            inner = oblivious_recover(xs[2 * t], ys[2 * t], ObliviousParams(k=params.k, R=params.R, r=rho))
+            inner = oblivious_recover(
+                xs[2 * t], ys[2 * t], ObliviousParams(k=params.k, R=params.R, r=rho), gain=parts
+            )
         except SolverFailure:
             # an uncomputable estimate cannot pass validation; keep the last
             # holdout-validated iterate (rounds this deep are junk anyway)
@@ -212,7 +222,7 @@ def osr_reduction(
             break
         theta_next = hard_threshold_values(inner.estimate.values, params.k)
         xh, yh = xs[2 * t + 1], ys[2 * t + 1]
-        stat = float(np.max(np.abs(xh.T @ (yh - xh @ theta_next)), initial=0.0))
+        stat = parts * float(np.max(np.abs(xh.T @ (yh - xh @ theta_next)), initial=0.0))
         holdout_trace.append(stat)
         if stat > rho / DEFAULT_HOLDOUT_C:
             stop_round = t

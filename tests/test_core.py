@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,9 @@ from conftest import is_design, mutated_json
 
 from linfrec.core import (
     MATRIX_MAGIC,
+    TILE_COLS,
+    TILE_ROWS,
+    TILE_TAG,
     Dims,
     Ensemble,
     ModelTag,
@@ -23,6 +27,7 @@ from linfrec.core import (
     load_matrix,
     matrix_sha256,
     matrix_to_csv,
+    rng_from,
     sample_ensemble,
     save_instance,
     save_matrix,
@@ -82,6 +87,45 @@ def test_fourth_moment_separates_ensembles():
     r = sample_ensemble(dims, Ensemble.RADEMACHER_SCALED, seed=21).ravel()
     kurt_r = np.mean(r**4) / np.mean(r**2) ** 2
     assert abs(kurt_r - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+def test_design_is_tiles_filled_row_major_from_their_own_keys(ensemble):
+    # d = 37 is not a multiple of TILE_COLS, and n = TILE_ROWS + 6 not of TILE_ROWS
+    n, d, seed = TILE_ROWS + 6, 2 * TILE_COLS + 5, 12
+    x = sample_ensemble(Dims(n=n, d=d, k=1), ensemble, seed)
+    want = np.empty((n, d))
+    for i, top in enumerate(range(0, n, TILE_ROWS)):
+        for j, left in enumerate(range(0, d, TILE_COLS)):
+            rows, cols = min(TILE_ROWS, n - top), min(TILE_COLS, d - left)
+            rng = rng_from(seed, i, j, TILE_TAG)
+            if ensemble is Ensemble.GAUSSIAN_SCALED:
+                tile = rng.standard_normal(rows * cols)
+            else:
+                tile = 2.0 * rng.integers(0, 2, size=rows * cols) - 1.0
+            want[top : top + rows, left : left + cols] = tile.reshape(rows, cols) / np.sqrt(n)
+    assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+@pytest.mark.parametrize("n_short", [700, TILE_ROWS + 77])
+def test_first_rows_of_a_draw_are_the_shorter_draw(ensemble, n_short):
+    n_long, d = 2 * TILE_ROWS + 300, 21
+    long = sample_ensemble(Dims(n=n_long, d=d, k=1), ensemble, seed=5)
+    short = sample_ensemble(Dims(n=n_short, d=d, k=1), ensemble, seed=5)
+    # equal before the 1/sqrt(rows) scaling, up to the rounding of undoing it
+    np.testing.assert_allclose(long[:n_short] * math.sqrt(n_long), short * math.sqrt(n_short), rtol=1e-15, atol=0)
+
+
+def test_tile_keys_do_not_alias_the_signal_stream():
+    # a SeedSequence ignores trailing zeros, so an untagged tile key
+    # (seed, 1, 0) would be rng_from(seed, 1), the harness's signal stream
+    seed = 7
+    assert rng_from(seed, 1, 0).standard_normal(4).tobytes() == rng_from(seed, 1).standard_normal(4).tobytes()
+    n = TILE_ROWS + 4
+    x = sample_ensemble(Dims(n=n, d=TILE_COLS, k=1), Ensemble.GAUSSIAN_SCALED, seed)
+    alias = rng_from(seed, 1).standard_normal((4, TILE_COLS)) / np.sqrt(n)
+    assert not np.any(np.isclose(x[TILE_ROWS:], alias, rtol=1e-12, atol=0))
 
 
 def test_sample_ensemble_rejects_explicit():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import is_design, mutated_json, orthonormal_columns
-from linfrec.core import Dims, Ensemble, SparseVector
+from linfrec import core
+from linfrec.core import TILE_COLS, TILE_ROWS, Dims, Ensemble, SparseVector, rng_from
 from linfrec.linops import IndexSet
 from linfrec.padaptive import (
     MaskedOracle,
@@ -87,7 +88,7 @@ class TestMaskedOracle:
 
     def test_transcript_replay(self):
         o = make_oracle(seed=77)
-        obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7], [0])]
+        obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7], [0], range(16, 32))]
         replayed = MaskedOracle.replay(o.transcript_json(), o.truth)
         for (x1, y1), (x2, y2) in zip(obs, replayed):
             assert np.array_equal(x1, x2)
@@ -99,6 +100,50 @@ class TestMaskedOracle:
         obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7])]
         for x, _ in obs + MaskedOracle.replay(o.transcript_json(), o.truth):
             assert is_design(x, (10, 50))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [range(TILE_COLS), range(TILE_COLS, 2 * TILE_COLS), [3, 40, 41], [0, 17, *range(32, 50)]],
+        ids=["first-tile", "second-tile", "part-tiles", "part-and-whole-tiles"],
+    )
+    def test_mask_changes_only_the_masked_columns_and_never_the_noise(self, mask):
+        # d = 50: three whole tiles of columns and one of two columns
+        zero = SparseVector.zeros(50, 3)
+        plain = MaskedOracle(Dims(n=TILE_ROWS + 9, d=50, k=3), zero, 0.7, master_seed=4)
+        masked = MaskedOracle(Dims(n=TILE_ROWS + 9, d=50, k=3), zero, 0.7, master_seed=4)
+        rows = TILE_ROWS + 9
+        for _ in range(2):
+            x_plain, y_plain = plain.masked_observe(rows, IndexSet.from_iterable([]))
+            x_masked, y_masked = masked.masked_observe(rows, IndexSet.from_iterable(mask))
+            keep = np.setdiff1d(np.arange(50), list(mask))
+            assert x_masked[:, keep].tobytes() == x_plain[:, keep].tobytes()
+            assert np.all(x_masked[:, list(mask)] == 0.0)
+            # a zero truth makes y the noise itself
+            assert y_masked.tobytes() == y_plain.tobytes()
+
+    def test_fully_masked_tiles_are_not_drawn(self, monkeypatch):
+        keys = []
+
+        def counting(*key):
+            keys.append(key)
+            return rng_from(*key)
+
+        monkeypatch.setattr(core, "rng_from", counting)
+        o = make_oracle(d=50, seed=9)
+        o.masked_observe(TILE_ROWS + 1, IndexSet.from_iterable([*range(TILE_COLS), 20, *range(48, 50)]))
+        # column tiles 1 and 2 are drawn in both row tiles; 0 and 3 are masked whole
+        assert sorted(key[3] for key in keys) == [1, 1, 2, 2]
+
+    def test_tile_keys_do_not_alias_the_noise_stream(self):
+        # a SeedSequence ignores trailing zeros, so an untagged key for tile
+        # (0, 0) of query 0, (seed, 0, 0, 0), would be the noise key (seed, 0)
+        seed, rows = 5, 40
+        assert rng_from(seed, 0, 0, 0).standard_normal(4).tobytes() == rng_from(seed, 0).standard_normal(4).tobytes()
+        o = MaskedOracle(Dims(n=100, d=30, k=2), SparseVector.zeros(30, 2), 1.0, master_seed=seed)
+        x, noise = o.masked_observe(rows, IndexSet.from_iterable([]))
+        assert noise.tobytes() == rng_from(seed, 0).standard_normal(rows).tobytes()
+        first_tile = x[:, :TILE_COLS].ravel()[:rows] * math.sqrt(rows)
+        assert not np.any(np.isclose(first_tile, noise, rtol=1e-12, atol=0))
 
     def test_mask_index_beyond_d_is_rejected(self):
         o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
