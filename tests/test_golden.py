@@ -51,23 +51,23 @@ SMALL = {
 }
 
 GOLDEN = {
-    "oblivious": "21d108923645f485b3bf6b8c200d3025ec2838bedfae963acd9bcfd1b5b38fe4",
-    "oblivious_truncating": "d70e9ae9746c794fe70b6e501856c2fa495ff75edac967c9fc71fc11b85099d2",
-    "oblivious_rademacher": "3e08e44cdb25ee4edac719510f6a3c8d55cecb955b4bdb6991cd7a16c516a938",
-    "adaptive": "8dbb32c411997f2f56e2eb75120ab7406485f9456816814caabae27e7df9a06b",
-    "adaptive_certify": "3aae0de6eb8153d6860f65f869bf3ec2b5a1cd89cfdfc6378227a77573151e03",
-    "reduction": "e377f8a34739d8a267ab773ccb154bc7905ba3bed2c9734020c5274adb7daa10",
-    "separation": "13e29d88ff0be59670638c0904ec9c69a8ff92e9b916e10083841ddd2f858653",
-    "linf_rip_sweep": "d22330a1f088d3a359d6d083dcef24e6edd0e1d9af7963ba55bfbf46d5fbb196",
-    "metric_equivalence": "c5296fec455d57cb92f0fb74d2910ea1b14a86e3d893a6c256d3a0c97482c060",
-    "metric_impossibility": "d5b39f0d2c0d5546199bfe05a1ff4408ae797fe4afa5c06d68ba980d6d80452b",
-    "partial_adaptive": "c90c23e10be2322c5e7efa3ecc3a2440ca4b840aea630856011eb435155faf0a",
-    "partial_adaptive_rademacher": "36ac06338a987657786cb2655923560d8c58b57127378be95079d6cebb9adba3",
+    "oblivious": "a86e6f8f4d4802d6f79873dab3c08bd7da339cbd2214a6f8f1ef45a983f75956",
+    "oblivious_truncating": "e11b29f94766ee57a4efacf1c31654be8338daefb5ba7764d8167a12318fc6c5",
+    "oblivious_rademacher": "a2ac66a77b2abcbcfdd72b3c02444cdbf433c910d5f1668213336e0a964c8472",
+    "adaptive": "c1c5a25835ce7eecf5aa8cd627a1f1a1e06f39f13071da4bd2b4825cf98aa6ec",
+    "adaptive_certify": "acc71ac2463f51d89001eaa089ec722730c37d0d8969b2f6f3fa22cd2e8d3cf3",
+    "reduction": "be4c05a939f55fed894fadb7d49f6cbd8fd2881eac9cbb01f214b922f9616d74",
+    "separation": "2b2ea8461e74a2a452411348ea41dc00471b4371946b23616af2896ebf5acdfe",
+    "linf_rip_sweep": "415bc3b37851d2db9d0120db9bda8de72ba3fca00cf5ec2377a72718e83308ef",
+    "metric_equivalence": "5851323b3bfe3809e5bc61f0eabc7f8bf7889605169dda33fde4b800134d3921",
+    "metric_impossibility": "672116fa9a25d1b7cbba9aa3c3955cde01c5e7f7bf74b919b093506361ef8c55",
+    "partial_adaptive": "cbdb12b466cf69fbb934484eefcd153540768b427a68693766dd06792b52a880",
+    "partial_adaptive_rademacher": "57d58abc86a61bbd3cd208620ae847bd1a681289a4f57a3ecb4b87975e1e9004",
     "partial_adaptive_failing": "b2b7b858e64b1e8f53b290322214adc1f22b7b129377225f45aefd9c18cce3e7",
-    "threshold_stats": "3b1e97bae763b1b1d02dc86fa9e5e37cefa72fbc88ef67f502807f0530bfa691",
-    "scripts/configs/masking_sweep.json": "6cc6e880792da0a5842af16af72f137d1af65527543afcc7292d3a3b3187ecd0",
-    "scripts/configs/oblivious.json": "d20f2b7d8a4ea3967d111a3422318ad8afe2afe1f127207144500fa7d22cd92a",
-    "scripts/configs/separation.json": "c718018ada7c88cfa7c1d7a33a3be094f618b805ab1da1721d5b092328eb0433",
+    "threshold_stats": "59b2667927656835061aa848617999d4784b3ce8a86567733902f06485cc9dea",
+    "scripts/configs/masking_sweep.json": "e0f3022b82f0e0622d0aaf45825a0950c130b6f1d9322ef30b450c5d7f9df41f",
+    "scripts/configs/oblivious.json": "b7434b8cda8495049999c564daea510f852782c1ec61de30259beeda24e03456",
+    "scripts/configs/separation.json": "f56ceae3bbed6ac49e421d7086512b3b219662a23670cd0461ff5bf3ce221c84",
 }
 
 
