@@ -148,6 +148,10 @@ class ExperimentConfig:
         if self.output is not None:
             json_field(doc, str, "output")
         _check_keys(self.algorithm, _KINDS[self.kind][2], "algorithm", f" for {self.kind.value}")
+        for key, value in self.algorithm.items():
+            valid, wanted = _ALGORITHM_VALUES[key]
+            if not valid(value):
+                raise ValueError(f"algorithm.{key} must be {wanted}, got {value!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -158,6 +162,25 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
         return cls(**doc)
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+# algorithm key -> (test of its value, what the test accepts)
+_ALGORITHM_VALUES = {
+    "certify": (lambda value: isinstance(value, bool), "true or false"),
+    "epsilon": (_finite_number, "a finite number"),
+    "error_constant": (_finite_number, "a finite number"),
+    "mode": (lambda value: value in ("equivalence", "impossibility"), "'equivalence' or 'impossibility'"),
+    "r_inf": (_finite_number, "a finite number"),
+    "rounds": (_positive_int, "a positive integer"),
+}
 
 
 def _check_keys(doc, allowed, what: str, scope: str = "") -> None:

@@ -141,6 +141,46 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
             dict(VALID, kind="partial_adaptive", algorithm={"round": 2}),
             "unknown algorithm keys for partial_adaptive: round",
         ),
+        (
+            dict(VALID, kind="metric_equivalence", algorithm={"mode": "impossibilty"}),
+            "algorithm.mode must be 'equivalence' or 'impossibility', got 'impossibilty'",
+        ),
+        (
+            dict(VALID, kind="adaptive_recovery", algorithm={"certify": "yes"}),
+            "algorithm.certify must be true or false, got 'yes'",
+        ),
+        (
+            dict(VALID, kind="adaptive_recovery", algorithm={"certify": 1}),
+            "algorithm.certify must be true or false, got 1",
+        ),
+        (
+            dict(VALID, kind="partial_adaptive", algorithm={"rounds": 0}),
+            "algorithm.rounds must be a positive integer, got 0",
+        ),
+        (
+            dict(VALID, kind="partial_adaptive", algorithm={"rounds": 2.0}),
+            "algorithm.rounds must be a positive integer, got 2.0",
+        ),
+        (
+            dict(VALID, kind="partial_adaptive", algorithm={"rounds": True}),
+            "algorithm.rounds must be a positive integer, got True",
+        ),
+        (
+            dict(VALID, kind="linf_rip_sweep", algorithm={"epsilon": float("nan")}),
+            "algorithm.epsilon must be a finite number, got nan",
+        ),
+        (
+            dict(VALID, kind="linf_rip_sweep", algorithm={"epsilon": "0.25"}),
+            "algorithm.epsilon must be a finite number, got '0.25'",
+        ),
+        (
+            dict(VALID, kind="partial_adaptive", algorithm={"r_inf": float("inf")}),
+            "algorithm.r_inf must be a finite number, got inf",
+        ),
+        (
+            dict(VALID, algorithm={"error_constant": None}),
+            "algorithm.error_constant must be a finite number, got None",
+        ),
     ],
 )
 def test_run_malformed_config_is_reported(tmp_path, capsys, cfg, message):
