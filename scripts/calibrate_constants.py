@@ -18,16 +18,17 @@ import numpy as np
 from linfrec.core import Dims
 from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment
 
+QUANTILES = {"median": 0.5, "p90": 0.9, "p95": 0.95, "max": 1.0}
+
 
 def quantiles(vals, scale):
-    ratios = sorted(v / s for v, s in zip(vals, scale) if v is not None)
-    n = len(ratios)
-    return {
-        "median": ratios[n // 2],
-        "p90": ratios[int(0.9 * (n - 1))],
-        "p95": ratios[int(0.95 * (n - 1))],
-        "max": ratios[-1],
-    }
+    """Order statistics of the ratios, each at index ceil(q * (n - 1)) of the sorted list.
+
+    One convention for every q (numpy's "higher"), so the quantiles never
+    decrease in q; the median is the upper middle of an even count.
+    """
+    ratios = [v / s for v, s in zip(vals, scale) if v is not None]
+    return {name: float(np.quantile(ratios, q, method="higher")) for name, q in QUANTILES.items()}
 
 
 def calibrate_oblivious(trials, seed):
