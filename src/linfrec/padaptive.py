@@ -57,9 +57,10 @@ class MaskedOracle:
     of variance 1/rows), keyed by ``(master_seed, query_index)`` with the
     masked columns zero and their tiles left undrawn, and fresh Gaussian noise
     from ``rng_from(master_seed, query_index)``; it returns ``(X, y)`` with
-    ``y = X theta + xi``.  A mask moves no unmasked entry and no noise entry.  The truth enters only through its
-    unmasked coordinates.  Analysis code may read :attr:`truth` and each
-    query's ``noise_corr`` in :attr:`query_log`; estimator code must not.
+    ``y = X theta + xi``.  A mask moves no unmasked entry and no noise entry.
+    The truth enters only through its unmasked coordinates.  Analysis code may
+    read :attr:`truth` and each query's ``noise_corr`` in :attr:`query_log`;
+    estimator code must not.
     """
 
     def __init__(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from linfrec.core import (
     build_instance,
     sample_ensemble,
 )
-from linfrec.linops import IndexSet, SolverFailure, restricted_ols
+from linfrec.linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols
 from linfrec.recovery import (
+    DEFAULT_HOLDOUT_C,
+    DEFAULT_THRESHOLD_C,
     IhtParams,
     ObliviousParams,
     ReductionParams,
@@ -177,6 +180,72 @@ class TestOblivious:
             )
             hits += linf_error(rep, truth) <= 20.0 * r
         assert hits >= 0.9 * trials
+
+
+def _rescaled_blocks(x, y, parts):
+    size = x.shape[0] // parts
+    scale = math.sqrt(parts)
+    return [(scale * x[i * size : (i + 1) * size], scale * y[i * size : (i + 1) * size]) for i in range(parts)]
+
+
+def rescaled_oblivious(x, y, params):
+    """The three-phase pipeline on explicitly rescaled thirds, with no gain."""
+    (x1, y1), (x2, y2), (x3, y3) = _rescaled_blocks(x, y, 3)
+    theta = iht(x1, y1, IhtParams(k=params.k, R=params.R, r=math.sqrt(params.k) * params.r)).estimate.values
+    corr = x2.T @ (y2 - x2 @ theta)
+    l_idx = np.flatnonzero(np.abs(corr) >= params.r / DEFAULT_THRESHOLD_C)
+    out = theta.copy()
+    if len(l_idx):
+        out[l_idx] += restricted_ols(x3, IndexSet(l_idx), y3 - x3 @ theta)
+    return out
+
+
+def rescaled_reduction(x, y, params):
+    """The holdout reduction on explicitly rescaled blocks, with no gain."""
+    big_t = math.ceil(math.log2(params.R / params.r))
+    blocks = _rescaled_blocks(x, y, 2 * big_t)
+    theta, rho = np.zeros(x.shape[1]), params.R
+    for t in range(big_t):
+        rho /= 2.0
+        nxt = hard_threshold_values(rescaled_oblivious(*blocks[2 * t], replace(params, r=rho)), params.k)
+        xh, yh = blocks[2 * t + 1]
+        if np.max(np.abs(xh.T @ (yh - xh @ nxt))) > rho / DEFAULT_HOLDOUT_C:
+            break
+        theta = nxt
+    return theta
+
+
+def _block_instance():
+    # one of six row blocks of a design, as the reduction hands its inner rounds
+    x = sample_ensemble(Dims(n=6 * 301, d=60, k=4), Ensemble.GAUSSIAN_SCALED, 17)[:301]
+    truth = make_signal(60, 4, np.random.default_rng(18), values=[3.0, -2.0, 2.5, 1.5])
+    return x, x @ truth.values + 0.01 * np.random.default_rng(19).standard_normal(301)
+
+
+@pytest.mark.parametrize("gain", [1.0, 6.0])
+def test_correlation_gains_match_rescaled_rows(gain):
+    # the estimators weight correlations by the split count instead of forming
+    # sqrt(parts) * x; restricted least squares stops at a
+    # residual of 1e-9 * (1 + |b|), not at roundoff
+    x, y = _block_instance()
+    scaled_x, scaled_y = math.sqrt(gain) * x, math.sqrt(gain) * y
+    params = IhtParams(k=4, R=8.0, r=5e-4)
+    got = iht(x, y, params, gain=gain).estimate.values
+    np.testing.assert_allclose(got, iht(scaled_x, scaled_y, params).estimate.values, rtol=1e-12, atol=1e-12)
+    params = ObliviousParams(k=4, R=8.0, r=5e-4)
+    rep = oblivious_recover(x, y, params, gain=gain)
+    assert rep.diagnostics["correction_support"] > 0
+    np.testing.assert_allclose(rep.estimate.values, rescaled_oblivious(scaled_x, scaled_y, params), rtol=0, atol=1e-7)
+
+
+def test_reduction_matches_rescaled_blocks():
+    for seed in range(3):
+        x = sample_ensemble(Dims(n=2400, d=80, k=3), Ensemble.GAUSSIAN_SCALED, 40 + seed)
+        truth = make_signal(80, 3, np.random.default_rng(50 + seed))
+        y = x @ truth.values + 0.05 * np.random.default_rng(60 + seed).standard_normal(2400)
+        params = ReductionParams(k=3, R=float(np.linalg.norm(truth.values)), r=5e-4)
+        rep = osr_reduction(x, y, params)
+        np.testing.assert_allclose(rep.estimate.values, rescaled_reduction(x, y, params), rtol=0, atol=1e-7)
 
 
 class TestReduction:
