@@ -99,9 +99,10 @@ def calibrate_metric_chain(trials, seed):
         l2 = mr.m_l2 * math.sqrt(n)
         ups.append(mr.m_gram_support / (l2 * math.sqrt(math.log(k / delta) / n)))
         downs.append(mr.m_gram_support / (l2 / math.sqrt(n)))
-    ups.sort(); downs.sort()
-    print(f"chain upper A needed: p95={ups[int(0.95*(trials-1))]:.3f} max={ups[-1]:.3f}")
-    print(f"chain lower a needed: p05={downs[int(0.05*(trials-1))]:.3f} min={downs[0]:.3f}")
+    p95 = np.quantile(ups, 0.95, method="higher")
+    p05 = np.quantile(downs, 0.05, method="higher")
+    print(f"chain upper A needed: p95={p95:.3f} max={max(ups):.3f}")
+    print(f"chain lower a needed: p05={p05:.3f} min={min(downs):.3f}")
 
 
 def main():

@@ -17,7 +17,7 @@ from .core import (
     build_instance,
     sample_ensemble,
 )
-from .linops import IndexSet, SolverFailure, hard_threshold, inf_op_norm, restricted_gram, restricted_ols
+from .linops import IndexSet, SolverFailure, inf_op_norm, restricted_gram, restricted_ols
 from .recovery import IhtParams, ObliviousParams, RecoveryReport, ReductionParams, iht, oblivious_recover, osr_reduction
 from .ripcert import RipCertificate, certify_l2_rip, certify_linf_rip, certify_pi, linf_rip_sample_floor, welch_floor
 
@@ -42,7 +42,6 @@ __all__ = [
     "certify_l2_rip",
     "certify_linf_rip",
     "certify_pi",
-    "hard_threshold",
     "iht",
     "inf_op_norm",
     "linf_rip_sample_floor",

@@ -19,6 +19,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +37,7 @@ __all__ = [
     "load_instance",
     "load_matrix",
     "matrix_sha256",
-    "matrix_to_csv",
+    "replace_file",
     "rng_from",
     "sample_ensemble",
     "save_instance",
@@ -94,13 +95,11 @@ class NoiseKind(str, enum.Enum):
     ISOTROPIC_GAUSSIAN = "isotropic_gaussian"
     ADVERSARIAL = "adversarial"
     ZERO = "zero"
-    EXPLICIT = "explicit"
 
 
 class ModelTag(str, enum.Enum):
     OBLIVIOUS = "oblivious"
     ADAPTIVE = "adaptive"
-    PARTIALLY_ADAPTIVE = "partially_adaptive"
 
 
 def _unscaled_tile(rng: np.random.Generator, shape: tuple[int, int], ensemble: Ensemble) -> np.ndarray:
@@ -221,10 +220,6 @@ class NoiseVector:
     def adversarial(cls, values: np.ndarray) -> "NoiseVector":
         return cls(values=values, kind=NoiseKind.ADVERSARIAL)
 
-    @classmethod
-    def explicit(cls, values: np.ndarray) -> "NoiseVector":
-        return cls(values=values, kind=NoiseKind.EXPLICIT)
-
 
 @dataclass
 class RecoveryInstance:
@@ -267,31 +262,54 @@ def build_instance(
 # ---------------------------------------------------------------------------
 
 
-def save_matrix(x: np.ndarray, path: str | Path) -> None:
+def replace_file(path: str | Path, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks``, in order, to ``path``, replacing any file there.
+
+    The only writer of files in linfrec.  The chunks go to a temp file beside
+    ``path``, named per process and per target, so concurrent writers never
+    share one; the old file is then unlinked and the temp file renamed into
+    place.  On ext4 (``auto_da_alloc``) a file that is truncated or renamed
+    over is flushed, which costs tens of milliseconds per write; unlinking
+    first avoids that.  If anything fails, the temp file is removed and the
+    old file is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        path.unlink(missing_ok=True)
+        tmp.rename(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _matrix_chunks(x: np.ndarray) -> list:
+    """The matrix file of ``x`` as a header and the array itself (no copy when it is C-ordered)."""
     if x.ndim != 2:
         raise ValueError(f"a design must be 2-D, got shape {x.shape}")
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<II", *x.shape))
-        fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    return [MATRIX_MAGIC + struct.pack("<II", *x.shape), np.ascontiguousarray(x, dtype="<f8")]
+
+
+def save_matrix(x: np.ndarray, path: str | Path) -> None:
+    replace_file(path, _matrix_chunks(x))
 
 
 def save_matrix_addressed(x: np.ndarray, out_dir: str | Path) -> Path:
     """Write ``x`` into ``out_dir`` under a name taken from its sha256; return the path.
 
-    Equal matrices land in one file, so instances can share it by name.  When
-    that file exists the new copy is dropped: equal names mean equal bytes, and
-    renaming over an existing file forces a flush on ext4.
+    Equal matrices land in one file, so instances can share it by name.  The
+    name is hashed from the bytes in memory, and a file that already has it is
+    kept untouched: equal names mean equal bytes.
     """
-    out_dir = Path(out_dir)
-    tmp = out_dir / f"{os.getpid()}.matrix.tmp"  # per process: concurrent writers never share it
-    save_matrix(x, tmp)
-    path = out_dir / f"matrix-{matrix_sha256(tmp)[:16]}.bin"
-    if path.exists():
-        tmp.unlink()
-    else:
-        tmp.replace(path)
+    chunks = _matrix_chunks(x)
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    path = Path(out_dir) / f"matrix-{digest.hexdigest()[:16]}.bin"
+    if not path.exists():
+        replace_file(path, chunks)
     return path
 
 
@@ -312,10 +330,6 @@ def load_matrix(path: str | Path) -> np.ndarray:
     return x
 
 
-def matrix_to_csv(x: np.ndarray, path: str | Path) -> None:
-    np.savetxt(path, x, delimiter=",", fmt="%.17g")
-
-
 def matrix_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -326,7 +340,6 @@ def save_instance(inst: RecoveryInstance, path: str | Path, matrix_file: str | P
     The matrix is referenced by file name plus content hash so that two
     instances can share one matrix byte-for-byte.
     """
-    path = Path(path)
     matrix_file = Path(matrix_file)
     doc = {
         "format": "linfrec-instance-v1",
@@ -340,7 +353,7 @@ def save_instance(inst: RecoveryInstance, path: str | Path, matrix_file: str | P
             "sigma": inst.noise.sigma,
         },
     }
-    path.write_text(json.dumps(doc))
+    replace_file(path, [json.dumps(doc).encode()])
 
 
 def json_field(doc, kind, *keys):

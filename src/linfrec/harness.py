@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
 import numbers
@@ -33,6 +34,7 @@ from .core import (
     SparseVector,
     build_instance,
     json_field,
+    replace_file,
     rng_from,
     sample_ensemble,
 )
@@ -382,7 +384,7 @@ def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
     mr = compute_metrics(x, noise, s)
     # the ols/support ratio must lie in [1/6, 6]
     extra = {"bound_low": 1.0 / 6.0, "m_ols": mr.m_ols or 0.0, "m_gram_support": mr.m_gram_support}
-    return mr.ratios.get("ols_over_support"), None, mr.m_gram, 6.0, extra
+    return mr.ols_over_support, None, mr.m_gram, 6.0, extra
 
 
 def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
@@ -602,40 +604,29 @@ def _parse_extra(text: str) -> dict:
 
 
 def write_csv(records: list[TrialRecord], path: str | Path) -> None:
-    """Write ``records`` to ``path``, replacing any file already there.
-
-    A per-process temp file is renamed to ``path`` after the old file is
-    unlinked: ext4 (``auto_da_alloc``) flushes a file that is truncated or
-    renamed over, which costs tens of milliseconds per write.
-    """
-    path = Path(path)
-    tmp = path.with_name(f"{os.getpid()}.csv.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for rec in sorted(records, key=lambda r: (r.grid_index, r.trial)):
-                writer.writerow(
-                    [
-                        rec.experiment,
-                        rec.grid_index,
-                        rec.n,
-                        rec.d,
-                        rec.k,
-                        rec.trial,
-                        rec.seed,
-                        _fmt(rec.error),
-                        _fmt(rec.error_l2),
-                        _fmt(rec.metric_sigma),
-                        _fmt(rec.bound),
-                        _fmt(rec.passed),
-                        _fmt_extra(rec.extra),
-                    ]
-                )
-        path.unlink(missing_ok=True)
-        tmp.rename(path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write ``records`` to ``path`` through :func:`core.replace_file`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in sorted(records, key=lambda r: (r.grid_index, r.trial)):
+        writer.writerow(
+            [
+                rec.experiment,
+                rec.grid_index,
+                rec.n,
+                rec.d,
+                rec.k,
+                rec.trial,
+                rec.seed,
+                _fmt(rec.error),
+                _fmt(rec.error_l2),
+                _fmt(rec.metric_sigma),
+                _fmt(rec.bound),
+                _fmt(rec.passed),
+                _fmt_extra(rec.extra),
+            ]
+        )
+    replace_file(path, [buf.getvalue().encode()])
 
 
 def read_csv(path: str | Path) -> list[TrialRecord]:

@@ -12,12 +12,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import SparseVector
-
 __all__ = [
     "IndexSet",
     "SolverFailure",
-    "hard_threshold",
     "hard_threshold_values",
     "inf_op_norm",
     "restricted_gram",
@@ -86,10 +83,6 @@ def hard_threshold_values(v: np.ndarray, k: int) -> np.ndarray:
     keep = order[:k]
     out[keep] = v[keep]
     return out
-
-
-def hard_threshold(v: np.ndarray, k: int) -> SparseVector:
-    return SparseVector.from_dense(hard_threshold_values(v, k), budget=k)
 
 
 def inf_op_norm(m: np.ndarray) -> float:

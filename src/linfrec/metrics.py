@@ -28,7 +28,7 @@ class MetricReport:
     m_ols: float | None    # ||[X^T X]^+_{SxS} X_{S:}^T xi||_inf (None if the solve fails)
     m_l2: float            # ||xi||_2 / sqrt(n)
     m_linf: float          # ||xi||_inf
-    ratios: dict = field(default_factory=dict)
+    ols_over_support: float | None  # m_ols / m_gram_support (None without m_ols or if the divisor is 0)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -53,23 +53,12 @@ def compute_metrics(
         diagnostics["ols_failure"] = str(exc)
     m_l2 = float(np.linalg.norm(noise) / math.sqrt(n))
     m_linf = float(np.max(np.abs(noise), initial=0.0))
-
-    def _ratio(a, b):
-        if a is None or b is None or b == 0.0:
-            return None
-        return a / b
-
-    ratios = {
-        "ols_over_support": _ratio(m_ols, m_gram_support),
-        "support_over_l2": _ratio(m_gram_support, m_l2),
-        "l2_over_linf": _ratio(m_l2 * math.sqrt(n), m_linf),  # ||xi||_2 / ||xi||_inf
-    }
     return MetricReport(
         m_gram=m_gram,
         m_gram_support=m_gram_support,
         m_ols=m_ols,
         m_l2=m_l2,
         m_linf=m_linf,
-        ratios=ratios,
+        ols_over_support=None if m_ols is None or m_gram_support == 0.0 else m_ols / m_gram_support,
         diagnostics=diagnostics,
     )

@@ -220,6 +220,7 @@ def adaptive_support_recover(
     d = oracle.dims.d
     x0, y0 = oracle.masked_observe(params.warm_rows, IndexSet.from_iterable([]))
     warm = iht(x0, y0, IhtParams(k=params.k, R=params.R, r=params.r2))
+    del x0, y0  # the warm block is the largest; free it before the later draws
     t_cur = IndexSet(warm.estimate.support.copy())
     support_trace = [len(t_cur)]
     support_sets = [[int(i) for i in t_cur.indices]]

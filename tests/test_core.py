@@ -26,7 +26,6 @@ from linfrec.core import (
     load_instance,
     load_matrix,
     matrix_sha256,
-    matrix_to_csv,
     rng_from,
     sample_ensemble,
     save_instance,
@@ -169,7 +168,7 @@ def test_build_instance_pure_noise():
     x = np.eye(3)
     truth = SparseVector.zeros(3, budget=1)
     e1 = np.array([1.0, 0.0, 0.0])
-    inst = build_instance(x, truth, NoiseVector.explicit(e1), ModelTag.ADAPTIVE)
+    inst = build_instance(x, truth, NoiseVector.adversarial(e1), ModelTag.ADAPTIVE)
     assert np.array_equal(inst.y, e1)
 
 
@@ -323,6 +322,7 @@ def _matrix_file_bytes(data) -> bytes:
 @given(data=st.data())
 def test_load_matrix_returns_a_finite_array_or_raises_value_error(tmp_path_factory, data):
     p = tmp_path_factory.getbasetemp() / "fuzzed-matrix.bin"
+    p.unlink(missing_ok=True)  # writing over a file flushes it on ext4, about 90 ms per example
     p.write_bytes(_matrix_file_bytes(data))
     try:
         x = load_matrix(p)
@@ -366,6 +366,7 @@ def test_load_instance_returns_an_instance_or_raises_value_error(tmp_path_factor
     out = tmp_path_factory.getbasetemp() / "fuzzed-instance"
     out.mkdir(exist_ok=True)
     path, doc = _saved_instance(out)
+    path.unlink()  # writing over a file flushes it on ext4, about 90 ms per example
     path.write_text(json.dumps(mutated_json(data, doc)))
     try:
         inst = load_instance(path)
@@ -373,14 +374,6 @@ def test_load_instance_returns_an_instance_or_raises_value_error(tmp_path_factor
         return
     assert is_design(inst.x, (6, 5))
     assert inst.y.shape == (6,) and inst.truth.d == 5 and inst.noise.values.shape == (6,)
-
-
-def test_matrix_csv_export(tmp_path, rng):
-    m = rng.standard_normal((4, 3))
-    p = tmp_path / "m.csv"
-    matrix_to_csv(m, p)
-    back = np.loadtxt(p, delimiter=",")
-    assert np.allclose(back, m, atol=0, rtol=0)
 
 
 def test_instance_roundtrip_and_hash_check(tmp_path):

@@ -4,7 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from linfrec import harness
+from linfrec import core, harness
+from linfrec.core import (
+    Dims,
+    Ensemble,
+    ModelTag,
+    NoiseVector,
+    SparseVector,
+    build_instance,
+    load_instance,
+    load_matrix,
+    sample_ensemble,
+    save_instance,
+    save_matrix,
+    save_matrix_addressed,
+)
 from linfrec.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -88,16 +102,51 @@ def test_csv_roundtrip(tmp_path):
     assert header == CSV_COLUMNS
 
 
-def test_write_csv_replaces_existing_file(tmp_path):
-    records, _ = run_experiment(tiny_config(ExperimentKind.THRESHOLD_STATS, grid=[{"n": 300, "d": 60, "k": 4}]))
-    path = tmp_path / "r.csv"
+def _writer_case(writer, tmp_path):
+    """(write, read, module looked up for replace_file) for one of the file writers."""
+    if writer == "write_csv":
+        records, _ = run_experiment(tiny_config(ExperimentKind.THRESHOLD_STATS, grid=[{"n": 300, "d": 60, "k": 4}]))
+        return (lambda p: write_csv(records, p)), (lambda p: len(read_csv(p)) == len(records)), harness
+    x = sample_ensemble(Dims(n=6, d=5, k=2), Ensemble.GAUSSIAN_SCALED, seed=4)
+    if writer == "save_matrix":
+        return (lambda p: save_matrix(x, p)), (lambda p: np.array_equal(load_matrix(p), x)), core
+    inst = build_instance(x, SparseVector.zeros(5, 2), NoiseVector.gaussian(6, 0.1, seed=5), ModelTag.OBLIVIOUS)
+    matrix = save_matrix_addressed(x, tmp_path)
+    return (
+        (lambda p: save_instance(inst, p, matrix)),
+        (lambda p: np.array_equal(load_instance(p).y, inst.y)),
+        core,
+    )
+
+
+@pytest.mark.parametrize("writer", ["write_csv", "save_matrix", "save_instance"])
+def test_writer_replaces_existing_file(tmp_path, monkeypatch, writer):
+    write, read, module = _writer_case(writer, tmp_path)
+    path = tmp_path / "out"
     path.write_text("stale contents that are longer than nothing\n" * 200)
-    write_csv(records, path)
-    fresh = tmp_path / "fresh.csv"
-    write_csv(records, fresh)
+    write(path)
+    fresh = tmp_path / "fresh"
+    write(fresh)
     assert path.read_bytes() == fresh.read_bytes()
-    assert len(read_csv(path)) == len(records)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "r.csv"]
+    assert read(path)
+    assert list(tmp_path.glob("*.tmp")) == []
+
+    # a write that raises partway keeps the old file and leaves no temp file
+    old = path.read_bytes()
+    real = core.replace_file
+
+    def first_chunk_then_fail(target, chunks):
+        def broken():
+            yield next(iter(chunks))
+            raise OSError("disk full")
+
+        real(target, broken())
+
+    monkeypatch.setattr(module, "replace_file", first_chunk_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_header_mismatch_rejected(tmp_path):

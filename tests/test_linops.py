@@ -10,7 +10,6 @@ from linfrec.linops import (
     IndexSet,
     SolverFailure,
     _cg_solve,
-    hard_threshold,
     hard_threshold_values,
     inf_op_norm,
     restricted_gram,
@@ -47,10 +46,6 @@ class TestHardThreshold:
         assert np.array_equal(hard_threshold_values(np.array([3.0, -5.0, 1.0]), 0), [0.0, 0.0, 0.0])
         # lexicographic tie-break keeps the smaller index
         assert np.array_equal(hard_threshold_values(np.array([2.0, -2.0]), 1), [2.0, 0.0])
-
-    def test_keeps_min_k_nnz(self):
-        out = hard_threshold(np.array([0.0, 1.0, 0.0, 0.0]), 3)
-        assert out.nnz == 1
 
     def test_bad_k(self):
         with pytest.raises(ValueError):

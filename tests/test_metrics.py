@@ -64,10 +64,9 @@ def test_ratio_fields_match_definitions(rng):
     xi = rng.standard_normal(40)
     s = IndexSet.from_iterable([1, 4, 9])
     mr = compute_metrics(x, xi, s)
-    assert mr.ratios["ols_over_support"] == pytest.approx(mr.m_ols / mr.m_gram_support)
-    assert mr.ratios["support_over_l2"] == pytest.approx(mr.m_gram_support / mr.m_l2)
-    # l2_over_linf is ||xi||_2 / ||xi||_inf, always in [1, sqrt(n)]
-    assert 1.0 <= mr.ratios["l2_over_linf"] <= math.sqrt(40) + 1e-12
+    assert mr.ols_over_support == pytest.approx(mr.m_ols / mr.m_gram_support)
+    # ||xi||_2 / ||xi||_inf is always in [1, sqrt(n)]
+    assert 1.0 <= mr.m_l2 * math.sqrt(40) / mr.m_linf <= math.sqrt(40) + 1e-12
 
 
 def test_singular_system_reports_missing_ols(monkeypatch):
@@ -88,7 +87,7 @@ def test_singular_system_reports_missing_ols(monkeypatch):
     mr = compute_metrics(x, xi, s)
     assert mr.m_ols is None
     assert "achieved residual" in mr.diagnostics["ols_failure"]
-    assert mr.ratios["ols_over_support"] is None
+    assert mr.ols_over_support is None
 
 
 from functools import lru_cache
@@ -113,7 +112,7 @@ class TestEquivalenceChain:
     def test_ols_within_factor_six_of_support_metric(self):
         trials, hits = 40, 0
         for mr, _, _ in self._draws(40):
-            ratio = mr.ratios["ols_over_support"]
+            ratio = mr.ols_over_support
             hits += ratio is not None and 1.0 / 6.0 <= ratio <= 6.0
         assert hits >= 0.95 * trials
 
