@@ -100,7 +100,7 @@ def calibrate_metric_chain(trials, seed):
         ups.append(mr.m_gram_support / (l2 * math.sqrt(math.log(k / delta) / n)))
         downs.append(mr.m_gram_support / (l2 / math.sqrt(n)))
     p95 = np.quantile(ups, 0.95, method="higher")
-    p05 = np.quantile(downs, 0.05, method="higher")
+    p05 = np.quantile(downs, 0.05, method="lower")  # floor(q(n-1)): a lower tail rounds down
     print(f"chain upper A needed: p95={p95:.3f} max={max(ups):.3f}")
     print(f"chain lower a needed: p05={p05:.3f} min={min(downs):.3f}")
 

@@ -18,7 +18,7 @@ from .core import (
     sample_ensemble,
 )
 from .linops import IndexSet, SolverFailure, inf_op_norm, restricted_gram, restricted_ols
-from .recovery import IhtParams, ObliviousParams, RecoveryReport, ReductionParams, iht, oblivious_recover, osr_reduction
+from .recovery import RecoveryReport, iht, oblivious_recover, osr_reduction
 from .ripcert import RipCertificate, certify_l2_rip, certify_linf_rip, certify_pi, linf_rip_sample_floor, welch_floor
 
 __version__ = "0.1.0"
@@ -26,15 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Dims",
     "Ensemble",
-    "IhtParams",
     "IndexSet",
     "ModelTag",
     "NoiseKind",
     "NoiseVector",
-    "ObliviousParams",
     "RecoveryInstance",
     "RecoveryReport",
-    "ReductionParams",
     "RipCertificate",
     "SolverFailure",
     "SparseVector",

@@ -44,19 +44,11 @@ from .padaptive import (
     SNR_CONSTANT,
     MaskedOracle,
     SupportBlowupError,
-    SupportEstimatorParams,
     adaptive_support_recover,
     default_r_inf,
     threshold_stats,
 )
-from .recovery import (
-    IhtParams,
-    ObliviousParams,
-    ReductionParams,
-    iht,
-    oblivious_recover,
-    osr_reduction,
-)
+from .recovery import iht, oblivious_recover, osr_reduction
 from .ripcert import BudgetExceeded, certify_linf_rip
 
 __all__ = [
@@ -146,7 +138,9 @@ class ExperimentConfig:
         if self.noise.get("kind", "gaussian") not in ("gaussian", "zero"):
             raise ValueError(f"unknown noise kind {self.noise['kind']!r}")
         if "sigma" in self.noise:
-            json_field(doc, numbers.Real, "noise", "sigma")
+            sigma = json_field(doc, numbers.Real, "noise", "sigma")
+            if not (_finite_number(sigma) and sigma >= 0):
+                raise ValueError(f"noise.sigma must be a finite nonnegative number, got {sigma!r}")
         if self.output is not None:
             json_field(doc, str, "output")
         _check_keys(self.algorithm, _KINDS[self.kind][2], "algorithm", f" for {self.kind.value}")
@@ -291,7 +285,7 @@ def _trial_oblivious(dims: Dims, cfg: ExperimentConfig, seed: int):
     inst, msig = _oblivious_instance(dims, cfg, seed)
     r = max(msig * math.sqrt(math.log(dims.n)), 1e-12)
     R = float(np.linalg.norm(inst.truth.values))
-    rep = oblivious_recover(inst.x, inst.y, ObliviousParams(k=dims.k, R=R, r=r))
+    rep = oblivious_recover(inst.x, inst.y, dims.k, R, r)
     const = float(cfg.algorithm.get("error_constant", frozen.OBLIVIOUS_ERROR_CONSTANT))
     return *_errors(rep.estimate, inst.truth), msig, const * r, {"r": r}
 
@@ -301,11 +295,10 @@ def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     truth, xi = pair.theta1, pair.xi1
     msig = _gram_noise(x, xi)
     r = MASKING_BASE / 100.0
-    params = IhtParams(k=dims.k, R=MASKING_BASE, r=r)
     cert = None
     if cfg.algorithm.get("certify", False):
         cert = certify_linf_rip(x, 0.25, 2 * dims.k, mode="exact")
-    rep = iht(x, pair.shared_y, params)
+    rep = iht(x, pair.shared_y, dims.k, MASKING_BASE, r)
     extra = {"r": r, "v_linf": float(np.max(np.abs(pair.theta2.values - pair.theta1.values)))}
     if cert is not None:
         extra["cert_value"] = cert.achieved
@@ -317,8 +310,7 @@ def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
     inst, msig = _oblivious_instance(dims, cfg, seed)
     r = float(cfg.noise.get("sigma", 1.0)) / 100.0
     R = float(np.linalg.norm(inst.truth.values))
-    params = ReductionParams(k=dims.k, R=R, r=r)
-    rep = osr_reduction(inst.x, inst.y, params)
+    rep = osr_reduction(inst.x, inst.y, dims.k, R, r)
     const = float(cfg.algorithm.get("error_constant", frozen.REDUCTION_ERROR_CONSTANT))
     bound = const * msig * math.sqrt(math.log(dims.n) * math.log(R / r)) if R > r else const * msig
     return *_errors(rep.estimate, inst.truth), msig, bound, {"r": r}
@@ -338,7 +330,7 @@ def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
 
     R = max(float(np.linalg.norm(pair.theta1.values)), float(np.linalg.norm(pair.theta2.values)))
     r = max(max(m1, m2) * math.sqrt(math.log(dims.n)), 1e-12)
-    rep = oblivious_recover(x, pair.shared_y, ObliviousParams(k=dims.k, R=R, r=r))
+    rep = oblivious_recover(x, pair.shared_y, dims.k, R, r)
     e1 = _errors(rep.estimate, pair.theta1)[0]
     e2 = _errors(rep.estimate, pair.theta2)[0]
     tol = 1e-12
@@ -393,15 +385,9 @@ def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1), "pm_uniform_above", min_signal)
     oracle = MaskedOracle(dims, truth, sigma, derive_seed(seed, 0), ensemble=cfg.ensemble)
     n_rounds = int(cfg.algorithm.get("rounds", math.ceil(2.0 * math.log(dims.k))))
-    params = SupportEstimatorParams(
-        k=dims.k,
-        n_total=dims.n,
-        N=n_rounds,
-        R=float(np.linalg.norm(truth.values)),
-        r2=sigma,
-        r_inf=float(cfg.algorithm.get("r_inf", default_r_inf(sigma, dims.d))),
-    )
-    rep = adaptive_support_recover(oracle, params)
+    R = float(np.linalg.norm(truth.values))
+    r_inf = float(cfg.algorithm.get("r_inf", default_r_inf(sigma, dims.d)))
+    rep = adaptive_support_recover(oracle, n_rounds, R, sigma, r_inf)
     const = float(cfg.algorithm.get("error_constant", frozen.PARTIAL_ADAPTIVE_ERROR_CONSTANT))
     bound = const * sigma * math.sqrt(math.log(dims.d))
     extra = {

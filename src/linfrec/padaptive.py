@@ -19,12 +19,11 @@ import numpy as np
 
 from .core import Dims, Ensemble, SparseVector, draw_design, json_field, rng_from
 from .linops import IndexSet, hard_threshold_values, restricted_ols
-from .recovery import IhtParams, RecoveryReport, iht
+from .recovery import RecoveryReport, iht
 
 __all__ = [
     "MaskedOracle",
     "SupportBlowupError",
-    "SupportEstimatorParams",
     "ThresholdStats",
     "adaptive_support_recover",
     "default_r_inf",
@@ -173,86 +172,57 @@ def default_r_inf(noise_sigma: float, d: int) -> float:
     return 0.5 * SNR_CONSTANT * noise_sigma * math.sqrt(2.0 * math.log(d))
 
 
-@dataclass(frozen=True)
-class SupportEstimatorParams:
-    """Budgets for the three-phase masked-query estimator.
-
-    One third of the rows warm-start, one third spreads across N masking
-    rounds (floor division; the remainder joins the final phase), one third
-    funds the closing least-squares fit.
-    """
-
-    k: int
-    n_total: int
-    N: int
-    R: float
-    r2: float
-    r_inf: float
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("need at least one adaptive round")
-
-    @property
-    def warm_rows(self) -> int:
-        return self.n_total // 3
-
-    @property
-    def round_rows(self) -> int:
-        return self.n_total // (3 * self.N)
-
-    @property
-    def final_rows(self) -> int:
-        return self.n_total - self.warm_rows - self.N * self.round_rows
-
-
 def adaptive_support_recover(
-    oracle: MaskedOracle, params: SupportEstimatorParams
+    oracle: MaskedOracle, rounds: int, R: float, r2: float, r_inf: float
 ) -> RecoveryReport:
     """Recover support and values through masked queries.
 
-    Phase I: IHT on an unmasked block; its support seeds T_0.  Phase II: N
-    rounds, each masking the current T and adding coordinates whose
-    correlation with the fresh observation clears ``r_inf``.  Phase III: a
-    fresh block masking everything outside T, restricted least squares on T,
-    then hard threshold to k.
+    The budget is ``oracle.dims``: n rows in all, sparsity k.  Phase I: IHT
+    at resolution ``r2`` on an unmasked block of n // 3 rows; its support
+    seeds T_0.  Phase II: ``rounds`` rounds of n // (3 rounds) rows, each
+    masking the current T and adding coordinates whose correlation with the
+    fresh observation clears ``r_inf``.  Phase III: the remaining rows, masking
+    everything outside T, restricted least squares on T, then hard threshold
+    to k.
     """
-    d = oracle.dims.d
-    x0, y0 = oracle.masked_observe(params.warm_rows, IndexSet.from_iterable([]))
-    warm = iht(x0, y0, IhtParams(k=params.k, R=params.R, r=params.r2))
+    if rounds < 1:
+        raise ValueError("need at least one adaptive round")
+    n, d, k = oracle.dims.n, oracle.dims.d, oracle.dims.k
+    x0, y0 = oracle.masked_observe(n // 3, IndexSet.from_iterable([]))
+    warm = iht(x0, y0, k, R, r2)
     del x0, y0  # the warm block is the largest; free it before the later draws
     t_cur = IndexSet(warm.estimate.support.copy())
     support_trace = [len(t_cur)]
     support_sets = [[int(i) for i in t_cur.indices]]
 
-    for _ in range(params.N):
-        xi_blk, yi = oracle.masked_observe(params.round_rows, t_cur)
+    round_rows = n // (3 * rounds)
+    for _ in range(rounds):
+        xi_blk, yi = oracle.masked_observe(round_rows, t_cur)
         corr = np.abs(xi_blk.T @ yi)
-        found = np.flatnonzero(corr >= params.r_inf).astype(np.int64)
+        found = np.flatnonzero(corr >= r_inf).astype(np.int64)
         t_cur = t_cur.union(IndexSet(found))
         support_trace.append(len(t_cur))
         support_sets.append([int(i) for i in t_cur.indices])
 
-    cap = SUPPORT_CAP_FACTOR * params.k * max(math.log(params.k), 1.0)
+    cap = SUPPORT_CAP_FACTOR * k * max(math.log(k), 1.0)
     if len(t_cur) > cap:
         raise SupportBlowupError(
             f"support grew to {len(t_cur)} > cap {cap:.0f}; false-positive control failed"
         )
 
     theta = np.zeros(d)
-    xf, yf = oracle.masked_observe(params.final_rows, t_cur.complement(d))
+    xf, yf = oracle.masked_observe(n - n // 3 - rounds * round_rows, t_cur.complement(d))
     if len(t_cur):
         w = restricted_ols(xf, t_cur, yf)
         theta[t_cur.indices] = w
-    theta = hard_threshold_values(theta, params.k)
+    theta = hard_threshold_values(theta, k)
 
     return RecoveryReport(
-        estimate=SparseVector.from_dense(theta, budget=params.k),
-        iterations=params.N,
+        estimate=SparseVector.from_dense(theta, budget=k),
+        iterations=rounds,
         diagnostics={
             "support_trace": support_trace,
             "support_sets": support_sets,
-            "final_support": [int(i) for i in t_cur.indices],
             "rows_consumed": oracle.rows_consumed(),
         },
     )

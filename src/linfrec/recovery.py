@@ -20,10 +20,7 @@ from .core import SparseVector
 from .linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols
 
 __all__ = [
-    "IhtParams",
-    "ObliviousParams",
     "RecoveryReport",
-    "ReductionParams",
     "iht",
     "oblivious_recover",
     "osr_reduction",
@@ -33,43 +30,6 @@ __all__ = [
 # the estimators, never set per call.
 DEFAULT_THRESHOLD_C = 1.0 / 80.0  # support-identification threshold is r / c
 DEFAULT_HOLDOUT_C = 1.0 / 20.0    # holdout test fires above rho / c'
-
-
-@dataclass(frozen=True)
-class IhtParams:
-    """Budget k, signal-norm bound R, target resolution r.
-
-    R bounds ||theta*||_2 in the oblivious regime and ||theta*||_inf in the
-    adaptive regime; the iteration itself is identical.
-    """
-
-    k: int
-    R: float
-    r: float
-
-    def __post_init__(self):
-        if self.R <= 0 or self.r <= 0:
-            raise ValueError("R and r must be positive")
-
-    @property
-    def max_iters(self) -> int:
-        if self.r >= self.R:
-            return 0
-        return math.ceil(math.log2(self.R / self.r))
-
-
-@dataclass(frozen=True)
-class ObliviousParams:
-    k: int
-    R: float
-    r: float
-
-
-@dataclass(frozen=True)
-class ReductionParams:
-    k: int
-    R: float
-    r: float
 
 
 @dataclass
@@ -89,41 +49,30 @@ def _observations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _iht_values(
-    x: np.ndarray, y: np.ndarray, k: int, n_iters: int, record: bool, gain: float
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    theta = np.zeros(x.shape[1])
-    trace = [theta.copy()] if record else []
-    for _ in range(n_iters):
-        theta = hard_threshold_values(theta + gain * (x.T @ (y - x @ theta)), k)
-        if record:
-            trace.append(theta.copy())
-    return theta, trace
+def _halvings(R: float, r: float) -> int:
+    """ceil(log2(R/r)): the halvings that take resolution R down to r (0 if r >= R)."""
+    if not (0.0 < R < math.inf and 0.0 < r < math.inf):
+        raise ValueError(f"R and r must be positive and finite, got R={R!r}, r={r!r}")
+    return 0 if r >= R else math.ceil(math.log2(R / r))
 
 
 def iht(
-    x: np.ndarray,
-    y: np.ndarray,
-    params: IhtParams,
-    record_iterates: bool = False,
-    *,
-    gain: float = 1.0,
+    x: np.ndarray, y: np.ndarray, k: int, R: float, r: float, *, gain: float = 1.0
 ) -> RecoveryReport:
-    """Gradient step then keep-top-k, for ceil(log2(R/r)) iterations.
+    """Gradient step then keep-top-k, for ceil(log2(R/r)) iterations from zero.
 
-    Under adaptive noise with a sup-norm RIP certificate at (eps <= 1/4, 2k)
-    the sup-norm error is at most r + 2 ||X^T xi||_inf.  ``gain`` runs the
-    iteration on ``sqrt(gain) * (x, y)`` without forming that copy.
+    R bounds ||theta*||_2 in the oblivious regime and ||theta*||_inf in the
+    adaptive regime; the iteration itself is identical.  Under adaptive noise
+    with a sup-norm RIP certificate at (eps <= 1/4, 2k) the sup-norm error is
+    at most r + 2 ||X^T xi||_inf.  ``gain`` runs the iteration on
+    ``sqrt(gain) * (x, y)`` without forming that copy.
     """
     y = _observations(x, y)
-    n_iters = params.max_iters
-    theta, trace = _iht_values(x, y, params.k, n_iters, record_iterates, gain)
-    report = RecoveryReport(
-        estimate=SparseVector.from_dense(theta, budget=params.k), iterations=n_iters
-    )
-    if record_iterates:
-        report.diagnostics["iterates"] = trace
-    return report
+    n_iters = _halvings(R, r)
+    theta = np.zeros(x.shape[1])
+    for _ in range(n_iters):
+        theta = hard_threshold_values(theta + gain * (x.T @ (y - x @ theta)), k)
+    return RecoveryReport(estimate=SparseVector.from_dense(theta, budget=k), iterations=n_iters)
 
 
 def _split_rows(data: np.ndarray, y: np.ndarray, parts: int) -> tuple[list, list, int]:
@@ -134,11 +83,7 @@ def _split_rows(data: np.ndarray, y: np.ndarray, parts: int) -> tuple[list, list
 
 
 def oblivious_recover(
-    x: np.ndarray,
-    y: np.ndarray,
-    params: ObliviousParams,
-    *,
-    gain: float = 1.0,
+    x: np.ndarray, y: np.ndarray, k: int, R: float, r: float, *, gain: float = 1.0
 ) -> RecoveryReport:
     """Three-phase recovery: IHT warm start, support thresholding, restricted OLS.
 
@@ -155,13 +100,13 @@ def oblivious_recover(
     y1, y2, y3 = ys
     gain *= 3.0
 
-    warm = iht(x1, y1, IhtParams(k=params.k, R=params.R, r=math.sqrt(params.k) * params.r), gain=gain)
+    warm = iht(x1, y1, k, R, math.sqrt(k) * r, gain=gain)
     theta_hat = warm.estimate.values
 
     r2 = y2 - x2 @ theta_hat
     r3 = y3 - x3 @ theta_hat
     corr = gain * (x2.T @ r2)
-    l_idx = np.flatnonzero(np.abs(corr) >= params.r / DEFAULT_THRESHOLD_C).astype(np.int64)
+    l_idx = np.flatnonzero(np.abs(corr) >= r / DEFAULT_THRESHOLD_C).astype(np.int64)
 
     theta = theta_hat.copy()
     if len(l_idx):
@@ -172,18 +117,13 @@ def oblivious_recover(
         estimate=SparseVector.from_dense(theta, budget=max(budget, 1)),
         iterations=warm.iterations,
         diagnostics={
-            "support_size": int(np.count_nonzero(theta)),
             "correction_support": len(l_idx),
             "truncated_rows": dropped,
         },
     )
 
 
-def osr_reduction(
-    x: np.ndarray,
-    y: np.ndarray,
-    params: ReductionParams,
-) -> RecoveryReport:
+def osr_reduction(x: np.ndarray, y: np.ndarray, k: int, R: float, r: float) -> RecoveryReport:
     """Geometric-threshold reduction with holdout validation.
 
     Runs the oblivious pipeline at resolutions R/2, R/4, ... on odd blocks,
@@ -196,31 +136,29 @@ def osr_reduction(
     """
     y = _observations(x, y)
     d = x.shape[1]
-    if params.r >= params.R:
-        return RecoveryReport(estimate=SparseVector.zeros(d, params.k), iterations=0)
+    big_t = _halvings(R, r)
+    if big_t == 0:
+        return RecoveryReport(estimate=SparseVector.zeros(d, k), iterations=0)
 
-    big_t = math.ceil(math.log2(params.R / params.r))
     parts = 2 * big_t
     xs, ys, dropped = _split_rows(x, y, parts)
 
     theta_prev = np.zeros(d)
-    rho = params.R
+    rho = R
     stop_round = None
     stop_reason = None
     holdout_trace = []
     for t in range(big_t):
         rho /= 2.0
         try:
-            inner = oblivious_recover(
-                xs[2 * t], ys[2 * t], ObliviousParams(k=params.k, R=params.R, r=rho), gain=parts
-            )
+            inner = oblivious_recover(xs[2 * t], ys[2 * t], k, R, rho, gain=parts)
         except SolverFailure:
             # an uncomputable estimate cannot pass validation; keep the last
             # holdout-validated iterate (rounds this deep are junk anyway)
             stop_round = t
             stop_reason = "inner_solver_failure"
             break
-        theta_next = hard_threshold_values(inner.estimate.values, params.k)
+        theta_next = hard_threshold_values(inner.estimate.values, k)
         xh, yh = xs[2 * t + 1], ys[2 * t + 1]
         stat = parts * float(np.max(np.abs(xh.T @ (yh - xh @ theta_next)), initial=0.0))
         holdout_trace.append(stat)
@@ -231,7 +169,7 @@ def osr_reduction(
         theta_prev = theta_next
 
     return RecoveryReport(
-        estimate=SparseVector.from_dense(theta_prev, budget=params.k),
+        estimate=SparseVector.from_dense(theta_prev, budget=k),
         iterations=big_t if stop_round is None else stop_round,
         diagnostics={
             "rounds": big_t,

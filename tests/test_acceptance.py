@@ -23,7 +23,7 @@ from linfrec.core import (
 )
 from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment
 from linfrec.linops import IndexSet, restricted_gram, restricted_ols
-from linfrec.recovery import IhtParams, iht
+from linfrec.recovery import iht
 from linfrec.ripcert import certify_linf_rip, certify_pi, welch_floor
 
 
@@ -59,9 +59,10 @@ def test_criterion_01_exact_half_step_contraction():
             s = IndexSet(np.sort(rng.choice(free, size=min(2 * k, len(free)), replace=False)).astype(np.int64))
             noise = NoiseVector.adversarial(x @ build_masking_vector(x, s).v.values)
         inst = build_instance(x, truth, noise, ModelTag.ADAPTIVE)
-        rep = iht(x, inst.y, IhtParams(k=k, R=1.0, r=0.01), record_iterates=True)
+        steps = iht(x, inst.y, k, 1.0, 0.01).iterations
         eps, sigma_m = cert.achieved, float(np.max(np.abs(x.T @ noise.values), initial=0.0))
-        iterates = rep.diagnostics["iterates"]
+        # iht at resolution R / 2**t (R = 1) runs exactly t steps from zero
+        iterates = [iht(x, inst.y, k, 1.0, 1.0 / 2**t).estimate.values for t in range(steps + 1)]
         for prev, nxt in zip(iterates, iterates[1:]):
             half = prev + x.T @ (inst.y - x @ prev)
             e_half = float(np.max(np.abs(half - truth.values)))

@@ -181,6 +181,9 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
             dict(VALID, algorithm={"error_constant": None}),
             "algorithm.error_constant must be a finite number, got None",
         ),
+        (dict(VALID, noise={"sigma": float("nan")}), "noise.sigma must be a finite nonnegative number, got nan"),
+        (dict(VALID, noise={"sigma": float("inf")}), "noise.sigma must be a finite nonnegative number, got inf"),
+        (dict(VALID, noise={"sigma": -1}), "noise.sigma must be a finite nonnegative number, got -1"),
     ],
 )
 def test_run_malformed_config_is_reported(tmp_path, capsys, cfg, message):
@@ -189,6 +192,16 @@ def test_run_malformed_config_is_reported(tmp_path, capsys, cfg, message):
     code, _, err = run_cli(capsys, "run", str(cfg_path))
     assert code == 1
     assert err == f"linfrec: error: {message}\n"
+
+
+def test_run_reduction_at_zero_sigma_is_reported(tmp_path, capsys):
+    # sigma 0 sets the reduction's target resolution r = sigma / 100 to zero
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(VALID, kind="reduction_recovery", noise={"sigma": 0.0})))
+    code, _, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 1
+    assert err.startswith("linfrec: error: R and r must be positive and finite, got R=")
+    assert err.endswith(", r=0.0\n")
 
 
 @pytest.mark.parametrize(

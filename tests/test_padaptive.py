@@ -13,7 +13,6 @@ from linfrec.linops import IndexSet
 from linfrec.padaptive import (
     MaskedOracle,
     SupportBlowupError,
-    SupportEstimatorParams,
     adaptive_support_recover,
     default_r_inf,
     threshold_stats,
@@ -271,10 +270,8 @@ def monotone_fixture():
     support = np.sort(rng.choice(d, size=k, replace=False))
     truth = sparse(d, support, rng.choice([-1.0, 1.0], k) * min_sig)
     oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, sigma, master_seed=16)
-    params = SupportEstimatorParams(
-        k=k, n_total=n, N=3, R=float(np.linalg.norm(truth.values)),
-        r2=sigma, r_inf=default_r_inf(sigma, d),
-    )
+    # rounds, R, r2, r_inf; n and k come from the oracle's dims
+    params = (3, float(np.linalg.norm(truth.values)), sigma, default_r_inf(sigma, d))
     return oracle, params
 
 
@@ -283,10 +280,7 @@ class TestAdaptiveSupportRecover:
         d, k = 24, 3
         truth = sparse(d, [1, 5, 17], [4.0, -3.0, 2.0])
         oracle = FakeOrthonormalOracle(Dims(n=3 * d * 3, d=d, k=k), truth)
-        params = SupportEstimatorParams(
-            k=k, n_total=9 * d, N=2, R=10.0, r2=1e-6, r_inf=1.0
-        )
-        rep = adaptive_support_recover(oracle, params)
+        rep = adaptive_support_recover(oracle, 2, 10.0, 1e-6, 1.0)
         # phase one alone finds the support; later rounds add nothing
         assert rep.diagnostics["support_trace"][0] == k
         assert np.array_equal(rep.estimate.support, truth.support)
@@ -295,29 +289,36 @@ class TestAdaptiveSupportRecover:
     def test_zero_truth_returns_zero(self):
         d = 40
         oracle = MaskedOracle(Dims(n=600, d=d, k=4), SparseVector.zeros(d, 4), 0.0, master_seed=3)
-        params = SupportEstimatorParams(k=4, n_total=600, N=3, R=1.0, r2=0.5, r_inf=1.0)
-        rep = adaptive_support_recover(oracle, params)
+        rep = adaptive_support_recover(oracle, 3, 1.0, 0.5, 1.0)
         assert np.array_equal(rep.estimate.values, np.zeros(d))
         assert rep.diagnostics["support_trace"] == [0, 0, 0, 0]
 
     def test_monotone_mask_growth_and_budget(self):
         oracle, params = monotone_fixture()
-        n = params.n_total
-        adaptive_support_recover(oracle, params)
+        n, rounds = oracle.dims.n, params[0]
+        adaptive_support_recover(oracle, *params)
         # phase two masks grow monotonically; total row budget is exact
         masks = [set(q.mask) for q in oracle.query_log[1:-1]]
         for a, b in zip(masks, masks[1:]):
             assert a <= b
         assert oracle.rows_consumed() == n
-        # sanity on the stated split: warm + N rounds + remainder-absorbing final
-        assert params.warm_rows + params.N * params.round_rows + params.final_rows == n
+        # the stated split: n // 3 warm rows, n // (3 N) per round, the rest final
+        warm, per_round = n // 3, n // (3 * rounds)
+        final = n - warm - rounds * per_round
+        assert [q.rows for q in oracle.query_log] == [warm] + [per_round] * rounds + [final]
+
+    def test_rejects_zero_rounds(self):
+        oracle, params = monotone_fixture()
+        with pytest.raises(ValueError, match="at least one adaptive round"):
+            adaptive_support_recover(oracle, 0, *params[1:])
+        assert oracle.query_log == []
 
     def test_estimator_never_reads_the_truth(self):
         bare, params = monotone_fixture()
         hidden = TruthlessOracle(monotone_fixture()[0])
         assert not hasattr(hidden, "truth")
-        want = adaptive_support_recover(bare, params)
-        got = adaptive_support_recover(hidden, params)
+        want = adaptive_support_recover(bare, *params)
+        got = adaptive_support_recover(hidden, *params)
         assert np.array_equal(got.estimate.values, want.estimate.values)
         assert got.diagnostics == want.diagnostics
 
@@ -325,9 +326,8 @@ class TestAdaptiveSupportRecover:
         d, k = 3000, 2
         truth = sparse(d, [0, 1], [5.0, 5.0])
         oracle = MaskedOracle(Dims(n=300, d=d, k=k), truth, 1.0, master_seed=21)
-        params = SupportEstimatorParams(k=k, n_total=300, N=2, R=10.0, r2=1.0, r_inf=0.0)
         with pytest.raises(SupportBlowupError):
-            adaptive_support_recover(oracle, params)
+            adaptive_support_recover(oracle, 2, 10.0, 1.0, 0.0)
 
     def test_round_energy_contraction(self):
         # residual signal energy outside the accumulated support decays by
@@ -343,11 +343,8 @@ class TestAdaptiveSupportRecover:
             vals = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 2.0, k)
             truth = sparse(d, support, vals * 100.0 * sigma * math.sqrt(math.log(d)))
             oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, sigma, master_seed=920 + t)
-            params = SupportEstimatorParams(
-                k=k, n_total=n, N=4, R=float(np.linalg.norm(truth.values)),
-                r2=sigma, r_inf=default_r_inf(sigma, d),
-            )
-            rep = adaptive_support_recover(oracle, params)
+            R = float(np.linalg.norm(truth.values))
+            rep = adaptive_support_recover(oracle, 4, R, sigma, default_r_inf(sigma, d))
             sets = rep.diagnostics["support_sets"]
             for cur, nxt in zip(sets, sets[1:]):
                 res_cur = np.setdiff1d(truth.support, cur)
@@ -372,11 +369,8 @@ class TestAdaptiveSupportRecover:
             vals = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 2.0, k)
             truth = sparse(d, support, vals * 100.0 * sigma * math.sqrt(math.log(d)))
             oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, sigma, master_seed=800 + t)
-            params = SupportEstimatorParams(
-                k=k, n_total=n, N=n_rounds, R=float(np.linalg.norm(truth.values)),
-                r2=sigma, r_inf=default_r_inf(sigma, d),
-            )
-            rep = adaptive_support_recover(oracle, params)
+            R = float(np.linalg.norm(truth.values))
+            rep = adaptive_support_recover(oracle, n_rounds, R, sigma, default_r_inf(sigma, d))
             exact += np.array_equal(rep.estimate.support, truth.support)
         assert exact >= 0.9 * trials
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +20,6 @@ from linfrec.linops import IndexSet, SolverFailure, hard_threshold_values, restr
 from linfrec.recovery import (
     DEFAULT_HOLDOUT_C,
     DEFAULT_THRESHOLD_C,
-    IhtParams,
-    ObliviousParams,
-    ReductionParams,
     iht,
     oblivious_recover,
     osr_reduction,
@@ -49,36 +45,14 @@ def gram_noise(x, noise):
     return float(np.max(np.abs(x.T @ noise.values), initial=0.0))
 
 
-class TestIhtParams:
-    def test_zero_iterations_when_r_exceeds_R(self):
-        assert IhtParams(k=1, R=1.0, r=2.0).max_iters == 0
-        assert IhtParams(k=1, R=1.0, r=1.0).max_iters == 0
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        R=st.floats(1e-6, 1e6, allow_nan=False),
-        r=st.floats(1e-6, 1e6, allow_nan=False),
-    )
-    def test_iteration_count_formula(self, R, r):
-        p = IhtParams(k=1, R=R, r=r)
-        if r >= R:
-            assert p.max_iters == 0
-        else:
-            assert p.max_iters == math.ceil(math.log2(R / r))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            IhtParams(k=1, R=0.0, r=1.0)
-
-
-@pytest.mark.parametrize(
+# every estimator takes (k, R, r) after (x, y); ``params`` holds those three
+ESTIMATORS = pytest.mark.parametrize(
     "estimator, params",
-    [
-        (iht, IhtParams(k=2, R=4.0, r=1.0)),
-        (oblivious_recover, ObliviousParams(k=2, R=4.0, r=1.0)),
-        (osr_reduction, ReductionParams(k=2, R=4.0, r=1.0)),
-    ],
+    [(iht, (2, 4.0, 1.0)), (oblivious_recover, (2, 4.0, 1.0)), (osr_reduction, (2, 4.0, 1.0))],
 )
+
+
+@ESTIMATORS
 @pytest.mark.parametrize(
     "y, message",
     [
@@ -91,29 +65,55 @@ class TestIhtParams:
 def test_estimators_reject_bad_observations(estimator, params, y, message):
     x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
     with pytest.raises(ValueError, match=message):
-        estimator(x, y, params)
+        estimator(x, y, *params)
+
+
+@ESTIMATORS
+@pytest.mark.parametrize("which", ["R", "r"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_estimators_reject_bad_R_and_r(estimator, params, which, bad):
+    x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
+    k, R, r = params
+    R, r = (bad, r) if which == "R" else (R, bad)
+    with pytest.raises(ValueError, match="R and r must be positive and finite"):
+        estimator(x, np.zeros(30), k, R, r)
 
 
 class TestIht:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        R=st.floats(1e-6, 1e6, allow_nan=False),
+        r=st.floats(1e-6, 1e6, allow_nan=False),
+    )
+    def test_iteration_count_formula(self, R, r):
+        x = sample_ensemble(Dims(n=10, d=5, k=1), Ensemble.GAUSSIAN_SCALED, 0)
+        rep = iht(x, np.ones(10), 1, R, r)
+        if r >= R:
+            assert rep.iterations == 0
+        else:
+            assert rep.iterations == math.ceil(math.log2(R / r))
+
     def test_identity_design_exact_in_one_iteration(self, rng):
         d, k = 12, 3
         truth = make_signal(d, k, rng, values=np.array([2.0, -1.0, 0.5]))
         x = np.eye(d)
         y = x @ truth.values
-        rep = iht(x, y, IhtParams(k=k, R=3.0, r=0.4), record_iterates=True)
+        rep = iht(x, y, k, 3.0, 0.4)
         assert linf_error(rep, truth) == 0.0
-        # the gradient step lands on the signal at the very first iterate
-        assert np.array_equal(rep.diagnostics["iterates"][1], truth.values)
+        # the gradient step lands on the signal at the very first iterate,
+        # which iht at resolution R/2 runs alone
+        assert np.array_equal(iht(x, y, k, 3.0, 3.0 / 2).estimate.values, truth.values)
 
     def test_r_at_least_R_returns_zero(self, rng):
         x = sample_ensemble(Dims(n=10, d=5, k=2), Ensemble.GAUSSIAN_SCALED, 0)
-        rep = iht(x, np.ones(10), IhtParams(k=2, R=1.0, r=2.0))
+        rep = iht(x, np.ones(10), 2, 1.0, 2.0)
         assert rep.iterations == 0
         assert np.array_equal(rep.estimate.values, np.zeros(5))
+        assert iht(x, np.ones(10), 2, 1.0, 1.0).iterations == 0
 
     def test_output_sparsity(self, rng):
         x = sample_ensemble(Dims(n=50, d=30, k=4), Ensemble.GAUSSIAN_SCALED, 1)
-        rep = iht(x, rng.standard_normal(50), IhtParams(k=4, R=10.0, r=0.1))
+        rep = iht(x, rng.standard_normal(50), 4, 10.0, 0.1)
         assert rep.estimate.nnz <= 4
 
     def test_l2_bound_monte_carlo(self):
@@ -127,7 +127,7 @@ class TestIht:
             noise = NoiseVector.gaussian(n, 0.05, 6000 + t)
             inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
             r = 0.1
-            rep = iht(x, inst.y, IhtParams(k=k, R=float(np.linalg.norm(truth.values)), r=r))
+            rep = iht(x, inst.y, k, float(np.linalg.norm(truth.values)), r)
             bound = r + 5.0 * math.sqrt(3 * k) * gram_noise(x, noise)
             hits += np.linalg.norm(rep.estimate.values - truth.values) <= bound
         assert hits >= 0.95 * trials
@@ -145,7 +145,7 @@ class TestOblivious:
         x = orthonormal_split_design(d, 3, sub_seed=10)
         truth = make_signal(d, k, rng, values=np.array([1.0, -2.0, 0.75]))
         y = x @ truth.values
-        rep = oblivious_recover(x, y, ObliviousParams(k=k, R=3.0, r=0.01))
+        rep = oblivious_recover(x, y, k, 3.0, 0.01)
         assert linf_error(rep, truth) <= 1e-9
 
     def test_zero_signal_pure_noise_below_threshold(self, rng):
@@ -153,13 +153,13 @@ class TestOblivious:
         x = sample_ensemble(Dims(n=n, d=d, k=2), Ensemble.GAUSSIAN_SCALED, 3)
         noise = NoiseVector.gaussian(n, 0.01, 4)
         y = noise.values.copy()
-        rep = oblivious_recover(x, y, ObliviousParams(k=2, R=1.0, r=10.0))
+        rep = oblivious_recover(x, y, 2, 1.0, 10.0)
         assert np.array_equal(rep.estimate.values, np.zeros(d))
         assert rep.diagnostics["correction_support"] == 0
 
     def test_truncation_diagnostic(self, rng):
         x = sample_ensemble(Dims(n=91, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
-        rep = oblivious_recover(x, rng.standard_normal(91), ObliviousParams(k=2, R=1.0, r=0.5))
+        rep = oblivious_recover(x, rng.standard_normal(91), 2, 1.0, 0.5)
         assert rep.diagnostics["truncated_rows"] == 1
 
     def test_error_within_frozen_constant_smoke(self):
@@ -174,10 +174,7 @@ class TestOblivious:
             inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
             msig = float(np.max(np.abs(x.T @ noise.values)))
             r = msig * math.sqrt(math.log(n))
-            rep = oblivious_recover(
-                x, inst.y,
-                ObliviousParams(k=k, R=float(np.linalg.norm(truth.values)), r=r),
-            )
+            rep = oblivious_recover(x, inst.y, k, float(np.linalg.norm(truth.values)), r)
             hits += linf_error(rep, truth) <= 20.0 * r
         assert hits >= 0.9 * trials
 
@@ -188,26 +185,26 @@ def _rescaled_blocks(x, y, parts):
     return [(scale * x[i * size : (i + 1) * size], scale * y[i * size : (i + 1) * size]) for i in range(parts)]
 
 
-def rescaled_oblivious(x, y, params):
+def rescaled_oblivious(x, y, k, R, r):
     """The three-phase pipeline on explicitly rescaled thirds, with no gain."""
     (x1, y1), (x2, y2), (x3, y3) = _rescaled_blocks(x, y, 3)
-    theta = iht(x1, y1, IhtParams(k=params.k, R=params.R, r=math.sqrt(params.k) * params.r)).estimate.values
+    theta = iht(x1, y1, k, R, math.sqrt(k) * r).estimate.values
     corr = x2.T @ (y2 - x2 @ theta)
-    l_idx = np.flatnonzero(np.abs(corr) >= params.r / DEFAULT_THRESHOLD_C)
+    l_idx = np.flatnonzero(np.abs(corr) >= r / DEFAULT_THRESHOLD_C)
     out = theta.copy()
     if len(l_idx):
         out[l_idx] += restricted_ols(x3, IndexSet(l_idx), y3 - x3 @ theta)
     return out
 
 
-def rescaled_reduction(x, y, params):
+def rescaled_reduction(x, y, k, R, r):
     """The holdout reduction on explicitly rescaled blocks, with no gain."""
-    big_t = math.ceil(math.log2(params.R / params.r))
+    big_t = math.ceil(math.log2(R / r))
     blocks = _rescaled_blocks(x, y, 2 * big_t)
-    theta, rho = np.zeros(x.shape[1]), params.R
+    theta, rho = np.zeros(x.shape[1]), R
     for t in range(big_t):
         rho /= 2.0
-        nxt = hard_threshold_values(rescaled_oblivious(*blocks[2 * t], replace(params, r=rho)), params.k)
+        nxt = hard_threshold_values(rescaled_oblivious(*blocks[2 * t], k, R, rho), k)
         xh, yh = blocks[2 * t + 1]
         if np.max(np.abs(xh.T @ (yh - xh @ nxt))) > rho / DEFAULT_HOLDOUT_C:
             break
@@ -229,13 +226,12 @@ def test_correlation_gains_match_rescaled_rows(gain):
     # residual of 1e-9 * (1 + |b|), not at roundoff
     x, y = _block_instance()
     scaled_x, scaled_y = math.sqrt(gain) * x, math.sqrt(gain) * y
-    params = IhtParams(k=4, R=8.0, r=5e-4)
-    got = iht(x, y, params, gain=gain).estimate.values
-    np.testing.assert_allclose(got, iht(scaled_x, scaled_y, params).estimate.values, rtol=1e-12, atol=1e-12)
-    params = ObliviousParams(k=4, R=8.0, r=5e-4)
-    rep = oblivious_recover(x, y, params, gain=gain)
+    params = (4, 8.0, 5e-4)  # k, R, r
+    got = iht(x, y, *params, gain=gain).estimate.values
+    np.testing.assert_allclose(got, iht(scaled_x, scaled_y, *params).estimate.values, rtol=1e-12, atol=1e-12)
+    rep = oblivious_recover(x, y, *params, gain=gain)
     assert rep.diagnostics["correction_support"] > 0
-    np.testing.assert_allclose(rep.estimate.values, rescaled_oblivious(scaled_x, scaled_y, params), rtol=0, atol=1e-7)
+    np.testing.assert_allclose(rep.estimate.values, rescaled_oblivious(scaled_x, scaled_y, *params), rtol=0, atol=1e-7)
 
 
 def test_reduction_matches_rescaled_blocks():
@@ -243,15 +239,15 @@ def test_reduction_matches_rescaled_blocks():
         x = sample_ensemble(Dims(n=2400, d=80, k=3), Ensemble.GAUSSIAN_SCALED, 40 + seed)
         truth = make_signal(80, 3, np.random.default_rng(50 + seed))
         y = x @ truth.values + 0.05 * np.random.default_rng(60 + seed).standard_normal(2400)
-        params = ReductionParams(k=3, R=float(np.linalg.norm(truth.values)), r=5e-4)
-        rep = osr_reduction(x, y, params)
-        np.testing.assert_allclose(rep.estimate.values, rescaled_reduction(x, y, params), rtol=0, atol=1e-7)
+        params = (3, float(np.linalg.norm(truth.values)), 5e-4)  # k, R, r
+        rep = osr_reduction(x, y, *params)
+        np.testing.assert_allclose(rep.estimate.values, rescaled_reduction(x, y, *params), rtol=0, atol=1e-7)
 
 
 class TestReduction:
     def test_r_at_least_R_returns_zero(self, rng):
         x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 6)
-        rep = osr_reduction(x, rng.standard_normal(30), ReductionParams(k=2, R=1.0, r=1.5))
+        rep = osr_reduction(x, rng.standard_normal(30), 2, 1.0, 1.5)
         assert np.array_equal(rep.estimate.values, np.zeros(10))
 
     def test_noiseless_orthonormal_splits_exact(self, rng):
@@ -264,7 +260,7 @@ class TestReduction:
         x = np.vstack(blocks) / math.sqrt(2 * big_t)
         truth = make_signal(d, k, rng, values=np.array([2.0, -1.5]))
         y = x @ truth.values
-        rep = osr_reduction(x, y, ReductionParams(k=k, R=R, r=r))
+        rep = osr_reduction(x, y, k, R, r)
         assert rep.diagnostics["stop_round"] is None
         assert linf_error(rep, truth) <= 1e-9
 
@@ -277,12 +273,12 @@ class TestReduction:
         truth = make_signal(d, k, master)
         noise = NoiseVector.gaussian(n, 0.05, seed + 100)
         inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
-        params = ReductionParams(k=k, R=float(np.linalg.norm(truth.values)), r=0.05 / 100)
+        params = (k, float(np.linalg.norm(truth.values)), 0.05 / 100)  # k, R, r
         return x, inst, params, truth
 
     def test_failed_holdout_returns_previous_iterate(self):
         x, inst, params, truth = self._undersampled_instance(100)
-        rep = osr_reduction(x, inst.y, params)
+        rep = osr_reduction(x, inst.y, *params)
         assert rep.diagnostics["stop_round"] == 2
         assert rep.diagnostics["stop_reason"] == "holdout_rejection"
         # the returned iterate passed its own holdout: error stays at the
@@ -297,7 +293,7 @@ class TestReduction:
 
         monkeypatch.setattr("linfrec.recovery.restricted_ols", failing_solve)
         x, inst, params, truth = self._undersampled_instance(102)
-        rep = osr_reduction(x, inst.y, params)
+        rep = osr_reduction(x, inst.y, *params)
         assert rep.diagnostics["stop_reason"] == "inner_solver_failure"
         # error sits at the last validated resolution, not at the junk scale
         assert linf_error(rep, truth) < 8.0
@@ -314,10 +310,10 @@ class TestAdaptiveIht:
         truth = make_signal(d, k, rng, values=np.array([1.0, -0.5]))
         x = np.eye(d)
         y = x @ truth.values
-        params = IhtParams(k=k, R=1.0, r=0.1)
-        rep = iht(x, y, params)
+        r = 0.1
+        rep = iht(x, y, k, 1.0, r)
         assert linf_error(rep, truth) == 0.0
-        bound = params.r + 2.0 * gram_noise(x, NoiseVector.zero(d))
+        bound = r + 2.0 * gram_noise(x, NoiseVector.zero(d))
         assert linf_error(rep, truth) <= bound + ADAPTIVE_BOUND_SLACK
 
     def _certified_fixture(self, seed, adversarial_noise):
@@ -340,11 +336,12 @@ class TestAdaptiveIht:
     @pytest.mark.parametrize("adversarial_noise", [False, True])
     def test_contraction_per_iteration_on_certified_fixture(self, adversarial_noise):
         x, inst, cert, truth, noise = self._certified_fixture(42, adversarial_noise)
-        params = IhtParams(k=truth.budget, R=1.0, r=0.01)
-        rep = iht(x, inst.y, params, record_iterates=True)
+        k, R, r = truth.budget, 1.0, 0.01
+        rep = iht(x, inst.y, k, R, r)
         eps = cert.achieved
         sigma_m = gram_noise(x, noise)
-        iterates = rep.diagnostics["iterates"]
+        # iht at resolution R / 2**t runs exactly t steps from zero
+        iterates = [iht(x, inst.y, k, R, R / 2**t).estimate.values for t in range(rep.iterations + 1)]
         for prev, nxt in zip(iterates, iterates[1:]):
             half = prev + x.T @ (inst.y - x @ prev)
             e_half = np.max(np.abs(half - truth.values))
@@ -352,8 +349,8 @@ class TestAdaptiveIht:
             e_next = np.max(np.abs(nxt - truth.values))
             assert e_half <= eps * e_prev + sigma_m + 1e-9
             assert e_next <= 2 * eps * e_prev + 2 * sigma_m + 1e-9
-        assert cert.holds and cert.threshold <= 0.25 and cert.s >= 2 * params.k
-        assert linf_error(rep, truth) <= params.r + 2.0 * sigma_m + ADAPTIVE_BOUND_SLACK
+        assert cert.holds and cert.threshold <= 0.25 and cert.s >= 2 * k
+        assert linf_error(rep, truth) <= r + 2.0 * sigma_m + ADAPTIVE_BOUND_SLACK
 
 
 class TestSupportIdentificationThreshold:
