@@ -79,6 +79,13 @@ def test_estimators_reject_bad_R_and_r(estimator, params, which, bad):
         estimator(x, np.zeros(30), k, R, r)
 
 
+class TestIhtParams:
+    def test_zero_iterations_when_r_exceeds_R(self):
+        x = sample_ensemble(Dims(n=10, d=5, k=1), Ensemble.GAUSSIAN_SCALED, 0)
+        assert iht(x, np.ones(10), 1, 1.0, 2.0).iterations == 0
+        assert iht(x, np.ones(10), 1, 1.0, 1.0).iterations == 0
+
+
 class TestIht:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -109,7 +116,6 @@ class TestIht:
         rep = iht(x, np.ones(10), 2, 1.0, 2.0)
         assert rep.iterations == 0
         assert np.array_equal(rep.estimate.values, np.zeros(5))
-        assert iht(x, np.ones(10), 2, 1.0, 1.0).iterations == 0
 
     def test_output_sparsity(self, rng):
         x = sample_ensemble(Dims(n=50, d=30, k=4), Ensemble.GAUSSIAN_SCALED, 1)
