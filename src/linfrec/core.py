@@ -5,18 +5,22 @@ the types here.  All randomness flows through SFC64 generators keyed by
 ``(seed, *subkeys)`` through a SeedSequence, so that any draw -- including
 per-query resamples in the masked-oracle module -- is reproducible
 bit-for-bit.  A design is drawn in fixed tiles, each from its own key, so a
-tile can be skipped or drawn alone without moving any other entry.
+tile can be skipped or drawn alone without moving any other entry, and the
+tiles can be filled on several threads without moving any byte.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
 import hashlib
 import json
 import math
 import numbers
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -56,6 +60,33 @@ MATRIX_MAGIC = b"LFRMAT01"  # 8 magic bytes, then u32 n, u32 d, row-major f64 LE
 TILE_ROWS = 1024
 TILE_COLS = 16
 TILE_TAG = 0x74696C65  # "tile"
+
+# Processes drawing designs at once: 1 in-process, the pool size in the
+# harness's pool workers (set by _share_cores), so that all processes' fill
+# threads together use each core once.
+_workers = 1
+
+
+def _share_cores(workers: int) -> None:
+    """Draw as one of ``workers`` processes that share this process's cores."""
+    global _workers
+    _workers = workers
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled with numpy's wheel, if it exports ``blas_thread_shutdown_``.
+
+    numpy has already loaded it, so this opens the same library, not a copy.
+    """
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            lib.blas_thread_shutdown_.restype = ctypes.c_int
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
 
 
 def rng_from(seed: int, *subkeys: int) -> np.random.Generator:
@@ -111,6 +142,19 @@ def _unscaled_tile(rng: np.random.Generator, shape: tuple[int, int], ensemble: E
     return z
 
 
+def _fill(x: np.ndarray, key: tuple[int, ...], ensemble: Ensemble, col_tiles: list) -> None:
+    """Draw the listed column tiles of ``x`` in every row tile, each into its own slice."""
+    rows = x.shape[0]
+    root = math.sqrt(rows)
+    for i, top in enumerate(range(0, rows, TILE_ROWS)):
+        height = min(TILE_ROWS, rows - top)
+        for j, cols, drop in col_tiles:
+            tile = _unscaled_tile(rng_from(*key, i, j, TILE_TAG), (height, cols.stop - cols.start), ensemble)
+            if drop is not None:
+                tile[:, drop] = 0.0
+            np.divide(tile, root, out=x[top : top + height, cols])
+
+
 def draw_design(
     key: tuple[int, ...], rows: int, d: int, ensemble: Ensemble, masked: np.ndarray | None = None
 ) -> np.ndarray:
@@ -122,6 +166,15 @@ def draw_design(
     unscaled first rows of a draw equal the unscaled draw of fewer rows, and
     the columns listed in ``masked`` are zero while every other entry is what
     the unmasked draw holds.  A tile whose columns are all masked is not drawn.
+
+    The column tiles are dealt round-robin to one thread per core this
+    process may use (cores divided among the harness's pool workers); each
+    tile writes only its own slice, so the bytes do not depend on the
+    number of threads.  Before a draw of more than one tile, OpenBLAS's idle
+    worker threads are released, since they busy-wait for a while after
+    every BLAS call and would take a core from the fill; the next BLAS call
+    starts them again at the same thread count.  So this must not run while
+    another thread of the process is inside BLAS (linfrec starts none).
     """
     ensemble = Ensemble(ensemble)
     keep = np.ones(d, dtype=bool)
@@ -132,15 +185,27 @@ def draw_design(
         cols = keep[lo : lo + TILE_COLS]
         if cols.any():
             col_tiles.append((j, slice(lo, lo + len(cols)), None if cols.all() else ~cols))
-    root = math.sqrt(rows)
     x = np.zeros((rows, d))
-    for i, top in enumerate(range(0, rows, TILE_ROWS)):
-        height = min(TILE_ROWS, rows - top)
-        for j, cols, drop in col_tiles:
-            tile = _unscaled_tile(rng_from(*key, i, j, TILE_TAG), (height, cols.stop - cols.start), ensemble)
-            if drop is not None:
-                tile[:, drop] = 0.0
-            np.divide(tile, root, out=x[top : top + height, cols])
+    blas = _openblas()
+    if blas is not None and len(col_tiles) * math.ceil(rows / TILE_ROWS) > 1:
+        blas.blas_thread_shutdown_()
+    threads = max(1, min(len(os.sched_getaffinity(0)) // _workers, len(col_tiles)))
+    errors = []
+
+    def band(b: int) -> None:
+        try:
+            _fill(x, key, ensemble, col_tiles[b::threads])
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=band, args=(b,)) for b in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    band(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return x
 
 

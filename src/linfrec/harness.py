@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import frozen
+from . import core, frozen
 from .adversarial import ConstructionFailure, build_indistinguishable_pair, build_metric_impossibility_pair
 from .core import (
     Dims,
@@ -487,7 +487,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     tasks = [(gi, t) for gi in range(len(cfg.grid)) for t in range(cfg.trials)]
     workers = int(os.environ.get(THREADS_ENV, "1"))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # each worker fills designs on its share of the cores
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=core._share_cores, initargs=(workers,)
+        ) as pool:
             records = list(pool.map(_run_one, [cfg] * len(tasks), *zip(*tasks)))
     else:
         records = [_run_one(cfg, gi, t) for gi, t in tasks]

@@ -50,10 +50,18 @@ def _observations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _halvings(R: float, r: float) -> int:
-    """ceil(log2(R/r)): the halvings that take resolution R down to r (0 if r >= R)."""
+    """ceil(log2(R/r)): the halvings that take resolution R down to r (0 if r >= R).
+
+    Where R/r overflows, the difference of the logarithms stands in for it.
+    It is not used throughout, because it can round an exact power of two
+    up by an ulp and so add a halving.
+    """
     if not (0.0 < R < math.inf and 0.0 < r < math.inf):
         raise ValueError(f"R and r must be positive and finite, got R={R!r}, r={r!r}")
-    return 0 if r >= R else math.ceil(math.log2(R / r))
+    if r >= R:
+        return 0
+    ratio = R / r
+    return math.ceil(math.log2(ratio) if ratio < math.inf else math.log2(R) - math.log2(r))
 
 
 def iht(
@@ -95,6 +103,7 @@ def oblivious_recover(
     ``gain`` the input counts as ``sqrt(gain) * (x, y)`` as well.
     """
     y = _observations(x, y)
+    _halvings(R, r)  # checks the caller's R and r, not the warm start's sqrt(k) * r
     xs, ys, dropped = _split_rows(x, y, 3)
     x1, x2, x3 = xs
     y1, y2, y3 = ys

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import is_design, mutated_json
 
+from linfrec import core
 from linfrec.core import (
     MATRIX_MAGIC,
     TILE_COLS,
@@ -23,6 +26,7 @@ from linfrec.core import (
     RecoveryInstance,
     SparseVector,
     build_instance,
+    draw_design,
     load_instance,
     load_matrix,
     matrix_sha256,
@@ -88,22 +92,112 @@ def test_fourth_moment_separates_ensembles():
     assert abs(kurt_r - 1.0) <= 1e-12
 
 
+def tiled_reference(key, rows, d, ensemble, masked=()):
+    """The design drawn serially, tile by tile from its own key, without draw_design."""
+    want = np.empty((rows, d))
+    for i, top in enumerate(range(0, rows, TILE_ROWS)):
+        for j, left in enumerate(range(0, d, TILE_COLS)):
+            height, width = min(TILE_ROWS, rows - top), min(TILE_COLS, d - left)
+            rng = rng_from(*key, i, j, TILE_TAG)
+            if ensemble is Ensemble.GAUSSIAN_SCALED:
+                tile = rng.standard_normal(height * width)
+            else:
+                tile = 2.0 * rng.integers(0, 2, size=height * width) - 1.0
+            want[top : top + height, left : left + width] = tile.reshape(height, width) / np.sqrt(rows)
+    want[:, list(masked)] = 0.0
+    return want
+
+
+# d = 37 is not a multiple of TILE_COLS, and TILE_ROWS + 6 rows not of TILE_ROWS
+TILED_ROWS, TILED_D = TILE_ROWS + 6, 2 * TILE_COLS + 5
+
+
 @pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
 def test_design_is_tiles_filled_row_major_from_their_own_keys(ensemble):
-    # d = 37 is not a multiple of TILE_COLS, and n = TILE_ROWS + 6 not of TILE_ROWS
-    n, d, seed = TILE_ROWS + 6, 2 * TILE_COLS + 5, 12
-    x = sample_ensemble(Dims(n=n, d=d, k=1), ensemble, seed)
-    want = np.empty((n, d))
-    for i, top in enumerate(range(0, n, TILE_ROWS)):
-        for j, left in enumerate(range(0, d, TILE_COLS)):
-            rows, cols = min(TILE_ROWS, n - top), min(TILE_COLS, d - left)
-            rng = rng_from(seed, i, j, TILE_TAG)
-            if ensemble is Ensemble.GAUSSIAN_SCALED:
-                tile = rng.standard_normal(rows * cols)
-            else:
-                tile = 2.0 * rng.integers(0, 2, size=rows * cols) - 1.0
-            want[top : top + rows, left : left + cols] = tile.reshape(rows, cols) / np.sqrt(n)
-    assert x.tobytes() == want.tobytes()
+    x = sample_ensemble(Dims(n=TILED_ROWS, d=TILED_D, k=1), ensemble, 12)
+    assert x.tobytes() == tiled_reference((12,), TILED_ROWS, TILED_D, ensemble).tobytes()
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize(
+    "masked, tiles",
+    [
+        ((), 3),
+        (range(TILE_COLS), 2),
+        ((3, 20, 21), 3),
+        (range(2 * TILE_COLS, TILED_D), 2),
+        ((0, TILED_D - 1), 3),
+    ],
+    ids=["none", "whole-tile", "part-tiles", "short-last-tile", "part-first-and-last"],
+)
+def test_threaded_fill_is_the_serial_tiles(monkeypatch, ensemble, cores, masked, tiles):
+    # one fill thread per core, at most one per column tile drawn
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    fillers = set()
+
+    def recording(*key):
+        fillers.add(threading.current_thread().name)
+        return rng_from(*key)
+
+    monkeypatch.setattr(core, "rng_from", recording)
+    x = draw_design((7, 3), TILED_ROWS, TILED_D, ensemble, np.asarray(masked, dtype=np.int64))
+    assert len(fillers) == min(cores, tiles)
+    assert x.tobytes() == tiled_reference((7, 3), TILED_ROWS, TILED_D, ensemble, masked).tobytes()
+
+
+def test_fill_threads_are_shared_among_pool_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(core, "_workers", 2)
+    fillers = set()
+
+    def recording(*key):
+        fillers.add(threading.current_thread().name)
+        return rng_from(*key)
+
+    monkeypatch.setattr(core, "rng_from", recording)
+    draw_design((1,), 50, 5 * TILE_COLS, Ensemble.GAUSSIAN_SCALED)
+    assert len(fillers) == 2
+
+
+class CountingRelease:
+    def __init__(self):
+        self.calls = 0
+
+    def blas_thread_shutdown_(self):
+        self.calls += 1
+        return 0
+
+
+def test_blas_workers_are_released_before_a_draw_of_several_tiles(monkeypatch):
+    release = CountingRelease()
+    monkeypatch.setattr(core, "_openblas", lambda: release)
+    draw_design((1,), TILE_ROWS, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
+    assert release.calls == 0
+    draw_design((1,), TILE_ROWS + 1, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
+    draw_design((1,), 3, TILE_COLS + 1, Ensemble.GAUSSIAN_SCALED)
+    assert release.calls == 2
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+def test_draw_without_the_release_has_the_same_bytes(monkeypatch, ensemble):
+    released = draw_design((4,), TILED_ROWS, TILED_D, ensemble)
+    monkeypatch.setattr(core, "_openblas", lambda: None)
+    assert draw_design((4,), TILED_ROWS, TILED_D, ensemble).tobytes() == released.tobytes()
+
+
+def test_release_keeps_the_blas_thread_count():
+    blas = core._openblas()
+    if blas is None or not hasattr(blas, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy is not linked to scipy-openblas")
+    threads = blas.scipy_openblas_get_num_threads64_
+    a = np.ones((300, 300))
+    before = threads()
+    _ = a @ a  # starts the BLAS workers, which the draw then releases
+    draw_design((2,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
+    assert threads() == before
+    np.testing.assert_array_equal(a @ a, np.full((300, 300), 300.0))
+    assert threads() == before
 
 
 @pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])

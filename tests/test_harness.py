@@ -1,5 +1,10 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +287,35 @@ def test_parallel_execution_matches_serial(tmp_path, monkeypatch):
     write_csv(serial, p1)
     write_csv(parallel, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_pool_forked_after_threaded_draws_writes_the_serial_csv(tmp_path):
+    # The parent draws on fill threads and leaves BLAS workers running, then
+    # forks the pool.  A thread or lock carried over by fork would hang a
+    # worker; the timeout turns that into a failure.
+    doc = {
+        "kind": "oblivious_recovery",
+        "grid": [{"n": 240, "d": 40, "k": 3}],
+        "trials": 4,
+        "master_seed": 99,
+        "noise": {"kind": "gaussian", "sigma": 0.05},
+    }
+    serial, _ = run_experiment(ExperimentConfig.from_json(json.dumps(doc)))
+    write_csv(serial, tmp_path / "serial.csv")
+    doc["output"] = str(tmp_path / "pool.csv")
+    code = (
+        "import json, os, sys, numpy as np\n"
+        "from linfrec.core import Ensemble, draw_design\n"
+        "from linfrec.harness import ExperimentConfig, run_experiment\n"
+        "draw_design((1,), 3000, 400, Ensemble.GAUSSIAN_SCALED)\n"
+        "np.ones((400, 400)) @ np.ones((400, 400))\n"
+        "os.environ['LINFREC_THREADS'] = '2'\n"
+        "run_experiment(ExperimentConfig.from_json(sys.argv[1]))\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code, json.dumps(doc)], env=env, timeout=120, check=True)
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 def test_summary_medians_match_recount():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from linfrec.linops import IndexSet, SolverFailure, hard_threshold_values, restr
 from linfrec.recovery import (
     DEFAULT_HOLDOUT_C,
     DEFAULT_THRESHOLD_C,
+    _halvings,
     iht,
     oblivious_recover,
     osr_reduction,
@@ -75,8 +77,25 @@ def test_estimators_reject_bad_R_and_r(estimator, params, which, bad):
     x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
     k, R, r = params
     R, r = (bad, r) if which == "R" else (R, bad)
-    with pytest.raises(ValueError, match="R and r must be positive and finite"):
+    # the message names the values passed in, not a derived resolution
+    message = f"R and r must be positive and finite, got R={R!r}, r={r!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         estimator(x, np.zeros(30), k, R, r)
+
+
+@pytest.mark.parametrize(
+    "R, r", [(4.0, 1.0), (1.0, 0.1), (5.0, 4.9), (1e6, 1e-6), (4.63, 2.315), (58.92, 58.92 / 8)]
+)
+def test_halvings_is_ceil_log2_of_the_ratio(R, r):
+    # the last two ratios are exactly 2 and 8, where log2(R) - log2(r) reads
+    # 1.0000000000000002 and 3.0000000000000004 and would add a halving
+    assert _halvings(R, r) == math.ceil(math.log2(R / r))
+
+
+def test_halvings_survive_a_ratio_beyond_the_float_range():
+    # 1e300 / 1e-300 overflows; its base-2 logarithm is 1993.16
+    x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
+    assert iht(x, np.zeros(30), 2, 1e300, 1e-300).iterations == 1994
 
 
 class TestIhtParams:
