@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def tiled_reference(key, rows, d, ensemble, masked=()):
     return want
 
 
+@pytest.fixture
+def fillers(monkeypatch):
+    """The names of the threads that draw tiles during the test."""
+    names = set()
+
+    def recording(*key):
+        names.add(threading.current_thread().name)
+        return rng_from(*key)
+
+    monkeypatch.setattr(core, "rng_from", recording)
+    return names
+
+
 # d = 37 is not a multiple of TILE_COLS, and TILE_ROWS + 6 rows not of TILE_ROWS
 TILED_ROWS, TILED_D = TILE_ROWS + 6, 2 * TILE_COLS + 5
 
@@ -131,52 +145,30 @@ def test_design_is_tiles_filled_row_major_from_their_own_keys(ensemble):
     ],
     ids=["none", "whole-tile", "part-tiles", "short-last-tile", "part-first-and-last"],
 )
-def test_threaded_fill_is_the_serial_tiles(monkeypatch, ensemble, cores, masked, tiles):
+def test_threaded_fill_is_the_serial_tiles(monkeypatch, fillers, ensemble, cores, masked, tiles):
     # one fill thread per core, at most one per column tile drawn
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    fillers = set()
-
-    def recording(*key):
-        fillers.add(threading.current_thread().name)
-        return rng_from(*key)
-
-    monkeypatch.setattr(core, "rng_from", recording)
     x = draw_design((7, 3), TILED_ROWS, TILED_D, ensemble, np.asarray(masked, dtype=np.int64))
     assert len(fillers) == min(cores, tiles)
     assert x.tobytes() == tiled_reference((7, 3), TILED_ROWS, TILED_D, ensemble, masked).tobytes()
 
 
-def test_fill_threads_are_shared_among_pool_workers(monkeypatch):
+def test_fill_threads_are_shared_among_pool_workers(monkeypatch, fillers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     monkeypatch.setattr(core, "_workers", 2)
-    fillers = set()
-
-    def recording(*key):
-        fillers.add(threading.current_thread().name)
-        return rng_from(*key)
-
-    monkeypatch.setattr(core, "rng_from", recording)
     draw_design((1,), 50, 5 * TILE_COLS, Ensemble.GAUSSIAN_SCALED)
     assert len(fillers) == 2
 
 
-class CountingRelease:
-    def __init__(self):
-        self.calls = 0
-
-    def blas_thread_shutdown_(self):
-        self.calls += 1
-        return 0
-
-
 def test_blas_workers_are_released_before_a_draw_of_several_tiles(monkeypatch):
-    release = CountingRelease()
-    monkeypatch.setattr(core, "_openblas", lambda: release)
+    calls = []
+    blas = SimpleNamespace(blas_thread_shutdown_=lambda: calls.append(1))
+    monkeypatch.setattr(core, "_openblas", lambda: blas)
     draw_design((1,), TILE_ROWS, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
-    assert release.calls == 0
+    assert len(calls) == 0
     draw_design((1,), TILE_ROWS + 1, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
     draw_design((1,), 3, TILE_COLS + 1, Ensemble.GAUSSIAN_SCALED)
-    assert release.calls == 2
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
