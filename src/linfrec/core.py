@@ -21,6 +21,7 @@ import numbers
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -71,6 +72,13 @@ def _share_cores(workers: int) -> None:
     """Draw as one of ``workers`` processes that share this process's cores."""
     global _workers
     _workers = workers
+
+
+def _cores() -> int:
+    """The cores this process may run on (all of the machine's where that cannot be asked)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @functools.cache
@@ -173,8 +181,11 @@ def draw_design(
     number of threads.  Before a draw of more than one tile, OpenBLAS's idle
     worker threads are released, since they busy-wait for a while after
     every BLAS call and would take a core from the fill; the next BLAS call
-    starts them again at the same thread count.  So this must not run while
-    another thread of the process is inside BLAS (linfrec starts none).
+    starts them again at the same thread count.  Releasing them under a
+    BLAS call in progress on another thread is unsafe, so they are released
+    only while the calling thread is the process's only Python thread
+    (linfrec starts none that outlives a draw).  A thread started outside
+    Python is not seen, and must not be inside BLAS during a draw.
     """
     ensemble = Ensemble(ensemble)
     keep = np.ones(d, dtype=bool)
@@ -187,25 +198,16 @@ def draw_design(
             col_tiles.append((j, slice(lo, lo + len(cols)), None if cols.all() else ~cols))
     x = np.zeros((rows, d))
     blas = _openblas()
-    if blas is not None and len(col_tiles) * math.ceil(rows / TILE_ROWS) > 1:
+    several = len(col_tiles) * math.ceil(rows / TILE_ROWS) > 1
+    if blas is not None and several and threading.active_count() == 1:
         blas.blas_thread_shutdown_()
-    threads = max(1, min(len(os.sched_getaffinity(0)) // _workers, len(col_tiles)))
-    errors = []
-
-    def band(b: int) -> None:
-        try:
-            _fill(x, key, ensemble, col_tiles[b::threads])
-        except BaseException as exc:
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=band, args=(b,)) for b in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    band(0)
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    threads = max(1, min(_cores() // _workers, len(col_tiles)))
+    # the calling thread fills band 0; the pool starts a thread for each other band
+    with ThreadPoolExecutor(threads) as pool:
+        helpers = [pool.submit(_fill, x, key, ensemble, col_tiles[b::threads]) for b in range(1, threads)]
+        _fill(x, key, ensemble, col_tiles[::threads])
+        for helper in helpers:
+            helper.result()
     return x
 
 

@@ -110,16 +110,17 @@ def tiled_reference(key, rows, d, ensemble, masked=()):
 
 
 @pytest.fixture
-def fillers(monkeypatch):
-    """The names of the threads that draw tiles during the test."""
-    names = set()
+def bands(monkeypatch):
+    """The thread that filled each band of column tiles during the test."""
+    threads = []
+    fill = core._fill
 
-    def recording(*key):
-        names.add(threading.current_thread().name)
-        return rng_from(*key)
+    def recording(*args):
+        threads.append(threading.current_thread())
+        fill(*args)
 
-    monkeypatch.setattr(core, "rng_from", recording)
-    return names
+    monkeypatch.setattr(core, "_fill", recording)
+    return threads
 
 
 # d = 37 is not a multiple of TILE_COLS, and TILE_ROWS + 6 rows not of TILE_ROWS
@@ -145,19 +146,29 @@ def test_design_is_tiles_filled_row_major_from_their_own_keys(ensemble):
     ],
     ids=["none", "whole-tile", "part-tiles", "short-last-tile", "part-first-and-last"],
 )
-def test_threaded_fill_is_the_serial_tiles(monkeypatch, fillers, ensemble, cores, masked, tiles):
-    # one fill thread per core, at most one per column tile drawn
+def test_threaded_fill_is_the_serial_tiles(monkeypatch, bands, ensemble, cores, masked, tiles):
+    # one band per core, at most one per column tile drawn; the calling
+    # thread fills one band and other threads the rest
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     x = draw_design((7, 3), TILED_ROWS, TILED_D, ensemble, np.asarray(masked, dtype=np.int64))
-    assert len(fillers) == min(cores, tiles)
+    assert len(bands) == min(cores, tiles)
+    assert bands.count(threading.current_thread()) == 1
     assert x.tobytes() == tiled_reference((7, 3), TILED_ROWS, TILED_D, ensemble, masked).tobytes()
 
 
-def test_fill_threads_are_shared_among_pool_workers(monkeypatch, fillers):
+def test_fill_threads_are_shared_among_pool_workers(monkeypatch, bands):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     monkeypatch.setattr(core, "_workers", 2)
     draw_design((1,), 50, 5 * TILE_COLS, Ensemble.GAUSSIAN_SCALED)
-    assert len(fillers) == 2
+    assert len(bands) == 2
+
+
+def test_fill_threads_without_an_affinity_mask_count_the_machine(monkeypatch, bands):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    x = draw_design((5,), TILED_ROWS, TILED_D, Ensemble.RADEMACHER_SCALED)
+    assert len(bands) == 2
+    assert x.tobytes() == tiled_reference((5,), TILED_ROWS, TILED_D, Ensemble.RADEMACHER_SCALED).tobytes()
 
 
 def test_blas_workers_are_released_before_a_draw_of_several_tiles(monkeypatch):
@@ -169,6 +180,24 @@ def test_blas_workers_are_released_before_a_draw_of_several_tiles(monkeypatch):
     draw_design((1,), TILE_ROWS + 1, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
     draw_design((1,), 3, TILE_COLS + 1, Ensemble.GAUSSIAN_SCALED)
     assert len(calls) == 2
+
+
+def test_blas_workers_are_kept_while_another_python_thread_runs(monkeypatch):
+    # that thread could be inside BLAS, whose workers must then stay
+    calls = []
+    blas = SimpleNamespace(blas_thread_shutdown_=lambda: calls.append(1))
+    monkeypatch.setattr(core, "_openblas", lambda: blas)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        kept = draw_design((3,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
+    finally:
+        done.set()
+        other.join()
+    assert len(calls) == 0
+    assert kept.tobytes() == draw_design((3,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED).tobytes()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
