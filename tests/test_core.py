@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -150,7 +151,12 @@ def test_threaded_fill_is_the_serial_tiles(monkeypatch, bands, ensemble, cores, 
     # one band per core, at most one per column tile drawn; the calling
     # thread fills one band and other threads the rest
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    x = draw_design((7, 3), TILED_ROWS, TILED_D, ensemble, np.asarray(masked, dtype=np.int64))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the bands as finely as the interpreter allows
+    try:
+        x = draw_design((7, 3), TILED_ROWS, TILED_D, ensemble, np.asarray(masked, dtype=np.int64))
+    finally:
+        sys.setswitchinterval(interval)
     assert len(bands) == min(cores, tiles)
     assert bands.count(threading.current_thread()) == 1
     assert x.tobytes() == tiled_reference((7, 3), TILED_ROWS, TILED_D, ensemble, masked).tobytes()
@@ -194,7 +200,8 @@ def test_blas_workers_are_kept_while_another_python_thread_runs(monkeypatch):
         kept = draw_design((3,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
     finally:
         done.set()
-        other.join()
+        other.join(timeout=10)
+    assert not other.is_alive()
     assert len(calls) == 0
     assert kept.tobytes() == draw_design((3,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED).tobytes()
     assert len(calls) == 1
