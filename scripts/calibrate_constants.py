@@ -83,7 +83,7 @@ def calibrate_partial_adaptive(trials, seed):
 
 
 def calibrate_metric_chain(trials, seed):
-    from linfrec.core import Ensemble, NoiseVector, sample_ensemble
+    from linfrec.core import Ensemble, gaussian_noise, sample_ensemble
     from linfrec.linops import IndexSet
     from linfrec.metrics import compute_metrics
 
@@ -93,7 +93,7 @@ def calibrate_metric_chain(trials, seed):
     rng = np.random.default_rng(seed)
     for t in range(trials):
         x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, seed + 7 * t)
-        xi = NoiseVector.gaussian(n, 1.0, seed + 7 * t + 3)
+        xi = gaussian_noise(n, 1.0, seed + 7 * t + 3)
         s = IndexSet(np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64))
         mr = compute_metrics(x, xi, s)
         l2 = mr.m_l2 * math.sqrt(n)

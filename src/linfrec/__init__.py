@@ -9,12 +9,10 @@ and adaptive noise regimes, and a seeded Monte Carlo harness.
 from .core import (
     Dims,
     Ensemble,
-    ModelTag,
-    NoiseKind,
-    NoiseVector,
     RecoveryInstance,
     SparseVector,
     build_instance,
+    gaussian_noise,
     sample_ensemble,
 )
 from .linops import IndexSet, SolverFailure, inf_op_norm, restricted_gram, restricted_ols
@@ -27,9 +25,6 @@ __all__ = [
     "Dims",
     "Ensemble",
     "IndexSet",
-    "ModelTag",
-    "NoiseKind",
-    "NoiseVector",
     "RecoveryInstance",
     "RecoveryReport",
     "RipCertificate",
@@ -39,6 +34,7 @@ __all__ = [
     "certify_l2_rip",
     "certify_linf_rip",
     "certify_pi",
+    "gaussian_noise",
     "iht",
     "inf_op_norm",
     "linf_rip_sample_floor",

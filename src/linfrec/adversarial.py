@@ -14,14 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    ModelTag,
-    NoiseVector,
-    RecoveryInstance,
-    SparseVector,
-    save_instance,
-    save_matrix_addressed,
-)
+from .core import RecoveryInstance, SparseVector, save_instance, save_matrix_addressed
 from .linops import IndexSet, restricted_gram
 
 __all__ = [
@@ -55,8 +48,8 @@ class MaskingVector:
 class IndistinguishablePair:
     theta1: SparseVector
     theta2: SparseVector
-    xi1: NoiseVector
-    xi2: NoiseVector
+    xi1: np.ndarray
+    xi2: np.ndarray
     shared_y: np.ndarray
 
 
@@ -190,10 +183,10 @@ def build_indistinguishable_pair(
     theta_bar[t.indices] = float(base_magnitude)
     theta1 = SparseVector.from_dense(theta_bar, budget=budget)
     theta2 = SparseVector.from_dense(theta_bar + mv.v.values, budget=budget)
-    xi1 = NoiseVector.adversarial(x @ mv.v.values)
-    xi2 = NoiseVector.zero(x.shape[0])
+    xi1 = x @ mv.v.values
+    xi2 = np.zeros(x.shape[0])
 
-    y1 = x @ theta1.values + xi1.values
+    y1 = x @ theta1.values + xi1
     y2 = x @ theta2.values
     _check_shared(y1, y2)
     return IndistinguishablePair(theta1=theta1, theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y1)
@@ -214,8 +207,8 @@ def build_metric_impossibility_pair(x: np.ndarray, i: int) -> IndistinguishableP
     e_i[i] = 1.0
     theta1 = SparseVector.zeros(d, budget=1)
     theta2 = SparseVector.from_dense(e_i, budget=1)
-    xi1 = NoiseVector.adversarial(x[:, i].copy())
-    xi2 = NoiseVector.zero(n)
+    xi1 = x[:, i].copy()
+    xi2 = np.zeros(n)
     y = x[:, i].copy()
     _check_shared(y, x @ theta2.values)
     return IndistinguishablePair(theta1=theta1, theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y)
@@ -232,12 +225,8 @@ def save_pair(
     out_dir.mkdir(parents=True, exist_ok=True)
     matrix_path = save_matrix_addressed(x, out_dir)
 
-    inst1 = RecoveryInstance(
-        x=x, y=pair.shared_y, truth=pair.theta1, noise=pair.xi1, model=ModelTag.ADAPTIVE
-    )
-    inst2 = RecoveryInstance(
-        x=x, y=pair.shared_y, truth=pair.theta2, noise=pair.xi2, model=ModelTag.ADAPTIVE
-    )
+    inst1 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta1, noise=pair.xi1)
+    inst2 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta2, noise=pair.xi2)
     p1 = out_dir / f"{stem}-member1.json"
     p2 = out_dir / f"{stem}-member2.json"
     save_instance(inst1, p1, matrix_path)

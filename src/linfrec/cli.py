@@ -13,13 +13,14 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .adversarial import build_indistinguishable_pair, save_pair
 from .core import (
     Dims,
     Ensemble,
-    ModelTag,
-    NoiseVector,
     build_instance,
+    gaussian_noise,
     load_matrix,
     rng_from,
     sample_ensemble,
@@ -50,10 +51,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     x = sample_ensemble(dims, _ENSEMBLES[args.ensemble], args.seed)
     truth = make_signal(dims.d, dims.k, rng_from(args.seed, 1), "constant", args.signal_magnitude)
     if args.noise == "zero":
-        noise = NoiseVector.zero(dims.n)
+        noise = np.zeros(dims.n)
     else:
-        noise = NoiseVector.gaussian(dims.n, args.sigma, derive_seed(args.seed, 2))
-    inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
+        noise = gaussian_noise(dims.n, args.sigma, derive_seed(args.seed, 2))
+    inst = build_instance(x, truth, noise)
 
     matrix_path = save_matrix_addressed(x, out)
     inst_path = out / f"instance-{args.seed}.json"

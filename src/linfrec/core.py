@@ -31,13 +31,11 @@ import numpy as np
 __all__ = [
     "Dims",
     "Ensemble",
-    "ModelTag",
-    "NoiseKind",
-    "NoiseVector",
     "RecoveryInstance",
     "SparseVector",
     "build_instance",
     "draw_design",
+    "gaussian_noise",
     "json_field",
     "load_instance",
     "load_matrix",
@@ -53,6 +51,10 @@ __all__ = [
 RESIDUAL_RTOL = 1e-10
 
 MATRIX_MAGIC = b"LFRMAT01"  # 8 magic bytes, then u32 n, u32 d, row-major f64 LE
+
+# Instance formats read, oldest first; the last is written.  A v1 file is a
+# v2 file plus the fields model, noise.kind and noise.sigma, which are ignored.
+INSTANCE_FORMATS = ("linfrec-instance-v1", "linfrec-instance-v2")
 
 
 # A design is drawn in tiles of TILE_ROWS x TILE_COLS entries, tile (i, j)
@@ -128,17 +130,6 @@ class Dims:
 class Ensemble(str, enum.Enum):
     GAUSSIAN_SCALED = "gaussian_scaled"
     RADEMACHER_SCALED = "rademacher_scaled"
-
-
-class NoiseKind(str, enum.Enum):
-    ISOTROPIC_GAUSSIAN = "isotropic_gaussian"
-    ADVERSARIAL = "adversarial"
-    ZERO = "zero"
-
-
-class ModelTag(str, enum.Enum):
-    OBLIVIOUS = "oblivious"
-    ADAPTIVE = "adaptive"
 
 
 def _unscaled_tile(rng: np.random.Generator, shape: tuple[int, int], ensemble: Ensemble) -> np.ndarray:
@@ -261,36 +252,14 @@ class SparseVector:
         return len(self.values)
 
 
-@dataclass
-class NoiseVector:
-    """Length-n noise with provenance (how it was produced)."""
-
-    values: np.ndarray
-    kind: NoiseKind
-    sigma: float | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.kind is NoiseKind.ZERO and np.any(self.values != 0.0):
-            raise ValueError("zero-provenance noise must be identically 0")
-
-    @classmethod
-    def zero(cls, n: int) -> "NoiseVector":
-        return cls(values=np.zeros(n), kind=NoiseKind.ZERO)
-
-    @classmethod
-    def gaussian(cls, n: int, sigma: float, seed: int) -> "NoiseVector":
-        vals = rng_from(seed).standard_normal(n) * float(sigma)
-        return cls(values=vals, kind=NoiseKind.ISOTROPIC_GAUSSIAN, sigma=float(sigma))
-
-    @classmethod
-    def adversarial(cls, values: np.ndarray) -> "NoiseVector":
-        return cls(values=values, kind=NoiseKind.ADVERSARIAL)
+def gaussian_noise(n: int, sigma: float, *key: int) -> np.ndarray:
+    """Length-n i.i.d. ``N(0, sigma^2)`` noise drawn from ``rng_from(*key)``."""
+    return rng_from(*key).standard_normal(n) * float(sigma)
 
 
 @dataclass
 class RecoveryInstance:
-    """An (X, y, truth, noise) bundle with the generative-model tag.
+    """An (X, y, truth, noise) bundle; the noise is a length-n float64 array.
 
     ``y`` always equals ``X theta + xi`` up to roundoff; this is checked on
     construction.
@@ -299,28 +268,25 @@ class RecoveryInstance:
     x: np.ndarray
     y: np.ndarray
     truth: SparseVector
-    noise: NoiseVector
-    model: ModelTag
+    noise: np.ndarray
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
-        resid = self.y - self.x @ self.truth.values - self.noise.values
+        self.noise = np.asarray(self.noise, dtype=np.float64)
+        resid = self.y - self.x @ self.truth.values - self.noise
         tol = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(self.y), initial=0.0)))
         if not float(np.max(np.abs(resid), initial=0.0)) <= tol:  # NaN fails too
             raise ValueError("observation is not X@truth + noise to roundoff")
 
 
-def build_instance(
-    x: np.ndarray, truth: SparseVector, noise: NoiseVector, model: ModelTag
-) -> RecoveryInstance:
+def build_instance(x: np.ndarray, truth: SparseVector, noise: np.ndarray) -> RecoveryInstance:
     """Assemble an instance, computing y = X theta + xi."""
     n, d = x.shape
     if truth.d != d:
         raise ValueError(f"truth length {truth.d} != d {d}")
-    if len(noise.values) != n:
-        raise ValueError(f"noise length {len(noise.values)} != n {n}")
-    y = x @ truth.values + noise.values
-    return RecoveryInstance(x=x, y=y, truth=truth, noise=noise, model=ModelTag(model))
+    if len(noise) != n:
+        raise ValueError(f"noise length {len(noise)} != n {n}")
+    return RecoveryInstance(x=x, y=x @ truth.values + noise, truth=truth, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +375,11 @@ def save_instance(inst: RecoveryInstance, path: str | Path, matrix_file: str | P
     """
     matrix_file = Path(matrix_file)
     doc = {
-        "format": "linfrec-instance-v1",
-        "model": inst.model.value,
+        "format": INSTANCE_FORMATS[-1],
         "matrix": {"file": matrix_file.name, "sha256": matrix_sha256(matrix_file)},
         "y": inst.y.tolist(),
         "truth": {"values": inst.truth.values.tolist(), "budget": inst.truth.budget},
-        "noise": {
-            "values": inst.noise.values.tolist(),
-            "kind": inst.noise.kind.value,
-            "sigma": inst.noise.sigma,
-        },
+        "noise": {"values": inst.noise.tolist()},
     }
     replace_file(path, [json.dumps(doc).encode()])
 
@@ -456,7 +417,7 @@ def _json_floats(doc, length: int, *keys) -> np.ndarray:
 def load_instance(path: str | Path) -> RecoveryInstance:
     path = Path(path)
     doc = json.loads(path.read_text())
-    if not isinstance(doc, dict) or doc.get("format") != "linfrec-instance-v1":
+    if not isinstance(doc, dict) or doc.get("format") not in INSTANCE_FORMATS:
         raise ValueError(f"{path}: not a linfrec instance file")
     matrix_file = path.parent / json_field(doc, str, "matrix", "file")
     if matrix_sha256(matrix_file) != json_field(doc, str, "matrix", "sha256"):
@@ -466,11 +427,6 @@ def load_instance(path: str | Path) -> RecoveryInstance:
     truth = SparseVector.from_dense(
         _json_floats(doc, d, "truth", "values"), json_field(doc, numbers.Integral, "truth", "budget")
     )
-    noise = NoiseVector(
-        values=_json_floats(doc, n, "noise", "values"),
-        kind=NoiseKind(json_field(doc, str, "noise", "kind")),
-        sigma=json_field(doc, (numbers.Real, type(None)), "noise", "sigma"),
-    )
     return RecoveryInstance(
-        x=x, y=_json_floats(doc, n, "y"), truth=truth, noise=noise, model=ModelTag(json_field(doc, str, "model"))
+        x=x, y=_json_floats(doc, n, "y"), truth=truth, noise=_json_floats(doc, n, "noise", "values")
     )

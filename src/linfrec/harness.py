@@ -29,10 +29,8 @@ from .adversarial import ConstructionFailure, build_indistinguishable_pair, buil
 from .core import (
     Dims,
     Ensemble,
-    ModelTag,
-    NoiseVector,
     SparseVector,
-    build_instance,
+    gaussian_noise,
     json_field,
     replace_file,
     rng_from,
@@ -231,10 +229,10 @@ def make_signal(
     return SparseVector.from_dense(theta, budget=k)
 
 
-def _make_noise(n: int, spec: dict, seed: int) -> NoiseVector:
+def _make_noise(n: int, spec: dict, seed: int) -> np.ndarray:
     if spec.get("kind", "gaussian") == "zero":
-        return NoiseVector.zero(n)
-    return NoiseVector.gaussian(n, float(spec.get("sigma", 1.0)), seed)
+        return np.zeros(n)
+    return gaussian_noise(n, float(spec.get("sigma", 1.0)), seed)
 
 
 def disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator) -> tuple[IndexSet, IndexSet]:
@@ -246,9 +244,9 @@ def disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator)
     )
 
 
-def _gram_noise(x: np.ndarray, noise: NoiseVector) -> float:
+def _gram_noise(x: np.ndarray, noise: np.ndarray) -> float:
     """||X^T xi||_inf."""
-    return float(np.max(np.abs(x.T @ noise.values), initial=0.0))
+    return float(np.max(np.abs(x.T @ noise), initial=0.0))
 
 
 def _errors(estimate: SparseVector, truth: SparseVector) -> tuple[float, float]:
@@ -258,11 +256,11 @@ def _errors(estimate: SparseVector, truth: SparseVector) -> tuple[float, float]:
 
 
 def _oblivious_instance(dims: Dims, cfg: ExperimentConfig, seed: int):
-    """An oblivious-model instance and its noise level ||X^T xi||_inf."""
+    """An oblivious-model ``(x, y, truth)`` and its noise level ||X^T xi||_inf."""
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1))
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
-    return build_instance(x, truth, noise, ModelTag.OBLIVIOUS), _gram_noise(x, noise)
+    return x, x @ truth.values + noise, truth, _gram_noise(x, noise)
 
 
 def _masking_pair(dims: Dims, cfg: ExperimentConfig, seed: int):
@@ -282,12 +280,12 @@ def _masking_pair(dims: Dims, cfg: ExperimentConfig, seed: int):
 
 
 def _trial_oblivious(dims: Dims, cfg: ExperimentConfig, seed: int):
-    inst, msig = _oblivious_instance(dims, cfg, seed)
+    x, y, truth, msig = _oblivious_instance(dims, cfg, seed)
     r = max(msig * math.sqrt(math.log(dims.n)), 1e-12)
-    R = float(np.linalg.norm(inst.truth.values))
-    rep = oblivious_recover(inst.x, inst.y, dims.k, R, r)
+    R = float(np.linalg.norm(truth.values))
+    rep = oblivious_recover(x, y, dims.k, R, r)
     const = float(cfg.algorithm.get("error_constant", frozen.OBLIVIOUS_ERROR_CONSTANT))
-    return *_errors(rep.estimate, inst.truth), msig, const * r, {"r": r}
+    return *_errors(rep.estimate, truth), msig, const * r, {"r": r}
 
 
 def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
@@ -307,20 +305,20 @@ def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
 
 
 def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
-    inst, msig = _oblivious_instance(dims, cfg, seed)
+    x, y, truth, msig = _oblivious_instance(dims, cfg, seed)
     r = float(cfg.noise.get("sigma", 1.0)) / 100.0
-    R = float(np.linalg.norm(inst.truth.values))
-    rep = osr_reduction(inst.x, inst.y, dims.k, R, r)
+    R = float(np.linalg.norm(truth.values))
+    rep = osr_reduction(x, y, dims.k, R, r)
     const = float(cfg.algorithm.get("error_constant", frozen.REDUCTION_ERROR_CONSTANT))
     bound = const * msig * math.sqrt(math.log(dims.n) * math.log(R / r)) if R > r else const * msig
-    return *_errors(rep.estimate, inst.truth), msig, bound, {"r": r}
+    return *_errors(rep.estimate, truth), msig, bound, {"r": r}
 
 
 def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
     x, pair = _masking_pair(dims, cfg, seed)
 
-    y1 = x @ pair.theta1.values + pair.xi1.values
-    y2 = x @ pair.theta2.values + pair.xi2.values
+    y1 = x @ pair.theta1.values + pair.xi1
+    y2 = x @ pair.theta2.values + pair.xi2
     ytol = 1e-9 * (1.0 + float(np.max(np.abs(pair.shared_y), initial=0.0)))
     a_ok = float(np.max(np.abs(y1 - y2), initial=0.0)) <= ytol
 
@@ -403,7 +401,7 @@ def _trial_threshold_stats(dims: Dims, cfg: ExperimentConfig, seed: int):
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     msig = _gram_noise(x, noise)
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1), "pm_uniform_above", SNR_CONSTANT * msig)
-    y = x @ truth.values + noise.values
+    y = x @ truth.values + noise
     stats = threshold_stats(x, y, truth, 0.5 * SNR_CONSTANT * msig)
     # at most 2k false positives, at most 95% of the signal mass missed
     extra = {"fn_ratio": stats.fn_energy_ratio, "fn_cap": 0.95, "fp": float(len(stats.s_fp))}
@@ -453,10 +451,10 @@ _KINDS = {
 
 
 def _run_one(cfg: ExperimentConfig, grid_index: int, trial: int) -> TrialRecord:
+    start = time.perf_counter()
     point = cfg.grid[grid_index]
     dims = Dims(n=int(point["n"]), d=int(point["d"]), k=int(point["k"]))
     seed = derive_seed(cfg.master_seed, grid_index, trial)
-    start = time.perf_counter()
     try:
         error, error_l2, msig, bound, extra = _KINDS[cfg.kind][0](dims, cfg, seed)
     except DOMAIN_FAILURES as exc:  # recorded, not fatal
@@ -485,7 +483,10 @@ def _run_one(cfg: ExperimentConfig, grid_index: int, trial: int) -> TrialRecord:
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     """One record per (grid point, trial); deterministic in the master seed."""
     tasks = [(gi, t) for gi in range(len(cfg.grid)) for t in range(cfg.trials)]
-    workers = int(os.environ.get(THREADS_ENV, "1"))
+    threads = os.environ.get(THREADS_ENV, "1")
+    workers = int(threads) if threads.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {threads!r}")
     if workers > 1:
         # each worker fills designs on its share of the cores
         with ProcessPoolExecutor(

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NoiseVector
 from .linops import IndexSet, SolverFailure, restricted_ols
 
 __all__ = ["MetricReport", "compute_metrics"]
@@ -32,12 +31,8 @@ class MetricReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def compute_metrics(
-    x: np.ndarray,
-    xi: NoiseVector | np.ndarray,
-    s: IndexSet,
-) -> MetricReport:
-    noise = xi.values if isinstance(xi, NoiseVector) else np.asarray(xi, dtype=np.float64)
+def compute_metrics(x: np.ndarray, xi: np.ndarray, s: IndexSet) -> MetricReport:
+    noise = np.asarray(xi, dtype=np.float64)
     n = x.shape[0]
     if len(noise) != n:
         raise ValueError(f"noise length {len(noise)} != n {n}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, SparseVector, draw_design, json_field, rng_from
+from .core import Dims, Ensemble, SparseVector, draw_design, gaussian_noise, json_field
 from .linops import IndexSet, hard_threshold_values, restricted_ols
 from .recovery import RecoveryReport, iht
 
@@ -55,8 +55,8 @@ class MaskedOracle:
     Every call to :meth:`masked_observe` draws a fresh design block (entries
     of variance 1/rows), keyed by ``(master_seed, query_index)`` with the
     masked columns zero and their tiles left undrawn, and fresh Gaussian noise
-    from ``rng_from(master_seed, query_index)``; it returns ``(X, y)`` with
-    ``y = X theta + xi``.  A mask moves no unmasked entry and no noise entry.
+    ``gaussian_noise(rows, noise_sigma, master_seed, query_index)``; it
+    returns ``(X, y)`` with ``y = X theta + xi``.  A mask moves no unmasked entry and no noise entry.
     The truth enters only through its unmasked coordinates.  Analysis code may
     read :attr:`truth` and each query's ``noise_corr`` in :attr:`query_log`;
     estimator code must not.
@@ -72,9 +72,11 @@ class MaskedOracle:
     ):
         if truth.d != dims.d:
             raise ValueError(f"truth length {truth.d} != d {dims.d}")
+        self.noise_sigma = float(noise_sigma)
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
         self.dims = dims
         self.truth = truth
-        self.noise_sigma = float(noise_sigma)
         self.master_seed = int(master_seed)
         self.ensemble = Ensemble(ensemble)
         self.query_log: list[QueryRecord] = []
@@ -86,7 +88,7 @@ class MaskedOracle:
             raise ValueError(f"mask index {mask.indices[-1]} is out of range for d={self.dims.d}")
         qi = len(self.query_log)
         x = draw_design((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask.indices)
-        xi = rng_from(self.master_seed, qi).standard_normal(rows) * self.noise_sigma
+        xi = gaussian_noise(rows, self.noise_sigma, self.master_seed, qi)
         signal = x @ self.truth.values
         y = signal + xi
         corr = float(np.max(np.abs(x.T @ (y - signal)), initial=0.0))

@@ -15,10 +15,9 @@ from linfrec.adversarial import build_masking_vector
 from linfrec.core import (
     Dims,
     Ensemble,
-    ModelTag,
-    NoiseVector,
     SparseVector,
     build_instance,
+    gaussian_noise,
     sample_ensemble,
 )
 from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment
@@ -53,14 +52,14 @@ def test_criterion_01_exact_half_step_contraction():
         rng = np.random.default_rng(seed)
         truth = make_sparse(d, k, rng)
         if fixture % 2 == 0:
-            noise = NoiseVector.gaussian(n, 0.02, seed + 1)
+            noise = gaussian_noise(n, 0.02, seed + 1)
         else:
             free = np.setdiff1d(np.arange(d), truth.support)
             s = IndexSet(np.sort(rng.choice(free, size=min(2 * k, len(free)), replace=False)).astype(np.int64))
-            noise = NoiseVector.adversarial(x @ build_masking_vector(x, s).v.values)
-        inst = build_instance(x, truth, noise, ModelTag.ADAPTIVE)
+            noise = x @ build_masking_vector(x, s).v.values
+        inst = build_instance(x, truth, noise)
         steps = iht(x, inst.y, k, 1.0, 0.01).iterations
-        eps, sigma_m = cert.achieved, float(np.max(np.abs(x.T @ noise.values), initial=0.0))
+        eps, sigma_m = cert.achieved, float(np.max(np.abs(x.T @ noise), initial=0.0))
         # iht at resolution R / 2**t (R = 1) runs exactly t steps from zero
         iterates = [iht(x, inst.y, k, 1.0, 1.0 / 2**t).estimate.values for t in range(steps + 1)]
         for prev, nxt in zip(iterates, iterates[1:]):

@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from linfrec.cli import main
-from linfrec.core import Dims, Ensemble, NoiseVector, load_instance, sample_ensemble, save_matrix
+from linfrec.core import Dims, Ensemble, gaussian_noise, load_instance, sample_ensemble, save_matrix
 from linfrec.harness import derive_seed
 
 
@@ -36,8 +37,8 @@ def test_gen_noise_has_its_own_stream(tmp_path, capsys):
         "--sigma", "0.1", "--out-dir", str(tmp_path),
     )
     assert code == 0
-    noise = load_instance(json.loads(out)["instance"]).noise.values
-    assert np.array_equal(noise, NoiseVector.gaussian(30, 0.1, derive_seed(5, 2)).values)
+    noise = load_instance(json.loads(out)["instance"]).noise
+    assert np.array_equal(noise, gaussian_noise(30, 0.1, derive_seed(5, 2)))
     # not the design of `gen --seed 7`, rescaled
     other = sample_ensemble(Dims(n=30, d=12, k=3), Ensemble.GAUSSIAN_SCALED, 7).ravel()[:30]
     assert not np.allclose(noise, 0.1 * np.sqrt(30) * other)
@@ -271,6 +272,44 @@ def test_adversarial_writes_shared_pair(tmp_path, capsys):
     assert json.loads(open(paths["member1"]).read())["matrix"]["sha256"] == json.loads(
         open(paths["member2"]).read()
     )["matrix"]["sha256"]
+
+
+# sha256 of every file `gen` and `adversarial` write at fixed seeds, so a change
+# to the instance format or to a stream behind it has to declare itself.
+# Produced with numpy 2.4.6 linked against scipy-openblas 0.3.31 on x86_64
+# under Python 3.11; another BLAS or CPU kernel may round y differently.
+INSTANCE_FILES = {
+    "gen": (
+        ["gen", "--n", "30", "--d", "12", "--k", "3", "--seed", "5", "--sigma", "0.1"],
+        {
+            "instance-5.json": "7db958e695c76c8e7366722ab34aab89ee6b69a3e6ef82a6ece3a1fbcd0aba64",
+            "matrix-15828bf882b60960.bin": "15828bf882b609600ff545f68e67b63bf27f75c7ce0bed6e970f6f6174f847fd",
+        },
+    ),
+    "gen-zero-noise": (
+        ["gen", "--n", "30", "--d", "12", "--k", "3", "--seed", "6", "--noise", "zero"],
+        {
+            "instance-6.json": "b44e0c0c155c8abc4a3a0afd7d23c565b08758b5cf8809a2f69b1bd979390b4b",
+            "matrix-6b9820556ff30a5d.bin": "6b9820556ff30a5dec3445c699f68e5eea3d62b31974223a6dbe4d2a2c74b650",
+        },
+    ),
+    "adversarial": (
+        ["adversarial", "--n", "40", "--d", "80", "--k", "6", "--seed", "2"],
+        {
+            "matrix-37af4de4baa1682d.bin": "37af4de4baa1682d0cd92b1affeaa1198d74bb9f6ac7cc6afadc54856dc7f901",
+            "pair-2-member1.json": "fe6b519491629b5e4d3323323994425daea229b6ddf5d099073f44621a30ef49",
+            "pair-2-member2.json": "3c7b9b9ff867ecee36cb565b0baf97345b2fccc1bf03c2d2d864ba6714e524e1",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCE_FILES))
+def test_written_instance_files_are_pinned(name, tmp_path, capsys):
+    argv, digests = INSTANCE_FILES[name]
+    assert run_cli(capsys, *argv, "--out-dir", str(tmp_path))[0] == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == digests
 
 
 def test_report_matches_recount_oracle(tmp_path, capsys):

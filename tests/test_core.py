@@ -21,14 +21,13 @@ from linfrec.core import (
     TILE_ROWS,
     TILE_TAG,
     Dims,
+    INSTANCE_FORMATS,
     Ensemble,
-    ModelTag,
-    NoiseKind,
-    NoiseVector,
     RecoveryInstance,
     SparseVector,
     build_instance,
     draw_design,
+    gaussian_noise,
     load_instance,
     load_matrix,
     matrix_sha256,
@@ -263,26 +262,26 @@ def test_sparse_vector_invariants():
         SparseVector(values=np.array([1.0, 0.0]), support=np.array([1]), budget=2)
 
 
-def test_noise_vector_invariants():
-    with pytest.raises(ValueError):
-        NoiseVector(values=np.array([0.0, 1.0]), kind=NoiseKind.ZERO)
-    nv = NoiseVector.gaussian(50, sigma=2.0, seed=4)
-    nv2 = NoiseVector.gaussian(50, sigma=2.0, seed=4)
-    assert np.array_equal(nv.values, nv2.values)
-    assert nv.sigma == 2.0
+def test_gaussian_noise_is_deterministic():
+    noise = gaussian_noise(50, 2.0, 4)
+    assert noise.dtype == np.float64 and noise.shape == (50,) and noise.flags.c_contiguous
+    assert noise.tobytes() == gaussian_noise(50, 2.0, 4).tobytes()
+    assert noise.tobytes() == (rng_from(4).standard_normal(50) * 2.0).tobytes()
+    # the key may have several words, as the masked oracle's (master_seed, query) does
+    assert gaussian_noise(8, 1.0, 4, 3).tobytes() == rng_from(4, 3).standard_normal(8).tobytes()
 
 
 def test_build_instance_identity_design():
     x = np.eye(2)
     truth = SparseVector.from_dense(np.array([1.0, 0.0]), budget=1)
-    inst = build_instance(x, truth, NoiseVector.zero(2), ModelTag.OBLIVIOUS)
+    inst = build_instance(x, truth, np.zeros(2))
     assert np.array_equal(inst.y, [1.0, 0.0])
 
 
 def test_build_instance_zero_noise_exact(rng):
     x = rng.standard_normal((6, 4))
     truth = SparseVector.from_dense(np.array([0.0, 1.5, 0.0, -2.0]), budget=2)
-    inst = build_instance(x, truth, NoiseVector.zero(6), ModelTag.OBLIVIOUS)
+    inst = build_instance(x, truth, np.zeros(6))
     assert np.array_equal(inst.y, x @ truth.values)
 
 
@@ -290,16 +289,16 @@ def test_build_instance_pure_noise():
     x = np.eye(3)
     truth = SparseVector.zeros(3, budget=1)
     e1 = np.array([1.0, 0.0, 0.0])
-    inst = build_instance(x, truth, NoiseVector.adversarial(e1), ModelTag.ADAPTIVE)
+    inst = build_instance(x, truth, e1)
     assert np.array_equal(inst.y, e1)
 
 
 def test_build_instance_shape_mismatch():
     x = np.eye(3)
     with pytest.raises(ValueError):
-        build_instance(x, SparseVector.zeros(4, 1), NoiseVector.zero(3), ModelTag.OBLIVIOUS)
+        build_instance(x, SparseVector.zeros(4, 1), np.zeros(3))
     with pytest.raises(ValueError):
-        build_instance(x, SparseVector.zeros(3, 1), NoiseVector.zero(4), ModelTag.OBLIVIOUS)
+        build_instance(x, SparseVector.zeros(3, 1), np.zeros(4))
 
 
 def test_recovery_instance_residual_check(rng):
@@ -307,21 +306,19 @@ def test_recovery_instance_residual_check(rng):
     truth = SparseVector.from_dense(np.array([1.0, 0.0, 0.0]), budget=1)
     y_bad = x @ truth.values + 1e-3
     with pytest.raises(ValueError):
-        RecoveryInstance(x=x, y=y_bad, truth=truth, noise=NoiseVector.zero(5), model=ModelTag.OBLIVIOUS)
+        RecoveryInstance(x=x, y=y_bad, truth=truth, noise=np.zeros(5))
 
 
 def test_recovery_instance_rejects_nan_observation():
     x = np.eye(3)
     truth = SparseVector.zeros(3, 1)
     with pytest.raises(ValueError):
-        RecoveryInstance(
-            x=x, y=np.array([np.nan, 0.0, 0.0]), truth=truth, noise=NoiseVector.zero(3), model=ModelTag.OBLIVIOUS
-        )
+        RecoveryInstance(x=x, y=np.array([np.nan, 0.0, 0.0]), truth=truth, noise=np.zeros(3))
 
 
 def test_load_instance_rejects_nan_observation(tmp_path):
     x = np.eye(3)
-    inst = build_instance(x, SparseVector.zeros(3, 1), NoiseVector.zero(3), ModelTag.OBLIVIOUS)
+    inst = build_instance(x, SparseVector.zeros(3, 1), np.zeros(3))
     mp = tmp_path / "m.bin"
     save_matrix(x, mp)
     ip = tmp_path / "inst.json"
@@ -387,7 +384,7 @@ def test_writers_take_a_plain_array_bit_for_bit(tmp_path, rng):
     mp = save_matrix_addressed(x, out)
     assert load_matrix(mp).tobytes() == x.tobytes()
     truth = SparseVector.from_dense(np.array([0.0, 2.0, 0.0, 0.0, -1.0]), budget=2)
-    inst = build_instance(x, truth, NoiseVector.gaussian(7, 0.1, seed=3), ModelTag.OBLIVIOUS)
+    inst = build_instance(x, truth, gaussian_noise(7, 0.1, 3))
     assert inst.x is x
     save_instance(inst, out / "inst.json", mp)
     back = load_instance(out / "inst.json")
@@ -458,7 +455,7 @@ def _saved_instance(out_dir):
     """Path of a small saved instance and its JSON document."""
     x = sample_ensemble(Dims(n=6, d=5, k=2), Ensemble.GAUSSIAN_SCALED, seed=4)
     truth = SparseVector.from_dense(np.array([0.0, 1.5, 0.0, -2.0, 0.0]), budget=2)
-    inst = build_instance(x, truth, NoiseVector.gaussian(6, 0.1, seed=5), ModelTag.OBLIVIOUS)
+    inst = build_instance(x, truth, gaussian_noise(6, 0.1, 5))
     path = out_dir / "inst.json"
     save_instance(inst, path, save_matrix_addressed(x, out_dir))
     return path, json.loads(path.read_text())
@@ -495,15 +492,15 @@ def test_load_instance_returns_an_instance_or_raises_value_error(tmp_path_factor
     except ValueError:
         return
     assert is_design(inst.x, (6, 5))
-    assert inst.y.shape == (6,) and inst.truth.d == 5 and inst.noise.values.shape == (6,)
+    assert inst.y.shape == (6,) and inst.truth.d == 5 and inst.noise.shape == (6,)
 
 
 def test_instance_roundtrip_and_hash_check(tmp_path):
     dims = Dims(n=10, d=6, k=2)
     x = sample_ensemble(dims, Ensemble.GAUSSIAN_SCALED, seed=8)
     truth = SparseVector.from_dense(np.eye(6)[0] * 2.0, budget=2)
-    noise = NoiseVector.gaussian(10, 0.1, seed=9)
-    inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
+    noise = gaussian_noise(10, 0.1, 9)
+    inst = build_instance(x, truth, noise)
     mp = tmp_path / "m.bin"
     save_matrix(x, mp)
     ip = tmp_path / "inst.json"
@@ -511,8 +508,35 @@ def test_instance_roundtrip_and_hash_check(tmp_path):
     back = load_instance(ip)
     assert np.array_equal(back.y, inst.y)
     assert np.array_equal(back.truth.values, truth.values)
-    assert back.model is ModelTag.OBLIVIOUS
+    assert np.array_equal(back.noise, noise)
     # corrupt the matrix: hash check must fire
     mp.write_bytes(mp.read_bytes()[:-1] + b"\x00")
     with pytest.raises(ValueError):
         load_instance(ip)
+    assert json.loads(ip.read_text())["format"] == INSTANCE_FORMATS[-1] == "linfrec-instance-v2"
+
+
+def test_v1_instance_loads_and_its_tags_are_ignored(tmp_path):
+    x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    mp = tmp_path / "m.bin"
+    save_matrix(x, mp)
+    v1 = {
+        "format": "linfrec-instance-v1",
+        "model": "oblivious",
+        "matrix": {"file": "m.bin", "sha256": matrix_sha256(mp)},
+        "y": [1.5, -1.75, 0.5],
+        "truth": {"values": [1.0, -1.0], "budget": 2},
+        "noise": {"values": [0.5, 0.25, 0.5], "kind": "isotropic_gaussian", "sigma": 0.5},
+    }
+    (tmp_path / "v1.json").write_text(json.dumps(v1))
+    back = load_instance(tmp_path / "v1.json")
+    want = build_instance(x, SparseVector.from_dense(np.array([1.0, -1.0]), budget=2), np.array([0.5, 0.25, 0.5]))
+    save_instance(want, tmp_path / "v2.json", mp)
+    for inst in (back, load_instance(tmp_path / "v2.json")):
+        assert inst.x.tobytes() == x.tobytes()
+        assert inst.y.tobytes() == want.y.tobytes()
+        assert inst.truth.values.tobytes() == want.truth.values.tobytes() and inst.truth.budget == 2
+        assert inst.noise.tobytes() == want.noise.tobytes()
+    # v2 is v1 without the three tags
+    v2 = json.loads((tmp_path / "v2.json").read_text())
+    assert set(v1) - set(v2) == {"model"} and set(v1["noise"]) - set(v2["noise"]) == {"kind", "sigma"}

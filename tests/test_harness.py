@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,9 @@ from linfrec import core, harness
 from linfrec.core import (
     Dims,
     Ensemble,
-    ModelTag,
-    NoiseVector,
     SparseVector,
     build_instance,
+    gaussian_noise,
     load_instance,
     load_matrix,
     sample_ensemble,
@@ -115,7 +115,7 @@ def _writer_case(writer, tmp_path):
     x = sample_ensemble(Dims(n=6, d=5, k=2), Ensemble.GAUSSIAN_SCALED, seed=4)
     if writer == "save_matrix":
         return (lambda p: save_matrix(x, p)), (lambda p: np.array_equal(load_matrix(p), x)), core
-    inst = build_instance(x, SparseVector.zeros(5, 2), NoiseVector.gaussian(6, 0.1, seed=5), ModelTag.OBLIVIOUS)
+    inst = build_instance(x, SparseVector.zeros(5, 2), gaussian_noise(6, 0.1, 5))
     matrix = save_matrix_addressed(x, tmp_path)
     return (
         (lambda p: save_instance(inst, p, matrix)),
@@ -263,6 +263,29 @@ def test_unexpected_errors_propagate(monkeypatch):
     monkeypatch.delenv("LINFREC_THREADS", raising=False)
     with pytest.raises(KeyError):
         run_experiment(tiny_config(kind, trials=1))
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_threads_must_be_a_positive_integer(threads, tmp_path, monkeypatch):
+    monkeypatch.setenv("LINFREC_THREADS", threads)
+    cfg = tiny_config(ExperimentKind.OBLIVIOUS_RECOVERY, trials=1, output=str(tmp_path / "out.csv"))
+    with pytest.raises(ValueError, match=f"LINFREC_THREADS must be a positive integer, got '{threads}'"):
+        run_experiment(cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trial_clock_starts_before_the_seed_is_derived(monkeypatch):
+    # a stall anywhere in _run_one counts in its wall time; only the trial
+    # seed (master_seed, grid_index, trial) is slow, not the trial body's keys
+    def slow_seed(*key):
+        if key == (99, 0, 0):
+            time.sleep(0.02)
+        return derive_seed(*key)
+
+    monkeypatch.setattr(harness, "derive_seed", slow_seed)
+    monkeypatch.delenv("LINFREC_THREADS", raising=False)
+    records, _ = run_experiment(tiny_config(ExperimentKind.LINF_RIP_SWEEP, trials=1, algorithm={"epsilon": 0.6}))
+    assert records[0].wall_time_s >= 0.02
 
 
 def test_separation_summary_records_both_regressions():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import is_design, mutated_json, orthonormal_columns
 from linfrec import core
-from linfrec.core import TILE_COLS, TILE_ROWS, Dims, Ensemble, SparseVector, rng_from
+from linfrec.core import TILE_COLS, TILE_ROWS, TILE_TAG, Dims, Ensemble, SparseVector, rng_from
 from linfrec.linops import IndexSet
 from linfrec.padaptive import (
     MaskedOracle,
@@ -131,7 +131,9 @@ class TestMaskedOracle:
         o = make_oracle(d=50, seed=9)
         o.masked_observe(TILE_ROWS + 1, IndexSet.from_iterable([*range(TILE_COLS), 20, *range(48, 50)]))
         # column tiles 1 and 2 are drawn in both row tiles; 0 and 3 are masked whole
-        assert sorted(key[3] for key in keys) == [1, 1, 2, 2]
+        assert sorted(key[3] for key in keys if key[-1] == TILE_TAG) == [1, 1, 2, 2]
+        # the one other stream is the query's noise
+        assert [key for key in keys if key[-1] != TILE_TAG] == [(9, 0)]
 
     def test_tile_keys_do_not_alias_the_noise_stream(self):
         # a SeedSequence ignores trailing zeros, so an untagged key for tile
@@ -159,6 +161,9 @@ def _transcript():
     return o, json.loads(o.transcript_json())
 
 
+BAD_SIGMA = "noise_sigma must be a finite nonnegative number"
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -166,8 +171,11 @@ def _transcript():
         (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 99), "mask index 99 is out of range for d=10"),
         (lambda doc: doc["queries"][0].__setitem__("rows", "4"), "field queries.0.rows has type str"),
         (lambda doc: doc.__setitem__("master_seed", 1.5), "field master_seed has type float"),
+        (lambda doc: doc.__setitem__("noise_sigma", math.nan), f"{BAD_SIGMA}, got nan"),
+        (lambda doc: doc.__setitem__("noise_sigma", math.inf), f"{BAD_SIGMA}, got inf"),
+        (lambda doc: doc.__setitem__("noise_sigma", -1), f"{BAD_SIGMA}, got -1"),
     ],
-    ids=["no-dims-k", "mask-index-99", "str-rows", "float-master-seed"],
+    ids=["no-dims-k", "mask-index-99", "str-rows", "float-master-seed", "nan-sigma", "inf-sigma", "negative-sigma"],
 )
 def test_replay_names_the_malformed_field(mutate, message):
     o, doc = _transcript()

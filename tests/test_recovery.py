@@ -11,10 +11,9 @@ from linfrec.adversarial import build_masking_vector
 from linfrec.core import (
     Dims,
     Ensemble,
-    ModelTag,
-    NoiseVector,
     SparseVector,
     build_instance,
+    gaussian_noise,
     sample_ensemble,
 )
 from linfrec.linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols
@@ -44,7 +43,7 @@ def linf_error(rep, truth):
 
 def gram_noise(x, noise):
     """||X^T xi||_inf."""
-    return float(np.max(np.abs(x.T @ noise.values), initial=0.0))
+    return float(np.max(np.abs(x.T @ noise), initial=0.0))
 
 
 # every estimator takes (k, R, r) after (x, y); ``params`` holds those three
@@ -149,8 +148,8 @@ class TestIht:
             master = np.random.default_rng(5000 + t)
             x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 5000 + t)
             truth = make_signal(d, k, master)
-            noise = NoiseVector.gaussian(n, 0.05, 6000 + t)
-            inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
+            noise = gaussian_noise(n, 0.05, 6000 + t)
+            inst = build_instance(x, truth, noise)
             r = 0.1
             rep = iht(x, inst.y, k, float(np.linalg.norm(truth.values)), r)
             bound = r + 5.0 * math.sqrt(3 * k) * gram_noise(x, noise)
@@ -176,8 +175,8 @@ class TestOblivious:
     def test_zero_signal_pure_noise_below_threshold(self, rng):
         n, d = 90, 20
         x = sample_ensemble(Dims(n=n, d=d, k=2), Ensemble.GAUSSIAN_SCALED, 3)
-        noise = NoiseVector.gaussian(n, 0.01, 4)
-        y = noise.values.copy()
+        noise = gaussian_noise(n, 0.01, 4)
+        y = noise.copy()
         rep = oblivious_recover(x, y, 2, 1.0, 10.0)
         assert np.array_equal(rep.estimate.values, np.zeros(d))
         assert rep.diagnostics["correction_support"] == 0
@@ -195,9 +194,9 @@ class TestOblivious:
             master = np.random.default_rng(7000 + t)
             x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 7000 + t)
             truth = make_signal(d, k, master)
-            noise = NoiseVector.gaussian(n, 0.05, 7500 + t)
-            inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
-            msig = float(np.max(np.abs(x.T @ noise.values)))
+            noise = gaussian_noise(n, 0.05, 7500 + t)
+            inst = build_instance(x, truth, noise)
+            msig = float(np.max(np.abs(x.T @ noise)))
             r = msig * math.sqrt(math.log(n))
             rep = oblivious_recover(x, inst.y, k, float(np.linalg.norm(truth.values)), r)
             hits += linf_error(rep, truth) <= 20.0 * r
@@ -296,8 +295,8 @@ class TestReduction:
         master = np.random.default_rng(seed)
         x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, seed)
         truth = make_signal(d, k, master)
-        noise = NoiseVector.gaussian(n, 0.05, seed + 100)
-        inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
+        noise = gaussian_noise(n, 0.05, seed + 100)
+        inst = build_instance(x, truth, noise)
         params = (k, float(np.linalg.norm(truth.values)), 0.05 / 100)  # k, R, r
         return x, inst, params, truth
 
@@ -338,7 +337,7 @@ class TestAdaptiveIht:
         r = 0.1
         rep = iht(x, y, k, 1.0, r)
         assert linf_error(rep, truth) == 0.0
-        bound = r + 2.0 * gram_noise(x, NoiseVector.zero(d))
+        bound = r + 2.0 * gram_noise(x, np.zeros(d))
         assert linf_error(rep, truth) <= bound + ADAPTIVE_BOUND_SLACK
 
     def _certified_fixture(self, seed, adversarial_noise):
@@ -352,10 +351,10 @@ class TestAdaptiveIht:
             free = np.setdiff1d(np.arange(d), truth.support)
             s = IndexSet(np.sort(rng.choice(free, size=2 * k, replace=False)).astype(np.int64))
             mv = build_masking_vector(x, s, normalize=True)
-            noise = NoiseVector.adversarial(x @ mv.v.values)
+            noise = x @ mv.v.values
         else:
-            noise = NoiseVector.gaussian(n, 0.02, seed + 1)
-        inst = build_instance(x, truth, noise, ModelTag.ADAPTIVE)
+            noise = gaussian_noise(n, 0.02, seed + 1)
+        inst = build_instance(x, truth, noise)
         return x, inst, cert, truth, noise
 
     @pytest.mark.parametrize("adversarial_noise", [False, True])
@@ -392,9 +391,9 @@ class TestSupportIdentificationThreshold:
                 master.choice([-0.5, 0.5], size=k - k // 2),
             ])
             truth = make_signal(d, k, master, values=values)
-            noise = NoiseVector.gaussian(n, 0.05, 8500 + t)
-            inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
-            msig = float(np.max(np.abs(x.T @ noise.values)))
+            noise = gaussian_noise(n, 0.05, 8500 + t)
+            inst = build_instance(x, truth, noise)
+            msig = float(np.max(np.abs(x.T @ noise)))
             r_inf = float(np.linalg.norm(truth.values)) / math.sqrt(k) + 3.0 * msig
             selected = np.flatnonzero(np.abs(x.T @ inst.y) >= r_inf)
             inside = np.all(np.isin(selected, truth.support))
@@ -414,12 +413,12 @@ class TestRestrictedOlsErrorBound:
             master = np.random.default_rng(9000 + t)
             x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 9000 + t)
             truth = make_signal(d, k, master)
-            noise = NoiseVector.gaussian(n, 0.05, 9500 + t)
-            inst = build_instance(x, truth, noise, ModelTag.OBLIVIOUS)
+            noise = gaussian_noise(n, 0.05, 9500 + t)
+            inst = build_instance(x, truth, noise)
             sub = IndexSet(np.sort(master.choice(truth.support, size=k // 2, replace=False)).astype(np.int64))
             w = restricted_ols(x, sub, inst.y)
             err = float(np.max(np.abs(w - truth.values[sub.indices])))
-            msig = float(np.max(np.abs(x.T @ noise.values)))
+            msig = float(np.max(np.abs(x.T @ noise)))
             bound = 8.0 * msig + float(np.linalg.norm(truth.values)) / math.sqrt(k)
             hits += err <= bound
         assert hits >= 0.95 * trials
