@@ -72,7 +72,10 @@ class MaskedOracle:
     ):
         if truth.d != dims.d:
             raise ValueError(f"truth length {truth.d} != d {dims.d}")
-        self.noise_sigma = float(noise_sigma)
+        try:
+            self.noise_sigma = float(noise_sigma)
+        except OverflowError:  # an integer beyond the float range
+            self.noise_sigma = math.inf
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
         self.dims = dims

@@ -174,8 +174,12 @@ BAD_SIGMA = "noise_sigma must be a finite nonnegative number"
         (lambda doc: doc.__setitem__("noise_sigma", math.nan), f"{BAD_SIGMA}, got nan"),
         (lambda doc: doc.__setitem__("noise_sigma", math.inf), f"{BAD_SIGMA}, got inf"),
         (lambda doc: doc.__setitem__("noise_sigma", -1), f"{BAD_SIGMA}, got -1"),
+        (lambda doc: doc.__setitem__("noise_sigma", 10**400), f"{BAD_SIGMA}, got 1000"),
     ],
-    ids=["no-dims-k", "mask-index-99", "str-rows", "float-master-seed", "nan-sigma", "inf-sigma", "negative-sigma"],
+    ids=[
+        "no-dims-k", "mask-index-99", "str-rows", "float-master-seed",
+        "nan-sigma", "inf-sigma", "negative-sigma", "huge-int-sigma",
+    ],
 )
 def test_replay_names_the_malformed_field(mutate, message):
     o, doc = _transcript()
