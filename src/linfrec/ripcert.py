@@ -11,9 +11,12 @@ Three properties of the Gram deviation G = X^T X - I are certified:
 * pairwise incoherence: an entrywise bound on |G_ij|.
 
 Only exact l2 certification, whose subset budget bounds d, holds G whole.
-The exact sup-norm and incoherence certifiers scan it in row panels
-X[:, lo:hi]^T X of at most PANEL_BYTES each, so their memory is
-O(n d + PANEL_BYTES); the sampled modes form only s x s blocks.
+The exact sup-norm and incoherence certifiers scan its upper triangle in row
+panels X[:, lo:hi]^T X[:, c0:], c0 = lo rounded down to a multiple of 64, of
+at most PANEL_BYTES each, which is half the multiply-adds of whole panels.
+Both entries of a pair are read from the upper triangle, and the sup-norm scan
+carries each later row's s-1 largest magnitudes from panel to panel, so their
+memory is O(n d + PANEL_BYTES + d s); the sampled modes form only s x s blocks.
 
 Also provides the averaged-coherence floor (which is at least 1/n for any
 matrix) and the minimum sample count compatible with sup-norm RIP at (eps, s).
@@ -48,8 +51,9 @@ __all__ = [
 
 EXACT_SUBSET_BUDGET = 10**6
 
-# Bytes of one panel of Gram rows (524 rows at d = 4000).  The sup-norm scan
-# holds two panels at once: the rows and their partitioned copy.
+# Bytes of one panel of Gram rows (524 rows at d = 4000).  Every panel is
+# written into one buffer of this size; the sup-norm scan adds a bool mask an
+# eighth of it, its candidates, and 16 bytes per carried (value, row) pair.
 PANEL_BYTES = 16 * 2**20
 
 
@@ -179,20 +183,112 @@ def certify_l2_rip(
     return _scan_certificate(CertKind.L2_RIP, epsilon, s, subsets, deviation, exact=mode == "exact")
 
 
-def _abs_deviation_panels(x: np.ndarray):
-    """Yield ``(lo, |[X^T X - I]_{lo:hi, :}|)`` over consecutive row panels.
+def _upper_panels(x: np.ndarray):
+    """Yield ``(lo, p, u)`` over consecutive row panels of the upper triangle of X^T X - I.
 
-    A panel spanning all d rows is the very ``X.T @ X`` product of the dense
-    Gram.  Narrower panels are general matrix products, whose rounding may
-    differ from the dense product's in the last bit of some entries.
+    Panel rows [lo, hi) form only ``p = X[:, lo:hi]^T X[:, c0:]``, with c0 = lo
+    rounded down to a multiple of 64: a product whose columns start on such a
+    boundary rounds every entry as the full-width panel product would.  ``u``
+    is ``p`` from column lo on, minus the identity, and its leading
+    (hi - lo) x (hi - lo) block is made symmetric from its upper triangle, so
+    every Gram entry is read from the panel of its smaller index.
     """
     d = x.shape[1]
-    rows = max(1, PANEL_BYTES // (8 * d))
+    rows = min(d, max(1, PANEL_BYTES // (8 * d)))
+    lower = np.tri(64, k=-1, dtype=bool)
+    buf = np.empty(rows * d)  # every panel is written here: one panel is held at a time
     for lo in range(0, d, rows):
-        p = x[:, lo : lo + rows].T @ x
-        r = np.arange(p.shape[0])
-        p[r, lo + r] -= 1.0
-        yield lo, np.abs(p, out=p)
+        c0 = lo - lo % 64
+        h = min(rows, d - lo)
+        p = np.matmul(x[:, lo : lo + h].T, x[:, c0:], out=buf[: h * (d - c0)].reshape(h, d - c0))
+        u = p[:, lo - c0 :]
+        r = np.arange(h)
+        u[r, r] -= 1.0
+        for a in range(0, h, 64):  # in 64-row blocks: no temporary of the whole block
+            b = min(a + 64, h)
+            u[a:b, :a] = u[:a, a:b].T
+            np.copyto(u[a:b, a:b], u[a:b, a:b].T, where=lower[: b - a, : b - a])
+        yield lo, p, u
+
+
+def _group_floor(a: np.ndarray, take: int, axis: int) -> np.ndarray:
+    """A lower bound on the ``take``-th largest entry of each line of ``a`` along ``axis``.
+
+    The line is cut into 4 * take groups; ``take`` of their maxima are distinct
+    entries, so the take-th largest maximum is at most the take-th largest entry.
+    """
+    length = a.shape[axis]
+    if length < take:
+        return np.full(a.shape[1 - axis], -np.inf)
+    groups = min(length, 4 * take)
+    size = length // groups
+    if axis == 0:
+        maxima = a[: groups * size].reshape(groups, size, -1).max(axis=1).T
+    else:
+        maxima = a[:, : groups * size].reshape(a.shape[0], groups, size).max(axis=2)
+    return np.partition(maxima, groups - take, axis=1)[:, groups - take]
+
+
+def _candidates(u: np.ndarray, row_floor: np.ndarray, col_floor: np.ndarray) -> np.ndarray:
+    """Flat indices into ``u`` of entries at least their row's floor or, right of
+    the leading block, their column's floor; takes |u| in place, 64 rows at a time
+    so each block is compared while it is in cache."""
+    h, width = u.shape
+    mask = np.empty(u.shape, dtype=bool)
+    right = np.empty((min(h, 64), width - h), dtype=bool)
+    for a in range(0, h, 64):
+        b = min(a + 64, h)
+        rows = u[a:b]
+        np.abs(rows, out=rows)
+        np.greater_equal(rows, row_floor[a:b, None], out=mask[a:b])
+        np.greater_equal(rows[:, h:], col_floor, out=right[: b - a])
+        np.logical_or(mask[a:b, h:], right[: b - a], out=mask[a:b, h:])
+    return np.flatnonzero(mask)
+
+
+def _carry(top: np.ndarray, top_rows: np.ndarray, cols: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    """Keep in ``top`` each column's ``take`` largest magnitudes over the rows seen so far.
+
+    ``top``/``top_rows`` hold, per column, magnitudes and their row indices in
+    increasing row order; ``(cols, rows, vals)`` are the new panel's
+    candidates in row-major order, all in rows after every carried one.  Ties at
+    the cut keep the smaller row index.
+    """
+    w, take = top.shape
+    k = len(cols)
+    order = np.sort(cols * k + np.arange(k)) % k  # by column, then by row
+    cols, rows, vals = cols[order], rows[order], vals[order]
+    counts = np.bincount(cols, minlength=w)
+    starts = np.cumsum(counts) - counts
+    merged = np.empty((w, take + int(counts.max())))
+    merged[:, :take] = top
+    merged[:, take:] = -np.inf
+    merged[cols, take + np.arange(k) - starts[cols]] = vals
+    cut = np.sort(merged, axis=1)[:, -take]
+    keep = merged >= cut[:, None]
+    excess = keep.sum(axis=1) - take
+    tied = np.flatnonzero(excess)
+    if len(tied):  # drop the last of the entries equal to the cut
+        eq = merged[tied] == cut[tied, None]
+        later = np.cumsum(eq[:, ::-1], axis=1)[:, ::-1]
+        keep[tied] &= ~(eq & (later <= excess[tied, None]))
+    pos = np.nonzero(keep)[1].reshape(w, take)
+    top[...] = merged[keep].reshape(w, take)
+    new_rows = rows[np.clip(starts[:, None] + pos - take, 0, k - 1)]
+    top_rows[...] = np.where(pos >= take, new_rows, np.take_along_axis(top_rows, np.minimum(pos, take - 1), axis=1))
+
+
+def _top_sums(top: np.ndarray, rows: np.ndarray, vals: np.ndarray, h: int) -> np.ndarray:
+    """Sum, in ascending order, of each row's ``take`` largest among its carried
+    ``top`` and its candidates ``(rows, vals)`` (sorted by row)."""
+    take = top.shape[1]
+    counts = np.bincount(rows, minlength=h)
+    starts = np.cumsum(counts) - counts
+    merged = np.empty((h, take + int(counts.max(initial=0))))
+    merged[:, :take] = top
+    merged[:, take:] = -np.inf
+    merged[rows, take + np.arange(len(rows)) - starts[rows]] = vals
+    return np.sort(merged, axis=1)[:, -take:].sum(axis=1)
 
 
 def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
@@ -200,22 +296,57 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
 
     For anchor row i the maximizing subset is i plus the s-1 largest
     off-diagonal magnitudes in that row; all terms are nonnegative so smaller
-    subsets never win.  The first row reaching the maximum is the anchor.
+    subsets never win.  A row's value is |G_ii - 1| plus those magnitudes summed
+    in ascending order, so it depends on their values alone.  The first row
+    reaching the maximum is the anchor; among magnitudes tied at the cut its
+    witness takes the smaller column indices.
+
+    Only the upper triangle is formed (``_upper_panels``).  Row j's magnitudes
+    left of its panel sit in column j of earlier panels: each panel carries
+    every later column's s-1 largest magnitudes (value and row) forward, so a
+    row is final once its own panel is scanned.  Only entries at least a
+    floor on the s-1-th largest are read out: the carried s-1-th largest, or
+    on the first panel a bound from group maxima.
     """
-    take = min(s - 1, x.shape[1] - 1)
-    best = -np.inf
-    anchor, anchor_row = -1, None
-    for lo, p in _abs_deviation_panels(x):
-        r = np.arange(p.shape[0])
-        vals = p[r, lo + r]
-        p[r, lo + r] = -np.inf
-        if take > 0:
-            vals += np.partition(p, -take, axis=1)[:, -take:].sum(axis=1)
+    d = x.shape[1]
+    take = min(s - 1, d - 1)
+    top = np.full((d, take), -np.inf)
+    top_rows = np.full((d, take), -1, dtype=np.int64)
+    best, anchor, witness = -np.inf, -1, np.empty(0, dtype=np.int64)
+    for lo, p, u in _upper_panels(x):
+        h, width = u.shape
+        hi = lo + h
+        r = np.arange(h)
+        vals = np.abs(u[r, r])
+        if take == 0:
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                best, anchor = float(vals[i]), lo + i
+            continue
+        u[r, r] = 0.0
+        row_floor = top[lo:hi].min(axis=1)
+        col_floor = top[hi:].min(axis=1)
+        if np.isneginf(row_floor).any() or np.isneginf(col_floor).any():
+            np.abs(u, out=u)
+            np.maximum(row_floor, _group_floor(u, take, 1), out=row_floor)
+            np.maximum(col_floor, _group_floor(u[:, h:], take, 0), out=col_floor)
+        flat = _candidates(u, row_floor, col_floor)
+        fr, fc = np.divmod(flat, width)
+        fv = p.reshape(-1)[flat + fr * (p.shape[1] - width) + (p.shape[1] - width)]
+        row = (fv >= row_floor[fr]) & (fc != fr)
+        vals += _top_sums(top[lo:hi], fr[row], fv[row], h)
         i = int(np.argmax(vals))
         if vals[i] > best:
-            best, anchor, anchor_row = float(vals[i]), lo + i, p[i].copy()
-    top = np.argpartition(anchor_row, -take)[-take:] if take > 0 else np.empty(0, dtype=np.int64)
-    return best, np.sort(np.concatenate(([anchor], top))).astype(np.int64)
+            best, anchor = float(vals[i]), lo + i
+            mags = np.concatenate((top[anchor], u[i]))
+            mags[take + i] = -np.inf
+            idx = np.concatenate((top_rows[anchor], np.arange(lo, d)))
+            witness = idx[np.lexsort((idx, -mags))[:take]]
+        if hi < d:
+            col = (fc >= h) & (fv >= col_floor[np.maximum(fc - h, 0)])
+            if col.any():
+                _carry(top[hi:], top_rows[hi:], fc[col] - h, lo + fr[col], fv[col])
+    return best, np.sort(np.concatenate(([anchor], witness))).astype(np.int64)
 
 
 def certify_linf_rip(
@@ -251,13 +382,16 @@ def certify_linf_rip(
 def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
     """Entrywise bound on |[X^T X - I]_{ij}|; always exact (one Gram pass).
 
-    The witness is the first largest entry in row-major order.
+    The witness is the first largest entry in row-major order, which for a
+    symmetric matrix lies in the upper triangle, the part the panels form.
     """
     worst, i, j = -np.inf, 0, 0
-    for lo, p in _abs_deviation_panels(x):
+    for lo, p, u in _upper_panels(x):
+        np.abs(p, out=p)
+        p[:, : p.shape[1] - u.shape[1]] = -1.0  # columns left of lo: not this panel's
         pi, pj = divmod(int(np.argmax(p)), p.shape[1])
         if p[pi, pj] > worst:
-            worst, i, j = float(p[pi, pj]), lo + pi, pj
+            worst, i, j = float(p[pi, pj]), lo + pi, lo + pj - (p.shape[1] - u.shape[1])
     verdict = Verdict.HOLDS if worst <= alpha else Verdict.FAILS
     return RipCertificate(
         kind=CertKind.PAIRWISE_INCOHERENCE, threshold=float(alpha), s=2,

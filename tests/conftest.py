@@ -45,12 +45,13 @@ def brute_force_linf_cert(g: np.ndarray, s: int) -> float:
 def dense_linf_scan(g: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     """Greedy sup-norm RIP value and witness from a whole Gram matrix, row by row.
 
-    The certifier's former dense path: for anchor row i, the diagonal term plus
-    the s-1 largest off-diagonal magnitudes; the first strict maximum wins.
+    Both entries of a pair are read from the upper triangle.  For anchor row i:
+    |G_ii - 1| plus the s-1 largest off-diagonal magnitudes, summed in
+    ascending order; ties at the cut go to the smaller column index, and the
+    first strict maximum wins.
     """
     d = g.shape[0]
-    dev = g - np.eye(d)
-    absdev = np.abs(dev)
+    absdev = np.abs(np.triu(g) + np.triu(g, 1).T - np.eye(d))
     best = -np.inf
     best_subset = None
     take = min(s - 1, d - 1)
@@ -58,12 +59,8 @@ def dense_linf_scan(g: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         row = absdev[i].copy()
         diag = row[i]
         row[i] = -np.inf
-        if take > 0:
-            top = np.argpartition(row, -take)[-take:]
-            val = diag + float(row[top].sum())
-        else:
-            top = np.empty(0, dtype=np.int64)
-            val = diag
+        top = np.lexsort((np.arange(d), -row))[:take]
+        val = diag + float(np.sort(row[top]).sum())
         if val > best:
             best = float(val)
             best_subset = np.sort(np.concatenate(([i], top))).astype(np.int64)

@@ -174,17 +174,46 @@ class TestLinfRip:
         assert cert.achieved == pytest.approx(achieved, rel=1e-14)
         assert np.array_equal(cert.witness.indices, witness)
 
+    @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher"])
+    def test_default_panels_equal_row_loop(self, ensemble):
+        # d = 1500 spans two default panels, whose Gram is not exactly
+        # symmetric; the scan reads both entries of a pair from the upper one
+        n, d, s = 64, 1500, 12
+        rows = ripcert.PANEL_BYTES // (8 * d)
+        assert rows < d
+        x = scan_design(n, d, ensemble, 5)
+        g = panel_gram(x, rows)
+        cert = certify_linf_rip(x, epsilon=0.5, s=s)
+        achieved, witness = dense_linf_scan(g, s)
+        assert cert.achieved == achieved
+        assert np.array_equal(cert.witness.indices, witness)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("s,witness", [(3, [3, 5, 7]), (4, [3, 5, 7, 9])])
+    def test_ties_across_a_panel_boundary_take_the_smaller_columns(self, monkeypatch, rows, s, witness):
+        # row 7 starts a panel at either height; its four off-diagonal
+        # magnitudes all equal c, two left of the boundary (carried from
+        # earlier panels) and two right of it
+        d, c = 16, 0.25
+        x = np.eye(d)
+        x[7, [3, 5, 9, 12]] = c
+        monkeypatch.setattr(ripcert, "PANEL_BYTES", 8 * d * rows)
+        cert = certify_linf_rip(x, epsilon=0.1, s=s)
+        assert cert.achieved == (s - 1) * c
+        assert list(cert.witness.indices) == witness
+
     def test_exact_scan_never_holds_a_dense_gram(self):
-        n, d = 64, 3000
-        x = sample_ensemble(Dims(n=n, d=d, k=20), Ensemble.GAUSSIAN_SCALED, seed=3)
+        n, d, s = 64, 3000, 20
+        x = sample_ensemble(Dims(n=n, d=d, k=s), Ensemble.GAUSSIAN_SCALED, seed=3)
         tracemalloc.start()
         try:
-            certify_linf_rip(x, epsilon=0.25, s=20)
+            certify_linf_rip(x, epsilon=0.25, s=s)
             certify_pi(x, alpha=0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * d * d
+        # one panel at a time, its scratch, and the carried (value, row) pairs
+        assert peak < 2 * ripcert.PANEL_BYTES + 16 * d * s
 
     def test_value_grows_roughly_linearly_in_s(self):
         x = sample_ensemble(Dims(n=200, d=50, k=10), Ensemble.GAUSSIAN_SCALED, seed=5)
