@@ -185,6 +185,27 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
         (dict(VALID, noise={"sigma": float("nan")}), "noise.sigma must be a finite nonnegative number, got nan"),
         (dict(VALID, noise={"sigma": float("inf")}), "noise.sigma must be a finite nonnegative number, got inf"),
         (dict(VALID, noise={"sigma": -1}), "noise.sigma must be a finite nonnegative number, got -1"),
+        # integers beyond the float range
+        pytest.param(
+            dict(VALID, noise={"sigma": 10**400}),
+            f"noise.sigma must be a finite nonnegative number, got {10**400}",
+            id="huge-noise-sigma",
+        ),
+        pytest.param(
+            dict(VALID, kind="linf_rip_sweep", algorithm={"epsilon": 10**400}),
+            f"algorithm.epsilon must be a finite number, got {10**400}",
+            id="huge-epsilon",
+        ),
+        pytest.param(
+            dict(VALID, kind="partial_adaptive", algorithm={"r_inf": -(10**400)}),
+            f"algorithm.r_inf must be a finite number, got {-(10**400)}",
+            id="huge-r_inf",
+        ),
+        pytest.param(
+            dict(VALID, algorithm={"error_constant": 10**400}),
+            f"algorithm.error_constant must be a finite number, got {10**400}",
+            id="huge-error_constant",
+        ),
     ],
 )
 def test_run_malformed_config_is_reported(tmp_path, capsys, cfg, message):
