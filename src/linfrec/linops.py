@@ -99,9 +99,8 @@ def restricted_gram(x: np.ndarray, s: IndexSet) -> np.ndarray:
     """[X^T X]_{S x S} as an |S| x |S| array."""
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = x[:, s.indices]
-    g = cols.T @ cols
-    return 0.5 * (g + g.T)  # symmetrize roundoff
+    cols = x[:, s.indices]  # a fresh copy, so cols.T @ cols is numpy's exactly symmetric product
+    return cols.T @ cols
 
 
 def _cg_solve(cols: np.ndarray, b: np.ndarray) -> np.ndarray:
