@@ -214,19 +214,21 @@ def _upper_panels(x: np.ndarray):
 def _group_floor(a: np.ndarray, take: int, axis: int) -> np.ndarray:
     """A lower bound on the ``take``-th largest entry of each line of ``a`` along ``axis``.
 
-    The line is cut into 4 * take groups; ``take`` of their maxima are distinct
-    entries, so the take-th largest maximum is at most the take-th largest entry.
+    The line is cut into at least 4 * take groups (one entry each when it is
+    shorter than 8 * take); ``take`` of their maxima are distinct entries, so
+    the take-th largest maximum is at most the take-th largest entry.
     """
     length = a.shape[axis]
     if length < take:
         return np.full(a.shape[1 - axis], -np.inf)
-    groups = min(length, 4 * take)
-    size = length // groups
+    size = max(1, length // (4 * take))
+    groups = length // size
     if axis == 0:
-        maxima = a[: groups * size].reshape(groups, size, -1).max(axis=1).T
+        maxima = a[: groups * size].reshape(groups, size, -1).max(axis=1)
     else:
-        maxima = a[:, : groups * size].reshape(a.shape[0], groups, size).max(axis=2)
-    return np.partition(maxima, groups - take, axis=1)[:, groups - take]
+        maxima = a[:, : groups * size].reshape(a.shape[0], groups, size).max(axis=2).T
+    maxima.partition(groups - take, axis=0)
+    return maxima[groups - take]
 
 
 def _candidates(u: np.ndarray, row_floor: np.ndarray, col_floor: np.ndarray) -> np.ndarray:
@@ -246,24 +248,35 @@ def _candidates(u: np.ndarray, row_floor: np.ndarray, col_floor: np.ndarray) -> 
     return np.flatnonzero(mask)
 
 
-def _carry(top: np.ndarray, top_rows: np.ndarray, cols: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+def _carry(top: np.ndarray, top_rows: np.ndarray, floor: np.ndarray, cols, rows, vals) -> None:
     """Keep in ``top`` each column's ``take`` largest magnitudes over the rows seen so far.
 
     ``top``/``top_rows`` hold, per column, magnitudes and their row indices in
-    increasing row order; ``(cols, rows, vals)`` are the new panel's
-    candidates in row-major order, all in rows after every carried one.  Ties at
-    the cut keep the smaller row index.
+    increasing row order, and ``floor`` the take-th largest (-inf until
+    ``take`` rows are seen).  ``(cols, rows, vals)`` are the new panel's
+    candidates in row-major order, all in rows after every carried one; only
+    the columns they touch are rewritten, 4096 at a time to bound the scratch.
+    Ties at the cut keep the smaller row.
     """
-    w, take = top.shape
     k = len(cols)
     order = np.sort(cols * k + np.arange(k)) % k  # by column, then by row
     cols, rows, vals = cols[order], rows[order], vals[order]
-    counts = np.bincount(cols, minlength=w)
-    starts = np.cumsum(counts) - counts
-    merged = np.empty((w, take + int(counts.max())))
-    merged[:, :take] = top
+    starts = np.append(np.flatnonzero(np.diff(cols, prepend=-1)), k)
+    for b in range(0, len(starts) - 1, 4096):
+        first = starts[b : b + 4097]
+        lo, hi = first[0], first[-1]
+        _carry_block(top, top_rows, floor, cols[first[:-1]], rows[lo:hi], vals[lo:hi], first - lo)
+
+
+def _carry_block(top, top_rows, floor, touched, rows, vals, bounds) -> None:
+    """Merge into the carried columns ``touched`` their candidates ``rows[bounds[i]:bounds[i + 1]]``."""
+    take = top.shape[1]
+    k = len(rows)
+    counts = np.diff(bounds)
+    merged = np.empty((len(touched), take + int(counts.max())))
+    merged[:, :take] = top[touched]
     merged[:, take:] = -np.inf
-    merged[cols, take + np.arange(k) - starts[cols]] = vals
+    merged[np.repeat(np.arange(len(touched)), counts), take + np.arange(k) - np.repeat(bounds[:-1], counts)] = vals
     cut = np.sort(merged, axis=1)[:, -take]
     keep = merged >= cut[:, None]
     excess = keep.sum(axis=1) - take
@@ -272,10 +285,12 @@ def _carry(top: np.ndarray, top_rows: np.ndarray, cols: np.ndarray, rows: np.nda
         eq = merged[tied] == cut[tied, None]
         later = np.cumsum(eq[:, ::-1], axis=1)[:, ::-1]
         keep[tied] &= ~(eq & (later <= excess[tied, None]))
-    pos = np.nonzero(keep)[1].reshape(w, take)
-    top[...] = merged[keep].reshape(w, take)
-    new_rows = rows[np.clip(starts[:, None] + pos - take, 0, k - 1)]
-    top_rows[...] = np.where(pos >= take, new_rows, np.take_along_axis(top_rows, np.minimum(pos, take - 1), axis=1))
+    pos = np.nonzero(keep)[1].reshape(-1, take)
+    top[touched] = merged[keep].reshape(-1, take)
+    new_rows = rows[np.clip(bounds[:-1, None] + pos - take, 0, k - 1)]
+    old_rows = np.take_along_axis(top_rows[touched], np.minimum(pos, take - 1), axis=1)
+    top_rows[touched] = np.where(pos >= take, new_rows, old_rows)
+    floor[touched] = cut
 
 
 def _top_sums(top: np.ndarray, rows: np.ndarray, vals: np.ndarray, h: int) -> np.ndarray:
@@ -312,6 +327,7 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     take = min(s - 1, d - 1)
     top = np.full((d, take), -np.inf)
     top_rows = np.full((d, take), -1, dtype=np.int64)
+    floor = np.full(d, -np.inf)
     best, anchor, witness = -np.inf, -1, np.empty(0, dtype=np.int64)
     for lo, p, u in _upper_panels(x):
         h, width = u.shape
@@ -324,15 +340,15 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
                 best, anchor = float(vals[i]), lo + i
             continue
         u[r, r] = 0.0
-        row_floor = top[lo:hi].min(axis=1)
-        col_floor = top[hi:].min(axis=1)
-        if np.isneginf(row_floor).any() or np.isneginf(col_floor).any():
+        row_floor, col_floor = floor[lo:hi], floor[hi:]
+        if lo < take:  # fewer than take rows carried: bound the floors from this panel
             np.abs(u, out=u)
-            np.maximum(row_floor, _group_floor(u, take, 1), out=row_floor)
-            np.maximum(col_floor, _group_floor(u[:, h:], take, 0), out=col_floor)
+            row_floor = np.maximum(row_floor, _group_floor(u, take, 1))
+            col_floor = np.maximum(col_floor, _group_floor(u[:, h:], take, 0))
         flat = _candidates(u, row_floor, col_floor)
         fr, fc = np.divmod(flat, width)
-        fv = p.reshape(-1)[flat + fr * (p.shape[1] - width) + (p.shape[1] - width)]
+        fv = p.reshape(-1)[flat + (fr + 1) * (p.shape[1] - width)]  # u[fr, fc]
+        del flat
         row = (fv >= row_floor[fr]) & (fc != fr)
         vals += _top_sums(top[lo:hi], fr[row], fv[row], h)
         i = int(np.argmax(vals))
@@ -345,7 +361,7 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         if hi < d:
             col = (fc >= h) & (fv >= col_floor[np.maximum(fc - h, 0)])
             if col.any():
-                _carry(top[hi:], top_rows[hi:], fc[col] - h, lo + fr[col], fv[col])
+                _carry(top, top_rows, floor, lo + fc[col], lo + fr[col], fv[col])
     return best, np.sort(np.concatenate(([anchor], witness))).astype(np.int64)
 
 
