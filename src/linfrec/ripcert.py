@@ -272,11 +272,7 @@ def _carry_block(top, top_rows, floor, touched, rows, vals, bounds) -> None:
     """Merge into the carried columns ``touched`` their candidates ``rows[bounds[i]:bounds[i + 1]]``."""
     take = top.shape[1]
     k = len(rows)
-    counts = np.diff(bounds)
-    merged = np.empty((len(touched), take + int(counts.max())))
-    merged[:, :take] = top[touched]
-    merged[:, take:] = -np.inf
-    merged[np.repeat(np.arange(len(touched)), counts), take + np.arange(k) - np.repeat(bounds[:-1], counts)] = vals
+    merged = _padded(top[touched], np.diff(bounds), vals)
     cut = np.sort(merged, axis=1)[:, -take]
     keep = merged >= cut[:, None]
     excess = keep.sum(axis=1) - take
@@ -293,17 +289,15 @@ def _carry_block(top, top_rows, floor, touched, rows, vals, bounds) -> None:
     floor[touched] = cut
 
 
-def _top_sums(top: np.ndarray, rows: np.ndarray, vals: np.ndarray, h: int) -> np.ndarray:
-    """Sum, in ascending order, of each row's ``take`` largest among its carried
-    ``top`` and its candidates ``(rows, vals)`` (sorted by row)."""
-    take = top.shape[1]
-    counts = np.bincount(rows, minlength=h)
-    starts = np.cumsum(counts) - counts
-    merged = np.empty((h, take + int(counts.max(initial=0))))
-    merged[:, :take] = top
-    merged[:, take:] = -np.inf
-    merged[rows, take + np.arange(len(rows)) - starts[rows]] = vals
-    return np.sort(merged, axis=1)[:, -take:].sum(axis=1)
+def _padded(front: np.ndarray, counts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Line i is ``front[i]``, then its ``counts[i]`` values of ``vals`` (grouped
+    by line, in order), then -inf up to the longest line."""
+    width = front.shape[1]
+    merged = np.full((len(front), width + int(counts.max(initial=0))), -np.inf)
+    merged[:, :width] = front
+    line = np.repeat(np.arange(len(counts)), counts)
+    merged[line, width + np.arange(len(vals)) - (np.cumsum(counts) - counts)[line]] = vals
+    return merged
 
 
 def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
@@ -350,7 +344,8 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         fv = p.reshape(-1)[flat + (fr + 1) * (p.shape[1] - width)]  # u[fr, fc]
         del flat
         row = (fv >= row_floor[fr]) & (fc != fr)
-        vals += _top_sums(top[lo:hi], fr[row], fv[row], h)
+        merged = _padded(top[lo:hi], np.bincount(fr[row], minlength=h), fv[row])
+        vals += np.sort(merged, axis=1)[:, -take:].sum(axis=1)  # the take largest, in ascending order
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, anchor = float(vals[i]), lo + i
