@@ -7,7 +7,7 @@ then ``certify_linf_rip(X, 0.25, 20, mode="exact")``.  The curve is merged into
 the JSON file under ``--label``, next to curves recorded earlier, so one file
 can hold the curves of two checkouts.  Run from the repository root:
 
-    PYTHONPATH=src python3 scripts/certify_curve.py --label panels
+    PYTHONPATH=src python3 scripts/certify_curve.py --label triangle
 
 The linfrec that ``PYTHONPATH`` selects is the one measured; its checkout's
 git SHA and a digest of its sources are recorded with the curve.
@@ -46,6 +46,7 @@ def measure(d: int, seed: int) -> dict:
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "design_mb": 8.0 * N * d / 2**20,
         "achieved": cert.achieved,
+        "witness": [int(i) for i in cert.witness.indices],
         "verdict": cert.verdict.value,
     }
 

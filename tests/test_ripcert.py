@@ -176,8 +176,9 @@ class TestLinfRip:
 
     @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher"])
     def test_default_panels_equal_row_loop(self, ensemble):
-        # d = 1500 spans two default panels, whose Gram is not exactly
-        # symmetric; the scan reads both entries of a pair from the upper one
+        # d = 1500 spans two default panels: the Gaussian panel Gram is not
+        # exactly symmetric (the scan reads both entries of a pair from the
+        # upper one), and the Rademacher one ties at the cut
         n, d, s = 64, 1500, 12
         rows = ripcert.PANEL_BYTES // (8 * d)
         assert rows < d
