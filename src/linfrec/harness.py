@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -65,22 +66,6 @@ __all__ = [
 ]
 
 CSV_SCHEMA = "linfrec-trials-v1"
-CSV_COLUMNS = [
-    "experiment",
-    "grid_index",
-    "n",
-    "d",
-    "k",
-    "trial",
-    "seed",
-    "error",
-    "error_l2",
-    "metric_sigma",
-    "bound",
-    "passed",
-    "extra",
-]
-
 THREADS_ENV = "LINFREC_THREADS"
 
 # Roundoff slack when checking the adaptive bound r + 2 ||X^T xi||_inf.
@@ -207,6 +192,13 @@ class TrialRecord:
     passed: bool
     extra: dict = field(default_factory=dict)
     wall_time_s: float = 0.0  # in-memory diagnostic; excluded from the CSV
+
+    def __post_init__(self):
+        ExperimentKind(self.experiment)  # an unknown experiment is a ValueError
+
+
+# The CSV holds every field but the wall time, in field order.
+CSV_COLUMNS = [f.name for f in fields(TrialRecord) if f.name != "wall_time_s"]
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -493,7 +485,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     if workers < 1:
         raise ValueError(f"{THREADS_ENV} must be a positive integer, got {threads!r}")
     if workers > 1:
-        # each worker fills designs on its share of the cores
+        # no more workers than trials; each fills designs on its share of the cores
+        workers = min(workers, len(tasks))
         with ProcessPoolExecutor(
             max_workers=workers, initializer=core._share_cores, initargs=(workers,)
         ) as pool:
@@ -575,14 +568,15 @@ def _fmt(v) -> str:
         return "1" if v else "0"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, dict):
+        return ";".join(f"{key}={_fmt(v[key])}" for key in sorted(v))
     return str(v)
 
 
-def _fmt_extra(extra: dict) -> str:
-    parts = []
-    for key in sorted(extra):
-        parts.append(f"{key}={_fmt(extra[key])}")
-    return ";".join(parts)
+def _parse_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
 
 
 def _parse_extra(text: str) -> dict:
@@ -590,12 +584,25 @@ def _parse_extra(text: str) -> dict:
     if not text:
         return out
     for part in text.split(";"):
-        key, _, val = part.partition("=")
+        key, eq, val = part.partition("=")
+        if not (key and eq):
+            raise ValueError(f"expected key=value, got {part!r}")
         try:
             out[key] = float(val)
         except ValueError:
             out[key] = val
     return out
+
+
+# type TrialRecord declares for a column -> parser of its cells
+_PARSERS = {
+    str: str,
+    int: int,
+    float | None: lambda text: float(text) if text else None,
+    bool: _parse_flag,
+    dict: _parse_extra,
+}
+_COLUMN_PARSERS = [(name, _PARSERS[hint]) for name, hint in get_type_hints(TrialRecord).items() if name in CSV_COLUMNS]
 
 
 def write_csv(records: list[TrialRecord], path: str | Path) -> None:
@@ -604,50 +611,29 @@ def write_csv(records: list[TrialRecord], path: str | Path) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in sorted(records, key=lambda r: (r.grid_index, r.trial)):
-        writer.writerow(
-            [
-                rec.experiment,
-                rec.grid_index,
-                rec.n,
-                rec.d,
-                rec.k,
-                rec.trial,
-                rec.seed,
-                _fmt(rec.error),
-                _fmt(rec.error_l2),
-                _fmt(rec.metric_sigma),
-                _fmt(rec.bound),
-                _fmt(rec.passed),
-                _fmt_extra(rec.extra),
-            ]
-        )
+        writer.writerow([_fmt(getattr(rec, name)) for name in CSV_COLUMNS])
     replace_file(path, [buf.getvalue().encode()])
 
 
+def _parse_row(row: list[str]) -> TrialRecord:
+    if len(row) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} fields, found {len(row)}")
+    cells = {}
+    for (name, parse), text in zip(_COLUMN_PARSERS, row):
+        try:
+            cells[name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return TrialRecord(**cells)
+
+
 def read_csv(path: str | Path) -> list[TrialRecord]:
-    records = []
+    """The records of a CSV that :func:`write_csv` wrote; a malformed line is a ValueError naming it."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_COLUMNS:
-            raise ValueError(f"{path}: header does not match schema {CSV_SCHEMA}")
-        for row in reader:
-            vals = dict(zip(CSV_COLUMNS, row))
-            records.append(
-                TrialRecord(
-                    experiment=vals["experiment"],
-                    grid_index=int(vals["grid_index"]),
-                    n=int(vals["n"]),
-                    d=int(vals["d"]),
-                    k=int(vals["k"]),
-                    trial=int(vals["trial"]),
-                    seed=int(vals["seed"]),
-                    error=float(vals["error"]) if vals["error"] else None,
-                    error_l2=float(vals["error_l2"]) if vals["error_l2"] else None,
-                    metric_sigma=float(vals["metric_sigma"]) if vals["metric_sigma"] else None,
-                    bound=float(vals["bound"]) if vals["bound"] else None,
-                    passed=vals["passed"] == "1",
-                    extra=_parse_extra(vals["extra"]),
-                )
-            )
-    return records
+        try:
+            if next(reader, None) != CSV_COLUMNS:
+                raise ValueError(f"header does not match schema {CSV_SCHEMA}")
+            return [_parse_row(row) for row in reader]
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None

@@ -1,13 +1,14 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 from linfrec.cli import main
 from linfrec.core import Dims, Ensemble, gaussian_noise, load_instance, sample_ensemble, save_matrix
-from linfrec.harness import derive_seed
+from linfrec.harness import CSV_COLUMNS, derive_seed, read_csv
 
 
 def run_cli(capsys, *argv):
@@ -357,3 +358,46 @@ def test_report_matches_recount_oracle(tmp_path, capsys):
     assert int(cols[5]) == len(rows)
     assert int(cols[6]) == passes
     assert float(cols[7]) == pytest.approx(passes / len(rows))
+
+
+HEADER = ",".join(CSV_COLUMNS)
+ROW = "oblivious_recovery,0,240,40,3,0,5,0.1,0.2,,1.0,1,r=0.5"
+
+# name -> (file text, line the error names, message)
+MALFORMED_CSVS = {
+    "empty": ("", 1, "header does not match schema linfrec-trials-v1"),
+    "foreign_header": ("foo,bar\n1,2\n", 1, "header does not match schema linfrec-trials-v1"),
+    "short_row": (f"{HEADER}\n{ROW}\n1,2,3,4,5\n", 3, "expected 13 fields, found 5"),
+    "long_row": (f"{HEADER}\n{ROW},x\n", 2, "expected 13 fields, found 14"),
+    "int_column": (
+        f"{HEADER}\n{ROW.replace(',0,240,', ',zero,240,')}\n",
+        2,
+        "grid_index: invalid literal for int() with base 10: 'zero'",
+    ),
+    "float_column": (
+        f"{HEADER}\n{ROW.replace(',0.1,', ',tiny,')}\n", 2, "error: could not convert string to float: 'tiny'"
+    ),
+    "passed_flag": (f"{HEADER}\n{ROW.replace(',1,r=', ',yes,r=')}\n", 2, "passed: expected 0 or 1, got 'yes'"),
+    "extra_pair": (f"{HEADER}\n{ROW};junk\n", 2, "extra: expected key=value, got 'junk'"),
+    "extra_key": (f"{HEADER}\n{ROW};=1\n", 2, "extra: expected key=value, got '=1'"),
+    "oversized_field": (f"{HEADER}\n{ROW};x={'1' * 200_000}\n", 2, "field larger than field limit (131072)"),
+    "experiment": (f"{HEADER}\n{ROW.replace('oblivious_recovery', 'foo')}\n", 2, "'foo' is not a valid ExperimentKind"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CSVS))
+def test_report_rejects_malformed_csv_naming_its_line(name, tmp_path, capsys):
+    text, line, message = MALFORMED_CSVS[name]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+        read_csv(path)
+    assert run_cli(capsys, "report", str(path)) == (1, "", f"linfrec: error: {path}:{line}: {message}\n")
+
+
+def test_report_reads_the_row_the_malformed_cases_alter(tmp_path, capsys):
+    path = tmp_path / "good.csv"
+    path.write_text(f"{HEADER}\n{ROW}\n")
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split()[:6] == ["oblivious_recovery", "0", "240", "40", "3", "1"]

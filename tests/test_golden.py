@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment, write_csv
+from linfrec.harness import ExperimentConfig, ExperimentKind, read_csv, run_experiment, write_csv
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -95,3 +95,12 @@ def test_csv_digest_is_pinned(name, tmp_path):
     path = tmp_path / "out.csv"
     write_csv(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_csv_rewritten_from_its_records_keeps_its_bytes(name, tmp_path):
+    # covers empty float columns, both pass flags and a failure name in extra
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_csv(run_experiment(_config(name))[0], first)
+    write_csv(read_csv(first), second)
+    assert second.read_bytes() == first.read_bytes()

@@ -347,3 +347,31 @@ def test_summary_medians_match_recount():
     manual = float(np.median([r.error for r in records]))
     assert summary["grids"][0]["median_error"] == pytest.approx(manual)
     assert summary["grids"][0]["passes"] == sum(r.passed for r in records)
+
+
+@pytest.mark.parametrize("threads,points,trials,workers", [("2", 1, 1, 1), ("8", 2, 1, 2), ("2", 1, 3, 2)])
+def test_pool_has_no_more_workers_than_trials(threads, points, trials, workers, monkeypatch):
+    made = []
+
+    class InlinePool:
+        """Records the pool it is asked for and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            made.append((max_workers, initializer, initargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setenv("LINFREC_THREADS", threads)
+    grid = [{"n": 240, "d": 40, "k": 3}] * points
+    records, _ = run_experiment(tiny_config(ExperimentKind.OBLIVIOUS_RECOVERY, grid=grid, trials=trials))
+    # one worker still runs in a pool, not in this process
+    assert made == [(workers, core._share_cores, (workers,))]
+    assert len(records) == points * trials
