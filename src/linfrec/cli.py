@@ -98,9 +98,15 @@ def _cmd_adversarial(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    records = []
+    records, source = [], {}
     for path in args.csv:
-        records.extend(read_csv(path))
+        for r in read_csv(path):
+            trial = (r.experiment, r.n, r.d, r.k, r.seed)  # the seed alone does not depend on n
+            if trial in source:
+                where = f"{r.experiment} n={r.n} d={r.d} k={r.k} seed={r.seed}"
+                raise ValueError(f"{path} repeats a trial of {source[trial]}: {where}")
+            source[trial] = path
+            records.append(r)
     bad = [r for r in records if r.passed != recompute_pass(r)]
     if bad:
         print(f"warning: {len(bad)} records have inconsistent pass flags", file=sys.stderr)

@@ -506,16 +506,17 @@ def _median(vals: list[float]) -> float | None:
 
 
 def summarize(records: list[TrialRecord]) -> dict:
-    """Deterministic fold over records sorted by (grid point, trial)."""
-    by_grid: dict[int, list[TrialRecord]] = {}
+    """Deterministic fold over records sorted by (grid point, trial); a grid point is
+    its (grid_index, n, d, k), so CSVs of different grids are not folded together."""
+    by_grid: dict[tuple[int, int, int, int], list[TrialRecord]] = {}
     for rec in sorted(records, key=lambda r: (r.grid_index, r.trial)):
-        by_grid.setdefault(rec.grid_index, []).append(rec)
+        by_grid.setdefault((rec.grid_index, rec.n, rec.d, rec.k), []).append(rec)
     grids = []
-    for gi in sorted(by_grid):
-        recs = by_grid[gi]
+    for point in sorted(by_grid):
+        recs = by_grid[point]
         grids.append(
             {
-                "grid_index": gi,
+                "grid_index": recs[0].grid_index,
                 "n": recs[0].n,
                 "d": recs[0].d,
                 "k": recs[0].k,
@@ -532,8 +533,8 @@ def summarize(records: list[TrialRecord]) -> dict:
     # regressions of the median separation both against log k and log sqrt(k).
     if records and records[0].experiment == ExperimentKind.SEPARATION.value and len(grids) >= 2:
         ks, meds = [], []
-        for g, gi in zip(grids, sorted(by_grid)):
-            vals = [r.extra.get("v_linf") for r in by_grid[gi] if "v_linf" in r.extra]
+        for g, point in zip(grids, sorted(by_grid)):
+            vals = [r.extra.get("v_linf") for r in by_grid[point] if "v_linf" in r.extra]
             if vals:
                 ks.append(g["k"])
                 meds.append(float(np.median(vals)))
@@ -629,11 +630,16 @@ def _parse_row(row: list[str]) -> TrialRecord:
 
 def read_csv(path: str | Path) -> list[TrialRecord]:
     """The records of a CSV that :func:`write_csv` wrote; a malformed line is a ValueError naming it."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != CSV_COLUMNS:
-                raise ValueError(f"header does not match schema {CSV_SCHEMA}")
-            return [_parse_row(row) for row in reader]
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode()  # whole, so a decoding error's offset is into the file
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != CSV_COLUMNS:
+            raise ValueError(f"header does not match schema {CSV_SCHEMA}")
+        return [_parse_row(row) for row in reader]
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None

@@ -107,11 +107,6 @@ def certificate_to_json(cert: RipCertificate) -> str:
     return json.dumps(doc)
 
 
-def _gram(x: np.ndarray) -> np.ndarray:
-    g = x.T @ x
-    return 0.5 * (g + g.T)
-
-
 def _sampled_subset(d: int, s: int, seed: int, index: int) -> np.ndarray:
     # per-subset derived seed: results do not depend on evaluation order
     return np.sort(rng_from(seed, index).choice(d, size=s, replace=False))
@@ -170,7 +165,7 @@ def certify_l2_rip(
                 f"C({d},{s}) = {n_subsets} subsets exceeds the exact budget {EXACT_SUBSET_BUDGET}"
             )
         subsets = itertools.combinations(range(d), s)
-        g = _gram(x)
+        g = x.T @ x
     else:
         subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
         g = None
@@ -184,12 +179,12 @@ def certify_l2_rip(
 
 
 def _upper_panels(x: np.ndarray):
-    """Yield ``(lo, p, u)`` over consecutive row panels of the upper triangle of X^T X - I.
+    """Yield ``(lo, u)`` over consecutive row panels of the upper triangle of X^T X - I.
 
-    Panel rows [lo, hi) form only ``p = X[:, lo:hi]^T X[:, c0:]``, with c0 = lo
+    Panel rows [lo, hi) form only ``X[:, lo:hi]^T X[:, c0:]``, with c0 = lo
     rounded down to a multiple of 64: a product whose columns start on such a
     boundary rounds every entry as the full-width panel product would.  ``u``
-    is ``p`` from column lo on, minus the identity, and its leading
+    is that product from column lo on, minus the identity, and its leading
     (hi - lo) x (hi - lo) block is made symmetric from its upper triangle, so
     every Gram entry is read from the panel of its smaller index.
     """
@@ -200,15 +195,14 @@ def _upper_panels(x: np.ndarray):
     for lo in range(0, d, rows):
         c0 = lo - lo % 64
         h = min(rows, d - lo)
-        p = np.matmul(x[:, lo : lo + h].T, x[:, c0:], out=buf[: h * (d - c0)].reshape(h, d - c0))
-        u = p[:, lo - c0 :]
+        u = np.matmul(x[:, lo : lo + h].T, x[:, c0:], out=buf[: h * (d - c0)].reshape(h, d - c0))[:, lo - c0 :]
         r = np.arange(h)
         u[r, r] -= 1.0
         for a in range(0, h, 64):  # in 64-row blocks: no temporary of the whole block
             b = min(a + 64, h)
             u[a:b, :a] = u[:a, a:b].T
             np.copyto(u[a:b, a:b], u[a:b, a:b].T, where=lower[: b - a, : b - a])
-        yield lo, p, u
+        yield lo, u
 
 
 def _group_floor(a: np.ndarray, take: int, axis: int) -> np.ndarray:
@@ -248,45 +242,30 @@ def _candidates(u: np.ndarray, row_floor: np.ndarray, col_floor: np.ndarray) -> 
     return np.flatnonzero(mask)
 
 
-def _carry(top: np.ndarray, top_rows: np.ndarray, floor: np.ndarray, cols, rows, vals) -> None:
+def _carry(top: np.ndarray, top_rows: np.ndarray, cols, rows, vals) -> None:
     """Keep in ``top`` each column's ``take`` largest magnitudes over the rows seen so far.
 
-    ``top``/``top_rows`` hold, per column, magnitudes and their row indices in
-    increasing row order, and ``floor`` the take-th largest (-inf until
-    ``take`` rows are seen).  ``(cols, rows, vals)`` are the new panel's
-    candidates in row-major order, all in rows after every carried one; only
-    the columns they touch are rewritten, 4096 at a time to bound the scratch.
-    Ties at the cut keep the smaller row.
+    ``top``/``top_rows`` hold, per column, magnitudes in decreasing order (ties
+    in row order, -inf until ``take`` rows are seen) and their row indices.
+    ``(cols, rows, vals)`` are the new panel's candidates in row-major order,
+    all in rows after every carried one.  Each touched column stable-sorts its
+    carried magnitudes followed by its new ones and keeps the first ``take``,
+    so a tie keeps the smaller row; columns are merged 4096 at a time to bound
+    the scratch.
     """
-    k = len(cols)
+    take, k = top.shape[1], len(cols)
     order = np.sort(cols * k + np.arange(k)) % k  # by column, then by row
     cols, rows, vals = cols[order], rows[order], vals[order]
     starts = np.append(np.flatnonzero(np.diff(cols, prepend=-1)), k)
     for b in range(0, len(starts) - 1, 4096):
         first = starts[b : b + 4097]
-        lo, hi = first[0], first[-1]
-        _carry_block(top, top_rows, floor, cols[first[:-1]], rows[lo:hi], vals[lo:hi], first - lo)
-
-
-def _carry_block(top, top_rows, floor, touched, rows, vals, bounds) -> None:
-    """Merge into the carried columns ``touched`` their candidates ``rows[bounds[i]:bounds[i + 1]]``."""
-    take = top.shape[1]
-    k = len(rows)
-    merged = _padded(top[touched], np.diff(bounds), vals)
-    cut = np.sort(merged, axis=1)[:, -take]
-    keep = merged >= cut[:, None]
-    excess = keep.sum(axis=1) - take
-    tied = np.flatnonzero(excess)
-    if len(tied):  # drop the last of the entries equal to the cut
-        eq = merged[tied] == cut[tied, None]
-        later = np.cumsum(eq[:, ::-1], axis=1)[:, ::-1]
-        keep[tied] &= ~(eq & (later <= excess[tied, None]))
-    pos = np.nonzero(keep)[1].reshape(-1, take)
-    top[touched] = merged[keep].reshape(-1, take)
-    new_rows = rows[np.clip(bounds[:-1, None] + pos - take, 0, k - 1)]
-    old_rows = np.take_along_axis(top_rows[touched], np.minimum(pos, take - 1), axis=1)
-    top_rows[touched] = np.where(pos >= take, new_rows, old_rows)
-    floor[touched] = cut
+        touched = cols[first[:-1]]
+        merged = _padded(top[touched], np.diff(first), vals[first[0] : first[-1]])
+        pos = np.argsort(-merged, axis=1, kind="stable")[:, :take]
+        top[touched] = np.take_along_axis(merged, pos, axis=1)
+        new_rows = rows[np.clip(first[:-1, None] + pos - take, 0, k - 1)]
+        old_rows = np.take_along_axis(top_rows[touched], np.minimum(pos, take - 1), axis=1)
+        top_rows[touched] = np.where(pos >= take, new_rows, old_rows)
 
 
 def _padded(front: np.ndarray, counts: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -321,9 +300,8 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     take = min(s - 1, d - 1)
     top = np.full((d, take), -np.inf)
     top_rows = np.full((d, take), -1, dtype=np.int64)
-    floor = np.full(d, -np.inf)
     best, anchor, witness = -np.inf, -1, np.empty(0, dtype=np.int64)
-    for lo, p, u in _upper_panels(x):
+    for lo, u in _upper_panels(x):
         h, width = u.shape
         hi = lo + h
         r = np.arange(h)
@@ -334,15 +312,16 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
                 best, anchor = float(vals[i]), lo + i
             continue
         u[r, r] = 0.0
-        row_floor, col_floor = floor[lo:hi], floor[hi:]
+        # the carried take-th largest; contiguous columns compare faster in _candidates
+        row_floor, col_floor = top[lo:hi, -1], top[hi:, -1].copy()
         if lo < take:  # fewer than take rows carried: bound the floors from this panel
             np.abs(u, out=u)
             row_floor = np.maximum(row_floor, _group_floor(u, take, 1))
             col_floor = np.maximum(col_floor, _group_floor(u[:, h:], take, 0))
         flat = _candidates(u, row_floor, col_floor)
         fr, fc = np.divmod(flat, width)
-        fv = p.reshape(-1)[flat + (fr + 1) * (p.shape[1] - width)]  # u[fr, fc]
         del flat
+        fv = u[fr, fc]
         row = (fv >= row_floor[fr]) & (fc != fr)
         merged = _padded(top[lo:hi], np.bincount(fr[row], minlength=h), fv[row])
         vals += np.sort(merged, axis=1)[:, -take:].sum(axis=1)  # the take largest, in ascending order
@@ -356,7 +335,7 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         if hi < d:
             col = (fc >= h) & (fv >= col_floor[np.maximum(fc - h, 0)])
             if col.any():
-                _carry(top, top_rows, floor, lo + fc[col], lo + fr[col], fv[col])
+                _carry(top, top_rows, lo + fc[col], lo + fr[col], fv[col])
     return best, np.sort(np.concatenate(([anchor], witness))).astype(np.int64)
 
 
@@ -397,12 +376,12 @@ def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
     symmetric matrix lies in the upper triangle, the part the panels form.
     """
     worst, i, j = -np.inf, 0, 0
-    for lo, p, u in _upper_panels(x):
-        np.abs(p, out=p)
-        p[:, : p.shape[1] - u.shape[1]] = -1.0  # columns left of lo: not this panel's
-        pi, pj = divmod(int(np.argmax(p)), p.shape[1])
-        if p[pi, pj] > worst:
-            worst, i, j = float(p[pi, pj]), lo + pi, lo + pj - (p.shape[1] - u.shape[1])
+    for lo, u in _upper_panels(x):
+        np.abs(u, out=u)
+        pi = int(np.argmax(u.max(axis=1)))  # by row: an argmax over all of u would copy the view
+        pj = int(np.argmax(u[pi]))
+        if u[pi, pj] > worst:
+            worst, i, j = float(u[pi, pj]), lo + pi, lo + pj
     verdict = Verdict.HOLDS if worst <= alpha else Verdict.FAILS
     return RipCertificate(
         kind=CertKind.PAIRWISE_INCOHERENCE, threshold=float(alpha), s=2,

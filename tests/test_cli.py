@@ -363,7 +363,7 @@ def test_report_matches_recount_oracle(tmp_path, capsys):
 HEADER = ",".join(CSV_COLUMNS)
 ROW = "oblivious_recovery,0,240,40,3,0,5,0.1,0.2,,1.0,1,r=0.5"
 
-# name -> (file text, line the error names, message)
+# name -> (file text or bytes, line the error names, message)
 MALFORMED_CSVS = {
     "empty": ("", 1, "header does not match schema linfrec-trials-v1"),
     "foreign_header": ("foo,bar\n1,2\n", 1, "header does not match schema linfrec-trials-v1"),
@@ -382,6 +382,11 @@ MALFORMED_CSVS = {
     "extra_key": (f"{HEADER}\n{ROW};=1\n", 2, "extra: expected key=value, got '=1'"),
     "oversized_field": (f"{HEADER}\n{ROW};x={'1' * 200_000}\n", 2, "field larger than field limit (131072)"),
     "experiment": (f"{HEADER}\n{ROW.replace('oblivious_recovery', 'foo')}\n", 2, "'foo' is not a valid ExperimentKind"),
+    "utf8": (
+        f"{HEADER}\n".encode() + b"\xff\xfe,1\n",
+        2,
+        f"'utf-8' codec can't decode byte 0xff in position {len(HEADER) + 1}: invalid start byte",
+    ),
 }
 
 
@@ -389,7 +394,7 @@ MALFORMED_CSVS = {
 def test_report_rejects_malformed_csv_naming_its_line(name, tmp_path, capsys):
     text, line, message = MALFORMED_CSVS[name]
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
         read_csv(path)
     assert run_cli(capsys, "report", str(path)) == (1, "", f"linfrec: error: {path}:{line}: {message}\n")
@@ -401,3 +406,33 @@ def test_report_reads_the_row_the_malformed_cases_alter(tmp_path, capsys):
     code, out, err = run_cli(capsys, "report", str(path))
     assert (code, err) == (0, "")
     assert out.splitlines()[1].split()[:6] == ["oblivious_recovery", "0", "240", "40", "3", "1"]
+
+
+def _report_rows(capsys, *paths):
+    code, out, err = run_cli(capsys, "report", *map(str, paths))
+    assert (code, err) == (0, "")
+    return [line.split()[:6] for line in out.splitlines()[1:]]
+
+
+def test_report_keeps_grids_of_different_files_apart(tmp_path, capsys):
+    paths = []
+    for n in (240, 300):
+        cfg = {"kind": "oblivious_recovery", "grid": [{"n": n, "d": 30, "k": 3}], "trials": 2, "master_seed": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        paths.append(tmp_path / f"n{n}.csv")
+        assert run_cli(capsys, "run", str(tmp_path / "cfg.json"), "--out", str(paths[-1]))[0] == 0
+    # one grid index, one master seed: the trials share their seeds
+    assert [r.seed for r in read_csv(paths[0])] == [r.seed for r in read_csv(paths[1])]
+    assert _report_rows(capsys, *paths) == [
+        ["oblivious_recovery", "0", "240", "30", "3", "2"],
+        ["oblivious_recovery", "0", "300", "30", "3", "2"],
+    ]
+
+
+def test_report_rejects_a_trial_given_twice(tmp_path, capsys):
+    path = tmp_path / "res.csv"
+    path.write_text(f"{HEADER}\n{ROW}\n")
+    assert _report_rows(capsys, path) == [["oblivious_recovery", "0", "240", "40", "3", "1"]]
+    code, out, err = run_cli(capsys, "report", str(path), str(path))
+    assert (code, out) == (1, "")
+    assert err == f"linfrec: error: {path} repeats a trial of {path}: oblivious_recovery n=240 d=40 k=3 seed=5\n"
