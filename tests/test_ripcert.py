@@ -189,26 +189,29 @@ class TestLinfRip:
         assert cert.achieved == achieved
         assert np.array_equal(cert.witness.indices, witness)
 
-    @pytest.mark.parametrize(
-        "planted,cols,rows,s,witness",
-        [
-            # row 7 starts a panel at either height; its four off-diagonal
-            # magnitudes all equal c, two left of the boundary (carried from
-            # earlier panels) and two right of it
-            *[(7, [3, 5, 9, 12], rows, 3, [3, 5, 7]) for rows in (1, 7)],
-            *[(7, [3, 5, 9, 12], rows, 4, [3, 5, 7, 9]) for rows in (1, 7)],
-            # row 12 is the anchor and all four of its tied magnitudes reach it
-            # through the column carry; a merge keeping later rows gives [7, 9, 12] at s = 3
-            *[(12, [3, 5, 7, 9], rows, 3, [3, 5, 12]) for rows in (1, 3)],
-            *[(12, [3, 5, 7, 9], rows, 4, [3, 5, 7, 12]) for rows in (1, 3)],
-        ],
-    )
-    def test_ties_across_a_panel_boundary_take_the_smaller_columns(
-        self, monkeypatch, planted, cols, rows, s, witness
-    ):
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("s,witness", [(3, [3, 5, 7]), (4, [3, 5, 7, 9])])
+    def test_ties_across_a_panel_boundary_take_the_smaller_columns(self, monkeypatch, rows, s, witness):
+        # row 7 starts a panel at either height; its four off-diagonal
+        # magnitudes all equal c, two left of the boundary (carried from
+        # earlier panels) and two right of it
         d, c = 16, 0.25
         x = np.eye(d)
-        x[planted, cols] = c
+        x[7, [3, 5, 9, 12]] = c
+        monkeypatch.setattr(ripcert, "PANEL_BYTES", 8 * d * rows)
+        cert = certify_linf_rip(x, epsilon=0.1, s=s)
+        assert cert.achieved == (s - 1) * c
+        assert list(cert.witness.indices) == witness
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("s,witness", [(3, [3, 5, 12]), (4, [3, 5, 7, 12])])
+    def test_ties_carried_to_the_anchor_take_the_smaller_rows(self, monkeypatch, rows, s, witness):
+        # row 12 starts a panel at either height and is the anchor; all four of
+        # its tied magnitudes reach it through the column carry, so only the
+        # carry's merge decides the tie (keeping later rows gives [7, 9, 12] at s = 3)
+        d, c = 16, 0.25
+        x = np.eye(d)
+        x[12, [3, 5, 7, 9]] = c
         monkeypatch.setattr(ripcert, "PANEL_BYTES", 8 * d * rows)
         cert = certify_linf_rip(x, epsilon=0.1, s=s)
         assert cert.achieved == (s - 1) * c
