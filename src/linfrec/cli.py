@@ -126,7 +126,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if "masking_scaling" in summary:
             ms = summary["masking_scaling"]
             print(
-                f"  scaling: k={ms['k']} medians={[f'{m:.4g}' for m in ms['median_v_linf']]} "
+                f"  scaling: k={ms['k']} n={ms['n']} medians={[f'{m:.4g}' for m in ms['median_v_linf']]} "
                 f"slope(log k)={ms['slope_vs_log_k']:.3f} slope(log sqrt k)={ms['slope_vs_log_sqrt_k']:.3f}"
             )
     return 0
@@ -136,16 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="linfrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate and write a recovery instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ensemble", choices=sorted(_ENSEMBLES), default="gaussian")
-    p.add_argument("--seed", type=int, default=0)
+    design = argparse.ArgumentParser(add_help=False)  # the design and output options gen and adversarial share
+    design.add_argument("--n", type=int, required=True)
+    design.add_argument("--d", type=int, required=True)
+    design.add_argument("--k", type=int, required=True)
+    design.add_argument("--ensemble", choices=sorted(_ENSEMBLES), default="gaussian")
+    design.add_argument("--seed", type=int, default=0)
+    design.add_argument("--out-dir", default=".")
+
+    p = sub.add_parser("gen", parents=[design], help="generate and write a recovery instance")
     p.add_argument("--noise", choices=["zero", "gaussian"], default="gaussian")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--signal-magnitude", type=float, default=1.0)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("run", help="run an experiment config")
@@ -164,14 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_certify, usage_error=p.error)
 
-    p = sub.add_parser("adversarial", help="write an indistinguishable instance pair")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ensemble", choices=sorted(_ENSEMBLES), default="gaussian")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("adversarial", parents=[design], help="write an indistinguishable instance pair")
     p.add_argument("--base-magnitude", type=float, default=1.0)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=_cmd_adversarial)
 
     p = sub.add_parser("report", help="aggregate result CSVs")

@@ -120,6 +120,9 @@ class ExperimentConfig:
         _check_keys(self.noise, ("kind", "sigma"), "noise")
         if self.noise.get("kind", "gaussian") not in ("gaussian", "zero"):
             raise ValueError(f"unknown noise kind {self.noise['kind']!r}")
+        if self.kind is ExperimentKind.PARTIAL_ADAPTIVE and self.noise.get("kind") == "zero":
+            # its oracle draws Gaussian noise at noise.sigma whatever the kind
+            raise ValueError("noise.kind 'zero' is not supported by partial_adaptive; set noise.sigma instead")
         if "sigma" in self.noise:
             sigma = json_field(doc, numbers.Real, "noise", "sigma")
             if not (_finite_number(sigma) and sigma >= 0):
@@ -530,18 +533,20 @@ def summarize(records: list[TrialRecord]) -> dict:
     summary = {"experiment": records[0].experiment if records else None, "grids": grids}
 
     # For masking/separation sweeps over several k, record the scaling
-    # regressions of the median separation both against log k and log sqrt(k).
+    # regressions of the median separation both against log k and log sqrt(k),
+    # over points in increasing k, each with its n (records may pool grids).
     if records and records[0].experiment == ExperimentKind.SEPARATION.value and len(grids) >= 2:
-        ks, meds = [], []
+        points = []
         for g, point in zip(grids, sorted(by_grid)):
             vals = [r.extra.get("v_linf") for r in by_grid[point] if "v_linf" in r.extra]
             if vals:
-                ks.append(g["k"])
-                meds.append(float(np.median(vals)))
+                points.append((g["k"], g["n"], float(np.median(vals))))
+        ks, ns, meds = ([p[i] for p in sorted(points)] for i in range(3))
         if len(ks) >= 2 and all(m > 0 for m in meds):
             slope_k = float(np.polyfit(np.log(ks), np.log(meds), 1)[0])
             summary["masking_scaling"] = {
                 "k": ks,
+                "n": ns,
                 "median_v_linf": meds,
                 "slope_vs_log_k": slope_k,
                 "slope_vs_log_sqrt_k": 2.0 * slope_k,

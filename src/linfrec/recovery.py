@@ -113,12 +113,12 @@ def oblivious_recover(
     theta_hat = warm.estimate.values
 
     r2 = y2 - x2 @ theta_hat
-    r3 = y3 - x3 @ theta_hat
     corr = gain * (x2.T @ r2)
     l_idx = np.flatnonzero(np.abs(corr) >= r / DEFAULT_THRESHOLD_C).astype(np.int64)
 
     theta = theta_hat.copy()
     if len(l_idx):
+        r3 = y3 - x3 @ theta_hat
         theta[l_idx] += restricted_ols(x3, IndexSet(l_idx), r3)
 
     budget = int(len(warm.estimate.support) + len(l_idx))

@@ -14,9 +14,11 @@ Only exact l2 certification, whose subset budget bounds d, holds G whole.
 The exact sup-norm and incoherence certifiers scan its upper triangle in row
 panels X[:, lo:hi]^T X[:, c0:], c0 = lo rounded down to a multiple of 64, of
 at most PANEL_BYTES each, which is half the multiply-adds of whole panels.
-Both entries of a pair are read from the upper triangle, and the sup-norm scan
-carries each later row's s-1 largest magnitudes from panel to panel, so their
-memory is O(n d + PANEL_BYTES + d s); the sampled modes form only s x s blocks.
+Both entries of a pair are read from the upper triangle.  The sup-norm scan
+keeps every row's s-1 largest magnitudes, with their columns, in one d x (s-1)
+keeper: a later row's part left of the panel is carried forward through its
+column, and its own panel completes it.  So their memory is
+O(n d + PANEL_BYTES + d s); the sampled modes form only s x s blocks.
 
 Also provides the averaged-coherence floor (which is at least 1/n for any
 matrix) and the minimum sample count compatible with sup-norm RIP at (eps, s).
@@ -53,7 +55,7 @@ EXACT_SUBSET_BUDGET = 10**6
 
 # Bytes of one panel of Gram rows (524 rows at d = 4000).  Every panel is
 # written into one buffer of this size; the sup-norm scan adds a bool mask an
-# eighth of it, its candidates, and 16 bytes per carried (value, row) pair.
+# eighth of it, its candidates, and 16 bytes per kept (value, index) pair.
 PANEL_BYTES = 16 * 2**20
 
 
@@ -242,41 +244,30 @@ def _candidates(u: np.ndarray, row_floor: np.ndarray, col_floor: np.ndarray) -> 
     return np.flatnonzero(mask)
 
 
-def _carry(top: np.ndarray, top_rows: np.ndarray, cols, rows, vals) -> None:
-    """Keep in ``top`` each column's ``take`` largest magnitudes over the rows seen so far.
+def _carry(top: np.ndarray, top_idx: np.ndarray, lines, idx, vals) -> None:
+    """Keep in ``top`` each line's ``take`` largest magnitudes over the entries seen so far.
 
-    ``top``/``top_rows`` hold, per column, magnitudes in decreasing order (ties
-    in row order, -inf until ``take`` rows are seen) and their row indices.
-    ``(cols, rows, vals)`` are the new panel's candidates in row-major order,
-    all in rows after every carried one.  Each touched column stable-sorts its
-    carried magnitudes followed by its new ones and keeps the first ``take``,
-    so a tie keeps the smaller row; columns are merged 4096 at a time to bound
-    the scratch.
+    ``top``/``top_idx`` hold, per line, magnitudes in decreasing order (ties
+    in index order, -inf until ``take`` entries are seen) and their indices.
+    ``(lines, idx, vals)`` are new candidates grouped by line, each line's in
+    index order and after every index it carries.  Each touched line
+    stable-sorts its carried magnitudes followed by its new ones and keeps the
+    first ``take``, so a tie keeps the smaller index; lines are merged 4096 at
+    a time to bound the scratch.
     """
-    take, k = top.shape[1], len(cols)
-    order = np.sort(cols * k + np.arange(k)) % k  # by column, then by row
-    cols, rows, vals = cols[order], rows[order], vals[order]
-    starts = np.append(np.flatnonzero(np.diff(cols, prepend=-1)), k)
+    take, k = top.shape[1], len(lines)
+    starts = np.append(np.flatnonzero(np.diff(lines, prepend=-1)), k)
     for b in range(0, len(starts) - 1, 4096):
         first = starts[b : b + 4097]
-        touched = cols[first[:-1]]
-        merged = _padded(top[touched], np.diff(first), vals[first[0] : first[-1]])
+        touched, counts = lines[first[:-1]], np.diff(first)
+        merged = np.full((len(touched), take + int(counts.max())), -np.inf)
+        merged[:, :take] = top[touched]
+        merged[:, take:][np.arange(counts.max()) < counts[:, None]] = vals[first[0] : first[-1]]
         pos = np.argsort(-merged, axis=1, kind="stable")[:, :take]
         top[touched] = np.take_along_axis(merged, pos, axis=1)
-        new_rows = rows[np.clip(first[:-1, None] + pos - take, 0, k - 1)]
-        old_rows = np.take_along_axis(top_rows[touched], np.minimum(pos, take - 1), axis=1)
-        top_rows[touched] = np.where(pos >= take, new_rows, old_rows)
-
-
-def _padded(front: np.ndarray, counts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Line i is ``front[i]``, then its ``counts[i]`` values of ``vals`` (grouped
-    by line, in order), then -inf up to the longest line."""
-    width = front.shape[1]
-    merged = np.full((len(front), width + int(counts.max(initial=0))), -np.inf)
-    merged[:, :width] = front
-    line = np.repeat(np.arange(len(counts)), counts)
-    merged[line, width + np.arange(len(vals)) - (np.cumsum(counts) - counts)[line]] = vals
-    return merged
+        new_idx = idx[np.clip(first[:-1, None] + pos - take, 0, k - 1)]
+        old_idx = np.take_along_axis(top_idx[touched], np.minimum(pos, take - 1), axis=1)
+        top_idx[touched] = np.where(pos >= take, new_idx, old_idx)
 
 
 def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
@@ -290,30 +281,28 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     witness takes the smaller column indices.
 
     Only the upper triangle is formed (``_upper_panels``).  Row j's magnitudes
-    left of its panel sit in column j of earlier panels: each panel carries
-    every later column's s-1 largest magnitudes (value and row) forward, so a
-    row is final once its own panel is scanned.  Only entries at least a
-    floor on the s-1-th largest are read out: the carried s-1-th largest, or
-    on the first panel a bound from group maxima.
+    left of its panel sit in column j of earlier panels.  ``top``/``top_idx``
+    keep every row's s-1 largest magnitudes and their indices, all through
+    ``_carry``: each panel carries every later column's forward (its rows),
+    then completes each of its own rows with that row's entries (its columns),
+    after which the row is final and its kept magnitudes are its value's terms
+    and the witness.  Only entries at least a floor on the s-1-th largest are
+    read out: the kept s-1-th largest, or on the first panel a bound from
+    group maxima; at s = 1 the floor is inf and only the diagonal is read.
     """
     d = x.shape[1]
     take = min(s - 1, d - 1)
     top = np.full((d, take), -np.inf)
-    top_rows = np.full((d, take), -1, dtype=np.int64)
-    best, anchor, witness = -np.inf, -1, np.empty(0, dtype=np.int64)
+    top_idx = np.full((d, take), -1, dtype=np.int64)
+    best, anchor = -np.inf, -1
     for lo, u in _upper_panels(x):
         h, width = u.shape
         hi = lo + h
         r = np.arange(h)
         vals = np.abs(u[r, r])
-        if take == 0:
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best, anchor = float(vals[i]), lo + i
-            continue
         u[r, r] = 0.0
-        # the carried take-th largest; contiguous columns compare faster in _candidates
-        row_floor, col_floor = top[lo:hi, -1], top[hi:, -1].copy()
+        # the carried take-th largest (inf at take = 0: no candidate is read)
+        row_floor, col_floor = top[lo:hi].min(axis=1, initial=np.inf), top[hi:].min(axis=1, initial=np.inf)
         if lo < take:  # fewer than take rows carried: bound the floors from this panel
             np.abs(u, out=u)
             row_floor = np.maximum(row_floor, _group_floor(u, take, 1))
@@ -323,20 +312,17 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         del flat
         fv = u[fr, fc]
         row = (fv >= row_floor[fr]) & (fc != fr)
-        merged = _padded(top[lo:hi], np.bincount(fr[row], minlength=h), fv[row])
-        vals += np.sort(merged, axis=1)[:, -take:].sum(axis=1)  # the take largest, in ascending order
+        _carry(top[lo:hi], top_idx[lo:hi], fr[row], lo + fc[row], fv[row])  # the panel's rows are final
+        vals += top[lo:hi, ::-1].sum(axis=1)  # the take largest, in ascending order
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, anchor = float(vals[i]), lo + i
-            mags = np.concatenate((top[anchor], u[i]))
-            mags[take + i] = -np.inf
-            idx = np.concatenate((top_rows[anchor], np.arange(lo, d)))
-            witness = idx[np.lexsort((idx, -mags))[:take]]
         if hi < d:
-            col = (fc >= h) & (fv >= col_floor[np.maximum(fc - h, 0)])
-            if col.any():
-                _carry(top, top_rows, lo + fc[col], lo + fr[col], fv[col])
-    return best, np.sort(np.concatenate(([anchor], witness))).astype(np.int64)
+            col = np.flatnonzero((fc >= h) & (fv >= col_floor[np.maximum(fc - h, 0)]))
+            k = max(len(col), 1)
+            col = col[np.sort(fc[col] * k + np.arange(len(col))) % k]  # by column, then by row
+            _carry(top, top_idx, lo + fc[col], lo + fr[col], fv[col])
+    return best, np.sort(np.concatenate(([anchor], top_idx[anchor])))
 
 
 def certify_linf_rip(

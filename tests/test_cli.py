@@ -137,6 +137,10 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
         (dict(VALID, noise={"kind": "laplace", "sigma": 0.01}), "unknown noise kind 'laplace'"),
         (dict(VALID, noise={"sigma": "0.01"}), "field noise.sigma has type str"),
         (dict(VALID, noise=[]), "noise is not an object"),
+        (
+            dict(VALID, kind="partial_adaptive", noise={"kind": "zero"}),
+            "noise.kind 'zero' is not supported by partial_adaptive; set noise.sigma instead",
+        ),
         (dict(VALID, output=5), "field output has type int"),
         (dict(VALID, signal={"kind": "pm_uniform", "magnitude": 1.0}), "unknown config keys: signal"),
         (
@@ -436,3 +440,23 @@ def test_report_rejects_a_trial_given_twice(tmp_path, capsys):
     code, out, err = run_cli(capsys, "report", str(path), str(path))
     assert (code, out) == (1, "")
     assert err == f"linfrec: error: {path} repeats a trial of {path}: oblivious_recovery n=240 d=40 k=3 seed=5\n"
+
+
+def test_report_lists_pooled_scaling_points_in_increasing_k(tmp_path, capsys):
+    # grid index 0 of the second file sits between the first file's two points
+    paths = []
+    for name, grid in (("sweep", [(16, 16), (64, 32)]), ("single", [(100, 40)])):
+        cfg = {
+            "kind": "separation",
+            "grid": [{"n": n, "d": 300, "k": k} for n, k in grid],
+            "trials": 2,
+            "master_seed": 3,
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        paths.append(tmp_path / f"{name}.csv")
+        assert run_cli(capsys, "run", str(tmp_path / "cfg.json"), "--out", str(paths[-1]))[0] == 0
+    code, out, err = run_cli(capsys, "report", *map(str, paths))
+    assert (code, err) == (0, "")
+    scaling = [line for line in out.splitlines() if line.startswith("  scaling:")]
+    assert len(scaling) == 1
+    assert scaling[0].startswith("  scaling: k=[16, 32, 40] n=[16, 64, 100] medians=")

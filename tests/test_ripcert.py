@@ -22,9 +22,12 @@ from linfrec.ripcert import (
 
 
 # (n, d, s, ensemble): s = 1, s > d, d not a multiple of the forced panel
-# heights, and a Rademacher design whose Gram entries tie often.
+# heights, and a Rademacher design whose Gram entries tie often.  At s = 1 a
+# Rademacher design ties every row (each G_ii sums the same n squares), so the
+# anchor and witness are row 0.
 SCAN_SHAPES = [
     (50, 40, 1, "gaussian"),
+    (50, 40, 1, "rademacher"),
     (30, 20, 25, "gaussian"),
     (10, 5, 3, "gaussian"),
     (100, 333, 7, "gaussian"),
