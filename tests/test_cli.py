@@ -137,10 +137,6 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
         (dict(VALID, noise={"kind": "laplace", "sigma": 0.01}), "unknown noise kind 'laplace'"),
         (dict(VALID, noise={"sigma": "0.01"}), "field noise.sigma has type str"),
         (dict(VALID, noise=[]), "noise is not an object"),
-        (
-            dict(VALID, kind="partial_adaptive", noise={"kind": "zero"}),
-            "noise.kind 'zero' is not supported by partial_adaptive; set noise.sigma instead",
-        ),
         (dict(VALID, output=5), "field output has type int"),
         (dict(VALID, signal={"kind": "pm_uniform", "magnitude": 1.0}), "unknown config keys: signal"),
         (
@@ -210,6 +206,12 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
             dict(VALID, algorithm={"error_constant": 10**400}),
             f"algorithm.error_constant must be a finite number, got {10**400}",
             id="huge-error_constant",
+        ),
+        # its oracle draws Gaussian noise whatever noise.kind says
+        pytest.param(
+            dict(VALID, kind="partial_adaptive", noise={"kind": "zero"}),
+            "noise.kind 'zero' is not supported by partial_adaptive; set noise.sigma instead",
+            id="partial-adaptive-zero-noise",
         ),
     ],
 )
