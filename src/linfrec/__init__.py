@@ -10,7 +10,6 @@ from .core import (
     Dims,
     Ensemble,
     RecoveryInstance,
-    SparseVector,
     build_instance,
     gaussian_noise,
     sample_ensemble,
@@ -29,7 +28,6 @@ __all__ = [
     "RecoveryReport",
     "RipCertificate",
     "SolverFailure",
-    "SparseVector",
     "build_instance",
     "certify_l2_rip",
     "certify_linf_rip",

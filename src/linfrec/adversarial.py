@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RecoveryInstance, SparseVector, save_instance, save_matrix_addressed
+from .core import RecoveryInstance, save_instance, save_matrix_addressed
 from .linops import IndexSet, restricted_gram
 
 __all__ = [
@@ -38,7 +38,7 @@ class ConstructionFailure(RuntimeError):
 
 @dataclass
 class MaskingVector:
-    v: SparseVector
+    v: np.ndarray  # length d, supported on S
     linf_v: float
     linf_gram_v: float  # ||X^T X v||_inf of the sign-pattern vector M^{-1} u
     normalized: bool
@@ -46,11 +46,12 @@ class MaskingVector:
 
 @dataclass
 class IndistinguishablePair:
-    theta1: SparseVector
-    theta2: SparseVector
+    theta1: np.ndarray
+    theta2: np.ndarray
     xi1: np.ndarray
     xi2: np.ndarray
     shared_y: np.ndarray
+    budget: int  # the sparsity budget of both members, written by save_pair
 
 
 def build_masking_vector(x: np.ndarray, s: IndexSet, normalize: bool = True) -> MaskingVector:
@@ -94,7 +95,7 @@ def build_masking_vector(x: np.ndarray, s: IndexSet, normalize: bool = True) -> 
             raise ConstructionFailure("cannot normalize: X^T X v vanished")
         v = v / scale
     return MaskingVector(
-        v=SparseVector.from_dense(v, budget=len(s)),
+        v=v,
         linf_v=float(np.max(np.abs(v))),
         linf_gram_v=linf_gram,
         normalized=bool(normalize),
@@ -177,19 +178,19 @@ def build_indistinguishable_pair(
         raise ValueError(f"|S| = {len(s)} and |T| = {len(t)} must be equal (both k/2)")
 
     mv = build_masking_vector(x, s, normalize=True)
-    budget = len(s) + len(t)
 
-    theta_bar = np.zeros(d)
-    theta_bar[t.indices] = float(base_magnitude)
-    theta1 = SparseVector.from_dense(theta_bar, budget=budget)
-    theta2 = SparseVector.from_dense(theta_bar + mv.v.values, budget=budget)
-    xi1 = x @ mv.v.values
+    theta1 = np.zeros(d)
+    theta1[t.indices] = float(base_magnitude)
+    theta2 = theta1 + mv.v
+    xi1 = x @ mv.v
     xi2 = np.zeros(x.shape[0])
 
-    y1 = x @ theta1.values + xi1
-    y2 = x @ theta2.values
+    y1 = x @ theta1 + xi1
+    y2 = x @ theta2
     _check_shared(y1, y2)
-    return IndistinguishablePair(theta1=theta1, theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y1)
+    return IndistinguishablePair(
+        theta1=theta1, theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y1, budget=len(s) + len(t)
+    )
 
 
 def build_metric_impossibility_pair(x: np.ndarray, i: int) -> IndistinguishablePair:
@@ -203,15 +204,13 @@ def build_metric_impossibility_pair(x: np.ndarray, i: int) -> IndistinguishableP
     n, d = x.shape
     if not 0 <= i < d:
         raise ValueError(f"column index {i} out of range for d={d}")
-    e_i = np.zeros(d)
-    e_i[i] = 1.0
-    theta1 = SparseVector.zeros(d, budget=1)
-    theta2 = SparseVector.from_dense(e_i, budget=1)
+    theta2 = np.zeros(d)
+    theta2[i] = 1.0
     xi1 = x[:, i].copy()
     xi2 = np.zeros(n)
     y = x[:, i].copy()
-    _check_shared(y, x @ theta2.values)
-    return IndistinguishablePair(theta1=theta1, theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y)
+    _check_shared(y, x @ theta2)
+    return IndistinguishablePair(theta1=np.zeros(d), theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y, budget=1)
 
 
 def save_pair(
@@ -225,8 +224,8 @@ def save_pair(
     out_dir.mkdir(parents=True, exist_ok=True)
     matrix_path = save_matrix_addressed(x, out_dir)
 
-    inst1 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta1, noise=pair.xi1)
-    inst2 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta2, noise=pair.xi2)
+    inst1 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta1, noise=pair.xi1, budget=pair.budget)
+    inst2 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta2, noise=pair.xi2, budget=pair.budget)
     p1 = out_dir / f"{stem}-member1.json"
     p2 = out_dir / f"{stem}-member2.json"
     save_instance(inst1, p1, matrix_path)

@@ -13,14 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .adversarial import build_indistinguishable_pair, save_pair
 from .core import (
     Dims,
     Ensemble,
     build_instance,
-    gaussian_noise,
     load_matrix,
     rng_from,
     sample_ensemble,
@@ -29,6 +26,7 @@ from .core import (
 )
 from .harness import (
     ExperimentConfig,
+    _make_noise,
     derive_seed,
     disjoint_subsets,
     make_signal,
@@ -50,11 +48,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     dims = Dims(n=args.n, d=args.d, k=args.k)
     x = sample_ensemble(dims, _ENSEMBLES[args.ensemble], args.seed)
     truth = make_signal(dims.d, dims.k, rng_from(args.seed, 1), "constant", args.signal_magnitude)
-    if args.noise == "zero":
-        noise = np.zeros(dims.n)
-    else:
-        noise = gaussian_noise(dims.n, args.sigma, derive_seed(args.seed, 2))
-    inst = build_instance(x, truth, noise)
+    noise = _make_noise(dims.n, {"kind": args.noise, "sigma": args.sigma}, derive_seed(args.seed, 2))
+    inst = build_instance(x, truth, noise, dims.k)
 
     matrix_path = save_matrix_addressed(x, out)
     inst_path = out / f"instance-{args.seed}.json"

@@ -32,7 +32,6 @@ __all__ = [
     "Dims",
     "Ensemble",
     "RecoveryInstance",
-    "SparseVector",
     "build_instance",
     "draw_design",
     "gaussian_noise",
@@ -213,45 +212,6 @@ def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> np.ndarray:
     return draw_design((seed,), dims.n, dims.d, ensemble)
 
 
-@dataclass
-class SparseVector:
-    """Length-d vector with cached support and a declared sparsity cap.
-
-    Invariants: ``support`` is exactly the set of nonzero positions (sorted),
-    and ``len(support) <= budget``.
-    """
-
-    values: np.ndarray
-    support: np.ndarray
-    budget: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.support = np.asarray(self.support, dtype=np.int64)
-        actual = np.flatnonzero(self.values)
-        if not np.array_equal(actual, self.support):
-            raise ValueError("support does not match nonzero positions")
-        if len(self.support) > self.budget:
-            raise ValueError(f"nnz {len(self.support)} exceeds budget {self.budget}")
-
-    @classmethod
-    def from_dense(cls, values: np.ndarray, budget: int) -> "SparseVector":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(values=values, support=np.flatnonzero(values), budget=int(budget))
-
-    @classmethod
-    def zeros(cls, d: int, budget: int) -> "SparseVector":
-        return cls(values=np.zeros(d), support=np.empty(0, dtype=np.int64), budget=int(budget))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.support)
-
-    @property
-    def d(self) -> int:
-        return len(self.values)
-
-
 def gaussian_noise(n: int, sigma: float, *key: int) -> np.ndarray:
     """Length-n i.i.d. ``N(0, sigma^2)`` noise drawn from ``rng_from(*key)``."""
     return rng_from(*key).standard_normal(n) * float(sigma)
@@ -259,34 +219,41 @@ def gaussian_noise(n: int, sigma: float, *key: int) -> np.ndarray:
 
 @dataclass
 class RecoveryInstance:
-    """An (X, y, truth, noise) bundle; the noise is a length-n float64 array.
+    """An (X, y, truth, noise) bundle with the truth's sparsity budget.
 
-    ``y`` always equals ``X theta + xi`` up to roundoff; this is checked on
-    construction.
+    The truth is a length-d and the noise a length-n float64 array.  The
+    truth has at most ``budget`` nonzeros, and ``y`` equals
+    ``X theta + xi`` up to roundoff; both are checked on construction.
     """
 
     x: np.ndarray
     y: np.ndarray
-    truth: SparseVector
+    truth: np.ndarray
     noise: np.ndarray
+    budget: int
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
+        self.truth = np.ascontiguousarray(self.truth, dtype=np.float64)
         self.noise = np.asarray(self.noise, dtype=np.float64)
-        resid = self.y - self.x @ self.truth.values - self.noise
+        self.budget = int(self.budget)
+        nnz = np.count_nonzero(self.truth)
+        if nnz > self.budget:
+            raise ValueError(f"nnz {nnz} exceeds budget {self.budget}")
+        resid = self.y - self.x @ self.truth - self.noise
         tol = RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(self.y), initial=0.0)))
         if not float(np.max(np.abs(resid), initial=0.0)) <= tol:  # NaN fails too
             raise ValueError("observation is not X@truth + noise to roundoff")
 
 
-def build_instance(x: np.ndarray, truth: SparseVector, noise: np.ndarray) -> RecoveryInstance:
+def build_instance(x: np.ndarray, truth: np.ndarray, noise: np.ndarray, budget: int) -> RecoveryInstance:
     """Assemble an instance, computing y = X theta + xi."""
     n, d = x.shape
-    if truth.d != d:
-        raise ValueError(f"truth length {truth.d} != d {d}")
+    if len(truth) != d:
+        raise ValueError(f"truth length {len(truth)} != d {d}")
     if len(noise) != n:
         raise ValueError(f"noise length {len(noise)} != n {n}")
-    return RecoveryInstance(x=x, y=x @ truth.values + noise, truth=truth, noise=noise)
+    return RecoveryInstance(x=x, y=x @ truth + noise, truth=truth, noise=noise, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +345,7 @@ def save_instance(inst: RecoveryInstance, path: str | Path, matrix_file: str | P
         "format": INSTANCE_FORMATS[-1],
         "matrix": {"file": matrix_file.name, "sha256": matrix_sha256(matrix_file)},
         "y": inst.y.tolist(),
-        "truth": {"values": inst.truth.values.tolist(), "budget": inst.truth.budget},
+        "truth": {"values": inst.truth.tolist(), "budget": inst.budget},
         "noise": {"values": inst.noise.tolist()},
     }
     replace_file(path, [json.dumps(doc).encode()])
@@ -424,9 +391,10 @@ def load_instance(path: str | Path) -> RecoveryInstance:
         raise ValueError(f"{matrix_file}: content hash mismatch")
     x = load_matrix(matrix_file)
     n, d = x.shape
-    truth = SparseVector.from_dense(
-        _json_floats(doc, d, "truth", "values"), json_field(doc, numbers.Integral, "truth", "budget")
-    )
     return RecoveryInstance(
-        x=x, y=_json_floats(doc, n, "y"), truth=truth, noise=_json_floats(doc, n, "noise", "values")
+        x=x,
+        truth=_json_floats(doc, d, "truth", "values"),
+        budget=json_field(doc, numbers.Integral, "truth", "budget"),
+        y=_json_floats(doc, n, "y"),
+        noise=_json_floats(doc, n, "noise", "values"),
     )

@@ -30,7 +30,6 @@ from .adversarial import ConstructionFailure, build_indistinguishable_pair, buil
 from .core import (
     Dims,
     Ensemble,
-    SparseVector,
     gaussian_noise,
     json_field,
     replace_file,
@@ -212,7 +211,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 def make_signal(
     d: int, k: int, rng: np.random.Generator, kind: str = "pm_uniform", magnitude: float = 1.0
-) -> SparseVector:
+) -> np.ndarray:
     """A k-sparse signal on a uniform random support with uniform random signs."""
     support = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
     signs = rng.integers(2, size=k) * 2.0 - 1.0
@@ -226,7 +225,7 @@ def make_signal(
         raise ValueError(f"unknown signal kind {kind!r}")
     theta = np.zeros(d)
     theta[support] = vals
-    return SparseVector.from_dense(theta, budget=k)
+    return theta
 
 
 def _make_noise(n: int, spec: dict, seed: int) -> np.ndarray:
@@ -249,9 +248,9 @@ def _gram_noise(x: np.ndarray, noise: np.ndarray) -> float:
     return float(np.max(np.abs(x.T @ noise), initial=0.0))
 
 
-def _errors(estimate: SparseVector, truth: SparseVector) -> tuple[float, float]:
+def _errors(estimate: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     """Sup-norm and l2 distance of an estimate from the truth."""
-    delta = estimate.values - truth.values
+    delta = estimate - truth
     return float(np.max(np.abs(delta), initial=0.0)), float(np.linalg.norm(delta))
 
 
@@ -260,7 +259,7 @@ def _oblivious_instance(dims: Dims, cfg: ExperimentConfig, seed: int):
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1))
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
-    return x, x @ truth.values + noise, truth, _gram_noise(x, noise)
+    return x, x @ truth + noise, truth, _gram_noise(x, noise)
 
 
 def _masking_pair(dims: Dims, cfg: ExperimentConfig, seed: int):
@@ -282,7 +281,7 @@ def _masking_pair(dims: Dims, cfg: ExperimentConfig, seed: int):
 def _trial_oblivious(dims: Dims, cfg: ExperimentConfig, seed: int):
     x, y, truth, msig = _oblivious_instance(dims, cfg, seed)
     r = max(msig * math.sqrt(math.log(dims.n)), 1e-12)
-    R = float(np.linalg.norm(truth.values))
+    R = float(np.linalg.norm(truth))
     rep = oblivious_recover(x, y, dims.k, R, r)
     const = float(cfg.algorithm.get("error_constant", frozen.OBLIVIOUS_ERROR_CONSTANT))
     return *_errors(rep.estimate, truth), msig, const * r, {"r": r}
@@ -297,7 +296,7 @@ def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     if cfg.algorithm.get("certify", False):
         cert = certify_linf_rip(x, 0.25, 2 * dims.k, mode="exact")
     rep = iht(x, pair.shared_y, dims.k, MASKING_BASE, r)
-    extra = {"r": r, "v_linf": float(np.max(np.abs(pair.theta2.values - pair.theta1.values)))}
+    extra = {"r": r, "v_linf": float(np.max(np.abs(pair.theta2 - pair.theta1)))}
     if cert is not None:
         extra["cert_value"] = cert.achieved
         extra["certified"] = 1.0 if cert.holds else 0.0
@@ -307,7 +306,7 @@ def _trial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
 def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
     x, y, truth, msig = _oblivious_instance(dims, cfg, seed)
     r = float(cfg.noise.get("sigma", 1.0)) / 100.0
-    R = float(np.linalg.norm(truth.values))
+    R = float(np.linalg.norm(truth))
     rep = osr_reduction(x, y, dims.k, R, r)
     const = float(cfg.algorithm.get("error_constant", frozen.REDUCTION_ERROR_CONSTANT))
     bound = const * msig * math.sqrt(math.log(dims.n) * math.log(R / r)) if R > r else const * msig
@@ -317,16 +316,16 @@ def _trial_reduction(dims: Dims, cfg: ExperimentConfig, seed: int):
 def _trial_separation(dims: Dims, cfg: ExperimentConfig, seed: int):
     x, pair = _masking_pair(dims, cfg, seed)
 
-    y1 = x @ pair.theta1.values + pair.xi1
-    y2 = x @ pair.theta2.values + pair.xi2
+    y1 = x @ pair.theta1 + pair.xi1
+    y2 = x @ pair.theta2 + pair.xi2
     ytol = 1e-9 * (1.0 + float(np.max(np.abs(pair.shared_y), initial=0.0)))
     a_ok = float(np.max(np.abs(y1 - y2), initial=0.0)) <= ytol
 
     m1 = _gram_noise(x, pair.xi1)
     m2 = _gram_noise(x, pair.xi2)
-    sep = float(np.max(np.abs(pair.theta1.values - pair.theta2.values)))
+    sep = float(np.max(np.abs(pair.theta1 - pair.theta2)))
 
-    R = max(float(np.linalg.norm(pair.theta1.values)), float(np.linalg.norm(pair.theta2.values)))
+    R = max(float(np.linalg.norm(pair.theta1)), float(np.linalg.norm(pair.theta2)))
     r = max(max(m1, m2) * math.sqrt(math.log(dims.n)), 1e-12)
     rep = oblivious_recover(x, pair.shared_y, dims.k, R, r)
     e1 = _errors(rep.estimate, pair.theta1)[0]
@@ -365,7 +364,7 @@ def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
         mr = compute_metrics(x, pair.xi1, s)
         scaled_l2 = mr.m_l2 * math.sqrt(dims.n) * math.sqrt(math.log(dims.k) / dims.n)
         candidates = [mr.m_linf, scaled_l2] + ([mr.m_ols] if mr.m_ols is not None else [])
-        forced = float(np.max(np.abs(pair.theta1.values - pair.theta2.values)))
+        forced = float(np.max(np.abs(pair.theta1 - pair.theta2)))
         extra = {"m_linf": mr.m_linf, "m_l2_scaled": scaled_l2, "m_ols": mr.m_ols or 0.0}
         return max(candidates), None, mr.m_gram, forced / 3.0, extra
 
@@ -383,13 +382,13 @@ def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1), "pm_uniform_above", min_signal)
     oracle = MaskedOracle(dims, truth, sigma, derive_seed(seed, 0), ensemble=cfg.ensemble)
     n_rounds = int(cfg.algorithm.get("rounds", math.ceil(2.0 * math.log(dims.k))))
-    R = float(np.linalg.norm(truth.values))
+    R = float(np.linalg.norm(truth))
     r_inf = float(cfg.algorithm.get("r_inf", default_r_inf(sigma, dims.d)))
     rep = adaptive_support_recover(oracle, n_rounds, R, sigma, r_inf)
     const = float(cfg.algorithm.get("error_constant", frozen.PARTIAL_ADAPTIVE_ERROR_CONSTANT))
     bound = const * sigma * math.sqrt(math.log(dims.d))
     extra = {
-        "exact_support": 1.0 if np.array_equal(rep.estimate.support, truth.support) else 0.0,
+        "exact_support": 1.0 if np.array_equal(rep.estimate != 0, truth != 0) else 0.0,
         "rows_consumed": float(rep.diagnostics["rows_consumed"]),
         "realized_sigma": max(q.noise_corr for q in oracle.query_log),
     }
@@ -401,7 +400,7 @@ def _trial_threshold_stats(dims: Dims, cfg: ExperimentConfig, seed: int):
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     msig = _gram_noise(x, noise)
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1), "pm_uniform_above", SNR_CONSTANT * msig)
-    y = x @ truth.values + noise
+    y = x @ truth + noise
     stats = threshold_stats(x, y, truth, 0.5 * SNR_CONSTANT * msig)
     # at most 2k false positives, at most 95% of the signal mass missed
     extra = {"fn_ratio": stats.fn_energy_ratio, "fn_cap": 0.95, "fp": float(len(stats.s_fp))}

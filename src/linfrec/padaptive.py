@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, SparseVector, draw_design, gaussian_noise, json_field
+from .core import Dims, Ensemble, draw_design, gaussian_noise, json_field
 from .linops import IndexSet, hard_threshold_values, restricted_ols
 from .recovery import RecoveryReport, iht
 
@@ -65,13 +65,14 @@ class MaskedOracle:
     def __init__(
         self,
         dims: Dims,
-        truth: SparseVector,
+        truth: np.ndarray,
         noise_sigma: float,
         master_seed: int,
         ensemble: Ensemble = Ensemble.GAUSSIAN_SCALED,
     ):
-        if truth.d != dims.d:
-            raise ValueError(f"truth length {truth.d} != d {dims.d}")
+        truth = np.ascontiguousarray(truth, dtype=np.float64)
+        if truth.shape != (dims.d,):
+            raise ValueError(f"truth has shape {truth.shape}, expected ({dims.d},)")
         try:
             self.noise_sigma = float(noise_sigma)
         except OverflowError:  # an integer beyond the float range
@@ -92,7 +93,7 @@ class MaskedOracle:
         qi = len(self.query_log)
         x = draw_design((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask.indices)
         xi = gaussian_noise(rows, self.noise_sigma, self.master_seed, qi)
-        signal = x @ self.truth.values
+        signal = x @ self.truth
         y = signal + xi
         corr = float(np.max(np.abs(x.T @ (y - signal)), initial=0.0))
         self.query_log.append(QueryRecord(rows, [int(i) for i in mask.indices], qi, corr))
@@ -115,7 +116,7 @@ class MaskedOracle:
         return json.dumps(doc)
 
     @classmethod
-    def replay(cls, transcript: str, truth: SparseVector) -> list[tuple[np.ndarray, np.ndarray]]:
+    def replay(cls, transcript: str, truth: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Regenerate the (X, y) sequence of a recorded transcript."""
         doc = json.loads(transcript)
         if not isinstance(doc, dict) or doc.get("format") != "linfrec-oracle-transcript-v1":
@@ -147,7 +148,7 @@ class ThresholdStats:
 def threshold_stats(
     x: np.ndarray,
     y: np.ndarray,
-    truth: SparseVector,
+    truth: np.ndarray,
     threshold: float,
 ) -> ThresholdStats:
     """Partition coordinates by the rule |x_i^T y| >= threshold versus truth.
@@ -157,13 +158,12 @@ def threshold_stats(
     sitting on the false negatives.
     """
     corr = np.abs(x.T @ np.asarray(y, dtype=np.float64))
-    on = np.zeros(x.shape[1], dtype=bool)
-    on[truth.support] = True
+    on = truth != 0
     hit = corr >= threshold
     s_fp = IndexSet(np.flatnonzero(hit & ~on).astype(np.int64))
     s_fn = IndexSet(np.flatnonzero(~hit & on).astype(np.int64))
-    total = float(np.linalg.norm(truth.values))
-    ratio = 0.0 if total == 0.0 else float(np.linalg.norm(truth.values[s_fn.indices]) / total)
+    total = float(np.linalg.norm(truth))
+    ratio = 0.0 if total == 0.0 else float(np.linalg.norm(truth[s_fn.indices]) / total)
     return ThresholdStats(s_fp=s_fp, s_fn=s_fn, fn_energy_ratio=ratio)
 
 
@@ -196,7 +196,7 @@ def adaptive_support_recover(
     x0, y0 = oracle.masked_observe(n // 3, IndexSet.from_iterable([]))
     warm = iht(x0, y0, k, R, r2)
     del x0, y0  # the warm block is the largest; free it before the later draws
-    t_cur = IndexSet(warm.estimate.support.copy())
+    t_cur = IndexSet(np.flatnonzero(warm.estimate))
     support_trace = [len(t_cur)]
     support_sets = [[int(i) for i in t_cur.indices]]
 
@@ -223,7 +223,7 @@ def adaptive_support_recover(
     theta = hard_threshold_values(theta, k)
 
     return RecoveryReport(
-        estimate=SparseVector.from_dense(theta, budget=k),
+        estimate=theta,
         iterations=rounds,
         diagnostics={
             "support_trace": support_trace,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SparseVector
 from .linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols
 
 __all__ = [
@@ -34,7 +33,7 @@ DEFAULT_HOLDOUT_C = 1.0 / 20.0    # holdout test fires above rho / c'
 
 @dataclass
 class RecoveryReport:
-    estimate: SparseVector
+    estimate: np.ndarray  # length d, float64
     iterations: int
     diagnostics: dict = field(default_factory=dict)
 
@@ -80,7 +79,7 @@ def iht(
     theta = np.zeros(x.shape[1])
     for _ in range(n_iters):
         theta = hard_threshold_values(theta + gain * (x.T @ (y - x @ theta)), k)
-    return RecoveryReport(estimate=SparseVector.from_dense(theta, budget=k), iterations=n_iters)
+    return RecoveryReport(estimate=theta, iterations=n_iters)
 
 
 def _split_rows(data: np.ndarray, y: np.ndarray, parts: int) -> tuple[list, list, int]:
@@ -110,7 +109,7 @@ def oblivious_recover(
     gain *= 3.0
 
     warm = iht(x1, y1, k, R, math.sqrt(k) * r, gain=gain)
-    theta_hat = warm.estimate.values
+    theta_hat = warm.estimate
 
     r2 = y2 - x2 @ theta_hat
     corr = gain * (x2.T @ r2)
@@ -121,9 +120,8 @@ def oblivious_recover(
         r3 = y3 - x3 @ theta_hat
         theta[l_idx] += restricted_ols(x3, IndexSet(l_idx), r3)
 
-    budget = int(len(warm.estimate.support) + len(l_idx))
     return RecoveryReport(
-        estimate=SparseVector.from_dense(theta, budget=max(budget, 1)),
+        estimate=theta,
         iterations=warm.iterations,
         diagnostics={
             "correction_support": len(l_idx),
@@ -147,7 +145,7 @@ def osr_reduction(x: np.ndarray, y: np.ndarray, k: int, R: float, r: float) -> R
     d = x.shape[1]
     big_t = _halvings(R, r)
     if big_t == 0:
-        return RecoveryReport(estimate=SparseVector.zeros(d, k), iterations=0)
+        return RecoveryReport(estimate=np.zeros(d), iterations=0)
 
     parts = 2 * big_t
     xs, ys, dropped = _split_rows(x, y, parts)
@@ -167,7 +165,7 @@ def osr_reduction(x: np.ndarray, y: np.ndarray, k: int, R: float, r: float) -> R
             stop_round = t
             stop_reason = "inner_solver_failure"
             break
-        theta_next = hard_threshold_values(inner.estimate.values, k)
+        theta_next = hard_threshold_values(inner.estimate, k)
         xh, yh = xs[2 * t + 1], ys[2 * t + 1]
         stat = parts * float(np.max(np.abs(xh.T @ (yh - xh @ theta_next)), initial=0.0))
         holdout_trace.append(stat)
@@ -178,7 +176,7 @@ def osr_reduction(x: np.ndarray, y: np.ndarray, k: int, R: float, r: float) -> R
         theta_prev = theta_next
 
     return RecoveryReport(
-        estimate=SparseVector.from_dense(theta_prev, budget=k),
+        estimate=theta_prev,
         iterations=big_t if stop_round is None else stop_round,
         diagnostics={
             "rounds": big_t,

@@ -109,9 +109,31 @@ def certificate_to_json(cert: RipCertificate) -> str:
     return json.dumps(doc)
 
 
-def _sampled_subset(d: int, s: int, seed: int, index: int) -> np.ndarray:
-    # per-subset derived seed: results do not depend on evaluation order
-    return np.sort(rng_from(seed, index).choice(d, size=s, replace=False))
+def _finite(value: float, name: str = "epsilon") -> float:
+    """A threshold as a float, checked to be finite: a NaN one would decide every verdict."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _subset_size(s: int, d: int) -> int:
+    """s capped at d, checked to be at least 1."""
+    s = min(int(s), d)
+    if s < 1:
+        raise ValueError("subset size must be at least 1")
+    return s
+
+
+def _sampled_subsets(d: int, s: int, seed: int, trials: int):
+    """``trials`` sorted random size-s subsets.
+
+    Subset t is drawn from ``rng_from(seed, t)``, so results do not depend on
+    evaluation order.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return (np.sort(rng_from(seed, t).choice(d, size=s, replace=False)) for t in range(trials))
 
 
 def _scan_certificate(kind: CertKind, epsilon: float, s: int, subsets, value, exact: bool) -> RipCertificate:
@@ -158,7 +180,7 @@ def certify_l2_rip(
     certify failure; a clean pass is reported as a lower bound.
     """
     d = x.shape[1]
-    s = min(int(s), d)
+    epsilon, s = _finite(epsilon), _subset_size(s, d)
 
     if mode == "exact":
         n_subsets = math.comb(d, s)
@@ -169,7 +191,7 @@ def certify_l2_rip(
         subsets = itertools.combinations(range(d), s)
         g = x.T @ x
     else:
-        subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
+        subsets = _sampled_subsets(d, s, seed, trials)
         g = None
 
     def deviation(idx: np.ndarray) -> float:
@@ -335,9 +357,7 @@ def certify_linf_rip(
 ) -> RipCertificate:
     """Check the sup-norm RIP: row-l1 of every restricted deviation <= eps."""
     d = x.shape[1]
-    s = min(int(s), d)
-    if s < 1:
-        raise ValueError("subset size must be at least 1")
+    epsilon, s = _finite(epsilon), _subset_size(s, d)
 
     if mode == "exact":
         worst, witness = _linf_panel_scan(x, s)
@@ -351,7 +371,7 @@ def certify_linf_rip(
         cols = x[:, idx]
         return inf_op_norm(cols.T @ cols - np.eye(len(idx)))
 
-    subsets = (_sampled_subset(d, s, seed, t) for t in range(trials))
+    subsets = _sampled_subsets(d, s, seed, trials)
     return _scan_certificate(CertKind.LINF_RIP, epsilon, s, subsets, deviation, exact=False)
 
 
@@ -361,6 +381,7 @@ def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
     The witness is the first largest entry in row-major order, which for a
     symmetric matrix lies in the upper triangle, the part the panels form.
     """
+    alpha = _finite(alpha, "alpha")
     worst, i, j = -np.inf, 0, 0
     for lo, u in _upper_panels(x):
         np.abs(u, out=u)

@@ -15,7 +15,6 @@ from linfrec.adversarial import build_masking_vector
 from linfrec.core import (
     Dims,
     Ensemble,
-    SparseVector,
     build_instance,
     gaussian_noise,
     sample_ensemble,
@@ -34,7 +33,7 @@ def make_sparse(d, k, rng, values=None):
     support = np.sort(rng.choice(d, size=k, replace=False))
     theta = np.zeros(d)
     theta[support] = values if values is not None else rng.choice([-1.0, 1.0], size=k)
-    return SparseVector.from_dense(theta, budget=k)
+    return theta
 
 
 def test_criterion_01_exact_half_step_contraction():
@@ -54,18 +53,18 @@ def test_criterion_01_exact_half_step_contraction():
         if fixture % 2 == 0:
             noise = gaussian_noise(n, 0.02, seed + 1)
         else:
-            free = np.setdiff1d(np.arange(d), truth.support)
+            free = np.setdiff1d(np.arange(d), np.flatnonzero(truth))
             s = IndexSet(np.sort(rng.choice(free, size=min(2 * k, len(free)), replace=False)).astype(np.int64))
-            noise = x @ build_masking_vector(x, s).v.values
-        inst = build_instance(x, truth, noise)
+            noise = x @ build_masking_vector(x, s).v
+        inst = build_instance(x, truth, noise, k)
         steps = iht(x, inst.y, k, 1.0, 0.01).iterations
         eps, sigma_m = cert.achieved, float(np.max(np.abs(x.T @ noise), initial=0.0))
         # iht at resolution R / 2**t (R = 1) runs exactly t steps from zero
-        iterates = [iht(x, inst.y, k, 1.0, 1.0 / 2**t).estimate.values for t in range(steps + 1)]
+        iterates = [iht(x, inst.y, k, 1.0, 1.0 / 2**t).estimate for t in range(steps + 1)]
         for prev, nxt in zip(iterates, iterates[1:]):
             half = prev + x.T @ (inst.y - x @ prev)
-            e_half = float(np.max(np.abs(half - truth.values)))
-            e_prev = float(np.max(np.abs(prev - truth.values)))
+            e_half = float(np.max(np.abs(half - truth)))
+            e_prev = float(np.max(np.abs(prev - truth)))
             slack = eps * e_prev + sigma_m + 1e-9 - e_half
             worst_slack = min(worst_slack, slack)
             checked += 1

@@ -31,7 +31,7 @@ class TestMaskingVector:
         mv = build_masking_vector(q, s, normalize=False)
         assert mv.linf_v == pytest.approx(1.0, abs=1e-9)
         # on-support correlation equals the sign vector itself
-        on_support = q[:, s.indices].T @ (q @ mv.v.values)
+        on_support = q[:, s.indices].T @ (q @ mv.v)
         assert np.max(np.abs(on_support)) == pytest.approx(1.0, abs=1e-9)
 
     def test_explicit_2x2_gram_against_dense_oracle(self):
@@ -46,7 +46,7 @@ class TestMaskingVector:
         # norm 2; tie goes to row 0 so u = (+1, -1) and v_S = (2, -2)
         mv = build_masking_vector(x, s, normalize=False)
         assert mv.linf_v == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(mv.v.values, [2.0, -2.0], atol=1e-9)
+        assert np.allclose(mv.v, [2.0, -2.0], atol=1e-9)
 
     def test_sign_choice_is_exact_maximizer(self, rng):
         # brute force over all sign vectors confirms the max-l1-row rule
@@ -64,7 +64,7 @@ class TestMaskingVector:
         s = IndexSet.from_iterable(range(20))
         mv = build_masking_vector(x, s, normalize=True)
         assert mv.normalized
-        gram_v = x.T @ (x @ mv.v.values)
+        gram_v = x.T @ (x @ mv.v)
         assert np.max(np.abs(gram_v)) == pytest.approx(1.0, abs=1e-9)
         # linf_gram_v keeps the pre-normalization value
         assert mv.linf_gram_v > 1.0
@@ -89,7 +89,7 @@ class TestMaskingVector:
             assert mv.linf_v == pytest.approx(dense_lp_ratio(x, s.indices), rel=1e-9)
             assert mv.linf_v >= sign.linf_v / sign.linf_gram_v * (1.0 - 1e-12)
             if binding is not None:
-                img = x.T @ (x @ mv.v.values)
+                img = x.T @ (x @ mv.v)
                 assert abs(img[binding]) == pytest.approx(1.0, abs=1e-9)
                 assert mv.linf_v > sign.linf_v / sign.linf_gram_v
 
@@ -117,7 +117,7 @@ class TestMaskingVector:
             x = gaussian(n, d, seed=4000 + seed)
             s = IndexSet.from_iterable(range(k // 2))
             mv = build_masking_vector(x, s, normalize=False)
-            img = x.T @ (x @ mv.v.values)
+            img = x.T @ (x @ mv.v)
             on = np.max(np.abs(img[s.indices]))
             off = np.max(np.abs(np.delete(img, s.indices)))
             hits += off <= 10.0 * on
@@ -164,7 +164,7 @@ class TestIndistinguishablePair:
         s = IndexSet.from_iterable([0, 1])
         t = IndexSet.from_iterable([2, 3])
         pair = build_indistinguishable_pair(x, s, t, base_magnitude=1.0)
-        sep = np.max(np.abs(pair.theta1.values - pair.theta2.values))
+        sep = np.max(np.abs(pair.theta1 - pair.theta2))
         m1 = np.max(np.abs(x.T @ pair.xi1))
         assert sep == pytest.approx(1.0, abs=1e-12)
         assert m1 == pytest.approx(1.0, abs=1e-12)
@@ -175,8 +175,8 @@ class TestIndistinguishablePair:
             pair = build_indistinguishable_pair(
                 x, IndexSet.from_iterable(range(10)), IndexSet.from_iterable(range(10, 20)), 2.0
             )
-            y1 = x @ pair.theta1.values + pair.xi1
-            y2 = x @ pair.theta2.values + pair.xi2
+            y1 = x @ pair.theta1 + pair.xi1
+            y2 = x @ pair.theta2 + pair.xi2
             tol = 1e-9 * (1.0 + np.max(np.abs(pair.shared_y)))
             assert np.max(np.abs(y1 - y2)) <= tol
 
@@ -186,10 +186,10 @@ class TestIndistinguishablePair:
         t = IndexSet.from_iterable(range(10, 18))
         pair = build_indistinguishable_pair(x, s, t, base_magnitude=1.5)
         # theta1 - theta2 = -v with v supported on s; xi2 is identically zero
-        v = pair.theta2.values - pair.theta1.values
+        v = pair.theta2 - pair.theta1
         assert np.array_equal(np.flatnonzero(v), s.indices)
         assert np.all(pair.xi2 == 0.0)
-        assert np.all(pair.theta1.values[t.indices] == 1.5)
+        assert np.all(pair.theta1[t.indices] == 1.5)
 
     def test_preconditions(self):
         x = gaussian(50, 100, seed=4)
@@ -208,7 +208,7 @@ class TestMetricImpossibilityPair:
         x = gaussian(60, 40, seed=5)
         for i in (0, 7, 39):
             pair = build_metric_impossibility_pair(x, i)
-            assert np.max(np.abs(pair.theta1.values - pair.theta2.values)) == 1.0
+            assert np.max(np.abs(pair.theta1 - pair.theta2)) == 1.0
             assert np.array_equal(pair.shared_y, x[:, i])
 
     def test_noise_metrics_stay_small(self):

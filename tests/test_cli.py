@@ -27,8 +27,8 @@ def test_gen_writes_loadable_instance(tmp_path, capsys):
     paths = json.loads(out)
     inst = load_instance(paths["instance"])
     assert inst.x.shape == (30, 12)
-    assert inst.truth.nnz == 3
-    assert np.all(np.abs(inst.truth.values[inst.truth.support]) == 1.0)
+    assert np.count_nonzero(inst.truth) == 3
+    assert np.all(np.abs(inst.truth[np.flatnonzero(inst.truth)]) == 1.0)
 
 
 def test_gen_noise_has_its_own_stream(tmp_path, capsys):
@@ -61,6 +61,29 @@ def test_certify_outputs_json_certificate(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "certify", str(mp), "--kind", "pi", "--alpha", "0.9")
     assert code == 0
     assert json.loads(out)["kind"] == "pairwise_incoherence"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind", "l2-rip", "--eps", "0.5", "--s", "0"], "subset size must be at least 1"),
+        (["--kind", "linf-rip", "--eps", "0.5", "--s", "-1"], "subset size must be at least 1"),
+        (["--kind", "l2-rip", "--eps", "0.5", "--s", "2", "--mode", "sampled", "--trials", "0"],
+         "trials must be at least 1, got 0"),
+        (["--kind", "linf-rip", "--eps", "0.5", "--s", "2", "--mode", "sampled", "--trials", "-3"],
+         "trials must be at least 1, got -3"),
+        (["--kind", "l2-rip", "--eps", "nan", "--s", "2"], "epsilon must be a finite number, got nan"),
+        (["--kind", "linf-rip", "--eps", "inf", "--s", "2"], "epsilon must be a finite number, got inf"),
+        (["--kind", "pi", "--alpha", "nan"], "alpha must be a finite number, got nan"),
+    ],
+    ids=["l2-s0", "linf-s-1", "l2-trials0", "linf-trials-3", "l2-nan-eps", "linf-inf-eps", "pi-nan-alpha"],
+)
+def test_certify_rejects_values_it_cannot_certify(tmp_path, capsys, flags, message):
+    mp = tmp_path / "m.bin"
+    save_matrix(np.eye(5), mp)
+    code, out, err = run_cli(capsys, "certify", str(mp), *flags)
+    assert (code, out) == (1, "")
+    assert err == f"linfrec: error: {message}\n"
 
 
 def test_certify_missing_file_is_runtime_error(capsys):

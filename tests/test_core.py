@@ -24,7 +24,6 @@ from linfrec.core import (
     INSTANCE_FORMATS,
     Ensemble,
     RecoveryInstance,
-    SparseVector,
     build_instance,
     draw_design,
     gaussian_noise,
@@ -253,15 +252,6 @@ def test_sample_ensemble_rejects_explicit():
         sample_ensemble(Dims(n=2, d=2, k=1), "explicit", seed=0)
 
 
-def test_sparse_vector_invariants():
-    sv = SparseVector.from_dense(np.array([0.0, 2.0, 0.0]), budget=1)
-    assert sv.nnz == 1 and list(sv.support) == [1]
-    with pytest.raises(ValueError):
-        SparseVector.from_dense(np.array([1.0, 2.0]), budget=1)
-    with pytest.raises(ValueError):
-        SparseVector(values=np.array([1.0, 0.0]), support=np.array([1]), budget=2)
-
-
 def test_gaussian_noise_is_deterministic():
     noise = gaussian_noise(50, 2.0, 4)
     assert noise.dtype == np.float64 and noise.shape == (50,) and noise.flags.c_contiguous
@@ -273,52 +263,52 @@ def test_gaussian_noise_is_deterministic():
 
 def test_build_instance_identity_design():
     x = np.eye(2)
-    truth = SparseVector.from_dense(np.array([1.0, 0.0]), budget=1)
-    inst = build_instance(x, truth, np.zeros(2))
+    truth = np.array([1.0, 0.0])
+    inst = build_instance(x, truth, np.zeros(2), 1)
     assert np.array_equal(inst.y, [1.0, 0.0])
 
 
 def test_build_instance_zero_noise_exact(rng):
     x = rng.standard_normal((6, 4))
-    truth = SparseVector.from_dense(np.array([0.0, 1.5, 0.0, -2.0]), budget=2)
-    inst = build_instance(x, truth, np.zeros(6))
-    assert np.array_equal(inst.y, x @ truth.values)
+    truth = np.array([0.0, 1.5, 0.0, -2.0])
+    inst = build_instance(x, truth, np.zeros(6), 2)
+    assert np.array_equal(inst.y, x @ truth)
 
 
 def test_build_instance_pure_noise():
     x = np.eye(3)
-    truth = SparseVector.zeros(3, budget=1)
+    truth = np.zeros(3)
     e1 = np.array([1.0, 0.0, 0.0])
-    inst = build_instance(x, truth, e1)
+    inst = build_instance(x, truth, e1, 1)
     assert np.array_equal(inst.y, e1)
 
 
 def test_build_instance_shape_mismatch():
     x = np.eye(3)
     with pytest.raises(ValueError):
-        build_instance(x, SparseVector.zeros(4, 1), np.zeros(3))
+        build_instance(x, np.zeros(4), np.zeros(3), 1)
     with pytest.raises(ValueError):
-        build_instance(x, SparseVector.zeros(3, 1), np.zeros(4))
+        build_instance(x, np.zeros(3), np.zeros(4), 1)
 
 
 def test_recovery_instance_residual_check(rng):
     x = rng.standard_normal((5, 3))
-    truth = SparseVector.from_dense(np.array([1.0, 0.0, 0.0]), budget=1)
-    y_bad = x @ truth.values + 1e-3
+    truth = np.array([1.0, 0.0, 0.0])
+    y_bad = x @ truth + 1e-3
     with pytest.raises(ValueError):
-        RecoveryInstance(x=x, y=y_bad, truth=truth, noise=np.zeros(5))
+        RecoveryInstance(x=x, y=y_bad, truth=truth, noise=np.zeros(5), budget=1)
 
 
 def test_recovery_instance_rejects_nan_observation():
     x = np.eye(3)
-    truth = SparseVector.zeros(3, 1)
+    truth = np.zeros(3)
     with pytest.raises(ValueError):
-        RecoveryInstance(x=x, y=np.array([np.nan, 0.0, 0.0]), truth=truth, noise=np.zeros(3))
+        RecoveryInstance(x=x, y=np.array([np.nan, 0.0, 0.0]), truth=truth, noise=np.zeros(3), budget=1)
 
 
 def test_load_instance_rejects_nan_observation(tmp_path):
     x = np.eye(3)
-    inst = build_instance(x, SparseVector.zeros(3, 1), np.zeros(3))
+    inst = build_instance(x, np.zeros(3), np.zeros(3), 1)
     mp = tmp_path / "m.bin"
     save_matrix(x, mp)
     ip = tmp_path / "inst.json"
@@ -383,8 +373,8 @@ def test_writers_take_a_plain_array_bit_for_bit(tmp_path, rng):
     out.mkdir()
     mp = save_matrix_addressed(x, out)
     assert load_matrix(mp).tobytes() == x.tobytes()
-    truth = SparseVector.from_dense(np.array([0.0, 2.0, 0.0, 0.0, -1.0]), budget=2)
-    inst = build_instance(x, truth, gaussian_noise(7, 0.1, 3))
+    truth = np.array([0.0, 2.0, 0.0, 0.0, -1.0])
+    inst = build_instance(x, truth, gaussian_noise(7, 0.1, 3), 2)
     assert inst.x is x
     save_instance(inst, out / "inst.json", mp)
     back = load_instance(out / "inst.json")
@@ -454,8 +444,8 @@ def test_load_matrix_returns_a_finite_array_or_raises_value_error(tmp_path_facto
 def _saved_instance(out_dir):
     """Path of a small saved instance and its JSON document."""
     x = sample_ensemble(Dims(n=6, d=5, k=2), Ensemble.GAUSSIAN_SCALED, seed=4)
-    truth = SparseVector.from_dense(np.array([0.0, 1.5, 0.0, -2.0, 0.0]), budget=2)
-    inst = build_instance(x, truth, gaussian_noise(6, 0.1, 5))
+    truth = np.array([0.0, 1.5, 0.0, -2.0, 0.0])
+    inst = build_instance(x, truth, gaussian_noise(6, 0.1, 5), 2)
     path = out_dir / "inst.json"
     save_instance(inst, path, save_matrix_addressed(x, out_dir))
     return path, json.loads(path.read_text())
@@ -468,8 +458,9 @@ def _saved_instance(out_dir):
         (lambda doc: doc["y"].pop(), r"field y has shape \(5,\), expected \(6,\)"),
         (lambda doc: doc["truth"].__setitem__("budget", "2"), "field truth.budget has type str"),
         (lambda doc: doc["noise"].__setitem__("values", None), "field noise.values has type NoneType"),
+        (lambda doc: doc["truth"].__setitem__("budget", 1), "nnz 2 exceeds budget 1"),
     ],
-    ids=["no-y", "short-y", "str-budget", "null-noise-values"],
+    ids=["no-y", "short-y", "str-budget", "null-noise-values", "budget-below-nnz"],
 )
 def test_load_instance_names_the_malformed_field(tmp_path, mutate, message):
     path, doc = _saved_instance(tmp_path)
@@ -492,22 +483,22 @@ def test_load_instance_returns_an_instance_or_raises_value_error(tmp_path_factor
     except ValueError:
         return
     assert is_design(inst.x, (6, 5))
-    assert inst.y.shape == (6,) and inst.truth.d == 5 and inst.noise.shape == (6,)
+    assert inst.y.shape == (6,) and inst.truth.shape == (5,) and inst.noise.shape == (6,)
 
 
 def test_instance_roundtrip_and_hash_check(tmp_path):
     dims = Dims(n=10, d=6, k=2)
     x = sample_ensemble(dims, Ensemble.GAUSSIAN_SCALED, seed=8)
-    truth = SparseVector.from_dense(np.eye(6)[0] * 2.0, budget=2)
+    truth = np.eye(6)[0] * 2.0
     noise = gaussian_noise(10, 0.1, 9)
-    inst = build_instance(x, truth, noise)
+    inst = build_instance(x, truth, noise, 2)
     mp = tmp_path / "m.bin"
     save_matrix(x, mp)
     ip = tmp_path / "inst.json"
     save_instance(inst, ip, mp)
     back = load_instance(ip)
     assert np.array_equal(back.y, inst.y)
-    assert np.array_equal(back.truth.values, truth.values)
+    assert np.array_equal(back.truth, truth)
     assert np.array_equal(back.noise, noise)
     # corrupt the matrix: hash check must fire
     mp.write_bytes(mp.read_bytes()[:-1] + b"\x00")
@@ -530,12 +521,12 @@ def test_v1_instance_loads_and_its_tags_are_ignored(tmp_path):
     }
     (tmp_path / "v1.json").write_text(json.dumps(v1))
     back = load_instance(tmp_path / "v1.json")
-    want = build_instance(x, SparseVector.from_dense(np.array([1.0, -1.0]), budget=2), np.array([0.5, 0.25, 0.5]))
+    want = build_instance(x, np.array([1.0, -1.0]), np.array([0.5, 0.25, 0.5]), 2)
     save_instance(want, tmp_path / "v2.json", mp)
     for inst in (back, load_instance(tmp_path / "v2.json")):
         assert inst.x.tobytes() == x.tobytes()
         assert inst.y.tobytes() == want.y.tobytes()
-        assert inst.truth.values.tobytes() == want.truth.values.tobytes() and inst.truth.budget == 2
+        assert inst.truth.tobytes() == want.truth.tobytes() and inst.budget == 2
         assert inst.noise.tobytes() == want.noise.tobytes()
     # v2 is v1 without the three tags
     v2 = json.loads((tmp_path / "v2.json").read_text())

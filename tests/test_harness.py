@@ -14,7 +14,6 @@ from linfrec import core, harness
 from linfrec.core import (
     Dims,
     Ensemble,
-    SparseVector,
     build_instance,
     gaussian_noise,
     load_instance,
@@ -115,7 +114,7 @@ def _writer_case(writer, tmp_path):
     x = sample_ensemble(Dims(n=6, d=5, k=2), Ensemble.GAUSSIAN_SCALED, seed=4)
     if writer == "save_matrix":
         return (lambda p: save_matrix(x, p)), (lambda p: np.array_equal(load_matrix(p), x)), core
-    inst = build_instance(x, SparseVector.zeros(5, 2), gaussian_noise(6, 0.1, 5))
+    inst = build_instance(x, np.zeros(5), gaussian_noise(6, 0.1, 5), 2)
     matrix = save_matrix_addressed(x, tmp_path)
     return (
         (lambda p: save_instance(inst, p, matrix)),

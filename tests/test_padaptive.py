@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import is_design, mutated_json, orthonormal_columns
 from linfrec import core
-from linfrec.core import TILE_COLS, TILE_ROWS, TILE_TAG, Dims, Ensemble, SparseVector, rng_from
+from linfrec.core import TILE_COLS, TILE_ROWS, TILE_TAG, Dims, Ensemble, rng_from
 from linfrec.linops import IndexSet
 from linfrec.padaptive import (
     MaskedOracle,
@@ -19,10 +19,10 @@ from linfrec.padaptive import (
 )
 
 
-def sparse(d, support, values, budget=None):
+def sparse(d, support, values):
     theta = np.zeros(d)
     theta[np.asarray(support)] = values
-    return SparseVector.from_dense(theta, budget=budget or len(support))
+    return theta
 
 
 def make_oracle(d=50, k=3, sigma=0.5, seed=11, truth=None, n=300):
@@ -34,9 +34,9 @@ class TestMaskedOracle:
     def test_mask_all_signal_yields_pure_noise(self):
         truth = sparse(30, [2, 5], [1.0, -4.0])
         a = MaskedOracle(Dims(n=100, d=30, k=2), truth, 0.7, master_seed=5)
-        _, y_masked = a.masked_observe(20, IndexSet(truth.support))
+        _, y_masked = a.masked_observe(20, IndexSet(np.flatnonzero(truth)))
         # same seed and query index with a zero truth reproduces the noise
-        b = MaskedOracle(Dims(n=100, d=30, k=2), SparseVector.zeros(30, 2), 0.7, master_seed=5)
+        b = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 0.7, master_seed=5)
         _, y_noise = b.masked_observe(20, IndexSet.from_iterable([]))
         assert np.array_equal(y_masked, y_noise)
 
@@ -44,7 +44,7 @@ class TestMaskedOracle:
         truth = sparse(30, [4], [2.0])
         o = MaskedOracle(Dims(n=100, d=30, k=1), truth, 0.0, master_seed=6)
         x, y = o.masked_observe(25, IndexSet.from_iterable([]))
-        assert np.array_equal(y, x @ truth.values)
+        assert np.array_equal(y, x @ truth)
 
     def test_replay_determinism(self):
         o1 = make_oracle(seed=42)
@@ -64,8 +64,8 @@ class TestMaskedOracle:
     def test_masking_soundness(self):
         # truths that agree off the mask produce identical observations
         mask = IndexSet.from_iterable([2, 5])
-        t1 = sparse(30, [2, 5, 11], [9.0, -9.0, 1.5], budget=3)
-        t2 = sparse(30, [5, 11], [123.0, 1.5], budget=3)
+        t1 = sparse(30, [2, 5, 11], [9.0, -9.0, 1.5])
+        t2 = sparse(30, [5, 11], [123.0, 1.5])
         o1 = MaskedOracle(Dims(n=50, d=30, k=3), t1, 0.3, master_seed=8)
         o2 = MaskedOracle(Dims(n=50, d=30, k=3), t2, 0.3, master_seed=8)
         _, y1 = o1.masked_observe(18, mask)
@@ -80,7 +80,7 @@ class TestMaskedOracle:
 
     def test_noise_corr_recorded_but_not_transcribed(self):
         # with a zero truth the observation is the noise itself
-        o = MaskedOracle(Dims(n=100, d=30, k=2), SparseVector.zeros(30, 2), 0.7, master_seed=5)
+        o = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 0.7, master_seed=5)
         x, y = o.masked_observe(20, IndexSet.from_iterable([3]))
         assert o.query_log[0].noise_corr == float(np.max(np.abs(x.T @ y)))
         assert "noise_corr" not in o.transcript_json()
@@ -107,7 +107,7 @@ class TestMaskedOracle:
     )
     def test_mask_changes_only_the_masked_columns_and_never_the_noise(self, mask):
         # d = 50: three whole tiles of columns and one of two columns
-        zero = SparseVector.zeros(50, 3)
+        zero = np.zeros(50)
         plain = MaskedOracle(Dims(n=TILE_ROWS + 9, d=50, k=3), zero, 0.7, master_seed=4)
         masked = MaskedOracle(Dims(n=TILE_ROWS + 9, d=50, k=3), zero, 0.7, master_seed=4)
         rows = TILE_ROWS + 9
@@ -140,11 +140,16 @@ class TestMaskedOracle:
         # (0, 0) of query 0, (seed, 0, 0, 0), would be the noise key (seed, 0)
         seed, rows = 5, 40
         assert rng_from(seed, 0, 0, 0).standard_normal(4).tobytes() == rng_from(seed, 0).standard_normal(4).tobytes()
-        o = MaskedOracle(Dims(n=100, d=30, k=2), SparseVector.zeros(30, 2), 1.0, master_seed=seed)
+        o = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 1.0, master_seed=seed)
         x, noise = o.masked_observe(rows, IndexSet.from_iterable([]))
         assert noise.tobytes() == rng_from(seed, 0).standard_normal(rows).tobytes()
         first_tile = x[:, :TILE_COLS].ravel()[:rows] * math.sqrt(rows)
         assert not np.any(np.isclose(first_tile, noise, rtol=1e-12, atol=0))
+
+    @pytest.mark.parametrize("truth", [np.zeros(29), np.zeros(31), np.zeros((30, 1))], ids=["short", "long", "2-d"])
+    def test_truth_of_the_wrong_shape_is_rejected(self, truth):
+        with pytest.raises(ValueError, match=r"truth has shape .*, expected \(30,\)"):
+            MaskedOracle(Dims(n=100, d=30, k=2), truth, 0.7, master_seed=5)
 
     def test_mask_index_beyond_d_is_rejected(self):
         o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
@@ -204,7 +209,7 @@ class TestThresholdStats:
     def test_noiseless_orthonormal_below_min_signal(self):
         q = orthonormal_columns(20, 10, seed=9)
         truth = sparse(10, [2, 6], [3.0, -1.5])
-        y = q @ truth.values
+        y = q @ truth
         stats = threshold_stats(q, y, truth, threshold=1.0)
         assert len(stats.s_fp) == 0 and len(stats.s_fn) == 0
         assert stats.fn_energy_ratio == 0.0
@@ -212,8 +217,8 @@ class TestThresholdStats:
     def test_infinite_threshold_misses_everything(self):
         q = orthonormal_columns(20, 10, seed=10)
         truth = sparse(10, [2, 6], [3.0, -1.5])
-        stats = threshold_stats(q, q @ truth.values, truth, threshold=np.inf)
-        assert np.array_equal(stats.s_fn.indices, truth.support)
+        stats = threshold_stats(q, q @ truth, truth, threshold=np.inf)
+        assert np.array_equal(stats.s_fn.indices, np.flatnonzero(truth))
         assert stats.fn_energy_ratio == 1.0
 
     def test_fp_fn_control_monte_carlo(self):
@@ -229,7 +234,7 @@ class TestThresholdStats:
             support = np.sort(rng.choice(d, size=k, replace=False))
             vals = rng.choice([-1.0, 1.0], size=k) * rng.uniform(1.0, 2.0, size=k) * 80.0 * msig
             truth = sparse(d, support, vals)
-            y = x @ truth.values + xi
+            y = x @ truth + xi
             stats = threshold_stats(x, y, truth, threshold=40.0 * msig)
             hits += len(stats.s_fp) <= 2 * k and stats.fn_energy_ratio <= 0.95
         assert hits >= 0.9 * trials
@@ -252,7 +257,7 @@ class FakeOrthonormalOracle:
         data = q.copy()
         if len(mask):
             data[:, mask.indices] = 0.0
-        y = data @ self.truth.values
+        y = data @ self.truth
         self.query_log.append((rows, list(mask.indices)))
         return data, y
 
@@ -283,7 +288,7 @@ def monotone_fixture():
     truth = sparse(d, support, rng.choice([-1.0, 1.0], k) * min_sig)
     oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, sigma, master_seed=16)
     # rounds, R, r2, r_inf; n and k come from the oracle's dims
-    params = (3, float(np.linalg.norm(truth.values)), sigma, default_r_inf(sigma, d))
+    params = (3, float(np.linalg.norm(truth)), sigma, default_r_inf(sigma, d))
     return oracle, params
 
 
@@ -295,15 +300,24 @@ class TestAdaptiveSupportRecover:
         rep = adaptive_support_recover(oracle, 2, 10.0, 1e-6, 1.0)
         # phase one alone finds the support; later rounds add nothing
         assert rep.diagnostics["support_trace"][0] == k
-        assert np.array_equal(rep.estimate.support, truth.support)
-        assert np.max(np.abs(rep.estimate.values - truth.values)) <= 1e-8
+        assert np.array_equal(np.flatnonzero(rep.estimate), np.flatnonzero(truth))
+        assert np.max(np.abs(rep.estimate - truth)) <= 1e-8
 
     def test_zero_truth_returns_zero(self):
         d = 40
-        oracle = MaskedOracle(Dims(n=600, d=d, k=4), SparseVector.zeros(d, 4), 0.0, master_seed=3)
+        oracle = MaskedOracle(Dims(n=600, d=d, k=4), np.zeros(d), 0.0, master_seed=3)
         rep = adaptive_support_recover(oracle, 3, 1.0, 0.5, 1.0)
-        assert np.array_equal(rep.estimate.values, np.zeros(d))
+        assert np.array_equal(rep.estimate, np.zeros(d))
         assert rep.diagnostics["support_trace"] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_estimate_keeps_at_most_k_nonzeros(self, seed):
+        # a dense truth: the rounds collect far more than k coordinates
+        truth = np.random.default_rng(seed).standard_normal(50)
+        oracle = MaskedOracle(Dims(n=600, d=50, k=3), truth, 0.1, master_seed=seed)
+        rep = adaptive_support_recover(oracle, 2, 10.0, 0.1, 0.5)
+        assert rep.diagnostics["support_trace"][-1] > 3
+        assert np.count_nonzero(rep.estimate) <= 3
 
     def test_monotone_mask_growth_and_budget(self):
         oracle, params = monotone_fixture()
@@ -331,7 +345,7 @@ class TestAdaptiveSupportRecover:
         assert not hasattr(hidden, "truth")
         want = adaptive_support_recover(bare, *params)
         got = adaptive_support_recover(hidden, *params)
-        assert np.array_equal(got.estimate.values, want.estimate.values)
+        assert np.array_equal(got.estimate, want.estimate)
         assert got.diagnostics == want.diagnostics
 
     def test_support_blowup_error(self):
@@ -355,14 +369,14 @@ class TestAdaptiveSupportRecover:
             vals = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 2.0, k)
             truth = sparse(d, support, vals * 100.0 * sigma * math.sqrt(math.log(d)))
             oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, sigma, master_seed=920 + t)
-            R = float(np.linalg.norm(truth.values))
+            R = float(np.linalg.norm(truth))
             rep = adaptive_support_recover(oracle, 4, R, sigma, default_r_inf(sigma, d))
             sets = rep.diagnostics["support_sets"]
             for cur, nxt in zip(sets, sets[1:]):
-                res_cur = np.setdiff1d(truth.support, cur)
-                res_nxt = np.setdiff1d(truth.support, nxt)
-                e_cur = np.linalg.norm(truth.values[res_cur])
-                e_nxt = np.linalg.norm(truth.values[res_nxt])
+                res_cur = np.setdiff1d(np.flatnonzero(truth), cur)
+                res_nxt = np.setdiff1d(np.flatnonzero(truth), nxt)
+                e_cur = np.linalg.norm(truth[res_cur])
+                e_nxt = np.linalg.norm(truth[res_nxt])
                 contracted += e_nxt <= 0.95 * e_cur or e_cur == 0.0
                 total += 1
         assert contracted >= 0.9 * total
@@ -381,9 +395,9 @@ class TestAdaptiveSupportRecover:
             vals = rng.choice([-1.0, 1.0], k) * rng.uniform(1.0, 2.0, k)
             truth = sparse(d, support, vals * 100.0 * sigma * math.sqrt(math.log(d)))
             oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, sigma, master_seed=800 + t)
-            R = float(np.linalg.norm(truth.values))
+            R = float(np.linalg.norm(truth))
             rep = adaptive_support_recover(oracle, n_rounds, R, sigma, default_r_inf(sigma, d))
-            exact += np.array_equal(rep.estimate.support, truth.support)
+            exact += np.array_equal(np.flatnonzero(rep.estimate), np.flatnonzero(truth))
         assert exact >= 0.9 * trials
 
 

@@ -11,7 +11,6 @@ from linfrec.adversarial import build_masking_vector
 from linfrec.core import (
     Dims,
     Ensemble,
-    SparseVector,
     build_instance,
     gaussian_noise,
     sample_ensemble,
@@ -34,11 +33,11 @@ def make_signal(d, k, rng, values=None):
     if values is None:
         values = rng.choice([-1.0, 1.0], size=k)
     theta[support] = values
-    return SparseVector.from_dense(theta, budget=k)
+    return theta
 
 
 def linf_error(rep, truth):
-    return float(np.max(np.abs(rep.estimate.values - truth.values), initial=0.0))
+    return float(np.max(np.abs(rep.estimate - truth), initial=0.0))
 
 
 def gram_noise(x, noise):
@@ -97,6 +96,21 @@ def test_halvings_survive_a_ratio_beyond_the_float_range():
     assert iht(x, np.zeros(30), 2, 1e300, 1e-300).iterations == 1994
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_estimates_keep_the_sparsity_they_promise(seed):
+    # a dense signal: no estimate is sparse unless the estimator makes it so
+    rng = np.random.default_rng(seed)
+    n, d, k = 600, 60, 4
+    x = rng.standard_normal((n, d)) / math.sqrt(n)
+    y = x @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+    for rep in (iht(x, y, k, 10.0, 0.01), osr_reduction(x, y, k, 10.0, 0.01)):
+        assert np.count_nonzero(rep.estimate) <= k
+    rep = oblivious_recover(x, y, k, 10.0, 0.01)
+    correction = rep.diagnostics["correction_support"]
+    assert correction > 0  # so the bound below is more than k
+    assert k < np.count_nonzero(rep.estimate) <= k + correction
+
+
 class TestIhtParams:
     def test_zero_iterations_when_r_exceeds_R(self):
         x = sample_ensemble(Dims(n=10, d=5, k=1), Ensemble.GAUSSIAN_SCALED, 0)
@@ -122,23 +136,23 @@ class TestIht:
         d, k = 12, 3
         truth = make_signal(d, k, rng, values=np.array([2.0, -1.0, 0.5]))
         x = np.eye(d)
-        y = x @ truth.values
+        y = x @ truth
         rep = iht(x, y, k, 3.0, 0.4)
         assert linf_error(rep, truth) == 0.0
         # the gradient step lands on the signal at the very first iterate,
         # which iht at resolution R/2 runs alone
-        assert np.array_equal(iht(x, y, k, 3.0, 3.0 / 2).estimate.values, truth.values)
+        assert np.array_equal(iht(x, y, k, 3.0, 3.0 / 2).estimate, truth)
 
     def test_r_at_least_R_returns_zero(self, rng):
         x = sample_ensemble(Dims(n=10, d=5, k=2), Ensemble.GAUSSIAN_SCALED, 0)
         rep = iht(x, np.ones(10), 2, 1.0, 2.0)
         assert rep.iterations == 0
-        assert np.array_equal(rep.estimate.values, np.zeros(5))
+        assert np.array_equal(rep.estimate, np.zeros(5))
 
     def test_output_sparsity(self, rng):
         x = sample_ensemble(Dims(n=50, d=30, k=4), Ensemble.GAUSSIAN_SCALED, 1)
         rep = iht(x, rng.standard_normal(50), 4, 10.0, 0.1)
-        assert rep.estimate.nnz <= 4
+        assert np.count_nonzero(rep.estimate) <= 4
 
     def test_l2_bound_monte_carlo(self):
         # error <= r + 5 sqrt(3k) ||X^T xi||_inf in >= 95% of seeded trials
@@ -149,11 +163,11 @@ class TestIht:
             x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 5000 + t)
             truth = make_signal(d, k, master)
             noise = gaussian_noise(n, 0.05, 6000 + t)
-            inst = build_instance(x, truth, noise)
+            inst = build_instance(x, truth, noise, k)
             r = 0.1
-            rep = iht(x, inst.y, k, float(np.linalg.norm(truth.values)), r)
+            rep = iht(x, inst.y, k, float(np.linalg.norm(truth)), r)
             bound = r + 5.0 * math.sqrt(3 * k) * gram_noise(x, noise)
-            hits += np.linalg.norm(rep.estimate.values - truth.values) <= bound
+            hits += np.linalg.norm(rep.estimate - truth) <= bound
         assert hits >= 0.95 * trials
 
 
@@ -168,7 +182,7 @@ class TestOblivious:
         d, k = 16, 3
         x = orthonormal_split_design(d, 3, sub_seed=10)
         truth = make_signal(d, k, rng, values=np.array([1.0, -2.0, 0.75]))
-        y = x @ truth.values
+        y = x @ truth
         rep = oblivious_recover(x, y, k, 3.0, 0.01)
         assert linf_error(rep, truth) <= 1e-9
 
@@ -178,7 +192,7 @@ class TestOblivious:
         noise = gaussian_noise(n, 0.01, 4)
         y = noise.copy()
         rep = oblivious_recover(x, y, 2, 1.0, 10.0)
-        assert np.array_equal(rep.estimate.values, np.zeros(d))
+        assert np.array_equal(rep.estimate, np.zeros(d))
         assert rep.diagnostics["correction_support"] == 0
 
     def test_truncation_diagnostic(self, rng):
@@ -195,10 +209,10 @@ class TestOblivious:
             x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 7000 + t)
             truth = make_signal(d, k, master)
             noise = gaussian_noise(n, 0.05, 7500 + t)
-            inst = build_instance(x, truth, noise)
+            inst = build_instance(x, truth, noise, k)
             msig = float(np.max(np.abs(x.T @ noise)))
             r = msig * math.sqrt(math.log(n))
-            rep = oblivious_recover(x, inst.y, k, float(np.linalg.norm(truth.values)), r)
+            rep = oblivious_recover(x, inst.y, k, float(np.linalg.norm(truth)), r)
             hits += linf_error(rep, truth) <= 20.0 * r
         assert hits >= 0.9 * trials
 
@@ -212,7 +226,7 @@ def _rescaled_blocks(x, y, parts):
 def rescaled_oblivious(x, y, k, R, r):
     """The three-phase pipeline on explicitly rescaled thirds, with no gain."""
     (x1, y1), (x2, y2), (x3, y3) = _rescaled_blocks(x, y, 3)
-    theta = iht(x1, y1, k, R, math.sqrt(k) * r).estimate.values
+    theta = iht(x1, y1, k, R, math.sqrt(k) * r).estimate
     corr = x2.T @ (y2 - x2 @ theta)
     l_idx = np.flatnonzero(np.abs(corr) >= r / DEFAULT_THRESHOLD_C)
     out = theta.copy()
@@ -240,7 +254,7 @@ def _block_instance():
     # one of six row blocks of a design, as the reduction hands its inner rounds
     x = sample_ensemble(Dims(n=6 * 301, d=60, k=4), Ensemble.GAUSSIAN_SCALED, 17)[:301]
     truth = make_signal(60, 4, np.random.default_rng(18), values=[3.0, -2.0, 2.5, 1.5])
-    return x, x @ truth.values + 0.01 * np.random.default_rng(19).standard_normal(301)
+    return x, x @ truth + 0.01 * np.random.default_rng(19).standard_normal(301)
 
 
 @pytest.mark.parametrize("gain", [1.0, 6.0])
@@ -251,28 +265,28 @@ def test_correlation_gains_match_rescaled_rows(gain):
     x, y = _block_instance()
     scaled_x, scaled_y = math.sqrt(gain) * x, math.sqrt(gain) * y
     params = (4, 8.0, 5e-4)  # k, R, r
-    got = iht(x, y, *params, gain=gain).estimate.values
-    np.testing.assert_allclose(got, iht(scaled_x, scaled_y, *params).estimate.values, rtol=1e-12, atol=1e-12)
+    got = iht(x, y, *params, gain=gain).estimate
+    np.testing.assert_allclose(got, iht(scaled_x, scaled_y, *params).estimate, rtol=1e-12, atol=1e-12)
     rep = oblivious_recover(x, y, *params, gain=gain)
     assert rep.diagnostics["correction_support"] > 0
-    np.testing.assert_allclose(rep.estimate.values, rescaled_oblivious(scaled_x, scaled_y, *params), rtol=0, atol=1e-7)
+    np.testing.assert_allclose(rep.estimate, rescaled_oblivious(scaled_x, scaled_y, *params), rtol=0, atol=1e-7)
 
 
 def test_reduction_matches_rescaled_blocks():
     for seed in range(3):
         x = sample_ensemble(Dims(n=2400, d=80, k=3), Ensemble.GAUSSIAN_SCALED, 40 + seed)
         truth = make_signal(80, 3, np.random.default_rng(50 + seed))
-        y = x @ truth.values + 0.05 * np.random.default_rng(60 + seed).standard_normal(2400)
-        params = (3, float(np.linalg.norm(truth.values)), 5e-4)  # k, R, r
+        y = x @ truth + 0.05 * np.random.default_rng(60 + seed).standard_normal(2400)
+        params = (3, float(np.linalg.norm(truth)), 5e-4)  # k, R, r
         rep = osr_reduction(x, y, *params)
-        np.testing.assert_allclose(rep.estimate.values, rescaled_reduction(x, y, *params), rtol=0, atol=1e-7)
+        np.testing.assert_allclose(rep.estimate, rescaled_reduction(x, y, *params), rtol=0, atol=1e-7)
 
 
 class TestReduction:
     def test_r_at_least_R_returns_zero(self, rng):
         x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 6)
         rep = osr_reduction(x, rng.standard_normal(30), 2, 1.0, 1.5)
-        assert np.array_equal(rep.estimate.values, np.zeros(10))
+        assert np.array_equal(rep.estimate, np.zeros(10))
 
     def test_noiseless_orthonormal_splits_exact(self, rng):
         d, k = 12, 2
@@ -283,7 +297,7 @@ class TestReduction:
             blocks.append(orthonormal_split_design(d, 3, sub_seed=100 + 3 * i))
         x = np.vstack(blocks) / math.sqrt(2 * big_t)
         truth = make_signal(d, k, rng, values=np.array([2.0, -1.5]))
-        y = x @ truth.values
+        y = x @ truth
         rep = osr_reduction(x, y, k, R, r)
         assert rep.diagnostics["stop_round"] is None
         assert linf_error(rep, truth) <= 1e-9
@@ -296,8 +310,8 @@ class TestReduction:
         x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, seed)
         truth = make_signal(d, k, master)
         noise = gaussian_noise(n, 0.05, seed + 100)
-        inst = build_instance(x, truth, noise)
-        params = (k, float(np.linalg.norm(truth.values)), 0.05 / 100)  # k, R, r
+        inst = build_instance(x, truth, noise, k)
+        params = (k, float(np.linalg.norm(truth)), 0.05 / 100)  # k, R, r
         return x, inst, params, truth
 
     def test_failed_holdout_returns_previous_iterate(self):
@@ -333,7 +347,7 @@ class TestAdaptiveIht:
         d, k = 10, 2
         truth = make_signal(d, k, rng, values=np.array([1.0, -0.5]))
         x = np.eye(d)
-        y = x @ truth.values
+        y = x @ truth
         r = 0.1
         rep = iht(x, y, k, 1.0, r)
         assert linf_error(rep, truth) == 0.0
@@ -348,29 +362,29 @@ class TestAdaptiveIht:
         rng = np.random.default_rng(seed)
         truth = make_signal(d, k, rng)
         if adversarial_noise:
-            free = np.setdiff1d(np.arange(d), truth.support)
+            free = np.setdiff1d(np.arange(d), np.flatnonzero(truth))
             s = IndexSet(np.sort(rng.choice(free, size=2 * k, replace=False)).astype(np.int64))
             mv = build_masking_vector(x, s, normalize=True)
-            noise = x @ mv.v.values
+            noise = x @ mv.v
         else:
             noise = gaussian_noise(n, 0.02, seed + 1)
-        inst = build_instance(x, truth, noise)
+        inst = build_instance(x, truth, noise, k)
         return x, inst, cert, truth, noise
 
     @pytest.mark.parametrize("adversarial_noise", [False, True])
     def test_contraction_per_iteration_on_certified_fixture(self, adversarial_noise):
         x, inst, cert, truth, noise = self._certified_fixture(42, adversarial_noise)
-        k, R, r = truth.budget, 1.0, 0.01
+        k, R, r = 2, 1.0, 0.01
         rep = iht(x, inst.y, k, R, r)
         eps = cert.achieved
         sigma_m = gram_noise(x, noise)
         # iht at resolution R / 2**t runs exactly t steps from zero
-        iterates = [iht(x, inst.y, k, R, R / 2**t).estimate.values for t in range(rep.iterations + 1)]
+        iterates = [iht(x, inst.y, k, R, R / 2**t).estimate for t in range(rep.iterations + 1)]
         for prev, nxt in zip(iterates, iterates[1:]):
             half = prev + x.T @ (inst.y - x @ prev)
-            e_half = np.max(np.abs(half - truth.values))
-            e_prev = np.max(np.abs(prev - truth.values))
-            e_next = np.max(np.abs(nxt - truth.values))
+            e_half = np.max(np.abs(half - truth))
+            e_prev = np.max(np.abs(prev - truth))
+            e_next = np.max(np.abs(nxt - truth))
             assert e_half <= eps * e_prev + sigma_m + 1e-9
             assert e_next <= 2 * eps * e_prev + 2 * sigma_m + 1e-9
         assert cert.holds and cert.threshold <= 0.25 and cert.s >= 2 * k
@@ -392,13 +406,13 @@ class TestSupportIdentificationThreshold:
             ])
             truth = make_signal(d, k, master, values=values)
             noise = gaussian_noise(n, 0.05, 8500 + t)
-            inst = build_instance(x, truth, noise)
+            inst = build_instance(x, truth, noise, k)
             msig = float(np.max(np.abs(x.T @ noise)))
-            r_inf = float(np.linalg.norm(truth.values)) / math.sqrt(k) + 3.0 * msig
+            r_inf = float(np.linalg.norm(truth)) / math.sqrt(k) + 3.0 * msig
             selected = np.flatnonzero(np.abs(x.T @ inst.y) >= r_inf)
-            inside = np.all(np.isin(selected, truth.support))
-            missed = np.setdiff1d(truth.support, selected)
-            small = np.all(np.abs(truth.values[missed]) <= 4.0 * r_inf)
+            inside = np.all(np.isin(selected, np.flatnonzero(truth)))
+            missed = np.setdiff1d(np.flatnonzero(truth), selected)
+            small = np.all(np.abs(truth[missed]) <= 4.0 * r_inf)
             hits += inside and small
         assert hits >= 0.95 * trials
 
@@ -414,12 +428,12 @@ class TestRestrictedOlsErrorBound:
             x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 9000 + t)
             truth = make_signal(d, k, master)
             noise = gaussian_noise(n, 0.05, 9500 + t)
-            inst = build_instance(x, truth, noise)
-            sub = IndexSet(np.sort(master.choice(truth.support, size=k // 2, replace=False)).astype(np.int64))
+            inst = build_instance(x, truth, noise, k)
+            sub = IndexSet(np.sort(master.choice(np.flatnonzero(truth), size=k // 2, replace=False)).astype(np.int64))
             w = restricted_ols(x, sub, inst.y)
-            err = float(np.max(np.abs(w - truth.values[sub.indices])))
+            err = float(np.max(np.abs(w - truth[sub.indices])))
             msig = float(np.max(np.abs(x.T @ noise)))
-            bound = 8.0 * msig + float(np.linalg.norm(truth.values)) / math.sqrt(k)
+            bound = 8.0 * msig + float(np.linalg.norm(truth)) / math.sqrt(k)
             hits += err <= bound
         assert hits >= 0.95 * trials
 

@@ -341,6 +341,21 @@ class TestSampleFloor:
             assert n >= linf_rip_sample_floor(eps, s)
 
 
+@pytest.mark.parametrize(
+    "certify",
+    [
+        lambda x: certify_l2_rip(x, epsilon=-math.inf, s=2, mode="sampled"),
+        lambda x: certify_linf_rip(x, epsilon=-math.inf, s=2),
+        lambda x: certify_pi(x, alpha=-math.inf),
+    ],
+    ids=["l2-sampled", "linf-exact", "pi"],
+)
+def test_certifiers_reject_a_negative_infinite_threshold(certify):
+    # "--eps -inf" reads as a flag on the command line; test_cli passes the other bad values
+    with pytest.raises(ValueError, match=r"(epsilon|alpha) must be a finite number, got -inf"):
+        certify(np.eye(5))
+
+
 def test_certificate_json():
     cert = certify_pi(planted_matrix(4, 0.2), alpha=0.1)
     doc = json.loads(certificate_to_json(cert))
