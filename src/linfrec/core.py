@@ -62,6 +62,9 @@ INSTANCE_FORMATS = ("linfrec-instance-v1", "linfrec-instance-v2")
 TILE_ROWS = 1024
 TILE_COLS = 16
 TILE_TAG = 0x74696C65  # "tile"
+# A fill thread draws up to GROUP full-width tiles of a row tile into one
+# contiguous buffer of at most GROUP * TILE_ROWS * TILE_COLS doubles (1 MiB).
+GROUP = 8
 
 # Processes drawing designs at once: 1 in-process, the pool size in the
 # harness's pool workers (set by _share_cores), so that all processes' fill
@@ -131,26 +134,47 @@ class Ensemble(str, enum.Enum):
     RADEMACHER_SCALED = "rademacher_scaled"
 
 
-def _unscaled_tile(rng: np.random.Generator, shape: tuple[int, int], ensemble: Ensemble) -> np.ndarray:
+def _unscaled_tile(rng: np.random.Generator, out: np.ndarray, ensemble: Ensemble) -> None:
+    """Fill the C-ordered ``out`` row-major with the ensemble's unscaled entries."""
     if ensemble is Ensemble.GAUSSIAN_SCALED:
-        return rng.standard_normal(shape)
-    z = rng.integers(0, 2, size=shape).astype(np.float64)
-    z *= 2.0
-    z -= 1.0
-    return z
+        rng.standard_normal(out=out)
+    else:
+        out[...] = rng.integers(0, 2, size=out.shape)
+        out *= 2.0
+        out -= 1.0
 
 
 def _fill(x: np.ndarray, key: tuple[int, ...], ensemble: Ensemble, col_tiles: list) -> None:
-    """Draw the listed column tiles of ``x`` in every row tile, each into its own slice."""
-    rows = x.shape[0]
+    """Draw the listed column tiles of ``x`` in every row tile, each from its own key.
+
+    Full-width tiles are drawn GROUP at a time into one contiguous buffer,
+    scaled there in one pass and copied to ``x`` as whole tile rows, each one
+    item of TILE_COLS doubles; a narrower last tile is scaled into ``x`` alone.
+    """
+    rows, d = x.shape
     root = math.sqrt(rows)
+    full = [tile for tile in col_tiles if tile[1].stop - tile[1].start == TILE_COLS]
+    groups = [full[g : g + GROUP] for g in range(0, len(full), GROUP)]
+    groups += [[tile] for tile in col_tiles if tile[1].stop - tile[1].start < TILE_COLS]
+    item = np.dtype((np.void, TILE_COLS * 8))
+    xv = x[:, : d - d % TILE_COLS].view(item)
+    buf = np.empty(min(GROUP, len(col_tiles)) * min(TILE_ROWS, rows) * TILE_COLS)
     for i, top in enumerate(range(0, rows, TILE_ROWS)):
         height = min(TILE_ROWS, rows - top)
-        for j, cols, drop in col_tiles:
-            tile = _unscaled_tile(rng_from(*key, i, j, TILE_TAG), (height, cols.stop - cols.start), ensemble)
-            if drop is not None:
-                tile[:, drop] = 0.0
-            np.divide(tile, root, out=x[top : top + height, cols])
+        for group in groups:
+            cols = group[0][1]
+            band = buf[: len(group) * height * (cols.stop - cols.start)].reshape(len(group), height, -1)
+            for slot, (j, _, drop) in zip(band, group):
+                _unscaled_tile(rng_from(*key, i, j, TILE_TAG), slot, ensemble)
+                if drop is not None:
+                    slot[:, drop] = 0.0
+            if cols.stop - cols.start < TILE_COLS:
+                np.divide(band[0], root, out=x[top : top + height, cols])
+                continue
+            np.divide(band, root, out=band)
+            first, last = group[0][0], group[-1][0]
+            sel = slice(first, last + 1) if last - first + 1 == len(group) else [j for j, _, _ in group]
+            xv[top : top + height, sel] = band.view(item)[:, :, 0].T
 
 
 def draw_design(
@@ -165,21 +189,33 @@ def draw_design(
     the columns listed in ``masked`` are zero while every other entry is what
     the unmasked draw holds.  A tile whose columns are all masked is not drawn.
 
-    The column tiles are dealt round-robin to one thread per core this
-    process may use (cores divided among the harness's pool workers); each
-    tile writes only its own slice, so the bytes do not depend on the
-    number of threads.  Before a draw of more than one tile, OpenBLAS's idle
-    worker threads are released, since they busy-wait for a while after
-    every BLAS call and would take a core from the fill; the next BLAS call
-    starts them again at the same thread count.  Releasing them under a
-    BLAS call in progress on another thread is unsafe, so they are released
-    only while the calling thread is the process's only Python thread
-    (linfrec starts none that outlives a draw).  A thread started outside
-    Python is not seen, and must not be inside BLAS during a draw.
+    A mask index outside ``[0, d)`` raises a ValueError naming it.
+
+    The column tiles are dealt in contiguous blocks to one thread per core
+    this process may use (cores divided among the harness's pool workers).
+    Each thread draws its full-width tiles of a row tile GROUP at a time
+    into one contiguous buffer of at most ``GROUP * TILE_ROWS * TILE_COLS``
+    doubles (1 MiB), scales them there and copies them to ``x`` in whole
+    tile rows; a narrower last tile is drawn alone.  Each tile comes from
+    its own key and writes only its own entries, so the bytes do not depend
+    on the number of threads or on how tiles are grouped.
+
+    Before a draw of more than one tile, OpenBLAS's idle worker threads are
+    released, since they busy-wait for a while after every BLAS call and
+    would take a core from the fill; the next BLAS call starts them again at
+    the same thread count.  Releasing them under a BLAS call in progress on
+    another thread is unsafe, so they are released only while the calling
+    thread is the process's only Python thread (linfrec starts none that
+    outlives a draw).  A thread started outside Python is not seen, and must
+    not be inside BLAS during a draw.
     """
     ensemble = Ensemble(ensemble)
     keep = np.ones(d, dtype=bool)
-    if masked is not None:
+    if masked is not None and len(masked):
+        masked = np.asarray(masked)
+        outside = masked[(masked < 0) | (masked >= d)]
+        if len(outside):
+            raise ValueError(f"mask index {outside[0]} is out of range for d={d}")
         keep[masked] = False
     col_tiles = []
     for j, lo in enumerate(range(0, d, TILE_COLS)):
@@ -192,10 +228,11 @@ def draw_design(
     if blas is not None and several and threading.active_count() == 1:
         blas.blas_thread_shutdown_()
     threads = max(1, min(_cores() // _workers, len(col_tiles)))
+    bands = [col_tiles[b * len(col_tiles) // threads : (b + 1) * len(col_tiles) // threads] for b in range(threads)]
     # the calling thread fills band 0; the pool starts a thread for each other band
     with ThreadPoolExecutor(threads) as pool:
-        helpers = [pool.submit(_fill, x, key, ensemble, col_tiles[b::threads]) for b in range(1, threads)]
-        _fill(x, key, ensemble, col_tiles[::threads])
+        helpers = [pool.submit(_fill, x, key, ensemble, band) for band in bands[1:]]
+        _fill(x, key, ensemble, bands[0])
         for helper in helpers:
             helper.result()
     return x

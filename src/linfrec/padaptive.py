@@ -88,8 +88,6 @@ class MaskedOracle:
     def masked_observe(self, rows: int, mask: IndexSet) -> tuple[np.ndarray, np.ndarray]:
         if rows < 1:
             raise ValueError("must request at least one row")
-        if len(mask) and mask.indices[-1] >= self.dims.d:
-            raise ValueError(f"mask index {mask.indices[-1]} is out of range for d={self.dims.d}")
         qi = len(self.query_log)
         x = draw_design((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask.indices)
         xi = gaussian_noise(rows, self.noise_sigma, self.master_seed, qi)

@@ -310,7 +310,7 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     after which the row is final and its kept magnitudes are its value's terms
     and the witness.  Only entries at least a floor on the s-1-th largest are
     read out: the kept s-1-th largest, or on the first panel a bound from
-    group maxima; at s = 1 the floor is inf and only the diagonal is read.
+    group maxima.  At s = 1 only the diagonal is read.
     """
     d = x.shape[1]
     take = min(s - 1, d - 1)
@@ -322,28 +322,29 @@ def _linf_panel_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
         hi = lo + h
         r = np.arange(h)
         vals = np.abs(u[r, r])
-        u[r, r] = 0.0
-        # the carried take-th largest (inf at take = 0: no candidate is read)
-        row_floor, col_floor = top[lo:hi].min(axis=1, initial=np.inf), top[hi:].min(axis=1, initial=np.inf)
-        if lo < take:  # fewer than take rows carried: bound the floors from this panel
-            np.abs(u, out=u)
-            row_floor = np.maximum(row_floor, _group_floor(u, take, 1))
-            col_floor = np.maximum(col_floor, _group_floor(u[:, h:], take, 0))
-        flat = _candidates(u, row_floor, col_floor)
-        fr, fc = np.divmod(flat, width)
-        del flat
-        fv = u[fr, fc]
-        row = (fv >= row_floor[fr]) & (fc != fr)
-        _carry(top[lo:hi], top_idx[lo:hi], fr[row], lo + fc[row], fv[row])  # the panel's rows are final
-        vals += top[lo:hi, ::-1].sum(axis=1)  # the take largest, in ascending order
+        if take:  # at s = 1 a row's value is its diagonal term: no candidate is sought
+            u[r, r] = 0.0
+            # the carried take-th largest
+            row_floor, col_floor = top[lo:hi].min(axis=1), top[hi:].min(axis=1)
+            if lo < take:  # fewer than take rows carried: bound the floors from this panel
+                np.abs(u, out=u)
+                row_floor = np.maximum(row_floor, _group_floor(u, take, 1))
+                col_floor = np.maximum(col_floor, _group_floor(u[:, h:], take, 0))
+            flat = _candidates(u, row_floor, col_floor)
+            fr, fc = np.divmod(flat, width)
+            del flat
+            fv = u[fr, fc]
+            row = (fv >= row_floor[fr]) & (fc != fr)
+            _carry(top[lo:hi], top_idx[lo:hi], fr[row], lo + fc[row], fv[row])  # the panel's rows are final
+            vals += top[lo:hi, ::-1].sum(axis=1)  # the take largest, in ascending order
+            if hi < d:
+                col = np.flatnonzero((fc >= h) & (fv >= col_floor[np.maximum(fc - h, 0)]))
+                k = max(len(col), 1)
+                col = col[np.sort(fc[col] * k + np.arange(len(col))) % k]  # by column, then by row
+                _carry(top, top_idx, lo + fc[col], lo + fr[col], fv[col])
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, anchor = float(vals[i]), lo + i
-        if hi < d:
-            col = np.flatnonzero((fc >= h) & (fv >= col_floor[np.maximum(fc - h, 0)]))
-            k = max(len(col), 1)
-            col = col[np.sort(fc[col] * k + np.arange(len(col))) % k]  # by column, then by row
-            _carry(top, top_idx, lo + fc[col], lo + fr[col], fv[col])
     return best, np.sort(np.concatenate(([anchor], top_idx[anchor])))
 
 

@@ -4,6 +4,7 @@ import os
 import struct
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import is_design, mutated_json
 
 from linfrec import core
 from linfrec.core import (
+    GROUP,
     MATRIX_MAGIC,
     TILE_COLS,
     TILE_ROWS,
@@ -173,6 +175,52 @@ def test_fill_threads_without_an_affinity_mask_count_the_machine(monkeypatch, ba
     x = draw_design((5,), TILED_ROWS, TILED_D, Ensemble.RADEMACHER_SCALED)
     assert len(bands) == 2
     assert x.tobytes() == tiled_reference((5,), TILED_ROWS, TILED_D, Ensemble.RADEMACHER_SCALED).tobytes()
+
+
+# several groups of full-width tiles per fill thread, then a 5-column edge tile
+GROUPED_D = (2 * GROUP + 3) * TILE_COLS + 5
+KEPT_TILE = GROUP + 2
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize(
+    "masked",
+    [
+        (),
+        range(3 * TILE_COLS, 4 * TILE_COLS),
+        (GROUP * TILE_COLS - 3, GROUP * TILE_COLS - 1, GROUP * TILE_COLS, GROUP * TILE_COLS + 2),
+        [c for c in range(GROUPED_D) if c // TILE_COLS != KEPT_TILE],
+    ],
+    ids=["none", "gap-in-a-group", "part-tiles-across-a-group-boundary", "all-but-one-tile"],
+)
+def test_grouped_fill_is_the_serial_tiles(monkeypatch, ensemble, cores, masked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    x = draw_design((9, 2), TILED_ROWS, GROUPED_D, ensemble, np.asarray(masked, dtype=np.int64))
+    assert x.tobytes() == tiled_reference((9, 2), TILED_ROWS, GROUPED_D, ensemble, masked).tobytes()
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+def test_fill_scratch_is_one_group_buffer_per_thread(ensemble):
+    rows, d = 2490, 4000
+    threads = max(1, min(core._cores() // core._workers, math.ceil(d / TILE_COLS)))
+    group_buffer = GROUP * TILE_ROWS * TILE_COLS * 8
+    # slack: per thread one tile-sized temporary (a Rademacher tile's int64
+    # draw), plus 256 KiB for generators, tile lists and the thread pool
+    slack = threads * TILE_ROWS * TILE_COLS * 8 + 2**18
+    tracemalloc.start()
+    try:
+        x = draw_design((3,), rows, d, ensemble)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - x.nbytes <= threads * group_buffer + slack
+
+
+@pytest.mark.parametrize("masked, index", [([-1], -1), ([25], 25), ([3, 20, 4], 20)])
+def test_draw_rejects_a_mask_index_outside_the_columns(masked, index):
+    with pytest.raises(ValueError, match=rf"mask index {index} is out of range for d=20"):
+        draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
 
 
 def test_blas_workers_are_released_before_a_draw_of_several_tiles(monkeypatch):
