@@ -127,6 +127,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    """A ``--seed`` value; argparse reports a negative one as a usage error naming the option."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="linfrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -136,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--d", type=int, required=True)
     design.add_argument("--k", type=int, required=True)
     design.add_argument("--ensemble", choices=sorted(_ENSEMBLES), default="gaussian")
-    design.add_argument("--seed", type=int, default=0)
+    design.add_argument("--seed", type=nonnegative_int, default=0)
     design.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("gen", parents=[design], help="generate and write a recovery instance")
@@ -158,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.set_defaults(fn=_cmd_certify, usage_error=p.error)
 
     p = sub.add_parser("adversarial", parents=[design], help="write an indistinguishable instance pair")

@@ -6,7 +6,9 @@ the types here.  All randomness flows through SFC64 generators keyed by
 per-query resamples in the masked-oracle module -- is reproducible
 bit-for-bit.  A design is drawn in fixed tiles, each from its own key, so a
 tile can be skipped or drawn alone without moving any other entry, and the
-tiles can be filled on several threads without moving any byte.
+tiles can be filled on several threads without moving any byte.  A tile's
+stream is defined by ``rng_from``; a draw computes the seeded SFC64 states of
+all its tiles in one vectorized SeedSequence/SFC64 pass instead.
 """
 
 from __future__ import annotations
@@ -144,12 +146,90 @@ def _unscaled_tile(rng: np.random.Generator, out: np.ndarray, ensemble: Ensemble
         out -= 1.0
 
 
-def _fill(x: np.ndarray, key: tuple[int, ...], ensemble: Ensemble, col_tiles: list) -> None:
-    """Draw the listed column tiles of ``x`` in every row tile, each from its own key.
+# numpy's SeedSequence (a pool of four 32-bit words hashed and mixed with
+# these constants) and SFC64's seeding (three seeded words, a counter of 1,
+# then 12 rounds), run by _seed_states over arrays with one lane per tile.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+
+
+def _words(part: int) -> list[int]:
+    """The 32-bit words a SeedSequence reads the integer ``part`` as, least significant first."""
+    part = int(part)
+    if part < 0:
+        raise ValueError("expected non-negative integer")
+    return [part >> shift & _WORD for shift in range(0, max(part.bit_length(), 1), 32)]
+
+
+def _hasher(const: int, mult: int):
+    """A SeedSequence hash of uint32 arrays: xor with the running constant, step it, multiply, fold."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _WORD
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return step
+
+
+def _seed_states(key: tuple[int, ...], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The seeded SFC64 state of ``rng_from(*key, i[t], j[t], TILE_TAG)`` in row t, as 4 uint64.
+
+    ``i`` and ``j`` are equal-length integer arrays of entries below 2**32.
+    """
+    words = [np.array([w], dtype=np.uint32) for part in key for w in _words(part)]
+    words += [i.astype(np.uint32), j.astype(np.uint32), np.array([TILE_TAG], dtype=np.uint32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return value ^ value >> 16
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(words[w] if w < len(words) else zero) for w in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(3, np.uint64): six words cycled from the pool, paired low word first
+    hashout = _hasher(_INIT_B, _MULT_B)
+    seeded = [hashout(pool[w % _POOL_WORDS]).astype(np.uint64) for w in range(6)]
+    a, b, c = (seeded[w] | seeded[w + 1] << 32 for w in range(0, 6, 2))
+    for counter in range(1, 13):
+        a, b, c = b ^ b >> 11, c + (c << 3), (c << 24 | c >> 40) + (a + b + np.uint64(counter))
+    return np.stack(np.broadcast_arrays(a, b, c, np.uint64(13)), axis=-1)
+
+
+@functools.cache
+def _check_seeding() -> None:
+    """Raise unless _seed_states gives numpy's own SFC64 seeding, as rng_from does; once per process."""
+    key, i, j = (2**64 + 5, 0, 2**32 + 9), np.array([0, 3]), np.array([7, 0])
+    want = [np.random.SFC64(np.random.SeedSequence((*key, a, b, TILE_TAG))).state["state"]["state"] for a, b in zip(i, j)]
+    if not np.array_equal(_seed_states(key, i, j), want):
+        raise RuntimeError(f"numpy {np.__version__} seeds SFC64 unlike linfrec's tile seeding pass")
+
+
+def _tile_states(key: tuple[int, ...], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``_seed_states(key, i, j)``, checked once against numpy's seeding."""
+    _check_seeding()
+    return _seed_states(key, i, j)
+
+
+def _fill(x: np.ndarray, states: np.ndarray, ensemble: Ensemble, col_tiles: list) -> None:
+    """Draw the listed column tiles of ``x`` in every row tile, tile (i, j) from ``states[i, j]``.
 
     Full-width tiles are drawn GROUP at a time into one contiguous buffer,
     scaled there in one pass and copied to ``x`` as whole tile rows, each one
     item of TILE_COLS doubles; a narrower last tile is scaled into ``x`` alone.
+    One generator is set to each tile's state in turn.
     """
     rows, d = x.shape
     root = math.sqrt(rows)
@@ -159,13 +239,16 @@ def _fill(x: np.ndarray, key: tuple[int, ...], ensemble: Ensemble, col_tiles: li
     item = np.dtype((np.void, TILE_COLS * 8))
     xv = x[:, : d - d % TILE_COLS].view(item)
     buf = np.empty(min(GROUP, len(col_tiles)) * min(TILE_ROWS, rows) * TILE_COLS)
+    bits = np.random.SFC64(0)
+    rng = np.random.Generator(bits)
     for i, top in enumerate(range(0, rows, TILE_ROWS)):
         height = min(TILE_ROWS, rows - top)
         for group in groups:
             cols = group[0][1]
             band = buf[: len(group) * height * (cols.stop - cols.start)].reshape(len(group), height, -1)
             for slot, (j, _, drop) in zip(band, group):
-                _unscaled_tile(rng_from(*key, i, j, TILE_TAG), slot, ensemble)
+                bits.state = {"bit_generator": "SFC64", "state": {"state": states[i, j]}, "has_uint32": 0, "uinteger": 0}
+                _unscaled_tile(rng, slot, ensemble)
                 if drop is not None:
                     slot[:, drop] = 0.0
             if cols.stop - cols.start < TILE_COLS:
@@ -188,12 +271,16 @@ def draw_design(
     unscaled first rows of a draw equal the unscaled draw of fewer rows, and
     the columns listed in ``masked`` are zero while every other entry is what
     the unmasked draw holds.  A tile whose columns are all masked is not drawn.
+    The seeded SFC64 states of the tiles drawn are computed in one vectorized
+    SeedSequence/SFC64 pass (``_tile_states``), equal to those ``rng_from``
+    gives, and a negative key part raises a ValueError as a SeedSequence does.
 
     A mask index outside ``[0, d)`` raises a ValueError naming it.
 
     The column tiles are dealt in contiguous blocks to one thread per core
     this process may use (cores divided among the harness's pool workers).
-    Each thread draws its full-width tiles of a row tile GROUP at a time
+    Each thread sets one generator to each tile's state in turn, and draws
+    its full-width tiles of a row tile GROUP at a time
     into one contiguous buffer of at most ``GROUP * TILE_ROWS * TILE_COLS``
     doubles (1 MiB), scales them there and copies them to ``x`` in whole
     tile rows; a narrower last tile is drawn alone.  Each tile comes from
@@ -222,17 +309,21 @@ def draw_design(
         cols = keep[lo : lo + TILE_COLS]
         if cols.any():
             col_tiles.append((j, slice(lo, lo + len(cols)), None if cols.all() else ~cols))
+    row_tiles, drawn = math.ceil(rows / TILE_ROWS), np.array([j for j, _, _ in col_tiles], dtype=np.intp)
+    states = np.empty((row_tiles, math.ceil(d / TILE_COLS), 4), dtype=np.uint64)
+    lanes = _tile_states(key, np.repeat(np.arange(row_tiles), len(drawn)), np.tile(drawn, row_tiles))
+    states[:, drawn] = lanes.reshape(row_tiles, len(drawn), 4)
     x = np.zeros((rows, d))
     blas = _openblas()
-    several = len(col_tiles) * math.ceil(rows / TILE_ROWS) > 1
+    several = len(col_tiles) * row_tiles > 1
     if blas is not None and several and threading.active_count() == 1:
         blas.blas_thread_shutdown_()
     threads = max(1, min(_cores() // _workers, len(col_tiles)))
     bands = [col_tiles[b * len(col_tiles) // threads : (b + 1) * len(col_tiles) // threads] for b in range(threads)]
     # the calling thread fills band 0; the pool starts a thread for each other band
     with ThreadPoolExecutor(threads) as pool:
-        helpers = [pool.submit(_fill, x, key, ensemble, band) for band in bands[1:]]
-        _fill(x, key, ensemble, bands[0])
+        helpers = [pool.submit(_fill, x, states, ensemble, band) for band in bands[1:]]
+        _fill(x, states, ensemble, bands[0])
         for helper in helpers:
             helper.result()
     return x

@@ -113,7 +113,8 @@ class ExperimentConfig:
             for key in ("n", "d", "k"):
                 json_field(doc, numbers.Integral, "grid", i, key)
         json_field(doc, numbers.Integral, "trials")
-        json_field(doc, numbers.Integral, "master_seed")
+        if json_field(doc, numbers.Integral, "master_seed") < 0:
+            raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         _check_keys(self.noise, ("kind", "sigma"), "noise")

@@ -130,18 +130,23 @@ def test_criterion_04_reduction_error():
     assert ok
 
 
-def test_criterion_05_separation():
+def criterion_05_config(trials=100, output=None):
+    return ExperimentConfig(
+        kind=ExperimentKind.SEPARATION,
+        grid=[{"n": 100, "d": 4000, "k": 40}],
+        trials=trials,
+        master_seed=20_05,
+        output=output,
+    )
+
+
+def test_criterion_05_separation(monkeypatch):
     """Indistinguishable pairs at k=40, n=100, d=4000: (a) shared observation
     to 1e-9; (b) separation >= twice the worse noise correlation in >= 90/100;
     (c) the estimator violates the target guarantee on one member of every
     pair satisfying (b)."""
-    cfg = ExperimentConfig(
-        kind=ExperimentKind.SEPARATION,
-        grid=[{"n": 100, "d": 4000, "k": 40}],
-        trials=100,
-        master_seed=20_05,
-    )
-    records, _ = run_experiment(cfg)
+    monkeypatch.setenv("LINFREC_THREADS", "2")  # the masking LP is serial; the pool uses both cores
+    records, _ = run_experiment(criterion_05_config())
     a_all = all(r.extra.get("a_ok") == 1.0 for r in records)
     b_count = sum(r.passed for r in records)
     b_ok = b_count >= 90
@@ -165,7 +170,14 @@ def test_criterion_05_separation():
     )
 
 
-def test_criterion_06_masking_vector_scaling():
+def test_criterion_05_pooled_csv_is_the_serial_csv(monkeypatch, tmp_path):
+    run_experiment(criterion_05_config(trials=4, output=str(tmp_path / "serial.csv")))
+    monkeypatch.setenv("LINFREC_THREADS", "2")
+    run_experiment(criterion_05_config(trials=4, output=str(tmp_path / "pool.csv")))
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def test_criterion_06_masking_vector_scaling(monkeypatch):
     """Fixed-ratio sweep k in {16,32,64}, n = k^2/16, 50 seeds each: log-log
     slope of the median normalized masking sup-norm against k within
     0.0 +- 0.35 (the harness also records the regression against sqrt k).
@@ -173,6 +185,7 @@ def test_criterion_06_masking_vector_scaling():
     The coupling n = k^2/16 holds k/sqrt(n) = 4 fixed, so the predicted
     magnitude is constant in k and the predicted slope is 0: along n ~ k^2
     the adversary's normalized gain neither dies away nor grows."""
+    monkeypatch.setenv("LINFREC_THREADS", "2")  # the masking LP is serial; the pool uses both cores
     cfg = ExperimentConfig(
         kind=ExperimentKind.SEPARATION,
         grid=[{"n": k * k // 16, "d": 4000, "k": k} for k in (16, 32, 64)],

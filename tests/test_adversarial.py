@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import linfrec
 from conftest import brute_force_sign_max, dense_lp_ratio, orthonormal_columns
@@ -18,6 +20,7 @@ from linfrec.adversarial import (
 )
 from linfrec.core import Dims, Ensemble, load_instance, sample_ensemble
 from linfrec.linops import IndexSet, restricted_gram
+from linfrec.ripcert import certify_linf_rip
 
 
 def gaussian(n, d, seed):
@@ -122,6 +125,34 @@ class TestMaskingVector:
             off = np.max(np.abs(np.delete(img, s.indices)))
             hits += off <= 10.0 * on
         assert hits >= 0.95 * trials
+
+    # The LP's answer may exceed the cap by its own roundoff, not by more.
+    NEUMANN_RTOL = 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(800, 2000),
+        d=st.integers(20, 120),
+        s=st.integers(1, 6),
+        ensemble=st.sampled_from(list(Ensemble)),
+        seed=st.integers(0, 2**32 - 1),
+        witness=st.booleans(),
+        data=st.data(),
+    )
+    def test_gain_is_capped_by_the_certificate(self, n, d, s, ensemble, seed, witness, data):
+        # |S| <= s gives ||X_S^T X_S - I||_inf <= achieved; below 1, the
+        # on-support rows alone cap ||v||_inf / ||X^T X v||_inf at 1/(1 - achieved)
+        x = sample_ensemble(Dims(n=n, d=d, k=1), ensemble, seed)
+        cert = certify_linf_rip(x, 0.25, s)
+        assume(cert.achieved < 1.0)
+        if witness:
+            support = cert.witness
+        else:
+            size = data.draw(st.integers(1, s), label="size")
+            support = IndexSet.from_iterable(np.random.default_rng(seed).choice(d, size=size, replace=False))
+        assert len(support) <= s
+        cap = 1.0 / (1.0 - cert.achieved)
+        assert build_masking_vector(x, support).linf_v <= cap * (1.0 + self.NEUMANN_RTOL)
 
     def test_singular_gram_raises(self):
         x = np.column_stack([np.ones(4), np.ones(4)])

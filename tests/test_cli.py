@@ -115,6 +115,22 @@ def test_certify_missing_flag_is_usage_error(capsys, flags, missing):
     assert err.splitlines()[-1].endswith(f"requires {missing}")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "30", "--d", "12", "--k", "3"],
+        ["adversarial", "--n", "40", "--d", "80", "--k", "6"],
+        ["certify", "m.bin", "--kind", "pi", "--alpha", "0.5"],
+    ],
+    ids=["gen", "adversarial", "certify"],
+)
+def test_negative_seed_is_a_usage_error_naming_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--seed", "-1"])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("argument --seed: must be a nonnegative integer, got -1")
+
+
 def test_sweep_is_an_unknown_command():
     with pytest.raises(SystemExit) as exc_info:
         main(["sweep", "cfg.json"])
@@ -235,6 +251,14 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
             dict(VALID, kind="partial_adaptive", noise={"kind": "zero"}),
             "noise.kind 'zero' is not supported by partial_adaptive; set noise.sigma instead",
             id="partial-adaptive-zero-noise",
+        ),
+        pytest.param(
+            dict(VALID, master_seed=-1), "master_seed must be a nonnegative integer, got -1", id="negative-seed"
+        ),
+        pytest.param(
+            dict(VALID, master_seed=-(2**70)),
+            f"master_seed must be a nonnegative integer, got {-(2**70)}",
+            id="huge-negative-seed",
         ),
     ],
 )

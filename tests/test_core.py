@@ -110,6 +110,47 @@ def tiled_reference(key, rows, d, ensemble, masked=()):
     return want
 
 
+# a SeedSequence reads a key part as one 32-bit word, two from 2**32 and three from 2**64
+KEY_PARTS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**96))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.lists(KEY_PARTS, min_size=1, max_size=3).map(tuple),
+    tiles=st.lists(st.tuples(st.integers(0, 2**10), st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+)
+def test_tile_states_seed_the_streams_of_rng_from(key, tiles):
+    i, j = (np.array(part, dtype=np.int64) for part in zip(*tiles))
+    states = core._tile_states(key, i, j)
+    assert states.shape == (len(tiles), 4) and states.dtype == np.uint64
+    # one generator set to each state in turn, as a fill thread does; the odd
+    # count of integers(0, 2) draws leaves half a word in SFC64's uint32 buffer
+    bits = np.random.SFC64(0)
+    rng = np.random.Generator(bits)
+    for state, (a, b) in zip(states, tiles):
+        for draw in (lambda g: g.standard_normal(9), lambda g: g.integers(0, 2, size=67)):
+            bits.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
+            assert draw(rng).tobytes() == draw(rng_from(*key, a, b, TILE_TAG)).tobytes()
+
+
+@pytest.mark.parametrize("key", [(-1,), (3, -1), (2**64, 0, -(2**40))])
+def test_a_negative_key_part_is_rejected(key):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        core._tile_states(key, np.array([0]), np.array([0]))
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        draw_design(key, 10, 20, Ensemble.GAUSSIAN_SCALED)
+
+
+def test_seeding_unlike_numpys_is_refused(monkeypatch):
+    core._check_seeding.cache_clear()
+    monkeypatch.setattr(core, "_seed_states", lambda key, i, j: np.zeros((len(i), 4), dtype=np.uint64))
+    try:
+        with pytest.raises(RuntimeError, match="seeds SFC64 unlike"):
+            draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED)
+    finally:
+        core._check_seeding.cache_clear()
+
+
 @pytest.fixture
 def bands(monkeypatch):
     """The thread that filled each band of column tiles during the test."""

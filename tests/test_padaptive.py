@@ -127,6 +127,14 @@ class TestMaskedOracle:
             keys.append(key)
             return rng_from(*key)
 
+        tile_states = core._tile_states
+
+        def counting_tiles(key, i, j):
+            keys.extend((*key, a, b, TILE_TAG) for a, b in zip(i.tolist(), j.tolist()))
+            return tile_states(key, i, j)
+
+        # tiles are seeded by one pass over all their keys, other streams by rng_from
+        monkeypatch.setattr(core, "_tile_states", counting_tiles)
         monkeypatch.setattr(core, "rng_from", counting)
         o = make_oracle(d=50, seed=9)
         o.masked_observe(TILE_ROWS + 1, IndexSet.from_iterable([*range(TILE_COLS), 20, *range(48, 50)]))
