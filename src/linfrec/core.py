@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import mmap
 import numbers
 import os
 import struct
@@ -67,6 +68,12 @@ TILE_TAG = 0x74696C65  # "tile"
 # A fill thread draws up to GROUP full-width tiles of a row tile into one
 # contiguous buffer of at most GROUP * TILE_ROWS * TILE_COLS doubles (1 MiB).
 GROUP = 8
+# A design of at least _MAPPED_BYTES is drawn into its own anonymous mapping
+# (see _mapped_zeros); glibc maps a block this large itself until its dynamic
+# threshold rises.  Mappings of _HUGE_BYTES or more get the huge-page advice
+# numpy gives its own arrays of that size.
+_MAPPED_BYTES = 1 << 17
+_HUGE_BYTES = 1 << 22
 
 # Processes drawing designs at once: 1 in-process, the pool size in the
 # harness's pool workers (set by _share_cores), so that all processes' fill
@@ -260,6 +267,26 @@ def _fill(x: np.ndarray, states: np.ndarray, ensemble: Ensemble, col_tiles: list
             xv[top : top + height, sel] = band.view(item)[:, :, 0].T
 
 
+def _mapped_zeros(rows: int, d: int) -> np.ndarray:
+    """A zero rows x d float64 array in its own private anonymous mapping, unmapped when it is freed.
+
+    ``np.zeros`` takes an array below 32 MiB from glibc's heap once glibc's
+    dynamic mmap threshold has risen past its size.  A freed design there
+    stays resident whenever a small block lands above it, and whether one
+    does depends on how the fill threads interleave, so the peak RSS of the
+    same draws could differ by a whole design from one run to the next.  An
+    array below _MAPPED_BYTES, or one on a platform without private mappings,
+    comes from ``np.zeros``.
+    """
+    nbytes = rows * d * 8
+    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros((rows, d))
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if nbytes >= _HUGE_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype=np.float64).reshape(rows, d)
+
+
 def draw_design(
     key: tuple[int, ...], rows: int, d: int, ensemble: Ensemble, masked: np.ndarray | None = None
 ) -> np.ndarray:
@@ -287,6 +314,9 @@ def draw_design(
     its own key and writes only its own entries, so the bytes do not depend
     on the number of threads or on how tiles are grouped.
 
+    A design of 128 KiB or more lives in its own anonymous mapping
+    (``_mapped_zeros``), so its pages go back to the system when it is freed.
+
     Before a draw of more than one tile, OpenBLAS's idle worker threads are
     released, since they busy-wait for a while after every BLAS call and
     would take a core from the fill; the next BLAS call starts them again at
@@ -313,7 +343,7 @@ def draw_design(
     states = np.empty((row_tiles, math.ceil(d / TILE_COLS), 4), dtype=np.uint64)
     lanes = _tile_states(key, np.repeat(np.arange(row_tiles), len(drawn)), np.tile(drawn, row_tiles))
     states[:, drawn] = lanes.reshape(row_tiles, len(drawn), 4)
-    x = np.zeros((rows, d))
+    x = _mapped_zeros(rows, d)
     blas = _openblas()
     several = len(col_tiles) * row_tiles > 1
     if blas is not None and several and threading.active_count() == 1:

@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import os
 import struct
 import sys
@@ -255,7 +256,20 @@ def test_fill_scratch_is_one_group_buffer_per_thread(ensemble):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - x.nbytes <= threads * group_buffer + slack
+    # the design lives in its own mapping, which tracemalloc does not see
+    assert x.nbytes >= core._MAPPED_BYTES
+    assert peak <= threads * group_buffer + slack
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+def test_a_design_of_mapped_size_has_its_own_mapping(ensemble):
+    d = 2 * TILE_COLS + 3
+    rows = -(-core._MAPPED_BYTES // (8 * d))
+    below = draw_design((5,), rows - 1, d, ensemble, [4])
+    x = draw_design((5,), rows, d, ensemble, [4])
+    assert below.flags.owndata and isinstance(x.base.base.obj, mmap.mmap)
+    assert is_design(x, (rows, d))
+    assert x.tobytes() == tiled_reference((5,), rows, d, ensemble, [4]).tobytes()
 
 
 @pytest.mark.parametrize("masked, index", [([-1], -1), ([25], 25), ([3, 20, 4], 20)])
