@@ -65,8 +65,8 @@ INSTANCE_FORMATS = ("linfrec-instance-v1", "linfrec-instance-v2")
 TILE_ROWS = 1024
 TILE_COLS = 16
 TILE_TAG = 0x74696C65  # "tile"
-# A fill thread draws up to GROUP full-width tiles of a row tile into one
-# contiguous buffer of at most GROUP * TILE_ROWS * TILE_COLS doubles (1 MiB).
+# A fill thread draws a run of up to GROUP consecutive tiles of a row tile into
+# one contiguous buffer of at most GROUP * TILE_ROWS * TILE_COLS doubles (1 MiB).
 GROUP = 8
 # A design of at least _MAPPED_BYTES is drawn into its own anonymous mapping
 # (see _mapped_zeros); glibc maps a block this large itself until its dynamic
@@ -230,41 +230,36 @@ def _tile_states(key: tuple[int, ...], i: np.ndarray, j: np.ndarray) -> np.ndarr
     return _seed_states(key, i, j)
 
 
-def _fill(x: np.ndarray, states: np.ndarray, ensemble: Ensemble, col_tiles: list) -> None:
-    """Draw the listed column tiles of ``x`` in every row tile, tile (i, j) from ``states[i, j]``.
+def _fill(x: np.ndarray, states: np.ndarray, ensemble: Ensemble, tiles: np.ndarray, keep: np.ndarray) -> None:
+    """Draw column tiles ``tiles`` of ``x`` in every row tile, tile (i, tiles[t]) from ``states[i, t]``.
 
-    Full-width tiles are drawn GROUP at a time into one contiguous buffer,
-    scaled there in one pass and copied to ``x`` as whole tile rows, each one
-    item of TILE_COLS doubles; a narrower last tile is scaled into ``x`` alone.
-    One generator is set to each tile's state in turn.
+    Per row tile, each run of tiles (see draw_design) is drawn into one
+    buffer, its columns outside ``keep`` zeroed, scaled in one pass and
+    copied to ``x`` in one assignment.
     """
     rows, d = x.shape
     root = math.sqrt(rows)
-    full = [tile for tile in col_tiles if tile[1].stop - tile[1].start == TILE_COLS]
-    groups = [full[g : g + GROUP] for g in range(0, len(full), GROUP)]
-    groups += [[tile] for tile in col_tiles if tile[1].stop - tile[1].start < TILE_COLS]
-    item = np.dtype((np.void, TILE_COLS * 8))
-    xv = x[:, : d - d % TILE_COLS].view(item)
-    buf = np.empty(min(GROUP, len(col_tiles)) * min(TILE_ROWS, rows) * TILE_COLS)
+    runs, start = [], 0
+    for t in range(1, len(tiles) + 1):
+        if t == len(tiles) or tiles[t] != tiles[t - 1] + 1 or t - start == GROUP or (tiles[t] + 1) * TILE_COLS > d:
+            lo, hi = tiles[start] * TILE_COLS, min(d, (tiles[t - 1] + 1) * TILE_COLS)
+            drop = np.nonzero(~keep[lo:hi].reshape(t - start, -1))  # (tile, column) of each masked column
+            runs.append((start, t, lo, hi, drop if len(drop[0]) else None))
+            start = t
+    buf = np.empty(min(GROUP, len(tiles)) * min(TILE_ROWS, rows) * TILE_COLS)
     bits = np.random.SFC64(0)
     rng = np.random.Generator(bits)
     for i, top in enumerate(range(0, rows, TILE_ROWS)):
         height = min(TILE_ROWS, rows - top)
-        for group in groups:
-            cols = group[0][1]
-            band = buf[: len(group) * height * (cols.stop - cols.start)].reshape(len(group), height, -1)
-            for slot, (j, _, drop) in zip(band, group):
-                bits.state = {"bit_generator": "SFC64", "state": {"state": states[i, j]}, "has_uint32": 0, "uinteger": 0}
+        for start, stop, lo, hi, drop in runs:
+            band = buf[: height * (hi - lo)].reshape(stop - start, height, -1)
+            for slot, state in zip(band, states[i, start:stop]):
+                bits.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
                 _unscaled_tile(rng, slot, ensemble)
-                if drop is not None:
-                    slot[:, drop] = 0.0
-            if cols.stop - cols.start < TILE_COLS:
-                np.divide(band[0], root, out=x[top : top + height, cols])
-                continue
+            if drop is not None:
+                band[drop[0], :, drop[1]] = 0.0
             np.divide(band, root, out=band)
-            first, last = group[0][0], group[-1][0]
-            sel = slice(first, last + 1) if last - first + 1 == len(group) else [j for j, _, _ in group]
-            xv[top : top + height, sel] = band.view(item)[:, :, 0].T
+            x[top : top + height, lo:hi].reshape(height, stop - start, -1)[...] = band.transpose(1, 0, 2)
 
 
 def _mapped_zeros(rows: int, d: int) -> np.ndarray:
@@ -304,15 +299,15 @@ def draw_design(
 
     A mask index outside ``[0, d)`` raises a ValueError naming it.
 
-    The column tiles are dealt in contiguous blocks to one thread per core
-    this process may use (cores divided among the harness's pool workers).
-    Each thread sets one generator to each tile's state in turn, and draws
-    its full-width tiles of a row tile GROUP at a time
-    into one contiguous buffer of at most ``GROUP * TILE_ROWS * TILE_COLS``
-    doubles (1 MiB), scales them there and copies them to ``x`` in whole
-    tile rows; a narrower last tile is drawn alone.  Each tile comes from
-    its own key and writes only its own entries, so the bytes do not depend
-    on the number of threads or on how tiles are grouped.
+    The column tiles drawn are dealt in contiguous blocks to one thread per
+    core this process may use (cores divided among the harness's pool
+    workers).  A thread cuts its block into runs: consecutive tiles, at most
+    GROUP, all of one width, so a run ends at a masked tile, after GROUP tiles
+    or before a narrower last tile.  Per row tile it draws a run into one
+    buffer of at most ``GROUP * TILE_ROWS * TILE_COLS`` doubles (1 MiB), one
+    generator set to each tile's state in turn, and scales and copies it to
+    ``x`` (``_fill``).  Each tile comes from its own key and writes only its
+    own entries, so the bytes depend neither on the threads nor on the runs.
 
     A design of 128 KiB or more lives in its own anonymous mapping
     (``_mapped_zeros``), so its pages go back to the system when it is freed.
@@ -334,26 +329,22 @@ def draw_design(
         if len(outside):
             raise ValueError(f"mask index {outside[0]} is out of range for d={d}")
         keep[masked] = False
-    col_tiles = []
-    for j, lo in enumerate(range(0, d, TILE_COLS)):
-        cols = keep[lo : lo + TILE_COLS]
-        if cols.any():
-            col_tiles.append((j, slice(lo, lo + len(cols)), None if cols.all() else ~cols))
-    row_tiles, drawn = math.ceil(rows / TILE_ROWS), np.array([j for j, _, _ in col_tiles], dtype=np.intp)
-    states = np.empty((row_tiles, math.ceil(d / TILE_COLS), 4), dtype=np.uint64)
-    lanes = _tile_states(key, np.repeat(np.arange(row_tiles), len(drawn)), np.tile(drawn, row_tiles))
-    states[:, drawn] = lanes.reshape(row_tiles, len(drawn), 4)
+    tiles = np.flatnonzero(np.logical_or.reduceat(keep, np.arange(0, d, TILE_COLS)))
+    row_tiles = math.ceil(rows / TILE_ROWS)
+    lanes = _tile_states(key, np.repeat(np.arange(row_tiles), len(tiles)), np.tile(tiles, row_tiles))
+    states = lanes.reshape(row_tiles, len(tiles), 4)
     x = _mapped_zeros(rows, d)
     blas = _openblas()
-    several = len(col_tiles) * row_tiles > 1
+    several = len(tiles) * row_tiles > 1
     if blas is not None and several and threading.active_count() == 1:
         blas.blas_thread_shutdown_()
-    threads = max(1, min(_cores() // _workers, len(col_tiles)))
-    bands = [col_tiles[b * len(col_tiles) // threads : (b + 1) * len(col_tiles) // threads] for b in range(threads)]
+    threads = max(1, min(_cores() // _workers, len(tiles)))
+    cuts = [b * len(tiles) // threads for b in range(threads + 1)]
+    bands = [(x, states[:, lo:hi], ensemble, tiles[lo:hi], keep) for lo, hi in zip(cuts, cuts[1:])]
     # the calling thread fills band 0; the pool starts a thread for each other band
     with ThreadPoolExecutor(threads) as pool:
-        helpers = [pool.submit(_fill, x, states, ensemble, band) for band in bands[1:]]
-        _fill(x, states, ensemble, bands[0])
+        helpers = [pool.submit(_fill, *band) for band in bands[1:]]
+        _fill(*bands[0])
         for helper in helpers:
             helper.result()
     return x

@@ -79,9 +79,11 @@ class MaskedOracle:
             self.noise_sigma = math.inf
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
+        self.master_seed = int(master_seed)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed}")
         self.dims = dims
         self.truth = truth
-        self.master_seed = int(master_seed)
         self.ensemble = Ensemble(ensemble)
         self.query_log: list[QueryRecord] = []
 
@@ -186,11 +188,14 @@ def adaptive_support_recover(
     masking the current T and adding coordinates whose correlation with the
     fresh observation clears ``r_inf``.  Phase III: the remaining rows, masking
     everything outside T, restricted least squares on T, then hard threshold
-    to k.
+    to k.  An n below 3 * rounds, which leaves each round no rows, raises a
+    ValueError naming both before the first query.
     """
     if rounds < 1:
         raise ValueError("need at least one adaptive round")
     n, d, k = oracle.dims.n, oracle.dims.d, oracle.dims.k
+    if n < 3 * rounds:
+        raise ValueError(f"n={n} leaves each of rounds={rounds} rounds no rows; need n >= 3 * rounds = {3 * rounds}")
     x0, y0 = oracle.masked_observe(n // 3, IndexSet.from_iterable([]))
     warm = iht(x0, y0, k, R, r2)
     del x0, y0  # the warm block is the largest; free it before the later draws

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import linfrec
 from conftest import brute_force_sign_max, dense_lp_ratio, orthonormal_columns
+from linfrec import core
 from linfrec.adversarial import (
     ConstructionFailure,
     build_indistinguishable_pair,
@@ -25,6 +27,21 @@ from linfrec.ripcert import certify_linf_rip
 
 def gaussian(n, d, seed):
     return sample_ensemble(Dims(n=n, d=d, k=1), Ensemble.GAUSSIAN_SCALED, seed)
+
+
+def sweep_pool():
+    """Two processes for a sweep's seeds, each filling designs on its share of the cores."""
+    return ProcessPoolExecutor(2, initializer=core._share_cores, initargs=(2,))
+
+
+def reference_point_ratio(seed):
+    x = gaussian(100, 4000, seed=3000 + seed)
+    return build_masking_vector(x, IndexSet.from_iterable(range(20)), normalize=True).linf_v
+
+
+def fixed_ratio_sweep_ratio(k, seed):
+    x = gaussian(k * k // 16, 2000, seed=5000 + 13 * k + seed)
+    return build_masking_vector(x, IndexSet.from_iterable(range(k // 2))).linf_v
 
 
 class TestMaskingVector:
@@ -101,13 +118,10 @@ class TestMaskingVector:
         # multiple of k/sqrt(n) at the reference configuration
         from linfrec.frozen import MASKING_MEDIAN_CONSTANT
 
-        k, n, d = 40, 100, 4000
-        vals = []
-        for seed in range(50):
-            x = gaussian(n, d, seed=3000 + seed)
-            s = IndexSet.from_iterable(range(k // 2))
-            mv = build_masking_vector(x, s, normalize=True)
-            vals.append(mv.linf_v)
+        # k = 40, n = 100, d = 4000, support range(k // 2); the seeds run on two processes
+        k, n = 40, 100
+        with sweep_pool() as pool:
+            vals = list(pool.map(reference_point_ratio, range(50)))
         assert np.median(vals) >= MASKING_MEDIAN_CONSTANT * k / math.sqrt(n)
 
     def test_off_support_control(self):
@@ -162,16 +176,10 @@ class TestMaskingVector:
     def test_scaling_sweep_against_sqrt_k(self):
         # along the fixed-ratio sweep n = k^2/16 the median normalized sup
         # norm grows; against log sqrt(k) the regression slope is 0.5 +- 0.35
-        meds = []
+        # d = 2000, support range(k // 2); the seeds run on two processes
         ks = (16, 32, 64)
-        for k in ks:
-            n = k * k // 16
-            vals = []
-            for seed in range(50):
-                x = gaussian(n, 2000, seed=5000 + 13 * k + seed)
-                s = IndexSet.from_iterable(range(k // 2))
-                vals.append(build_masking_vector(x, s).linf_v)
-            meds.append(float(np.median(vals)))
+        with sweep_pool() as pool:
+            meds = [float(np.median(list(pool.map(fixed_ratio_sweep_ratio, [k] * 50, range(50))))) for k in ks]
         slope_sqrt_k = float(np.polyfit(np.log(np.sqrt(ks)), np.log(meds), 1)[0])
         assert 0.15 <= slope_sqrt_k <= 0.85
 

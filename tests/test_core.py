@@ -242,6 +242,34 @@ def test_grouped_fill_is_the_serial_tiles(monkeypatch, ensemble, cores, masked):
     assert x.tobytes() == tiled_reference((9, 2), TILED_ROWS, GROUPED_D, ensemble, masked).tobytes()
 
 
+@st.composite
+def fill_cases(draw):
+    """A design shape and a mask: a span of masked tiles, a few scattered ones and a few columns."""
+    rows = draw(st.integers(1, TILE_ROWS + 40))
+    d = draw(st.integers(1, (2 * GROUP + 3) * TILE_COLS + TILE_COLS - 1))
+    tiles = math.ceil(d / TILE_COLS)
+    span = sorted(draw(st.tuples(st.integers(0, tiles), st.integers(0, tiles))))
+    whole = set(range(*span)) | draw(st.sets(st.integers(0, tiles - 1), max_size=4))
+    masked = {c for t in whole for c in range(t * TILE_COLS, min(d, (t + 1) * TILE_COLS))}
+    masked |= draw(st.sets(st.integers(0, d - 1), max_size=6))
+    return rows, d, sorted(masked)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=fill_cases(),
+    cores=st.integers(1, 3),
+    ensemble=st.sampled_from([Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED]),
+)
+def test_every_run_of_tiles_is_filled_as_the_serial_tiles(case, cores, ensemble):
+    # runs end at a masked tile, after GROUP tiles, before a narrow last tile and at a band's end
+    rows, d, masked = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        x = draw_design((6, 1), rows, d, ensemble, np.asarray(masked, dtype=np.int64))
+    assert x.tobytes() == tiled_reference((6, 1), rows, d, ensemble, masked).tobytes()
+
+
 @pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
 def test_fill_scratch_is_one_group_buffer_per_thread(ensemble):
     rows, d = 2490, 4000

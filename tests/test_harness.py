@@ -235,6 +235,18 @@ def test_partial_adaptive_budget_honesty():
         assert rec.extra["rows_consumed"] == 903.0
 
 
+@pytest.mark.parametrize(
+    "point, algorithm, rounds",
+    [({"n": 2, "d": 20, "k": 2}, {}, 2), ({"n": 30, "d": 20, "k": 2}, {"rounds": 20}, 20)],
+    ids=["n-2-default-rounds", "n-30-rounds-20"],
+)
+def test_partial_adaptive_names_a_budget_too_small_for_its_rounds(point, algorithm, rounds, monkeypatch):
+    monkeypatch.delenv("LINFREC_THREADS", raising=False)
+    cfg = tiny_config(ExperimentKind.PARTIAL_ADAPTIVE, grid=[point], trials=1, algorithm=algorithm)
+    with pytest.raises(ValueError, match=rf"n={point['n']} leaves each of rounds={rounds} rounds no rows"):
+        run_experiment(cfg)
+
+
 def test_failures_recorded_not_fatal():
     # a zero threshold floods the masked-query support past its cap; the
     # resulting error is recorded per trial rather than aborting the run

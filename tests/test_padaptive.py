@@ -159,6 +159,11 @@ class TestMaskedOracle:
         with pytest.raises(ValueError, match=r"truth has shape .*, expected \(30,\)"):
             MaskedOracle(Dims(n=100, d=30, k=2), truth, 0.7, master_seed=5)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_master_seed_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"master_seed must be a nonnegative integer, got {seed}"):
+            MaskedOracle(Dims(n=10, d=20, k=1), np.zeros(20), 1.0, master_seed=seed)
+
     def test_mask_index_beyond_d_is_rejected(self):
         o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
         with pytest.raises(ValueError, match="mask index 99 is out of range for d=10"):
@@ -184,13 +189,14 @@ BAD_SIGMA = "noise_sigma must be a finite nonnegative number"
         (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 99), "mask index 99 is out of range for d=10"),
         (lambda doc: doc["queries"][0].__setitem__("rows", "4"), "field queries.0.rows has type str"),
         (lambda doc: doc.__setitem__("master_seed", 1.5), "field master_seed has type float"),
+        (lambda doc: doc.__setitem__("master_seed", -1), "master_seed must be a nonnegative integer, got -1"),
         (lambda doc: doc.__setitem__("noise_sigma", math.nan), f"{BAD_SIGMA}, got nan"),
         (lambda doc: doc.__setitem__("noise_sigma", math.inf), f"{BAD_SIGMA}, got inf"),
         (lambda doc: doc.__setitem__("noise_sigma", -1), f"{BAD_SIGMA}, got -1"),
         (lambda doc: doc.__setitem__("noise_sigma", 10**400), f"{BAD_SIGMA}, got 1000"),
     ],
     ids=[
-        "no-dims-k", "mask-index-99", "str-rows", "float-master-seed",
+        "no-dims-k", "mask-index-99", "str-rows", "float-master-seed", "negative-master-seed",
         "nan-sigma", "inf-sigma", "negative-sigma", "huge-int-sigma",
     ],
 )
@@ -345,6 +351,13 @@ class TestAdaptiveSupportRecover:
         oracle, params = monotone_fixture()
         with pytest.raises(ValueError, match="at least one adaptive round"):
             adaptive_support_recover(oracle, 0, *params[1:])
+        assert oracle.query_log == []
+
+    @pytest.mark.parametrize("n, rounds", [(5, 2), (2, 1)])
+    def test_rejects_a_budget_that_leaves_a_round_no_rows(self, n, rounds):
+        oracle = MaskedOracle(Dims(n=n, d=20, k=2), np.zeros(20), 1.0, master_seed=3)
+        with pytest.raises(ValueError, match=rf"n={n} leaves each of rounds={rounds} rounds no rows"):
+            adaptive_support_recover(oracle, rounds, 1.0, 1.0, 1.0)
         assert oracle.query_log == []
 
     def test_estimator_never_reads_the_truth(self):
