@@ -84,7 +84,6 @@ def calibrate_partial_adaptive(trials, seed):
 
 def calibrate_metric_chain(trials, seed):
     from linfrec.core import Ensemble, gaussian_noise, sample_ensemble
-    from linfrec.linops import IndexSet
     from linfrec.metrics import compute_metrics
 
     n, d, k = 1200, 4000, 10
@@ -94,7 +93,7 @@ def calibrate_metric_chain(trials, seed):
     for t in range(trials):
         x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, seed + 7 * t)
         xi = gaussian_noise(n, 1.0, seed + 7 * t + 3)
-        s = IndexSet(np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64))
+        s = np.sort(rng.choice(d, size=k, replace=False))
         mr = compute_metrics(x, xi, s)
         l2 = mr.m_l2 * math.sqrt(n)
         ups.append(mr.m_gram_support / (l2 * math.sqrt(math.log(k / delta) / n)))

@@ -46,7 +46,7 @@ def measure(d: int, seed: int) -> dict:
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "design_mb": 8.0 * N * d / 2**20,
         "achieved": cert.achieved,
-        "witness": [int(i) for i in cert.witness.indices],
+        "witness": cert.witness.tolist(),
         "verdict": cert.verdict.value,
     }
 

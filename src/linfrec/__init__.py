@@ -14,7 +14,7 @@ from .core import (
     gaussian_noise,
     sample_ensemble,
 )
-from .linops import IndexSet, SolverFailure, inf_op_norm, restricted_gram, restricted_ols
+from .linops import SolverFailure, inf_op_norm, restricted_gram, restricted_ols
 from .recovery import RecoveryReport, iht, oblivious_recover, osr_reduction
 from .ripcert import RipCertificate, certify_l2_rip, certify_linf_rip, certify_pi, linf_rip_sample_floor, welch_floor
 
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dims",
     "Ensemble",
-    "IndexSet",
     "RecoveryInstance",
     "RecoveryReport",
     "RipCertificate",

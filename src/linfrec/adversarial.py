@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import RecoveryInstance, save_instance, save_matrix_addressed
-from .linops import IndexSet, restricted_gram
+from .linops import restricted_gram
 
 __all__ = [
     "ConstructionFailure",
@@ -54,7 +54,15 @@ class IndistinguishablePair:
     budget: int  # the sparsity budget of both members, written by save_pair
 
 
-def build_masking_vector(x: np.ndarray, s: IndexSet, normalize: bool = True) -> MaskingVector:
+def _support(s, d: int, name: str) -> np.ndarray:
+    """``s`` as an array, checked to be strictly increasing integers in [0, d)."""
+    s = np.asarray(s)
+    if s.ndim != 1 or s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or (len(s) and (s[0] < 0 or s[-1] >= d)):
+        raise ValueError(f"{name} must be strictly increasing integers in [0, {d}), got {s.tolist()}")
+    return s
+
+
+def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -> MaskingVector:
     """Build v supported on S maximizing ||v||_inf per unit of ||X^T X v||_inf.
 
     With M the restricted Gram, the sign pattern u of the max-l1 row of
@@ -67,8 +75,12 @@ def build_masking_vector(x: np.ndarray, s: IndexSet, normalize: bool = True) -> 
     Otherwise the off-support image ``X_j^T X_S v_S`` is bounded too: v is
     the exact solution of the linear program behind the full ratio (see
     ``_ratio_maximizer``), rescaled so ||X^T X v||_inf = 1.
+
+    S must be strictly increasing integers in [0, d), which the row tie-break
+    and the LP's visiting order follow; otherwise a ValueError names it.
     """
     d = x.shape[1]
+    s = _support(s, d, "support")
     m = restricted_gram(x, s)
     try:
         m_inv = np.linalg.inv(m)
@@ -84,11 +96,11 @@ def build_masking_vector(x: np.ndarray, s: IndexSet, normalize: bool = True) -> 
     v_s = m_inv @ u
 
     v = np.zeros(d)
-    v[s.indices] = v_s
+    v[s] = v_s
     gram_v = x.T @ (x @ v)
     linf_gram = float(np.max(np.abs(gram_v)))
     if normalize:
-        v[s.indices] = _ratio_maximizer(x.T @ x[:, s.indices], s, row_l1)
+        v[s] = _ratio_maximizer(x.T @ x[:, s], s, row_l1)
         gram_v = x.T @ (x @ v)
         scale = float(np.max(np.abs(gram_v)))
         if scale == 0.0:
@@ -102,7 +114,7 @@ def build_masking_vector(x: np.ndarray, s: IndexSet, normalize: bool = True) -> 
     )
 
 
-def _ratio_maximizer(image: np.ndarray, s: IndexSet, bounds: np.ndarray) -> np.ndarray:
+def _ratio_maximizer(image: np.ndarray, s: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """w maximizing ||w||_inf / ||image @ w||_inf, with image = X^T X_S (d x |S|).
 
     The maximum is ``max_i max {w_i : |image_j w| <= 1 for every row j}``, one
@@ -119,7 +131,7 @@ def _ratio_maximizer(image: np.ndarray, s: IndexSet, bounds: np.ndarray) -> np.n
 
     size = len(s)
     active = np.zeros(image.shape[0], dtype=bool)
-    active[s.indices] = True
+    active[s] = True
     best_w, best = None, 0.0
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] <= best:
@@ -161,18 +173,20 @@ def _check_shared(y1: np.ndarray, y2: np.ndarray) -> None:
 
 def build_indistinguishable_pair(
     x: np.ndarray,
-    s: IndexSet,
-    t: IndexSet,
+    s: np.ndarray,
+    t: np.ndarray,
     base_magnitude: float,
 ) -> IndistinguishablePair:
     """Two instances with identical (X, y): a base signal on T versus the same
     signal shifted by the masking vector on S, the shift absorbed into noise.
 
     ``s`` and ``t`` must be disjoint and equally sized (each half the sparsity
-    budget of the instances being emulated).
+    budget of the instances being emulated); ``t`` is checked as ``s`` is, so
+    the budget counts distinct columns.
     """
     d = x.shape[1]
-    if len(np.intersect1d(s.indices, t.indices)):
+    t = _support(t, d, "base support")
+    if len(np.intersect1d(s, t)):
         raise ValueError("masking and base supports must be disjoint")
     if len(s) != len(t):
         raise ValueError(f"|S| = {len(s)} and |T| = {len(t)} must be equal (both k/2)")
@@ -180,7 +194,7 @@ def build_indistinguishable_pair(
     mv = build_masking_vector(x, s, normalize=True)
 
     theta1 = np.zeros(d)
-    theta1[t.indices] = float(base_magnitude)
+    theta1[t] = float(base_magnitude)
     theta2 = theta1 + mv.v
     xi1 = x @ mv.v
     xi2 = np.zeros(x.shape[0])

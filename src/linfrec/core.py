@@ -297,7 +297,8 @@ def draw_design(
     SeedSequence/SFC64 pass (``_tile_states``), equal to those ``rng_from``
     gives, and a negative key part raises a ValueError as a SeedSequence does.
 
-    A mask index outside ``[0, d)`` raises a ValueError naming it.
+    A mask index outside ``[0, d)`` raises a ValueError naming it, and so
+    does a nonempty mask that is not a 1-D integer array.
 
     The column tiles drawn are dealt in contiguous blocks to one thread per
     core this process may use (cores divided among the harness's pool
@@ -328,6 +329,8 @@ def draw_design(
         outside = masked[(masked < 0) | (masked >= d)]
         if len(outside):
             raise ValueError(f"mask index {outside[0]} is out of range for d={d}")
+        if masked.ndim != 1 or masked.dtype.kind not in "iu":
+            raise ValueError(f"mask must be a 1-D integer array, got {masked.dtype} of shape {masked.shape}")
         keep[masked] = False
     tiles = np.flatnonzero(np.logical_or.reduceat(keep, np.arange(0, d, TILE_COLS)))
     row_tiles = math.ceil(rows / TILE_ROWS)

@@ -36,7 +36,7 @@ from .core import (
     rng_from,
     sample_ensemble,
 )
-from .linops import IndexSet, SolverFailure
+from .linops import SolverFailure
 from .metrics import compute_metrics
 from .padaptive import (
     SNR_CONSTANT,
@@ -235,13 +235,10 @@ def _make_noise(n: int, spec: dict, seed: int) -> np.ndarray:
     return gaussian_noise(n, float(spec.get("sigma", 1.0)), seed)
 
 
-def disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator) -> tuple[IndexSet, IndexSet]:
-    """Two disjoint uniform random index sets of the given sizes."""
+def disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two disjoint uniform random sorted int64 index arrays of the given sizes."""
     pick = rng.choice(d, size=size_a + size_b, replace=False)
-    return (
-        IndexSet(np.sort(pick[:size_a]).astype(np.int64)),
-        IndexSet(np.sort(pick[size_a:]).astype(np.int64)),
-    )
+    return np.sort(pick[:size_a]), np.sort(pick[size_a:])
 
 
 def _gram_noise(x: np.ndarray, noise: np.ndarray) -> float:
@@ -361,7 +358,7 @@ def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
         i = int(rng.integers(dims.d))
         pair = build_metric_impossibility_pair(x, i)
         rest = np.setdiff1d(np.arange(dims.d), [i])
-        s = IndexSet(np.sort(rng.choice(rest, size=dims.k, replace=False)).astype(np.int64))
+        s = np.sort(rng.choice(rest, size=dims.k, replace=False))
         mr = compute_metrics(x, pair.xi1, s)
         scaled_l2 = mr.m_l2 * math.sqrt(dims.n) * math.sqrt(math.log(dims.k) / dims.n)
         candidates = [mr.m_linf, scaled_l2] + ([mr.m_ols] if mr.m_ols is not None else [])
@@ -370,7 +367,7 @@ def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
         return max(candidates), None, mr.m_gram, forced / 3.0, extra
 
     noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
-    s = IndexSet(np.sort(rng.choice(dims.d, size=dims.k, replace=False)).astype(np.int64))
+    s = np.sort(rng.choice(dims.d, size=dims.k, replace=False))
     mr = compute_metrics(x, noise, s)
     # the ols/support ratio must lie in [1/6, 6]
     extra = {"bound_low": 1.0 / 6.0, "m_ols": mr.m_ols or 0.0, "m_gram_support": mr.m_gram_support}

@@ -2,18 +2,15 @@
 
 Hard thresholding, the max-row-l1 operator norm, restricted Gram blocks, and
 the one restricted least-squares solver: matrix-free conjugate gradients,
-which never forms the restricted Gram or its inverse.
+which never forms the restricted Gram or its inverse.  An index set S (a
+support) is a sorted 1-D int64 array of column indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 __all__ = [
-    "IndexSet",
     "SolverFailure",
     "hard_threshold_values",
     "inf_op_norm",
@@ -22,41 +19,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """Sorted, duplicate-free column indices."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("indices must be 1-D")
-        if len(idx) > 1 and np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be strictly increasing")
-        if len(idx) and idx[0] < 0:
-            raise ValueError("indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def from_iterable(cls, it: Iterable[int]) -> "IndexSet":
-        return cls(np.unique(np.fromiter((int(i) for i in it), dtype=np.int64)))
-
-    def complement(self, d: int) -> "IndexSet":
-        mask = np.ones(d, dtype=bool)
-        mask[self.indices] = False
-        return IndexSet(np.flatnonzero(mask).astype(np.int64))
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(np.union1d(self.indices, other.indices))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
 
 
 class SolverFailure(RuntimeError):
@@ -95,11 +57,11 @@ def inf_op_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m).sum(axis=1)))
 
 
-def restricted_gram(x: np.ndarray, s: IndexSet) -> np.ndarray:
-    """[X^T X]_{S x S} as an |S| x |S| array."""
+def restricted_gram(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[X^T X]_{S x S} as an |S| x |S| array, S an int64 index array."""
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = x[:, s.indices]  # a fresh copy, so cols.T @ cols is numpy's exactly symmetric product
+    cols = x[:, s]  # a fresh copy, so cols.T @ cols is numpy's exactly symmetric product
     return cols.T @ cols
 
 
@@ -137,7 +99,7 @@ def _cg_solve(cols: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise SolverFailure("restricted least-squares did not converge", resid)
 
 
-def restricted_ols(x: np.ndarray, s: IndexSet, rhs: np.ndarray) -> np.ndarray:
+def restricted_ols(x: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve [X^T X]_{S x S} w = X_{S:}^T rhs by matrix-free conjugate gradients.
 
     ``rhs`` lives in observation space (length n).  The returned w satisfies
@@ -147,5 +109,5 @@ def restricted_ols(x: np.ndarray, s: IndexSet, rhs: np.ndarray) -> np.ndarray:
     """
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
-    cols = x[:, s.indices]
+    cols = x[:, s]
     return _cg_solve(cols, cols.T @ np.asarray(rhs, dtype=np.float64))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dims, Ensemble, draw_design, gaussian_noise, json_field
-from .linops import IndexSet, hard_threshold_values, restricted_ols
+from .linops import hard_threshold_values, restricted_ols
 from .recovery import RecoveryReport, iht
 
 __all__ = [
@@ -87,16 +87,16 @@ class MaskedOracle:
         self.ensemble = Ensemble(ensemble)
         self.query_log: list[QueryRecord] = []
 
-    def masked_observe(self, rows: int, mask: IndexSet) -> tuple[np.ndarray, np.ndarray]:
+    def masked_observe(self, rows: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if rows < 1:
             raise ValueError("must request at least one row")
         qi = len(self.query_log)
-        x = draw_design((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask.indices)
+        x = draw_design((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask)
         xi = gaussian_noise(rows, self.noise_sigma, self.master_seed, qi)
         signal = x @ self.truth
         y = signal + xi
         corr = float(np.max(np.abs(x.T @ (y - signal)), initial=0.0))
-        self.query_log.append(QueryRecord(rows, [int(i) for i in mask.indices], qi, corr))
+        self.query_log.append(QueryRecord(rows, [int(i) for i in mask], qi, corr))
         return x, y
 
     def rows_consumed(self) -> int:
@@ -134,14 +134,14 @@ class MaskedOracle:
             rows = json_field(doc, numbers.Integral, "queries", i, "rows")
             n_mask = len(json_field(doc, list, "queries", i, "mask"))
             mask = [json_field(doc, numbers.Integral, "queries", i, "mask", j) for j in range(n_mask)]
-            out.append(oracle.masked_observe(rows, IndexSet.from_iterable(mask)))
+            out.append(oracle.masked_observe(rows, np.asarray(mask)))
         return out
 
 
 @dataclass
 class ThresholdStats:
-    s_fp: IndexSet
-    s_fn: IndexSet
+    s_fp: np.ndarray  # sorted int64 indices
+    s_fn: np.ndarray
     fn_energy_ratio: float
 
 
@@ -160,10 +160,10 @@ def threshold_stats(
     corr = np.abs(x.T @ np.asarray(y, dtype=np.float64))
     on = truth != 0
     hit = corr >= threshold
-    s_fp = IndexSet(np.flatnonzero(hit & ~on).astype(np.int64))
-    s_fn = IndexSet(np.flatnonzero(~hit & on).astype(np.int64))
+    s_fp = np.flatnonzero(hit & ~on)
+    s_fn = np.flatnonzero(~hit & on)
     total = float(np.linalg.norm(truth))
-    ratio = 0.0 if total == 0.0 else float(np.linalg.norm(truth[s_fn.indices]) / total)
+    ratio = 0.0 if total == 0.0 else float(np.linalg.norm(truth[s_fn]) / total)
     return ThresholdStats(s_fp=s_fp, s_fn=s_fn, fn_energy_ratio=ratio)
 
 
@@ -196,21 +196,20 @@ def adaptive_support_recover(
     n, d, k = oracle.dims.n, oracle.dims.d, oracle.dims.k
     if n < 3 * rounds:
         raise ValueError(f"n={n} leaves each of rounds={rounds} rounds no rows; need n >= 3 * rounds = {3 * rounds}")
-    x0, y0 = oracle.masked_observe(n // 3, IndexSet.from_iterable([]))
+    x0, y0 = oracle.masked_observe(n // 3, np.empty(0, dtype=np.int64))
     warm = iht(x0, y0, k, R, r2)
     del x0, y0  # the warm block is the largest; free it before the later draws
-    t_cur = IndexSet(np.flatnonzero(warm.estimate))
+    t_cur = np.flatnonzero(warm.estimate)
     support_trace = [len(t_cur)]
-    support_sets = [[int(i) for i in t_cur.indices]]
+    support_sets = [t_cur.tolist()]
 
     round_rows = n // (3 * rounds)
     for _ in range(rounds):
         xi_blk, yi = oracle.masked_observe(round_rows, t_cur)
         corr = np.abs(xi_blk.T @ yi)
-        found = np.flatnonzero(corr >= r_inf).astype(np.int64)
-        t_cur = t_cur.union(IndexSet(found))
+        t_cur = np.union1d(t_cur, np.flatnonzero(corr >= r_inf))
         support_trace.append(len(t_cur))
-        support_sets.append([int(i) for i in t_cur.indices])
+        support_sets.append(t_cur.tolist())
 
     cap = SUPPORT_CAP_FACTOR * k * max(math.log(k), 1.0)
     if len(t_cur) > cap:
@@ -219,10 +218,10 @@ def adaptive_support_recover(
         )
 
     theta = np.zeros(d)
-    xf, yf = oracle.masked_observe(n - n // 3 - rounds * round_rows, t_cur.complement(d))
+    xf, yf = oracle.masked_observe(n - n // 3 - rounds * round_rows, np.setdiff1d(np.arange(d), t_cur))
     if len(t_cur):
         w = restricted_ols(xf, t_cur, yf)
-        theta[t_cur.indices] = w
+        theta[t_cur] = w
     theta = hard_threshold_values(theta, k)
 
     return RecoveryReport(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import IndexSet, SolverFailure, hard_threshold_values, restricted_ols
+from .linops import SolverFailure, hard_threshold_values, restricted_ols
 
 __all__ = [
     "RecoveryReport",
@@ -55,7 +55,11 @@ def _halvings(R: float, r: float) -> int:
     It is not used throughout, because it can round an exact power of two
     up by an ulp and so add a halving.
     """
-    if not (0.0 < R < math.inf and 0.0 < r < math.inf):
+    try:
+        valid = 0.0 < float(R) < math.inf and 0.0 < float(r) < math.inf
+    except OverflowError:  # an integer beyond the float range
+        valid = False
+    if not valid:
         raise ValueError(f"R and r must be positive and finite, got R={R!r}, r={r!r}")
     if r >= R:
         return 0
@@ -118,7 +122,7 @@ def oblivious_recover(
     theta = theta_hat.copy()
     if len(l_idx):
         r3 = y3 - x3 @ theta_hat
-        theta[l_idx] += restricted_ols(x3, IndexSet(l_idx), r3)
+        theta[l_idx] += restricted_ols(x3, l_idx, r3)
 
     return RecoveryReport(
         estimate=theta,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import rng_from
-from .linops import IndexSet, inf_op_norm, restricted_gram
+from .linops import inf_op_norm, restricted_gram
 
 __all__ = [
     "BudgetExceeded",
@@ -82,7 +82,7 @@ class RipCertificate:
     s: int
     verdict: Verdict
     achieved: float
-    witness: IndexSet | None
+    witness: np.ndarray | None  # sorted int64 indices
     exact: bool
 
     def __post_init__(self):
@@ -103,7 +103,7 @@ def certificate_to_json(cert: RipCertificate) -> str:
         "s": cert.s,
         "verdict": cert.verdict.value,
         "achieved": cert.achieved,
-        "witness": None if cert.witness is None else [int(i) for i in cert.witness.indices],
+        "witness": None if cert.witness is None else cert.witness.tolist(),
         "exact": cert.exact,
     }
     return json.dumps(doc)
@@ -111,10 +111,13 @@ def certificate_to_json(cert: RipCertificate) -> str:
 
 def _finite(value: float, name: str = "epsilon") -> float:
     """A threshold as a float, checked to be finite: a NaN one would decide every verdict."""
-    value = float(value)
-    if not math.isfinite(value):
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return value
+    return out
 
 
 def _subset_size(s: int, d: int) -> int:
@@ -153,10 +156,10 @@ def _scan_certificate(kind: CertKind, epsilon: float, s: int, subsets, value, ex
             witness = idx
     if worst <= epsilon:
         verdict = Verdict.HOLDS if exact else Verdict.LOWER_BOUND_ONLY
-        wit = IndexSet(witness) if exact and witness is not None else None
+        wit = witness if exact else None
     else:
         verdict = Verdict.FAILS
-        wit = IndexSet(witness)
+        wit = witness
     return RipCertificate(
         kind=kind, threshold=float(epsilon), s=s, verdict=verdict,
         achieved=float(worst), witness=wit, exact=exact,
@@ -195,7 +198,7 @@ def certify_l2_rip(
         g = None
 
     def deviation(idx: np.ndarray) -> float:
-        block = restricted_gram(x, IndexSet(idx)) if g is None else g[np.ix_(idx, idx)]
+        block = restricted_gram(x, idx) if g is None else g[np.ix_(idx, idx)]
         evals = np.linalg.eigvalsh(block)
         return float(max(abs(evals[0] - 1.0), abs(evals[-1] - 1.0)))
 
@@ -365,7 +368,7 @@ def certify_linf_rip(
         verdict = Verdict.HOLDS if worst <= epsilon else Verdict.FAILS
         return RipCertificate(
             kind=CertKind.LINF_RIP, threshold=float(epsilon), s=s, verdict=verdict,
-            achieved=float(worst), witness=IndexSet(witness), exact=True,
+            achieved=float(worst), witness=witness, exact=True,
         )
 
     def deviation(idx: np.ndarray) -> float:
@@ -393,7 +396,7 @@ def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
     verdict = Verdict.HOLDS if worst <= alpha else Verdict.FAILS
     return RipCertificate(
         kind=CertKind.PAIRWISE_INCOHERENCE, threshold=float(alpha), s=2,
-        verdict=verdict, achieved=worst, witness=IndexSet.from_iterable({i, j}), exact=True,
+        verdict=verdict, achieved=worst, witness=np.unique([i, j]), exact=True,
     )
 
 

@@ -78,8 +78,8 @@ def brute_force_sign_max(m_inv: np.ndarray) -> float:
 
 
 def dense_restricted_solve(x: np.ndarray, s, b: np.ndarray) -> np.ndarray:
-    """Solve [X^T X]_{S x S} w = b by a dense factorization; ``s`` is an IndexSet."""
-    cols = x[:, s.indices]
+    """Solve [X^T X]_{S x S} w = b by a dense factorization; ``s`` is an index array."""
+    cols = x[:, s]
     return np.linalg.solve(cols.T @ cols, np.asarray(b, dtype=np.float64))
 
 

@@ -20,7 +20,7 @@ from linfrec.core import (
     sample_ensemble,
 )
 from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment
-from linfrec.linops import IndexSet, restricted_gram, restricted_ols
+from linfrec.linops import restricted_gram, restricted_ols
 from linfrec.recovery import iht
 from linfrec.ripcert import certify_linf_rip, certify_pi, welch_floor
 
@@ -54,7 +54,7 @@ def test_criterion_01_exact_half_step_contraction():
             noise = gaussian_noise(n, 0.02, seed + 1)
         else:
             free = np.setdiff1d(np.arange(d), np.flatnonzero(truth))
-            s = IndexSet(np.sort(rng.choice(free, size=min(2 * k, len(free)), replace=False)).astype(np.int64))
+            s = np.sort(rng.choice(free, size=min(2 * k, len(free)), replace=False))
             noise = x @ build_masking_vector(x, s).v
         inst = build_instance(x, truth, noise, k)
         steps = iht(x, inst.y, k, 1.0, 0.01).iterations
@@ -345,10 +345,10 @@ def test_criterion_12_solver_and_sign_argmax_oracles():
         n = max(150, 4 * ssize)
         d = ssize + int(rng.integers(1, 40))
         x = rng.standard_normal((n, d)) / math.sqrt(n)
-        s = IndexSet(np.sort(rng.choice(d, size=ssize, replace=False)).astype(np.int64))
+        s = np.sort(rng.choice(d, size=ssize, replace=False))
         rhs = rng.standard_normal(n)
         got = restricted_ols(x, s, rhs)
-        want = dense_restricted_solve(x, s, x[:, s.indices].T @ rhs)
+        want = dense_restricted_solve(x, s, x[:, s].T @ rhs)
         rel = float(np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want))))
         worst_rel = max(worst_rel, rel)
     sign_gap = 0.0
@@ -356,7 +356,7 @@ def test_criterion_12_solver_and_sign_argmax_oracles():
         ssize = int(rng.integers(2, 13))
         n = max(60, 4 * ssize)
         x = rng.standard_normal((n, 30)) / math.sqrt(n)
-        s = IndexSet(np.sort(rng.choice(30, size=ssize, replace=False)).astype(np.int64))
+        s = np.sort(rng.choice(30, size=ssize, replace=False))
         mv = build_masking_vector(x, s, normalize=False)
         brute = brute_force_sign_max(np.linalg.inv(restricted_gram(x, s)))
         sign_gap = max(sign_gap, abs(mv.linf_v - brute))

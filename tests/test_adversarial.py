@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,7 @@ from linfrec.adversarial import (
     save_pair,
 )
 from linfrec.core import Dims, Ensemble, load_instance, sample_ensemble
-from linfrec.linops import IndexSet, restricted_gram
+from linfrec.linops import restricted_gram
 from linfrec.ripcert import certify_linf_rip
 
 
@@ -36,22 +37,22 @@ def sweep_pool():
 
 def reference_point_ratio(seed):
     x = gaussian(100, 4000, seed=3000 + seed)
-    return build_masking_vector(x, IndexSet.from_iterable(range(20)), normalize=True).linf_v
+    return build_masking_vector(x, np.arange(20), normalize=True).linf_v
 
 
 def fixed_ratio_sweep_ratio(k, seed):
     x = gaussian(k * k // 16, 2000, seed=5000 + 13 * k + seed)
-    return build_masking_vector(x, IndexSet.from_iterable(range(k // 2))).linf_v
+    return build_masking_vector(x, np.arange(k // 2)).linf_v
 
 
 class TestMaskingVector:
     def test_orthonormal_gram_gives_sign_vector(self):
         q = orthonormal_columns(12, 6, seed=1)
-        s = IndexSet.from_iterable([0, 2, 5])
+        s = np.array([0, 2, 5])
         mv = build_masking_vector(q, s, normalize=False)
         assert mv.linf_v == pytest.approx(1.0, abs=1e-9)
         # on-support correlation equals the sign vector itself
-        on_support = q[:, s.indices].T @ (q @ mv.v)
+        on_support = q[:, s].T @ (q @ mv.v)
         assert np.max(np.abs(on_support)) == pytest.approx(1.0, abs=1e-9)
 
     def test_explicit_2x2_gram_against_dense_oracle(self):
@@ -59,7 +60,7 @@ class TestMaskingVector:
         x = np.zeros((3, 2))
         x[:, 0] = [1.0, 0.0, 0.0]
         x[:, 1] = [0.5, math.sqrt(0.75), 0.0]
-        s = IndexSet.from_iterable([0, 1])
+        s = np.array([0, 1])
         m = restricted_gram(x, s)
         assert np.allclose(m, [[1.0, 0.5], [0.5, 1.0]], atol=1e-12)
         # oracle: M^{-1} = (4/3) [[1, -1/2], [-1/2, 1]]; both rows have l1
@@ -73,7 +74,7 @@ class TestMaskingVector:
         for t in range(10):
             n, d, ssize = 40, 20, int(rng.integers(2, 9))
             x = rng.standard_normal((n, d)) / np.sqrt(n)
-            s = IndexSet(np.sort(rng.choice(d, size=ssize, replace=False)).astype(np.int64))
+            s = np.sort(rng.choice(d, size=ssize, replace=False))
             m_inv = np.linalg.inv(restricted_gram(x, s))
             mv = build_masking_vector(x, s, normalize=False)
             assert mv.linf_v == pytest.approx(brute_force_sign_max(m_inv), rel=1e-10)
@@ -81,7 +82,7 @@ class TestMaskingVector:
 
     def test_normalization_unit_gram_image(self):
         x = gaussian(100, 400, seed=4)
-        s = IndexSet.from_iterable(range(20))
+        s = np.arange(20)
         mv = build_masking_vector(x, s, normalize=True)
         assert mv.normalized
         gram_v = x.T @ (x @ mv.v)
@@ -95,18 +96,18 @@ class TestMaskingVector:
         cases = []
         for n, d, ssize in [(30, 200, 6), (20, 300, 8), (40, 60, 3), (25, 150, 10)]:
             x = rng.standard_normal((n, d)) / np.sqrt(n)
-            s = IndexSet(np.sort(rng.choice(d, size=ssize, replace=False)).astype(np.int64))
+            s = np.sort(rng.choice(d, size=ssize, replace=False))
             cases.append((x, s, None))
         # off-support column 3 * x_{s_0}: its constraint |(X_S^T X_S v_S)_0| <= 1/3
         # cuts off every on-support optimum, so it binds at the LP optimum
         x = rng.standard_normal((40, 12)) / np.sqrt(40)
-        s = IndexSet.from_iterable(range(5))
+        s = np.arange(5)
         x[:, 11] = 3.0 * x[:, 0]
         cases.append((x, s, 11))
         for x, s, binding in cases:
             mv = build_masking_vector(x, s)
             sign = build_masking_vector(x, s, normalize=False)
-            assert mv.linf_v == pytest.approx(dense_lp_ratio(x, s.indices), rel=1e-9)
+            assert mv.linf_v == pytest.approx(dense_lp_ratio(x, s), rel=1e-9)
             assert mv.linf_v >= sign.linf_v / sign.linf_gram_v * (1.0 - 1e-12)
             if binding is not None:
                 img = x.T @ (x @ mv.v)
@@ -132,11 +133,11 @@ class TestMaskingVector:
         trials = 40
         for seed in range(trials):
             x = gaussian(n, d, seed=4000 + seed)
-            s = IndexSet.from_iterable(range(k // 2))
+            s = np.arange(k // 2)
             mv = build_masking_vector(x, s, normalize=False)
             img = x.T @ (x @ mv.v)
-            on = np.max(np.abs(img[s.indices]))
-            off = np.max(np.abs(np.delete(img, s.indices)))
+            on = np.max(np.abs(img[s]))
+            off = np.max(np.abs(np.delete(img, s)))
             hits += off <= 10.0 * on
         assert hits >= 0.95 * trials
 
@@ -163,15 +164,34 @@ class TestMaskingVector:
             support = cert.witness
         else:
             size = data.draw(st.integers(1, s), label="size")
-            support = IndexSet.from_iterable(np.random.default_rng(seed).choice(d, size=size, replace=False))
+            support = np.unique(np.random.default_rng(seed).choice(d, size=size, replace=False))
         assert len(support) <= s
         cap = 1.0 / (1.0 - cert.achieved)
         assert build_masking_vector(x, support).linf_v <= cap * (1.0 + self.NEUMANN_RTOL)
 
+    @pytest.mark.parametrize(
+        "support, shown",
+        [
+            ([2, 1], "[2, 1]"),
+            ([1, 1], "[1, 1]"),
+            ([-1, 3], "[-1, 3]"),
+            ([3, 20], "[3, 20]"),
+            (np.array([0.0, 1.0]), "[0.0, 1.0]"),
+            (np.arange(20) < 2, "[True, True, False"),
+            ([[0, 1]], "[[0, 1]]"),
+        ],
+        ids=["unsorted", "duplicate", "negative", "beyond-d", "float", "bool", "2-D"],
+    )
+    def test_support_must_be_strictly_increasing_columns(self, support, shown):
+        # the row tie-break and the LP's visiting order follow the support's order
+        message = f"support must be strictly increasing integers in [0, 20), got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_masking_vector(gaussian(30, 20, seed=1), support)
+
     def test_singular_gram_raises(self):
         x = np.column_stack([np.ones(4), np.ones(4)])
         with pytest.raises(ConstructionFailure):
-            build_masking_vector(x, IndexSet.from_iterable([0, 1]))
+            build_masking_vector(x, np.array([0, 1]))
 
     def test_scaling_sweep_against_sqrt_k(self):
         # along the fixed-ratio sweep n = k^2/16 the median normalized sup
@@ -200,8 +220,8 @@ class TestIndistinguishablePair:
         # separation equals the noise correlation scale (no adversary gain)
         d = 10
         x = np.eye(d)
-        s = IndexSet.from_iterable([0, 1])
-        t = IndexSet.from_iterable([2, 3])
+        s = np.array([0, 1])
+        t = np.array([2, 3])
         pair = build_indistinguishable_pair(x, s, t, base_magnitude=1.0)
         sep = np.max(np.abs(pair.theta1 - pair.theta2))
         m1 = np.max(np.abs(x.T @ pair.xi1))
@@ -212,7 +232,7 @@ class TestIndistinguishablePair:
         for seed in range(5):
             x = gaussian(100, 500, seed=6000 + seed)
             pair = build_indistinguishable_pair(
-                x, IndexSet.from_iterable(range(10)), IndexSet.from_iterable(range(10, 20)), 2.0
+                x, np.arange(10), np.arange(10, 20), 2.0
             )
             y1 = x @ pair.theta1 + pair.xi1
             y2 = x @ pair.theta2 + pair.xi2
@@ -221,25 +241,32 @@ class TestIndistinguishablePair:
 
     def test_pair_invariants(self):
         x = gaussian(80, 300, seed=3)
-        s = IndexSet.from_iterable(range(8))
-        t = IndexSet.from_iterable(range(10, 18))
+        s = np.arange(8)
+        t = np.arange(10, 18)
         pair = build_indistinguishable_pair(x, s, t, base_magnitude=1.5)
         # theta1 - theta2 = -v with v supported on s; xi2 is identically zero
         v = pair.theta2 - pair.theta1
-        assert np.array_equal(np.flatnonzero(v), s.indices)
+        assert np.array_equal(np.flatnonzero(v), s)
         assert np.all(pair.xi2 == 0.0)
-        assert np.all(pair.theta1[t.indices] == 1.5)
+        assert np.all(pair.theta1[t] == 1.5)
 
     def test_preconditions(self):
         x = gaussian(50, 100, seed=4)
         with pytest.raises(ValueError):
             build_indistinguishable_pair(
-                x, IndexSet.from_iterable([0, 1]), IndexSet.from_iterable([1, 2]), 1.0
+                x, np.array([0, 1]), np.array([1, 2]), 1.0
             )
         with pytest.raises(ValueError):
             build_indistinguishable_pair(
-                x, IndexSet.from_iterable([0, 1]), IndexSet.from_iterable([2, 3, 4]), 1.0
+                x, np.array([0, 1]), np.array([2, 3, 4]), 1.0
             )
+
+    @pytest.mark.parametrize("base, shown", [([5, 5], "[5, 5]"), ([5, 100], "[5, 100]")], ids=["duplicate", "beyond-d"])
+    def test_base_support_must_be_distinct_columns(self, base, shown):
+        # a repeated column would count twice in the budget save_pair writes
+        message = f"base support must be strictly increasing integers in [0, 100), got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_indistinguishable_pair(gaussian(50, 100, seed=4), np.array([0, 1]), np.array(base), 1.0)
 
 
 class TestMetricImpossibilityPair:
@@ -273,7 +300,7 @@ class TestPairSerialization:
     def test_two_instances_share_one_matrix_file(self, tmp_path):
         x = gaussian(40, 60, seed=9)
         pair = build_indistinguishable_pair(
-            x, IndexSet.from_iterable(range(4)), IndexSet.from_iterable(range(4, 8)), 1.0
+            x, np.arange(4), np.arange(4, 8), 1.0
         )
         p1, p2, pm = save_pair(pair, x, tmp_path)
         import json

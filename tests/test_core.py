@@ -2,6 +2,7 @@ import json
 import math
 import mmap
 import os
+import re
 import struct
 import sys
 import threading
@@ -304,6 +305,35 @@ def test_a_design_of_mapped_size_has_its_own_mapping(ensemble):
 def test_draw_rejects_a_mask_index_outside_the_columns(masked, index):
     with pytest.raises(ValueError, match=rf"mask index {index} is out of range for d=20"):
         draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
+
+
+def _column_3_selector():
+    mask = np.zeros(20, dtype=bool)
+    mask[3] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    "masked, shown",
+    [
+        (_column_3_selector(), "bool of shape (20,)"),
+        (np.ones(5, dtype=bool), "bool of shape (5,)"),
+        (np.array([3.0]), "float64 of shape (1,)"),
+        (np.array([[1, 2]]), "int64 of shape (1, 2)"),
+    ],
+    ids=["bool-selector", "bool-short", "float", "2-D"],
+)
+def test_draw_rejects_a_mask_that_is_not_an_integer_array(masked, shown):
+    # a bool selector would zero column 3 while the oracle logs it as indices 0 and 1
+    with pytest.raises(ValueError, match=re.escape(f"mask must be a 1-D integer array, got {shown}")):
+        draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
+
+
+@pytest.mark.parametrize("masked", [None, [], np.asarray([]), np.empty(0, dtype=np.int64)], ids=repr)
+def test_an_empty_mask_draws_every_column(masked):
+    # np.asarray([]) is float64, and an empty mask of any dtype masks nothing
+    x = draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
+    assert x.tobytes() == draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED).tobytes()
 
 
 def test_blas_workers_are_released_before_a_draw_of_several_tiles(monkeypatch):

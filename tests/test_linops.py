@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from conftest import dense_restricted_solve, orthonormal_columns, power_iteration_norm
 from linfrec.linops import (
     DEFAULT_TOL,
-    IndexSet,
     SolverFailure,
     _cg_solve,
     hard_threshold_values,
@@ -21,23 +20,6 @@ finite_vecs = arrays(
     st.integers(1, 12),
     elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
-
-
-class TestIndexSet:
-    def test_validation(self):
-        IndexSet(np.array([0, 2, 5]))
-        with pytest.raises(ValueError):
-            IndexSet(np.array([2, 1]))
-        with pytest.raises(ValueError):
-            IndexSet(np.array([1, 1]))
-        with pytest.raises(ValueError):
-            IndexSet(np.array([-1, 0]))
-
-    def test_helpers(self):
-        s = IndexSet.from_iterable([5, 1, 1, 3])
-        assert list(s) == [1, 3, 5]
-        assert list(s.complement(7)) == [0, 2, 4, 6]
-        assert list(s.union(IndexSet.from_iterable([0, 3]))) == [0, 1, 3, 5]
 
 
 class TestHardThreshold:
@@ -104,17 +86,17 @@ class TestInfOpNorm:
 
 class TestRestrictedGram:
     def test_identity(self):
-        s = IndexSet.from_iterable([0, 3, 4])
+        s = np.array([0, 3, 4])
         assert np.array_equal(restricted_gram(np.eye(6), s), np.eye(3))
 
     def test_orthonormal_columns(self):
         q = orthonormal_columns(10, 4, seed=2)
-        s = IndexSet.from_iterable([1, 3])
+        s = np.array([1, 3])
         assert np.allclose(restricted_gram(q, s), np.eye(2), atol=1e-12)
 
     def test_matches_column_dot_oracle(self, rng):
         x = rng.standard_normal((4, 3))
-        s = IndexSet.from_iterable([0, 2])
+        s = np.array([0, 2])
         got = restricted_gram(x, s)
         oracle = np.array(
             [
@@ -127,21 +109,21 @@ class TestRestrictedGram:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            restricted_gram(np.eye(3), IndexSet(np.empty(0, dtype=np.int64)))
+            restricted_gram(np.eye(3), np.empty(0, dtype=np.int64))
 
 
 class TestRestrictedOls:
     def test_identity_design(self):
-        w = restricted_ols(np.eye(3), IndexSet.from_iterable([1]), np.array([0.0, 1.0, 0.0]))
+        w = restricted_ols(np.eye(3), np.array([1]), np.array([0.0, 1.0, 0.0]))
         assert np.allclose(w, [1.0], atol=1e-9)
 
     def test_consistent_system(self, rng):
         # noiseless rhs on the true support reproduces the signal
         x = rng.standard_normal((60, 10)) / np.sqrt(60)
         theta_s = np.array([1.5, -2.0, 0.25])
-        s = IndexSet.from_iterable([2, 5, 7])
+        s = np.array([2, 5, 7])
         theta = np.zeros(10)
-        theta[s.indices] = theta_s
+        theta[s] = theta_s
         w = restricted_ols(x, s, x @ theta)
         assert np.allclose(w, theta_s, atol=1e-6)
 
@@ -150,10 +132,10 @@ class TestRestrictedOls:
             n = int(rng.integers(40, 120))
             ssize = int(rng.integers(1, 20))
             x = rng.standard_normal((n, 25)) / np.sqrt(n)
-            s = IndexSet(np.sort(rng.choice(25, size=ssize, replace=False)).astype(np.int64))
+            s = np.sort(rng.choice(25, size=ssize, replace=False))
             rhs = rng.standard_normal(n)
             got = restricted_ols(x, s, rhs)
-            want = dense_restricted_solve(x, s, x[:, s.indices].T @ rhs)
+            want = dense_restricted_solve(x, s, x[:, s].T @ rhs)
             denom = 1.0 + np.max(np.abs(want))
             assert np.max(np.abs(got - want)) / denom <= 1e-8
 
@@ -161,7 +143,7 @@ class TestRestrictedOls:
         # duplicated columns give a singular but consistent normal system;
         # CG from zero stays in the Gram's range and finds its min-norm solution
         x = np.column_stack([np.ones(4), np.ones(4)])
-        w = restricted_ols(x, IndexSet.from_iterable([0, 1]), np.array([1.0, -1.0, 2.0, 0.0]))
+        w = restricted_ols(x, np.array([0, 1]), np.array([1.0, -1.0, 2.0, 0.0]))
         assert np.allclose(w, [0.25, 0.25], atol=1e-12)
 
     def test_solver_failure_attaches_residual(self):
@@ -181,9 +163,9 @@ class TestRestrictedOls:
         x = data.draw(arrays(np.float64, (rows, ssize + extra), elements=small_ints))
         rhs = data.draw(arrays(np.float64, rows, elements=small_ints))
         support = data.draw(st.permutations(range(ssize + extra)))[:ssize]
-        s = IndexSet.from_iterable(support)
+        s = np.sort(support)
         w = restricted_ols(x, s, rhs)
-        cols = x[:, s.indices]
+        cols = x[:, s]
         b = cols.T @ rhs
         resid = np.max(np.abs(cols.T @ (cols @ w) - b))
         assert resid <= DEFAULT_TOL * (1.0 + np.max(np.abs(b)))

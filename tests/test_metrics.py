@@ -12,13 +12,13 @@ from linfrec.frozen import (
     METRIC_CHAIN_LOWER_A,
     METRIC_CHAIN_UPPER_A,
 )
-from linfrec.linops import IndexSet, SolverFailure
+from linfrec.linops import SolverFailure
 from linfrec.metrics import compute_metrics
 
 
 def test_zero_noise_all_metrics_zero():
     x = sample_ensemble(Dims(n=20, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 1)
-    mr = compute_metrics(x, np.zeros(20), IndexSet.from_iterable([0, 3]))
+    mr = compute_metrics(x, np.zeros(20), np.array([0, 3]))
     assert mr.m_gram == mr.m_gram_support == mr.m_l2 == mr.m_linf == 0.0
     assert mr.m_ols == 0.0
 
@@ -28,7 +28,7 @@ def test_identity_design_unit_noise():
     x = np.eye(n)
     xi = np.zeros(n)
     xi[0] = 1.0
-    mr = compute_metrics(x, xi, IndexSet.from_iterable([0]))
+    mr = compute_metrics(x, xi, np.array([0]))
     assert mr.m_gram == 1.0
     assert mr.m_gram_support == 1.0
     assert mr.m_ols == pytest.approx(1.0, abs=1e-9)
@@ -40,7 +40,7 @@ def test_support_metric_never_exceeds_full_metric(rng):
     for _ in range(10):
         x = rng.standard_normal((30, 15)) / math.sqrt(30)
         xi = rng.standard_normal(30)
-        s = IndexSet(np.sort(rng.choice(15, size=5, replace=False)).astype(np.int64))
+        s = np.sort(rng.choice(15, size=5, replace=False))
         mr = compute_metrics(x, xi, s)
         assert mr.m_gram_support <= mr.m_gram + 1e-15
         assert mr.m_gram >= 0 and mr.m_l2 >= 0
@@ -62,7 +62,7 @@ def test_norm_comparisons_deterministic(xi):
 def test_ratio_fields_match_definitions(rng):
     x = rng.standard_normal((40, 12)) / math.sqrt(40)
     xi = rng.standard_normal(40)
-    s = IndexSet.from_iterable([1, 4, 9])
+    s = np.array([1, 4, 9])
     mr = compute_metrics(x, xi, s)
     assert mr.ols_over_support == pytest.approx(mr.m_ols / mr.m_gram_support)
     # ||xi||_2 / ||xi||_inf is always in [1, sqrt(n)]
@@ -74,9 +74,9 @@ def test_singular_system_reports_missing_ols(monkeypatch):
     # min-norm least-squares solution's sup norm
     x = np.column_stack([np.ones(5), np.ones(5), np.eye(5)[:, 0]])
     xi = np.array([1.0, -1.0, 0.5, 0.0, 0.0])
-    s = IndexSet.from_iterable([0, 1])
+    s = np.array([0, 1])
     mr = compute_metrics(x, xi, s)
-    min_norm = np.linalg.lstsq(x[:, s.indices], xi, rcond=None)[0]
+    min_norm = np.linalg.lstsq(x[:, s], xi, rcond=None)[0]
     assert mr.m_ols == pytest.approx(np.max(np.abs(min_norm)), abs=1e-12)
     assert "ols_failure" not in mr.diagnostics
 
@@ -100,7 +100,7 @@ def _chain_draws(trials, n=1200, d=4000, k=10):
         rng = np.random.default_rng(200 + t)
         x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, 200 + t)
         xi = gaussian_noise(n, 1.0, 300 + t)
-        s = IndexSet(np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64))
+        s = np.sort(rng.choice(d, size=k, replace=False))
         out.append((compute_metrics(x, xi, s), n, k))
     return out
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import is_design, mutated_json, orthonormal_columns
 from linfrec import core
 from linfrec.core import TILE_COLS, TILE_ROWS, TILE_TAG, Dims, Ensemble, rng_from
-from linfrec.linops import IndexSet
 from linfrec.padaptive import (
     MaskedOracle,
     SupportBlowupError,
@@ -34,36 +33,36 @@ class TestMaskedOracle:
     def test_mask_all_signal_yields_pure_noise(self):
         truth = sparse(30, [2, 5], [1.0, -4.0])
         a = MaskedOracle(Dims(n=100, d=30, k=2), truth, 0.7, master_seed=5)
-        _, y_masked = a.masked_observe(20, IndexSet(np.flatnonzero(truth)))
+        _, y_masked = a.masked_observe(20, np.flatnonzero(truth))
         # same seed and query index with a zero truth reproduces the noise
         b = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 0.7, master_seed=5)
-        _, y_noise = b.masked_observe(20, IndexSet.from_iterable([]))
+        _, y_noise = b.masked_observe(20, np.empty(0, dtype=np.int64))
         assert np.array_equal(y_masked, y_noise)
 
     def test_no_mask_no_noise(self):
         truth = sparse(30, [4], [2.0])
         o = MaskedOracle(Dims(n=100, d=30, k=1), truth, 0.0, master_seed=6)
-        x, y = o.masked_observe(25, IndexSet.from_iterable([]))
+        x, y = o.masked_observe(25, np.empty(0, dtype=np.int64))
         assert np.array_equal(y, x @ truth)
 
     def test_replay_determinism(self):
         o1 = make_oracle(seed=42)
         o2 = make_oracle(seed=42)
         for mask in ([], [1], [1, 7]):
-            x1, y1 = o1.masked_observe(15, IndexSet.from_iterable(mask))
-            x2, y2 = o2.masked_observe(15, IndexSet.from_iterable(mask))
+            x1, y1 = o1.masked_observe(15, np.unique(mask))
+            x2, y2 = o2.masked_observe(15, np.unique(mask))
             assert np.array_equal(x1, x2)
             assert np.array_equal(y1, y2)
 
     def test_masked_columns_are_zero(self):
         o = make_oracle()
-        mask = IndexSet.from_iterable([0, 3, 9])
+        mask = np.array([0, 3, 9])
         x, _ = o.masked_observe(12, mask)
-        assert np.all(x[:, mask.indices] == 0.0)
+        assert np.all(x[:, mask] == 0.0)
 
     def test_masking_soundness(self):
         # truths that agree off the mask produce identical observations
-        mask = IndexSet.from_iterable([2, 5])
+        mask = np.array([2, 5])
         t1 = sparse(30, [2, 5, 11], [9.0, -9.0, 1.5])
         t2 = sparse(30, [5, 11], [123.0, 1.5])
         o1 = MaskedOracle(Dims(n=50, d=30, k=3), t1, 0.3, master_seed=8)
@@ -74,20 +73,20 @@ class TestMaskedOracle:
 
     def test_fresh_blocks_per_query(self):
         o = make_oracle()
-        x1, _ = o.masked_observe(10, IndexSet.from_iterable([]))
-        x2, _ = o.masked_observe(10, IndexSet.from_iterable([]))
+        x1, _ = o.masked_observe(10, np.empty(0, dtype=np.int64))
+        x2, _ = o.masked_observe(10, np.empty(0, dtype=np.int64))
         assert not np.array_equal(x1, x2)
 
     def test_noise_corr_recorded_but_not_transcribed(self):
         # with a zero truth the observation is the noise itself
         o = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 0.7, master_seed=5)
-        x, y = o.masked_observe(20, IndexSet.from_iterable([3]))
+        x, y = o.masked_observe(20, np.array([3]))
         assert o.query_log[0].noise_corr == float(np.max(np.abs(x.T @ y)))
         assert "noise_corr" not in o.transcript_json()
 
     def test_transcript_replay(self):
         o = make_oracle(seed=77)
-        obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7], [0], range(16, 32))]
+        obs = [o.masked_observe(10, np.unique(m)) for m in ([], [1, 7], [0], range(16, 32))]
         replayed = MaskedOracle.replay(o.transcript_json(), o.truth)
         for (x1, y1), (x2, y2) in zip(obs, replayed):
             assert np.array_equal(x1, x2)
@@ -96,7 +95,7 @@ class TestMaskedOracle:
 
     def test_observations_are_c_ordered_float64_arrays(self):
         o = make_oracle(seed=3)
-        obs = [o.masked_observe(10, IndexSet.from_iterable(m)) for m in ([], [1, 7])]
+        obs = [o.masked_observe(10, np.unique(m)) for m in ([], [1, 7])]
         for x, _ in obs + MaskedOracle.replay(o.transcript_json(), o.truth):
             assert is_design(x, (10, 50))
 
@@ -112,8 +111,8 @@ class TestMaskedOracle:
         masked = MaskedOracle(Dims(n=TILE_ROWS + 9, d=50, k=3), zero, 0.7, master_seed=4)
         rows = TILE_ROWS + 9
         for _ in range(2):
-            x_plain, y_plain = plain.masked_observe(rows, IndexSet.from_iterable([]))
-            x_masked, y_masked = masked.masked_observe(rows, IndexSet.from_iterable(mask))
+            x_plain, y_plain = plain.masked_observe(rows, np.empty(0, dtype=np.int64))
+            x_masked, y_masked = masked.masked_observe(rows, np.unique(mask))
             keep = np.setdiff1d(np.arange(50), list(mask))
             assert x_masked[:, keep].tobytes() == x_plain[:, keep].tobytes()
             assert np.all(x_masked[:, list(mask)] == 0.0)
@@ -137,7 +136,7 @@ class TestMaskedOracle:
         monkeypatch.setattr(core, "_tile_states", counting_tiles)
         monkeypatch.setattr(core, "rng_from", counting)
         o = make_oracle(d=50, seed=9)
-        o.masked_observe(TILE_ROWS + 1, IndexSet.from_iterable([*range(TILE_COLS), 20, *range(48, 50)]))
+        o.masked_observe(TILE_ROWS + 1, np.array([*range(TILE_COLS), 20, *range(48, 50)]))
         # column tiles 1 and 2 are drawn in both row tiles; 0 and 3 are masked whole
         assert sorted(key[3] for key in keys if key[-1] == TILE_TAG) == [1, 1, 2, 2]
         # the one other stream is the query's noise
@@ -149,7 +148,7 @@ class TestMaskedOracle:
         seed, rows = 5, 40
         assert rng_from(seed, 0, 0, 0).standard_normal(4).tobytes() == rng_from(seed, 0).standard_normal(4).tobytes()
         o = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 1.0, master_seed=seed)
-        x, noise = o.masked_observe(rows, IndexSet.from_iterable([]))
+        x, noise = o.masked_observe(rows, np.empty(0, dtype=np.int64))
         assert noise.tobytes() == rng_from(seed, 0).standard_normal(rows).tobytes()
         first_tile = x[:, :TILE_COLS].ravel()[:rows] * math.sqrt(rows)
         assert not np.any(np.isclose(first_tile, noise, rtol=1e-12, atol=0))
@@ -167,7 +166,7 @@ class TestMaskedOracle:
     def test_mask_index_beyond_d_is_rejected(self):
         o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
         with pytest.raises(ValueError, match="mask index 99 is out of range for d=10"):
-            o.masked_observe(5, IndexSet.from_iterable([2, 99]))
+            o.masked_observe(5, np.array([2, 99]))
         assert o.query_log == []
 
 
@@ -175,7 +174,7 @@ def _transcript():
     """An oracle at d=10 after two queries, and its transcript document."""
     o = make_oracle(d=10, truth=sparse(10, [1, 7], [3.0, -2.0]))
     for mask in ([], [1, 7]):
-        o.masked_observe(4, IndexSet.from_iterable(mask))
+        o.masked_observe(4, np.unique(mask))
     return o, json.loads(o.transcript_json())
 
 
@@ -187,6 +186,8 @@ BAD_SIGMA = "noise_sigma must be a finite nonnegative number"
     [
         (lambda doc: doc["dims"].pop("k"), "missing field dims.k"),
         (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 99), "mask index 99 is out of range for d=10"),
+        (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 2**70), f"mask index {2**70} is out of range for d=10"),
+        (lambda doc: doc["queries"][1]["mask"].__setitem__(0, -1), "mask index -1 is out of range for d=10"),
         (lambda doc: doc["queries"][0].__setitem__("rows", "4"), "field queries.0.rows has type str"),
         (lambda doc: doc.__setitem__("master_seed", 1.5), "field master_seed has type float"),
         (lambda doc: doc.__setitem__("master_seed", -1), "master_seed must be a nonnegative integer, got -1"),
@@ -196,7 +197,7 @@ BAD_SIGMA = "noise_sigma must be a finite nonnegative number"
         (lambda doc: doc.__setitem__("noise_sigma", 10**400), f"{BAD_SIGMA}, got 1000"),
     ],
     ids=[
-        "no-dims-k", "mask-index-99", "str-rows", "float-master-seed", "negative-master-seed",
+        "no-dims-k", "mask-index-99", "huge-mask-index", "negative-mask-index", "str-rows", "float-master-seed", "negative-master-seed",
         "nan-sigma", "inf-sigma", "negative-sigma", "huge-int-sigma",
     ],
 )
@@ -232,7 +233,7 @@ class TestThresholdStats:
         q = orthonormal_columns(20, 10, seed=10)
         truth = sparse(10, [2, 6], [3.0, -1.5])
         stats = threshold_stats(q, q @ truth, truth, threshold=np.inf)
-        assert np.array_equal(stats.s_fn.indices, np.flatnonzero(truth))
+        assert np.array_equal(stats.s_fn, np.flatnonzero(truth))
         assert stats.fn_energy_ratio == 1.0
 
     def test_fp_fn_control_monte_carlo(self):
@@ -270,9 +271,9 @@ class FakeOrthonormalOracle:
         self._count += 1
         data = q.copy()
         if len(mask):
-            data[:, mask.indices] = 0.0
+            data[:, mask] = 0.0
         y = data @ self.truth
-        self.query_log.append((rows, list(mask.indices)))
+        self.query_log.append((rows, list(mask)))
         return data, y
 
     def rows_consumed(self):

@@ -74,7 +74,7 @@ class TestL2Rip:
         assert expected > eps0  # planted deviation exceeds the threshold
         cert = certify_l2_rip(x, epsilon=eps0, s=2)
         assert cert.verdict is Verdict.FAILS
-        assert list(cert.witness.indices) == [0, 1]
+        assert list(cert.witness) == [0, 1]
         assert cert.achieved == pytest.approx(expected, abs=1e-12)
 
     def test_gaussian_holds_exact(self):
@@ -160,12 +160,12 @@ class TestLinfRip:
             cert = certify_linf_rip(x, epsilon=0.5, s=s)
             achieved, witness = dense_linf_scan(g, min(s, d))
             assert cert.achieved == achieved
-            assert np.array_equal(cert.witness.indices, witness)
+            assert np.array_equal(cert.witness, witness)
             pi = certify_pi(x, alpha=0.1)
             dev = np.abs(g - np.eye(d))
             i, j = divmod(int(np.argmax(dev)), d)
             assert pi.achieved == dev[i, j]
-            assert np.array_equal(pi.witness.indices, np.unique([i, j]))
+            assert np.array_equal(pi.witness, np.unique([i, j]))
 
     def test_multi_panel_scan_matches_dense_gram(self):
         # d = 3000 spans 5 default panels, general matrix products whose
@@ -175,7 +175,7 @@ class TestLinfRip:
         cert = certify_linf_rip(x, epsilon=0.5, s=6)
         achieved, witness = dense_linf_scan(x.T @ x, 6)
         assert cert.achieved == pytest.approx(achieved, rel=1e-14)
-        assert np.array_equal(cert.witness.indices, witness)
+        assert np.array_equal(cert.witness, witness)
 
     @pytest.mark.parametrize("ensemble", ["gaussian", "rademacher"])
     def test_default_panels_equal_row_loop(self, ensemble):
@@ -190,7 +190,7 @@ class TestLinfRip:
         cert = certify_linf_rip(x, epsilon=0.5, s=s)
         achieved, witness = dense_linf_scan(g, s)
         assert cert.achieved == achieved
-        assert np.array_equal(cert.witness.indices, witness)
+        assert np.array_equal(cert.witness, witness)
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("s,witness", [(3, [3, 5, 7]), (4, [3, 5, 7, 9])])
@@ -204,7 +204,7 @@ class TestLinfRip:
         monkeypatch.setattr(ripcert, "PANEL_BYTES", 8 * d * rows)
         cert = certify_linf_rip(x, epsilon=0.1, s=s)
         assert cert.achieved == (s - 1) * c
-        assert list(cert.witness.indices) == witness
+        assert list(cert.witness) == witness
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("s,witness", [(3, [3, 5, 12]), (4, [3, 5, 7, 12])])
@@ -218,7 +218,7 @@ class TestLinfRip:
         monkeypatch.setattr(ripcert, "PANEL_BYTES", 8 * d * rows)
         cert = certify_linf_rip(x, epsilon=0.1, s=s)
         assert cert.achieved == (s - 1) * c
-        assert list(cert.witness.indices) == witness
+        assert list(cert.witness) == witness
 
     def test_exact_scan_never_holds_a_dense_gram(self):
         n, d, s = 64, 3000, 20
@@ -353,6 +353,22 @@ class TestSampleFloor:
 def test_certifiers_reject_a_negative_infinite_threshold(certify):
     # "--eps -inf" reads as a flag on the command line; test_cli passes the other bad values
     with pytest.raises(ValueError, match=r"(epsilon|alpha) must be a finite number, got -inf"):
+        certify(np.eye(5))
+
+
+@pytest.mark.parametrize(
+    "certify",
+    [
+        lambda x: certify_l2_rip(x, epsilon=10**400, s=2),
+        lambda x: certify_linf_rip(x, epsilon=10**400, s=2),
+        lambda x: certify_linf_rip(x, epsilon=-(10**400), s=2, mode="sampled"),
+        lambda x: certify_pi(x, alpha=10**400),
+    ],
+    ids=["l2-exact", "linf-exact", "linf-sampled-negative", "pi"],
+)
+def test_certifiers_reject_a_huge_integer_threshold(certify):
+    # float() overflows on these; the threshold is named as a configuration would name it
+    with pytest.raises(ValueError, match=r"(epsilon|alpha) must be a finite number, got -?1000"):
         certify(np.eye(5))
 
 
