@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import RecoveryInstance, save_instance, save_matrix_addressed
-from .linops import restricted_gram
+from .linops import checked_support, restricted_gram
 
 __all__ = [
     "ConstructionFailure",
@@ -54,14 +54,6 @@ class IndistinguishablePair:
     budget: int  # the sparsity budget of both members, written by save_pair
 
 
-def _support(s, d: int, name: str) -> np.ndarray:
-    """``s`` as an array, checked to be strictly increasing integers in [0, d)."""
-    s = np.asarray(s)
-    if s.ndim != 1 or s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or (len(s) and (s[0] < 0 or s[-1] >= d)):
-        raise ValueError(f"{name} must be strictly increasing integers in [0, {d}), got {s.tolist()}")
-    return s
-
-
 def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -> MaskingVector:
     """Build v supported on S maximizing ||v||_inf per unit of ||X^T X v||_inf.
 
@@ -80,7 +72,7 @@ def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -
     and the LP's visiting order follow; otherwise a ValueError names it.
     """
     d = x.shape[1]
-    s = _support(s, d, "support")
+    s = checked_support(s, d, "support")
     m = restricted_gram(x, s)
     try:
         m_inv = np.linalg.inv(m)
@@ -185,7 +177,7 @@ def build_indistinguishable_pair(
     the budget counts distinct columns.
     """
     d = x.shape[1]
-    t = _support(t, d, "base support")
+    t = checked_support(t, d, "base support")
     if len(np.intersect1d(s, t)):
         raise ValueError("masking and base supports must be disjoint")
     if len(s) != len(t):

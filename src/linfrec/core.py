@@ -37,6 +37,7 @@ __all__ = [
     "RecoveryInstance",
     "build_instance",
     "draw_design",
+    "draw_tiles",
     "gaussian_noise",
     "json_field",
     "load_instance",
@@ -48,6 +49,7 @@ __all__ = [
     "save_instance",
     "save_matrix",
     "save_matrix_addressed",
+    "widen",
 ]
 
 RESIDUAL_RTOL = 1e-10
@@ -231,35 +233,38 @@ def _tile_states(key: tuple[int, ...], i: np.ndarray, j: np.ndarray) -> np.ndarr
 
 
 def _fill(x: np.ndarray, states: np.ndarray, ensemble: Ensemble, tiles: np.ndarray, keep: np.ndarray) -> None:
-    """Draw column tiles ``tiles`` of ``x`` in every row tile, tile (i, tiles[t]) from ``states[i, t]``.
+    """Draw column tiles ``tiles`` packed side by side into ``x``, tile (i, tiles[t]) from ``states[i, t]``.
 
-    Per row tile, each run of tiles (see draw_design) is drawn into one
-    buffer, its columns outside ``keep`` zeroed, scaled in one pass and
-    copied to ``x`` in one assignment.
+    Tile t fills columns ``[t*TILE_COLS, (t+1)*TILE_COLS)`` of ``x``, cut at
+    its edge; ``keep`` marks the design's unmasked columns.  Per row tile,
+    each run of tiles (see draw_tiles) is drawn into one buffer, its columns
+    outside ``keep`` zeroed, scaled in one pass and copied to ``x`` in one
+    assignment.
     """
-    rows, d = x.shape
+    rows, d = len(x), len(keep)
     root = math.sqrt(rows)
     runs, start = [], 0
     for t in range(1, len(tiles) + 1):
         if t == len(tiles) or tiles[t] != tiles[t - 1] + 1 or t - start == GROUP or (tiles[t] + 1) * TILE_COLS > d:
-            lo, hi = tiles[start] * TILE_COLS, min(d, (tiles[t - 1] + 1) * TILE_COLS)
-            drop = np.nonzero(~keep[lo:hi].reshape(t - start, -1))  # (tile, column) of each masked column
-            runs.append((start, t, lo, hi, drop if len(drop[0]) else None))
+            lo = tiles[start] * TILE_COLS
+            width = min(d, (tiles[t - 1] + 1) * TILE_COLS) - lo
+            drop = np.nonzero(~keep[lo : lo + width].reshape(t - start, -1))  # (tile, column) of each masked column
+            runs.append((start, t, start * TILE_COLS, width, drop if len(drop[0]) else None))
             start = t
     buf = np.empty(min(GROUP, len(tiles)) * min(TILE_ROWS, rows) * TILE_COLS)
     bits = np.random.SFC64(0)
     rng = np.random.Generator(bits)
     for i, top in enumerate(range(0, rows, TILE_ROWS)):
         height = min(TILE_ROWS, rows - top)
-        for start, stop, lo, hi, drop in runs:
-            band = buf[: height * (hi - lo)].reshape(stop - start, height, -1)
+        for start, stop, at, width, drop in runs:
+            band = buf[: height * width].reshape(stop - start, height, -1)
             for slot, state in zip(band, states[i, start:stop]):
                 bits.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
                 _unscaled_tile(rng, slot, ensemble)
             if drop is not None:
                 band[drop[0], :, drop[1]] = 0.0
             np.divide(band, root, out=band)
-            x[top : top + height, lo:hi].reshape(height, stop - start, -1)[...] = band.transpose(1, 0, 2)
+            x[top : top + height, at : at + width].reshape(height, stop - start, -1)[...] = band.transpose(1, 0, 2)
 
 
 def _mapped_zeros(rows: int, d: int) -> np.ndarray:
@@ -282,20 +287,20 @@ def _mapped_zeros(rows: int, d: int) -> np.ndarray:
     return np.frombuffer(pages, dtype=np.float64).reshape(rows, d)
 
 
-def draw_design(
+def draw_tiles(
     key: tuple[int, ...], rows: int, d: int, ensemble: Ensemble, masked: np.ndarray | None = None
-) -> np.ndarray:
-    """A fresh C-ordered rows x d float64 array of i.i.d. entries of variance 1/rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The column tiles of ``draw_design(key, rows, d, ensemble, masked)`` that hold an unmasked column.
 
-    Tile (i, j) holds rows ``[i*TILE_ROWS, (i+1)*TILE_ROWS)`` and columns
-    ``[j*TILE_COLS, (j+1)*TILE_COLS)``, cut at the edges of the array, and is
-    filled row-major from ``rng_from(*key, i, j, TILE_TAG)``.  Hence the
-    unscaled first rows of a draw equal the unscaled draw of fewer rows, and
-    the columns listed in ``masked`` are zero while every other entry is what
-    the unmasked draw holds.  A tile whose columns are all masked is not drawn.
-    The seeded SFC64 states of the tiles drawn are computed in one vectorized
-    SeedSequence/SFC64 pass (``_tile_states``), equal to those ``rng_from``
-    gives, and a negative key part raises a ValueError as a SeedSequence does.
+    Returns ``(block, cols)``: ``cols`` the sorted int64 columns of those
+    tiles and ``block`` a fresh C-ordered rows x len(cols) float64 array, the
+    tiles packed side by side, equal to the design's ``[:, cols]``; the
+    design is zero in every other column.  Where no tile is wholly masked,
+    ``cols`` is every column and ``block`` is the design itself.  Only the
+    tiles in ``cols`` are drawn.  Their seeded SFC64 states are computed in one
+    vectorized SeedSequence/SFC64 pass (``_tile_states``), equal to those
+    ``rng_from`` gives, and a negative key part raises a ValueError as a
+    SeedSequence does.
 
     A mask index outside ``[0, d)`` raises a ValueError naming it, and so
     does a nonempty mask that is not a 1-D integer array.
@@ -307,10 +312,11 @@ def draw_design(
     or before a narrower last tile.  Per row tile it draws a run into one
     buffer of at most ``GROUP * TILE_ROWS * TILE_COLS`` doubles (1 MiB), one
     generator set to each tile's state in turn, and scales and copies it to
-    ``x`` (``_fill``).  Each tile comes from its own key and writes only its
-    own entries, so the bytes depend neither on the threads nor on the runs.
+    its packed columns of ``block`` (``_fill``).  Each tile comes from its own
+    key and writes only its own entries, so the bytes depend neither on the
+    threads nor on the runs.
 
-    A design of 128 KiB or more lives in its own anonymous mapping
+    A block of 128 KiB or more lives in its own anonymous mapping
     (``_mapped_zeros``), so its pages go back to the system when it is freed.
 
     Before a draw of more than one tile, OpenBLAS's idle worker threads are
@@ -333,24 +339,60 @@ def draw_design(
             raise ValueError(f"mask must be a 1-D integer array, got {masked.dtype} of shape {masked.shape}")
         keep[masked] = False
     tiles = np.flatnonzero(np.logical_or.reduceat(keep, np.arange(0, d, TILE_COLS)))
+    cols = (tiles[:, None] * TILE_COLS + np.arange(TILE_COLS)).ravel()
+    cols = cols[cols < d]
     row_tiles = math.ceil(rows / TILE_ROWS)
     lanes = _tile_states(key, np.repeat(np.arange(row_tiles), len(tiles)), np.tile(tiles, row_tiles))
     states = lanes.reshape(row_tiles, len(tiles), 4)
-    x = _mapped_zeros(rows, d)
+    block = _mapped_zeros(rows, len(cols))
     blas = _openblas()
     several = len(tiles) * row_tiles > 1
     if blas is not None and several and threading.active_count() == 1:
         blas.blas_thread_shutdown_()
     threads = max(1, min(_cores() // _workers, len(tiles)))
     cuts = [b * len(tiles) // threads for b in range(threads + 1)]
-    bands = [(x, states[:, lo:hi], ensemble, tiles[lo:hi], keep) for lo, hi in zip(cuts, cuts[1:])]
+    bands = [
+        (block[:, lo * TILE_COLS : hi * TILE_COLS], states[:, lo:hi], ensemble, tiles[lo:hi], keep)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
     # the calling thread fills band 0; the pool starts a thread for each other band
     with ThreadPoolExecutor(threads) as pool:
         helpers = [pool.submit(_fill, *band) for band in bands[1:]]
         _fill(*bands[0])
         for helper in helpers:
             helper.result()
+    return block, cols
+
+
+def widen(block: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
+    """The rows x d array holding ``block``'s columns at ``cols`` and zeros elsewhere.
+
+    ``block`` itself when ``cols`` is every column; otherwise a fresh array,
+    in its own mapping from 128 KiB as ``draw_tiles``'s blocks are.
+    """
+    if len(cols) == d:
+        return block
+    x = _mapped_zeros(len(block), d)
+    x[:, cols] = block
     return x
+
+
+def draw_design(
+    key: tuple[int, ...], rows: int, d: int, ensemble: Ensemble, masked: np.ndarray | None = None
+) -> np.ndarray:
+    """A fresh C-ordered rows x d float64 array of i.i.d. entries of variance 1/rows.
+
+    Tile (i, j) holds rows ``[i*TILE_ROWS, (i+1)*TILE_ROWS)`` and columns
+    ``[j*TILE_COLS, (j+1)*TILE_COLS)``, cut at the edges of the array, and is
+    filled row-major from ``rng_from(*key, i, j, TILE_TAG)``.  Hence the
+    unscaled first rows of a draw equal the unscaled draw of fewer rows, and
+    the columns listed in ``masked`` are zero while every other entry is what
+    the unmasked draw holds.  A tile whose columns are all masked is not
+    drawn: the design is ``draw_tiles``'s block, widened with zero columns
+    only when a tile was skipped.  A mask is checked as ``draw_tiles`` checks
+    it.
+    """
+    return widen(*draw_tiles(key, rows, d, ensemble, masked), d)
 
 
 def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, draw_design, gaussian_noise, json_field
-from .linops import hard_threshold_values, restricted_ols
+from .core import Dims, Ensemble, draw_tiles, gaussian_noise, json_field, widen
+from .linops import checked_support, hard_threshold_values, restricted_ols
 from .recovery import RecoveryReport, iht
 
 __all__ = [
@@ -57,9 +57,13 @@ class MaskedOracle:
     masked columns zero and their tiles left undrawn, and fresh Gaussian noise
     ``gaussian_noise(rows, noise_sigma, master_seed, query_index)``; it
     returns ``(X, y)`` with ``y = X theta + xi``.  A mask moves no unmasked entry and no noise entry.
-    The truth enters only through its unmasked coordinates.  Analysis code may
-    read :attr:`truth` and each query's ``noise_corr`` in :attr:`query_log`;
-    estimator code must not.
+    :meth:`restricted_observe` is the same query for the mask outside a
+    support T, returning ``(X[:, T], y)`` without forming the rest of X.
+    Either way y is computed from the drawn tiles alone, ``X[:, cols] @
+    theta[cols] + xi`` with ``cols`` the columns of the tiles drawn (see
+    ``core.draw_tiles``).  The truth enters only through its unmasked
+    coordinates.  Analysis code may read :attr:`truth` and each query's
+    ``noise_corr`` in :attr:`query_log`; estimator code must not.
     """
 
     def __init__(
@@ -87,17 +91,34 @@ class MaskedOracle:
         self.ensemble = Ensemble(ensemble)
         self.query_log: list[QueryRecord] = []
 
-    def masked_observe(self, rows: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _query(self, rows: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw and log the next query: the drawn tiles' block, their columns and y."""
         if rows < 1:
             raise ValueError("must request at least one row")
         qi = len(self.query_log)
-        x = draw_design((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask)
+        x, cols = draw_tiles((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask)
         xi = gaussian_noise(rows, self.noise_sigma, self.master_seed, qi)
-        signal = x @ self.truth
+        signal = x @ self.truth[cols]
         y = signal + xi
         corr = float(np.max(np.abs(x.T @ (y - signal)), initial=0.0))
         self.query_log.append(QueryRecord(rows, [int(i) for i in mask], qi, corr))
-        return x, y
+        return x, cols, y
+
+    def masked_observe(self, rows: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x, cols, y = self._query(rows, mask)
+        return widen(x, cols, self.dims.d), y
+
+    def restricted_observe(self, rows: int, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(X[:, support], y)`` of a query masking every column outside ``support``.
+
+        ``support`` must be strictly increasing integers in [0, d).  The query
+        is logged, drawn and observed as ``masked_observe`` with that mask
+        would be, but only the tiles holding a column of ``support`` exist.
+        """
+        d = self.dims.d
+        support = checked_support(support, d, "support")
+        x, cols, y = self._query(rows, np.setdiff1d(np.arange(d), support))
+        return x[:, np.searchsorted(cols, support)], y
 
     def rows_consumed(self) -> int:
         return sum(q.rows for q in self.query_log)
@@ -134,6 +155,9 @@ class MaskedOracle:
             rows = json_field(doc, numbers.Integral, "queries", i, "rows")
             n_mask = len(json_field(doc, list, "queries", i, "mask"))
             mask = [json_field(doc, numbers.Integral, "queries", i, "mask", j) for j in range(n_mask)]
+            outside = [m for m in mask if not 0 <= m < dims.d]
+            if outside:  # named as the integer it is, before an array could round it to a float
+                raise ValueError(f"mask index {outside[0]} is out of range for d={dims.d}")
             out.append(oracle.masked_observe(rows, np.asarray(mask)))
         return out
 
@@ -187,9 +211,10 @@ def adaptive_support_recover(
     seeds T_0.  Phase II: ``rounds`` rounds of n // (3 rounds) rows, each
     masking the current T and adding coordinates whose correlation with the
     fresh observation clears ``r_inf``.  Phase III: the remaining rows, masking
-    everything outside T, restricted least squares on T, then hard threshold
-    to k.  An n below 3 * rounds, which leaves each round no rows, raises a
-    ValueError naming both before the first query.
+    everything outside T (``restricted_observe``, which draws only the tiles
+    holding T), restricted least squares on T, then hard threshold to k.  An
+    n below 3 * rounds, which leaves each round no rows, raises a ValueError
+    naming both before the first query.
     """
     if rounds < 1:
         raise ValueError("need at least one adaptive round")
@@ -218,10 +243,9 @@ def adaptive_support_recover(
         )
 
     theta = np.zeros(d)
-    xf, yf = oracle.masked_observe(n - n // 3 - rounds * round_rows, np.setdiff1d(np.arange(d), t_cur))
+    x_t, y_f = oracle.restricted_observe(n - n // 3 - rounds * round_rows, t_cur)
     if len(t_cur):
-        w = restricted_ols(xf, t_cur, yf)
-        theta[t_cur] = w
+        theta[t_cur] = restricted_ols(x_t, np.arange(len(t_cur)), y_f)
     theta = hard_threshold_values(theta, k)
 
     return RecoveryReport(

@@ -30,6 +30,7 @@ from linfrec.core import (
     RecoveryInstance,
     build_instance,
     draw_design,
+    draw_tiles,
     gaussian_noise,
     load_instance,
     load_matrix,
@@ -261,14 +262,24 @@ def fill_cases(draw):
     case=fill_cases(),
     cores=st.integers(1, 3),
     ensemble=st.sampled_from([Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED]),
+    packed=st.booleans(),
 )
-def test_every_run_of_tiles_is_filled_as_the_serial_tiles(case, cores, ensemble):
+def test_every_run_of_tiles_is_filled_as_the_serial_tiles(case, cores, ensemble, packed):
     # runs end at a masked tile, after GROUP tiles, before a narrow last tile and at a band's end
     rows, d, masked = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         x = draw_design((6, 1), rows, d, ensemble, np.asarray(masked, dtype=np.int64))
+        if packed:
+            block, cols = draw_tiles((6, 1), rows, d, ensemble, np.asarray(masked, dtype=np.int64))
     assert x.tobytes() == tiled_reference((6, 1), rows, d, ensemble, masked).tobytes()
+    if packed:
+        # the packed block holds the design's columns of every tile with an unmasked column
+        held = np.unique(np.setdiff1d(np.arange(d), masked) // TILE_COLS)
+        assert np.array_equal(cols, np.flatnonzero(np.isin(np.arange(d) // TILE_COLS, held)))
+        assert is_design(block, (rows, len(cols)))
+        assert block.tobytes() == x[:, cols].tobytes()
+        assert not np.any(np.delete(x, cols, axis=1))
 
 
 @pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])

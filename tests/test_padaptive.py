@@ -163,6 +163,36 @@ class TestMaskedOracle:
         with pytest.raises(ValueError, match=f"master_seed must be a nonnegative integer, got {seed}"):
             MaskedOracle(Dims(n=10, d=20, k=1), np.zeros(20), 1.0, master_seed=seed)
 
+    @pytest.mark.parametrize(
+        "support",
+        [[20], [3, 40, 49], [17, 18, 30], [], range(50)],
+        ids=["one-column", "three-tiles", "one-tile", "empty", "every-column"],
+    )
+    def test_restricted_query_is_the_masked_query_on_its_support(self, support):
+        # d = 50: three whole tiles of columns and one of two columns; every
+        # support but the last leaves at least one tile wholly masked
+        support = np.asarray(support, dtype=np.int64)
+        mask = np.setdiff1d(np.arange(50), support)
+        truth = np.random.default_rng(2).standard_normal(50)
+        rows = TILE_ROWS + 9
+        masked = MaskedOracle(Dims(n=3 * rows, d=50, k=3), truth, 0.7, master_seed=4)
+        restricted = MaskedOracle(Dims(n=3 * rows, d=50, k=3), truth, 0.7, master_seed=4)
+        for _ in range(2):
+            x, y = masked.masked_observe(rows, mask)
+            x_t, y_t = restricted.restricted_observe(rows, support)
+            assert x_t.shape == (rows, len(support))
+            assert x_t.tobytes() == x[:, support].tobytes()
+            assert y_t.tobytes() == y.tobytes()
+        assert [q.noise_corr for q in restricted.query_log] == [q.noise_corr for q in masked.query_log]
+        assert restricted.transcript_json() == masked.transcript_json()
+
+    @pytest.mark.parametrize("support", [[3, 2], [4, 4], [-1, 3], [3, 50], [1.0], [[1, 2]]])
+    def test_restricted_query_rejects_a_support_that_is_not_distinct_columns(self, support):
+        o = make_oracle(d=50)
+        with pytest.raises(ValueError, match=r"support must be strictly increasing integers in \[0, 50\)"):
+            o.restricted_observe(10, np.asarray(support))
+        assert o.query_log == []
+
     def test_mask_index_beyond_d_is_rejected(self):
         o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
         with pytest.raises(ValueError, match="mask index 99 is out of range for d=10"):
@@ -188,6 +218,7 @@ BAD_SIGMA = "noise_sigma must be a finite nonnegative number"
         (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 99), "mask index 99 is out of range for d=10"),
         (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 2**70), f"mask index {2**70} is out of range for d=10"),
         (lambda doc: doc["queries"][1]["mask"].__setitem__(0, -1), "mask index -1 is out of range for d=10"),
+        (lambda doc: doc["queries"][1]["mask"].__setitem__(1, 2**63 + 5), "mask index 9223372036854775813 is out of range for d=10"),
         (lambda doc: doc["queries"][0].__setitem__("rows", "4"), "field queries.0.rows has type str"),
         (lambda doc: doc.__setitem__("master_seed", 1.5), "field master_seed has type float"),
         (lambda doc: doc.__setitem__("master_seed", -1), "master_seed must be a nonnegative integer, got -1"),
@@ -197,7 +228,7 @@ BAD_SIGMA = "noise_sigma must be a finite nonnegative number"
         (lambda doc: doc.__setitem__("noise_sigma", 10**400), f"{BAD_SIGMA}, got 1000"),
     ],
     ids=[
-        "no-dims-k", "mask-index-99", "huge-mask-index", "negative-mask-index", "str-rows", "float-master-seed", "negative-master-seed",
+        "no-dims-k", "mask-index-99", "huge-mask-index", "negative-mask-index", "uint64-mask-index", "str-rows", "float-master-seed", "negative-master-seed",
         "nan-sigma", "inf-sigma", "negative-sigma", "huge-int-sigma",
     ],
 )
@@ -276,6 +307,10 @@ class FakeOrthonormalOracle:
         self.query_log.append((rows, list(mask)))
         return data, y
 
+    def restricted_observe(self, rows, support):
+        data, y = self.masked_observe(rows, np.setdiff1d(np.arange(self.dims.d), support))
+        return data[:, support], y
+
     def rows_consumed(self):
         return sum(r for r, _ in self.query_log)
 
@@ -289,6 +324,9 @@ class TruthlessOracle:
 
     def masked_observe(self, rows, mask):
         return self._inner.masked_observe(rows, mask)
+
+    def restricted_observe(self, rows, support):
+        return self._inner.restricted_observe(rows, support)
 
     def rows_consumed(self):
         return self._inner.rows_consumed()
@@ -369,6 +407,22 @@ class TestAdaptiveSupportRecover:
         got = adaptive_support_recover(hidden, *params)
         assert np.array_equal(got.estimate, want.estimate)
         assert got.diagnostics == want.diagnostics
+
+    def test_final_query_draws_only_the_tiles_of_its_support(self, monkeypatch):
+        widths = []
+        mapped_zeros = core._mapped_zeros
+
+        def recording(rows, d):
+            widths.append(d)
+            return mapped_zeros(rows, d)
+
+        monkeypatch.setattr(core, "_mapped_zeros", recording)
+        oracle, params = monotone_fixture()
+        rep = adaptive_support_recover(oracle, *params)
+        tiles = np.unique(np.asarray(rep.diagnostics["support_sets"][-1]) // TILE_COLS)
+        # one block per query, the last of the support's tiles alone
+        assert len(widths) == len(oracle.query_log)
+        assert widths[-1] == TILE_COLS * len(tiles) < oracle.dims.d
 
     def test_support_blowup_error(self):
         d, k = 3000, 2
