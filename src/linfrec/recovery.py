@@ -2,6 +2,11 @@
 recovery, and the geometric holdout reduction.  Each sees only the design,
 the observation and its parameters; scoring against the truth is the caller's.
 
+IHT reads the design once for X^T y and once more for each column that
+enters its support: it holds the Gram rows X_S^T X of its current support
+(at most k x d floats), so each iteration's gradient step is an O(dk)
+product rather than two passes over all n x d entries.
+
 The oblivious pipeline splits rows three ways and treats each split as if
 rescaled by sqrt(3), so it keeps unit column variance; the reduction splits
 2T ways for the same reason.  No rescaled copy is formed: an estimator takes
@@ -77,12 +82,30 @@ def iht(
     with a sup-norm RIP certificate at (eps <= 1/4, 2k) the sup-norm error is
     at most r + 2 ||X^T xi||_inf.  ``gain`` runs the iteration on
     ``sqrt(gain) * (x, y)`` without forming that copy.
+
+    The step X^T (y - X theta) is formed as c - theta_S G_S, from c = X^T y
+    (one pass over ``x``) and the Gram rows G_S = X_S^T X of the support S of
+    theta.  Columns that enter S get their rows from one ``x[:, new].T @ x``
+    product per iteration; rows of columns that leave are dropped.  Each
+    iteration is then O(dk) beside the threshold.  The first iteration equals
+    the residual form bit for bit; later ones may differ in the last bits.
     """
     y = _observations(x, y)
+    d = x.shape[1]
     n_iters = _halvings(R, r)
-    theta = np.zeros(x.shape[1])
+    theta = np.zeros(d)
+    if n_iters == 0:
+        return RecoveryReport(estimate=theta, iterations=0)
+    c = x.T @ y
+    held = np.empty(0, dtype=np.int64)  # the columns whose Gram rows are held, row by row
+    rows = np.empty((0, d))
     for _ in range(n_iters):
-        theta = hard_threshold_values(theta + gain * (x.T @ (y - x @ theta)), k)
+        support = np.flatnonzero(theta)
+        new = support[~np.isin(support, held)]
+        kept = np.isin(held, support)
+        held = np.concatenate([held[kept], new])
+        rows = np.concatenate([rows[kept], x[:, new].T @ x]) if len(new) else rows[kept]
+        theta = hard_threshold_values(theta + gain * (c - theta[held] @ rows), k)
     return RecoveryReport(estimate=theta, iterations=n_iters)
 
 

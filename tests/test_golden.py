@@ -51,11 +51,11 @@ SMALL = {
 }
 
 GOLDEN = {
-    "oblivious": "a86e6f8f4d4802d6f79873dab3c08bd7da339cbd2214a6f8f1ef45a983f75956",
-    "oblivious_truncating": "e11b29f94766ee57a4efacf1c31654be8338daefb5ba7764d8167a12318fc6c5",
+    "oblivious": "9b8944e0700ba0e7a095a5e8f0439d0ec50f03a18ca6e6d2fb0ec6fc2d329366",
+    "oblivious_truncating": "4d0d8f14601b90daab58566f167912bd9f0529f5ae06eae6fc6b0fd0316c2a92",
     "oblivious_rademacher": "a2ac66a77b2abcbcfdd72b3c02444cdbf433c910d5f1668213336e0a964c8472",
-    "adaptive": "c1c5a25835ce7eecf5aa8cd627a1f1a1e06f39f13071da4bd2b4825cf98aa6ec",
-    "adaptive_certify": "acc71ac2463f51d89001eaa089ec722730c37d0d8969b2f6f3fa22cd2e8d3cf3",
+    "adaptive": "fe654e06c8329d8ee9cd2c5ee6755ea11bd8c491f95bc51b9c0b4f7d25a1076f",
+    "adaptive_certify": "ff09fba2d77d274ed1f8045707b5698502e83cd2ce6a6c9ce65024328b797bd5",
     "reduction": "be4c05a939f55fed894fadb7d49f6cbd8fd2881eac9cbb01f214b922f9616d74",
     "separation": "2b2ea8461e74a2a452411348ea41dc00471b4371946b23616af2896ebf5acdfe",
     "linf_rip_sweep": "415bc3b37851d2db9d0120db9bda8de72ba3fca00cf5ec2377a72718e83308ef",
@@ -66,7 +66,7 @@ GOLDEN = {
     "partial_adaptive_failing": "b2b7b858e64b1e8f53b290322214adc1f22b7b129377225f45aefd9c18cce3e7",
     "threshold_stats": "59b2667927656835061aa848617999d4784b3ce8a86567733902f06485cc9dea",
     "scripts/configs/masking_sweep.json": "e0f3022b82f0e0622d0aaf45825a0950c130b6f1d9322ef30b450c5d7f9df41f",
-    "scripts/configs/oblivious.json": "b7434b8cda8495049999c564daea510f852782c1ec61de30259beeda24e03456",
+    "scripts/configs/oblivious.json": "2200f4a6cfd9c1fec2b3408963e9ab2bb7c8b98bb74d8541cdcbda396e0683ae",
     "scripts/configs/separation.json": "f56ceae3bbed6ac49e421d7086512b3b219662a23670cd0461ff5bf3ce221c84",
 }
 
