@@ -17,6 +17,7 @@ count (its ``gain``), which is what the rescaled rows would give.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,13 @@ def _halvings(R: float, r: float) -> int:
     return math.ceil(math.log2(ratio) if ratio < math.inf else math.log2(R) - math.log2(r))
 
 
+def _sparsity(k, d: int) -> int:
+    """``k`` checked to be an integer (never a bool) in [0, d]."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= d:
+        raise ValueError(f"k must be an integer in [0, {d}], got k={k!r}")
+    return int(k)
+
+
 def iht(
     x: np.ndarray, y: np.ndarray, k: int, R: float, r: float, *, gain: float = 1.0
 ) -> RecoveryReport:
@@ -92,6 +100,7 @@ def iht(
     """
     y = _observations(x, y)
     d = x.shape[1]
+    k = _sparsity(k, d)
     n_iters = _halvings(R, r)
     theta = np.zeros(d)
     if n_iters == 0:
@@ -129,13 +138,15 @@ def oblivious_recover(
     ``gain`` the input counts as ``sqrt(gain) * (x, y)`` as well.
     """
     y = _observations(x, y)
+    k = _sparsity(k, x.shape[1])
     _halvings(R, r)  # checks the caller's R and r, not the warm start's sqrt(k) * r
     xs, ys, dropped = _split_rows(x, y, 3)
     x1, x2, x3 = xs
     y1, y2, y3 = ys
     gain *= 3.0
 
-    warm = iht(x1, y1, k, R, math.sqrt(k) * r, gain=gain)
+    # at k = 0 every iterate is zero; sqrt(1) * r keeps the resolution positive
+    warm = iht(x1, y1, k, R, math.sqrt(max(k, 1)) * r, gain=gain)
     theta_hat = warm.estimate
 
     r2 = y2 - x2 @ theta_hat
@@ -170,6 +181,7 @@ def osr_reduction(x: np.ndarray, y: np.ndarray, k: int, R: float, r: float) -> R
     """
     y = _observations(x, y)
     d = x.shape[1]
+    k = _sparsity(k, d)
     big_t = _halvings(R, r)
     if big_t == 0:
         return RecoveryReport(estimate=np.zeros(d), iterations=0)

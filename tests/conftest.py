@@ -83,6 +83,22 @@ def dense_restricted_solve(x: np.ndarray, s, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(cols.T @ cols, np.asarray(b, dtype=np.float64))
 
 
+def residual_iht(x: np.ndarray, y: np.ndarray, k: int, iterations: int, gain: float = 1.0) -> np.ndarray:
+    """IHT in its residual form: theta <- H_k(theta + gain X^T (y - X theta)), from zero.
+
+    Two passes over x per iteration.  H_k keeps the k largest magnitudes,
+    ties to the smaller index.
+    """
+    d = x.shape[1]
+    theta = np.zeros(d)
+    for _ in range(iterations):
+        step = theta + gain * (x.T @ (y - x @ theta))
+        keep = np.lexsort((np.arange(d), -np.abs(step)))[:k]
+        theta = np.zeros(d)
+        theta[keep] = step[keep]
+    return theta
+
+
 def dense_lp_ratio(x: np.ndarray, s: np.ndarray) -> float:
     """max over v supported on s of ||v||_inf / ||X^T X v||_inf.
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import orthonormal_columns
+from conftest import orthonormal_columns, residual_iht
 from linfrec.adversarial import build_masking_vector
 from linfrec.core import (
     Dims,
@@ -45,6 +45,28 @@ def gram_noise(x, noise):
     return float(np.max(np.abs(x.T @ noise), initial=0.0))
 
 
+def gain_scaled_instance(n, d, k, gain, seed, noise=0.1):
+    """A Gaussian design with gain * X^T X near I, and y = X theta* + noise, theta* k-sparse in +-1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) / math.sqrt(gain * n)
+    return x, x @ make_signal(d, k, rng) + noise * rng.standard_normal(n)
+
+
+def counting_design(x):
+    """``x`` as a view that records each np.matmul with an operand of shape (n, d) or (d, n)."""
+    full = {x.shape, x.shape[::-1]}
+    calls = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and any(np.shape(a) in full for a in inputs):
+                calls.append([np.shape(a) for a in inputs])
+            inputs = [a.view(np.ndarray) if isinstance(a, Counting) else a for a in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return x.view(Counting), calls
+
+
 # every estimator takes (k, R, r) after (x, y); ``params`` holds those three
 ESTIMATORS = pytest.mark.parametrize(
     "estimator, params",
@@ -79,6 +101,26 @@ def test_estimators_reject_bad_R_and_r(estimator, params, which, bad):
     message = f"R and r must be positive and finite, got R={R!r}, r={r!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         estimator(x, np.zeros(30), k, R, r)
+
+
+@pytest.mark.parametrize("estimator", [iht, oblivious_recover, osr_reduction])
+@pytest.mark.parametrize("R, r", [(4.0, 1.0), (1.0, 2.0)], ids=["R>r", "R<r"])
+@pytest.mark.parametrize("bad", [-1, 11, 2.5, True, None], ids=["-1", "d+1", "2.5", "True", "None"])
+def test_estimators_reject_bad_k(estimator, R, r, bad):
+    # checked before any iteration, so also when R <= r leaves none to run
+    x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
+    with pytest.raises(ValueError, match=re.escape(f"k must be an integer in [0, 10], got k={bad!r}")):
+        estimator(x, np.zeros(30), bad, R, r)
+
+
+@pytest.mark.parametrize("estimator", [iht, oblivious_recover, osr_reduction])
+@pytest.mark.parametrize("k", [0, np.int64(3), 10], ids=["0", "int64", "d"])
+def test_estimators_take_any_k_from_0_to_d(estimator, k):
+    x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
+    rep = estimator(x, x @ np.ones(10), k, 20.0, 1.0)
+    assert rep.estimate.shape == (10,)
+    if estimator is not oblivious_recover:  # its correction on L is not thresholded to k
+        assert np.count_nonzero(rep.estimate) <= k
 
 
 @pytest.mark.parametrize(
@@ -153,6 +195,47 @@ class TestIht:
         x = sample_ensemble(Dims(n=50, d=30, k=4), Ensemble.GAUSSIAN_SCALED, 1)
         rep = iht(x, rng.standard_normal(50), 4, 10.0, 0.1)
         assert np.count_nonzero(rep.estimate) <= 4
+
+    @pytest.mark.parametrize(
+        "n, d, k, gain, iterations, seeds",
+        [
+            (6744, 2000, 16, 1.0, 11, range(3)),  # criterion 10's warm block
+            (120, 40, 4, 1.0, 8, range(6)),
+            (120, 40, 4, 3.0, 8, range(6)),
+            (300, 100, 5, 10.0, 9, range(6)),  # gain 2T at T = 5 rounds
+            (80, 20, 20, 3.0, 6, range(6)),  # k = d: no coordinate is dropped
+            (120, 40, 4, 3.0, 0, range(2)),
+        ],
+        ids=["warm-block", "small-gain1", "small-gain3", "small-gain2T", "k=d", "zero-iterations"],
+    )
+    def test_matches_residual_form(self, n, d, k, gain, iterations, seeds):
+        for seed in seeds:
+            x, y = gain_scaled_instance(n, d, k, gain, seed)
+            ref = residual_iht(x, y, k, iterations, gain)
+            rep = iht(x, y, k, 2.0**iterations, 1.0, gain=gain)
+            assert rep.iterations == iterations
+            assert np.array_equal(np.flatnonzero(rep.estimate), np.flatnonzero(ref))
+            tol = 1e-12 * (1.0 + float(np.max(np.abs(ref))))
+            assert float(np.max(np.abs(rep.estimate - ref))) <= tol
+            # the first iteration, from zero, is the residual form bit for bit
+            assert np.array_equal(iht(x, y, k, 2.0, 1.0, gain=gain).estimate, residual_iht(x, y, k, 1, gain))
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("noise", [0.1, 0.5], ids=["settled", "churning"])
+    def test_reads_the_design_once_plus_once_per_entering_iteration(self, noise, seed):
+        # at noise 0.1 the support settles after the first iteration; at 0.5 a
+        # column enters in every one
+        n, d, k, iterations = 600, 200, 8, 10
+        x, y = gain_scaled_instance(n, d, k, 1.0, seed, noise)
+        entering = 0
+        for t in range(1, iterations + 1):
+            before, after = (set(np.flatnonzero(residual_iht(x, y, k, i))) for i in (t - 1, t))
+            entering += not after <= before
+        counted, calls = counting_design(x)
+        rep = iht(counted, y, k, 2.0**iterations, 1.0)
+        assert np.array_equal(np.flatnonzero(rep.estimate), np.flatnonzero(residual_iht(x, y, k, iterations)))
+        # the residual form makes two such products in every iteration
+        assert 1 <= len(calls) <= 1 + entering < 2 * iterations
 
     def test_l2_bound_monte_carlo(self):
         # error <= r + 5 sqrt(3k) ||X^T xi||_inf in >= 95% of seeded trials
