@@ -45,3 +45,13 @@ def test_reference_experiments_build_valid_configs():
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.trials == 2
 
+
+
+def test_iht_cost_times_each_iteration_count():
+    cost = load_script("iht_cost")
+    for shape in cost.SHAPES:
+        result = cost.measure(shape, 90, 30, 3, counts=(1, 2), repeats=2)
+        assert result["rows"] == 30 and result["gain"] in (1.0, 3.0)
+        assert [p["iterations"] for p in result["points"]] == [1, 2]
+        assert all(p["median_s"] > 0 and p["support"] <= 3 for p in result["points"])
+        json.dumps(result)
