@@ -2,10 +2,9 @@
 recovery, and the geometric holdout reduction.  Each sees only the design,
 the observation and its parameters; scoring against the truth is the caller's.
 
-IHT reads the design once for X^T y and once more for each column that
-enters its support: it holds the Gram rows X_S^T X of its current support
-(at most k x d floats), so each iteration's gradient step is an O(dk)
-product rather than two passes over all n x d entries.
+IHT reads the design once for X^T y and once per column that enters its
+support, whose Gram rows X_S^T X (at most k x d floats) it holds; each of its
+iterations is then an O(dk) product, not two passes over the design.
 
 The oblivious pipeline splits rows three ways and treats each split as if
 rescaled by sqrt(3), so it keeps unit column variance; the reduction splits
@@ -109,9 +108,10 @@ def iht(
     held = np.empty(0, dtype=np.int64)  # the columns whose Gram rows are held, row by row
     rows = np.empty((0, d))
     for _ in range(n_iters):
-        support = np.flatnonzero(theta)
-        new = support[~np.isin(support, held)]
-        kept = np.isin(held, support)
+        kept = theta[held] != 0
+        fresh = theta.copy()
+        fresh[held] = 0.0
+        new = np.flatnonzero(fresh)  # the support of theta outside held
         held = np.concatenate([held[kept], new])
         rows = np.concatenate([rows[kept], x[:, new].T @ x]) if len(new) else rows[kept]
         theta = hard_threshold_values(theta + gain * (c - theta[held] @ rows), k)
