@@ -82,7 +82,6 @@ def measure(shape: str, n: int, d: int, k: int, counts=COUNTS, repeats: int = 7,
             {
                 "iterations": rep.iterations,
                 "median_s": statistics.median(times),
-                "min_s": min(times),
                 "support": int(np.count_nonzero(rep.estimate)),
             }
         )

@@ -46,7 +46,6 @@ def test_reference_experiments_build_valid_configs():
         assert cfg.trials == 2
 
 
-
 def test_iht_cost_times_each_iteration_count():
     cost = load_script("iht_cost")
     for shape in cost.SHAPES:
