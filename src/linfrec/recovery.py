@@ -105,16 +105,16 @@ def iht(
     if n_iters == 0:
         return RecoveryReport(estimate=theta, iterations=0)
     c = x.T @ y
-    held = np.empty(0, dtype=np.int64)  # the columns whose Gram rows are held, row by row
-    rows = np.empty((0, d))
+    held = np.empty(0, dtype=np.int64)  # gram[i] is column held[i]'s Gram row
+    gram = np.empty((0, d))
     for _ in range(n_iters):
         kept = theta[held] != 0
         fresh = theta.copy()
         fresh[held] = 0.0
         new = np.flatnonzero(fresh)  # the support of theta outside held
         held = np.concatenate([held[kept], new])
-        rows = np.concatenate([rows[kept], x[:, new].T @ x]) if len(new) else rows[kept]
-        theta = hard_threshold_values(theta + gain * (c - theta[held] @ rows), k)
+        gram = np.concatenate([gram[kept], x[:, new].T @ x]) if len(new) else gram[kept]
+        theta = hard_threshold_values(theta + gain * (c - theta[held] @ gram), k)
     return RecoveryReport(estimate=theta, iterations=n_iters)
 
 
