@@ -37,6 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from certify_curve import measured_code  # noqa: E402
 
 COUNTS = (1, 2, 4, 8, 16)
+REPEATS = 7  # calls per point; the point is their median
+SEED = 0
 SHAPES = {  # name: (n, d, k) of the whole design the block is taken from
     "masked_oracle_warm": (20232, 2000, 16),
     "oblivious_warm": (2490, 4000, 10),
@@ -64,13 +66,13 @@ def instance(shape: str, n: int, d: int, k: int, seed: int):
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def measure(shape: str, n: int, d: int, k: int, counts=COUNTS, repeats: int = 7, seed: int = 0) -> dict:
+def measure(shape: str, n: int, d: int, k: int, counts=COUNTS, repeats: int = REPEATS) -> dict:
     """Median wall time of ``repeats`` calls of ``iht`` at each iteration count."""
     import numpy as np
 
     from linfrec.recovery import iht
 
-    x, y, gain = instance(shape, n, d, k, seed)
+    x, y, gain = instance(shape, n, d, k, SEED)
     points = []
     for t in counts:
         times = []
@@ -91,8 +93,6 @@ def measure(shape: str, n: int, d: int, k: int, counts=COUNTS, repeats: int = 7,
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this column in the output file")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", default="BENCH_iht_cost.json")
     args = ap.parse_args()
 
@@ -100,7 +100,7 @@ def main() -> int:
 
     shapes = []
     for name, (n, d, k) in SHAPES.items():
-        result = measure(name, n, d, k, repeats=args.repeats, seed=args.seed)
+        result = measure(name, n, d, k)
         for p in result["points"]:
             print(f"{name:20s} iterations={p['iterations']:2d}  median {1e3 * p['median_s']:8.2f} ms")
         shapes.append(result)
@@ -109,8 +109,8 @@ def main() -> int:
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc[args.label] = {
         **measured_code(),
-        "seed": args.seed,
-        "repeats": args.repeats,
+        "seed": SEED,
+        "repeats": REPEATS,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "nproc": os.cpu_count(),
