@@ -56,7 +56,7 @@ def instance(shape: str, n: int, d: int, k: int, seed: int):
     if shape == "masked_oracle_warm":  # as the partial_adaptive trial builds it, at sigma = 1
         truth = make_signal(d, k, rng_from(seed, 1), "pm_uniform_above", 100.0 * math.sqrt(math.log(d)))
         oracle = MaskedOracle(Dims(n=n, d=d, k=k), truth, 1.0, seed)
-        x, y = oracle.masked_observe(n // 3, np.empty(0, dtype=np.int64))
+        x, _, y = oracle.masked_observe(n // 3, np.empty(0, dtype=np.int64))
         return x, y, 1.0
     if shape == "oblivious_warm":  # as the oblivious_recovery trial builds it, at sigma = 0.05
         x = sample_ensemble(Dims(n=n, d=d, k=k), Ensemble.GAUSSIAN_SCALED, seed)

@@ -26,9 +26,9 @@ from .core import (
 )
 from .harness import (
     ExperimentConfig,
-    _make_noise,
     derive_seed,
     disjoint_subsets,
+    make_noise,
     make_signal,
     read_csv,
     recompute_pass,
@@ -48,7 +48,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     dims = Dims(n=args.n, d=args.d, k=args.k)
     x = sample_ensemble(dims, _ENSEMBLES[args.ensemble], args.seed)
     truth = make_signal(dims.d, dims.k, rng_from(args.seed, 1), "constant", args.signal_magnitude)
-    noise = _make_noise(dims.n, {"kind": args.noise, "sigma": args.sigma}, derive_seed(args.seed, 2))
+    noise = make_noise(dims.n, {"kind": args.noise, "sigma": args.sigma}, derive_seed(args.seed, 2))
     inst = build_instance(x, truth, noise, dims.k)
 
     matrix_path = save_matrix_addressed(x, out)

@@ -36,7 +36,6 @@ __all__ = [
     "Ensemble",
     "RecoveryInstance",
     "build_instance",
-    "draw_design",
     "draw_tiles",
     "gaussian_noise",
     "json_field",
@@ -49,7 +48,6 @@ __all__ = [
     "save_instance",
     "save_matrix",
     "save_matrix_addressed",
-    "widen",
 ]
 
 RESIDUAL_RTOL = 1e-10
@@ -290,17 +288,24 @@ def _mapped_zeros(rows: int, d: int) -> np.ndarray:
 def draw_tiles(
     key: tuple[int, ...], rows: int, d: int, ensemble: Ensemble, masked: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The column tiles of ``draw_design(key, rows, d, ensemble, masked)`` that hold an unmasked column.
+    """Draw a rows x d design of i.i.d. entries of variance 1/rows, with the columns ``masked`` zero.
 
-    Returns ``(block, cols)``: ``cols`` the sorted int64 columns of those
-    tiles and ``block`` a fresh C-ordered rows x len(cols) float64 array, the
-    tiles packed side by side, equal to the design's ``[:, cols]``; the
-    design is zero in every other column.  Where no tile is wholly masked,
-    ``cols`` is every column and ``block`` is the design itself.  Only the
-    tiles in ``cols`` are drawn.  Their seeded SFC64 states are computed in one
-    vectorized SeedSequence/SFC64 pass (``_tile_states``), equal to those
-    ``rng_from`` gives, and a negative key part raises a ValueError as a
-    SeedSequence does.
+    Tile (i, j) of the design holds rows ``[i*TILE_ROWS, (i+1)*TILE_ROWS)``
+    and columns ``[j*TILE_COLS, (j+1)*TILE_COLS)``, cut at its edges, and is
+    filled row-major from ``rng_from(*key, i, j, TILE_TAG)``.  Hence the
+    unscaled first rows of a draw equal the unscaled draw of fewer rows, and
+    the masked columns are zero while every other entry is what the unmasked
+    draw holds.
+
+    Returns ``(block, cols)``.  Only the tiles holding an unmasked column are
+    drawn: ``cols`` is their sorted int64 columns and ``block`` a fresh
+    C-ordered rows x len(cols) float64 array, those tiles packed side by
+    side, equal to the design's ``[:, cols]``; the design is zero in every
+    other column.  Where no tile is wholly masked, ``cols`` is every column
+    and ``block`` is the whole design.  The tiles' seeded SFC64 states are
+    computed in one vectorized SeedSequence/SFC64 pass (``_tile_states``),
+    equal to those ``rng_from`` gives, and a negative key part raises a
+    ValueError as a SeedSequence does.
 
     A mask index outside ``[0, d)`` raises a ValueError naming it, and so
     does a nonempty mask that is not a 1-D integer array.
@@ -364,46 +369,15 @@ def draw_tiles(
     return block, cols
 
 
-def widen(block: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
-    """The rows x d array holding ``block``'s columns at ``cols`` and zeros elsewhere.
-
-    ``block`` itself when ``cols`` is every column; otherwise a fresh array,
-    in its own mapping from 128 KiB as ``draw_tiles``'s blocks are.
-    """
-    if len(cols) == d:
-        return block
-    x = _mapped_zeros(len(block), d)
-    x[:, cols] = block
-    return x
-
-
-def draw_design(
-    key: tuple[int, ...], rows: int, d: int, ensemble: Ensemble, masked: np.ndarray | None = None
-) -> np.ndarray:
-    """A fresh C-ordered rows x d float64 array of i.i.d. entries of variance 1/rows.
-
-    Tile (i, j) holds rows ``[i*TILE_ROWS, (i+1)*TILE_ROWS)`` and columns
-    ``[j*TILE_COLS, (j+1)*TILE_COLS)``, cut at the edges of the array, and is
-    filled row-major from ``rng_from(*key, i, j, TILE_TAG)``.  Hence the
-    unscaled first rows of a draw equal the unscaled draw of fewer rows, and
-    the columns listed in ``masked`` are zero while every other entry is what
-    the unmasked draw holds.  A tile whose columns are all masked is not
-    drawn: the design is ``draw_tiles``'s block, widened with zero columns
-    only when a tile was skipped.  A mask is checked as ``draw_tiles`` checks
-    it.
-    """
-    return widen(*draw_tiles(key, rows, d, ensemble, masked), d)
-
-
 def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> np.ndarray:
     """Draw an n x d design with i.i.d. entries of variance 1/n.
 
     For the scaled ensembles every entry is ``N(0, 1/n)`` or ``+-1/sqrt(n)``,
     so ``E[X^T X] = I_d``.  Deterministic in ``seed``: two calls with equal
     arguments return bit-identical matrices.  The design is
-    ``draw_design((seed,), n, d, ensemble)``.
+    ``draw_tiles((seed,), n, d, ensemble)``'s block.
     """
-    return draw_design((seed,), dims.n, dims.d, ensemble)
+    return draw_tiles((seed,), dims.n, dims.d, ensemble)[0]
 
 
 def gaussian_noise(n: int, sigma: float, *key: int) -> np.ndarray:

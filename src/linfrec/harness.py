@@ -56,6 +56,7 @@ __all__ = [
     "ExperimentKind",
     "TrialRecord",
     "disjoint_subsets",
+    "make_noise",
     "make_signal",
     "read_csv",
     "recompute_pass",
@@ -229,7 +230,8 @@ def make_signal(
     return theta
 
 
-def _make_noise(n: int, spec: dict, seed: int) -> np.ndarray:
+def make_noise(n: int, spec: dict, seed: int) -> np.ndarray:
+    """Length-n noise of a config's noise spec: zeros for kind "zero", else Gaussian of its sigma."""
     if spec.get("kind", "gaussian") == "zero":
         return np.zeros(n)
     return gaussian_noise(n, float(spec.get("sigma", 1.0)), seed)
@@ -256,7 +258,7 @@ def _oblivious_instance(dims: Dims, cfg: ExperimentConfig, seed: int):
     """An oblivious-model ``(x, y, truth)`` and its noise level ||X^T xi||_inf."""
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1))
-    noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
+    noise = make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     return x, x @ truth + noise, truth, _gram_noise(x, noise)
 
 
@@ -366,7 +368,7 @@ def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
         extra = {"m_linf": mr.m_linf, "m_l2_scaled": scaled_l2, "m_ols": mr.m_ols or 0.0}
         return max(candidates), None, mr.m_gram, forced / 3.0, extra
 
-    noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
+    noise = make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     s = np.sort(rng.choice(dims.d, size=dims.k, replace=False))
     mr = compute_metrics(x, noise, s)
     # the ols/support ratio must lie in [1/6, 6]
@@ -395,7 +397,7 @@ def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
 
 def _trial_threshold_stats(dims: Dims, cfg: ExperimentConfig, seed: int):
     x = sample_ensemble(dims, cfg.ensemble, derive_seed(seed, 0))
-    noise = _make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
+    noise = make_noise(dims.n, cfg.noise, derive_seed(seed, 2))
     msig = _gram_noise(x, noise)
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1), "pm_uniform_above", SNR_CONSTANT * msig)
     y = x @ truth + noise

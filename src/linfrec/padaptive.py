@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, draw_tiles, gaussian_noise, json_field, widen
-from .linops import checked_support, hard_threshold_values, restricted_ols
+from .core import Dims, Ensemble, draw_tiles, gaussian_noise, json_field
+from .linops import hard_threshold_values, restricted_ols
 from .recovery import RecoveryReport, iht
 
 __all__ = [
@@ -55,15 +55,14 @@ class MaskedOracle:
     Every call to :meth:`masked_observe` draws a fresh design block (entries
     of variance 1/rows), keyed by ``(master_seed, query_index)`` with the
     masked columns zero and their tiles left undrawn, and fresh Gaussian noise
-    ``gaussian_noise(rows, noise_sigma, master_seed, query_index)``; it
-    returns ``(X, y)`` with ``y = X theta + xi``.  A mask moves no unmasked entry and no noise entry.
-    :meth:`restricted_observe` is the same query for the mask outside a
-    support T, returning ``(X[:, T], y)`` without forming the rest of X.
-    Either way y is computed from the drawn tiles alone, ``X[:, cols] @
-    theta[cols] + xi`` with ``cols`` the columns of the tiles drawn (see
-    ``core.draw_tiles``).  The truth enters only through its unmasked
-    coordinates.  Analysis code may read :attr:`truth` and each query's
-    ``noise_corr`` in :attr:`query_log`; estimator code must not.
+    ``gaussian_noise(rows, noise_sigma, master_seed, query_index)``.  It
+    returns ``(block, cols, y)``: the drawn tiles packed side by side and
+    their columns, as ``core.draw_tiles`` gives them, and ``y = X theta + xi``,
+    computed from the drawn tiles alone as ``block @ theta[cols] + xi``.  A
+    mask moves no unmasked entry and no noise entry.  The truth enters only
+    through its unmasked coordinates.  Analysis code may read :attr:`truth`
+    and each query's ``noise_corr`` in :attr:`query_log`; estimator code must
+    not.
     """
 
     def __init__(
@@ -91,7 +90,7 @@ class MaskedOracle:
         self.ensemble = Ensemble(ensemble)
         self.query_log: list[QueryRecord] = []
 
-    def _query(self, rows: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def masked_observe(self, rows: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw and log the next query: the drawn tiles' block, their columns and y."""
         if rows < 1:
             raise ValueError("must request at least one row")
@@ -103,22 +102,6 @@ class MaskedOracle:
         corr = float(np.max(np.abs(x.T @ (y - signal)), initial=0.0))
         self.query_log.append(QueryRecord(rows, [int(i) for i in mask], qi, corr))
         return x, cols, y
-
-    def masked_observe(self, rows: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x, cols, y = self._query(rows, mask)
-        return widen(x, cols, self.dims.d), y
-
-    def restricted_observe(self, rows: int, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(X[:, support], y)`` of a query masking every column outside ``support``.
-
-        ``support`` must be strictly increasing integers in [0, d).  The query
-        is logged, drawn and observed as ``masked_observe`` with that mask
-        would be, but only the tiles holding a column of ``support`` exist.
-        """
-        d = self.dims.d
-        support = checked_support(support, d, "support")
-        x, cols, y = self._query(rows, np.setdiff1d(np.arange(d), support))
-        return x[:, np.searchsorted(cols, support)], y
 
     def rows_consumed(self) -> int:
         return sum(q.rows for q in self.query_log)
@@ -137,8 +120,8 @@ class MaskedOracle:
         return json.dumps(doc)
 
     @classmethod
-    def replay(cls, transcript: str, truth: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Regenerate the (X, y) sequence of a recorded transcript."""
+    def replay(cls, transcript: str, truth: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Regenerate the ``(block, cols, y)`` sequence of a recorded transcript."""
         doc = json.loads(transcript)
         if not isinstance(doc, dict) or doc.get("format") != "linfrec-oracle-transcript-v1":
             raise ValueError("not an oracle transcript")
@@ -211,8 +194,8 @@ def adaptive_support_recover(
     seeds T_0.  Phase II: ``rounds`` rounds of n // (3 rounds) rows, each
     masking the current T and adding coordinates whose correlation with the
     fresh observation clears ``r_inf``.  Phase III: the remaining rows, masking
-    everything outside T (``restricted_observe``, which draws only the tiles
-    holding T), restricted least squares on T, then hard threshold to k.  An
+    everything outside T, so that only the tiles holding T are drawn,
+    restricted least squares on T, then hard threshold to k.  An
     n below 3 * rounds, which leaves each round no rows, raises a ValueError
     naming both before the first query.
     """
@@ -221,7 +204,7 @@ def adaptive_support_recover(
     n, d, k = oracle.dims.n, oracle.dims.d, oracle.dims.k
     if n < 3 * rounds:
         raise ValueError(f"n={n} leaves each of rounds={rounds} rounds no rows; need n >= 3 * rounds = {3 * rounds}")
-    x0, y0 = oracle.masked_observe(n // 3, np.empty(0, dtype=np.int64))
+    x0, _, y0 = oracle.masked_observe(n // 3, np.empty(0, dtype=np.int64))
     warm = iht(x0, y0, k, R, r2)
     del x0, y0  # the warm block is the largest; free it before the later draws
     t_cur = np.flatnonzero(warm.estimate)
@@ -230,9 +213,8 @@ def adaptive_support_recover(
 
     round_rows = n // (3 * rounds)
     for _ in range(rounds):
-        xi_blk, yi = oracle.masked_observe(round_rows, t_cur)
-        corr = np.abs(xi_blk.T @ yi)
-        t_cur = np.union1d(t_cur, np.flatnonzero(corr >= r_inf))
+        xb, cols, yb = oracle.masked_observe(round_rows, t_cur)
+        t_cur = np.union1d(t_cur, cols[np.abs(xb.T @ yb) >= r_inf])
         support_trace.append(len(t_cur))
         support_sets.append(t_cur.tolist())
 
@@ -243,9 +225,9 @@ def adaptive_support_recover(
         )
 
     theta = np.zeros(d)
-    x_t, y_f = oracle.restricted_observe(n - n // 3 - rounds * round_rows, t_cur)
+    xb, cols, y_f = oracle.masked_observe(n - n // 3 - rounds * round_rows, np.setdiff1d(np.arange(d), t_cur))
     if len(t_cur):
-        theta[t_cur] = restricted_ols(x_t, np.arange(len(t_cur)), y_f)
+        theta[t_cur] = restricted_ols(xb, np.searchsorted(cols, t_cur), y_f)
     theta = hard_threshold_values(theta, k)
 
     return RecoveryReport(

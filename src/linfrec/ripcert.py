@@ -178,9 +178,10 @@ def certify_l2_rip(
 
     Exact mode enumerates all size-s subsets (eigenvalues of principal
     submatrices interlace, so size-s blocks dominate smaller ones) and
-    requires at most EXACT_SUBSET_BUDGET subsets (which bounds d, so it reads
-    the whole Gram).  Sampled mode forms only its s x s blocks and can only
-    certify failure; a clean pass is reported as a lower bound.
+    requires at most EXACT_SUBSET_BUDGET subsets.  For s > 1 that bounds d,
+    so it reads the whole Gram; at s = 1 it does not, and the 1 x 1 blocks
+    are formed one by one.  Sampled mode forms only its s x s blocks and can
+    only certify failure; a clean pass is reported as a lower bound.
     """
     d = x.shape[1]
     epsilon, s = _finite(epsilon), _subset_size(s, d)
@@ -192,7 +193,7 @@ def certify_l2_rip(
                 f"C({d},{s}) = {n_subsets} subsets exceeds the exact budget {EXACT_SUBSET_BUDGET}"
             )
         subsets = itertools.combinations(range(d), s)
-        g = x.T @ x
+        g = x.T @ x if s > 1 else None
     else:
         subsets = _sampled_subsets(d, s, seed, trials)
         g = None
@@ -372,8 +373,7 @@ def certify_linf_rip(
         )
 
     def deviation(idx: np.ndarray) -> float:
-        cols = x[:, idx]
-        return inf_op_norm(cols.T @ cols - np.eye(len(idx)))
+        return inf_op_norm(restricted_gram(x, idx) - np.eye(len(idx)))
 
     subsets = _sampled_subsets(d, s, seed, trials)
     return _scan_certificate(CertKind.LINF_RIP, epsilon, s, subsets, deviation, exact=False)

@@ -29,7 +29,6 @@ from linfrec.core import (
     Ensemble,
     RecoveryInstance,
     build_instance,
-    draw_design,
     draw_tiles,
     gaussian_noise,
     load_instance,
@@ -98,7 +97,7 @@ def test_fourth_moment_separates_ensembles():
 
 
 def tiled_reference(key, rows, d, ensemble, masked=()):
-    """The design drawn serially, tile by tile from its own key, without draw_design."""
+    """The whole design drawn serially, tile by tile from its own key, without draw_tiles."""
     want = np.empty((rows, d))
     for i, top in enumerate(range(0, rows, TILE_ROWS)):
         for j, left in enumerate(range(0, d, TILE_COLS)):
@@ -111,6 +110,16 @@ def tiled_reference(key, rows, d, ensemble, masked=()):
             want[top : top + height, left : left + width] = tile.reshape(height, width) / np.sqrt(rows)
     want[:, list(masked)] = 0.0
     return want
+
+
+def assert_packed_reference(block, cols, key, rows, d, ensemble, masked=()):
+    """``(block, cols)`` is the reference design's every tile with an unmasked column, packed; it is zero elsewhere."""
+    want = tiled_reference(key, rows, d, ensemble, masked)
+    held = np.unique(np.setdiff1d(np.arange(d), list(masked)) // TILE_COLS)
+    assert np.array_equal(cols, np.flatnonzero(np.isin(np.arange(d) // TILE_COLS, held)))
+    assert is_design(block, (rows, len(cols)))
+    assert block.tobytes() == want[:, cols].tobytes()
+    assert not np.any(np.delete(want, cols, axis=1))
 
 
 # a SeedSequence reads a key part as one 32-bit word, two from 2**32 and three from 2**64
@@ -141,7 +150,7 @@ def test_a_negative_key_part_is_rejected(key):
     with pytest.raises(ValueError, match="expected non-negative integer"):
         core._tile_states(key, np.array([0]), np.array([0]))
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        draw_design(key, 10, 20, Ensemble.GAUSSIAN_SCALED)
+        draw_tiles(key, 10, 20, Ensemble.GAUSSIAN_SCALED)
 
 
 def test_seeding_unlike_numpys_is_refused(monkeypatch):
@@ -149,7 +158,7 @@ def test_seeding_unlike_numpys_is_refused(monkeypatch):
     monkeypatch.setattr(core, "_seed_states", lambda key, i, j: np.zeros((len(i), 4), dtype=np.uint64))
     try:
         with pytest.raises(RuntimeError, match="seeds SFC64 unlike"):
-            draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED)
+            draw_tiles((1,), 10, 20, Ensemble.GAUSSIAN_SCALED)
     finally:
         core._check_seeding.cache_clear()
 
@@ -198,27 +207,27 @@ def test_threaded_fill_is_the_serial_tiles(monkeypatch, bands, ensemble, cores, 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the bands as finely as the interpreter allows
     try:
-        x = draw_design((7, 3), TILED_ROWS, TILED_D, ensemble, np.asarray(masked, dtype=np.int64))
+        block, cols = draw_tiles((7, 3), TILED_ROWS, TILED_D, ensemble, np.asarray(masked, dtype=np.int64))
     finally:
         sys.setswitchinterval(interval)
     assert len(bands) == min(cores, tiles)
     assert bands.count(threading.current_thread()) == 1
-    assert x.tobytes() == tiled_reference((7, 3), TILED_ROWS, TILED_D, ensemble, masked).tobytes()
+    assert_packed_reference(block, cols, (7, 3), TILED_ROWS, TILED_D, ensemble, masked)
 
 
 def test_fill_threads_are_shared_among_pool_workers(monkeypatch, bands):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     monkeypatch.setattr(core, "_workers", 2)
-    draw_design((1,), 50, 5 * TILE_COLS, Ensemble.GAUSSIAN_SCALED)
+    draw_tiles((1,), 50, 5 * TILE_COLS, Ensemble.GAUSSIAN_SCALED)
     assert len(bands) == 2
 
 
 def test_fill_threads_without_an_affinity_mask_count_the_machine(monkeypatch, bands):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    x = draw_design((5,), TILED_ROWS, TILED_D, Ensemble.RADEMACHER_SCALED)
+    block, cols = draw_tiles((5,), TILED_ROWS, TILED_D, Ensemble.RADEMACHER_SCALED)
     assert len(bands) == 2
-    assert x.tobytes() == tiled_reference((5,), TILED_ROWS, TILED_D, Ensemble.RADEMACHER_SCALED).tobytes()
+    assert_packed_reference(block, cols, (5,), TILED_ROWS, TILED_D, Ensemble.RADEMACHER_SCALED)
 
 
 # several groups of full-width tiles per fill thread, then a 5-column edge tile
@@ -240,8 +249,8 @@ KEPT_TILE = GROUP + 2
 )
 def test_grouped_fill_is_the_serial_tiles(monkeypatch, ensemble, cores, masked):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    x = draw_design((9, 2), TILED_ROWS, GROUPED_D, ensemble, np.asarray(masked, dtype=np.int64))
-    assert x.tobytes() == tiled_reference((9, 2), TILED_ROWS, GROUPED_D, ensemble, masked).tobytes()
+    block, cols = draw_tiles((9, 2), TILED_ROWS, GROUPED_D, ensemble, np.asarray(masked, dtype=np.int64))
+    assert_packed_reference(block, cols, (9, 2), TILED_ROWS, GROUPED_D, ensemble, masked)
 
 
 @st.composite
@@ -262,24 +271,14 @@ def fill_cases(draw):
     case=fill_cases(),
     cores=st.integers(1, 3),
     ensemble=st.sampled_from([Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED]),
-    packed=st.booleans(),
 )
-def test_every_run_of_tiles_is_filled_as_the_serial_tiles(case, cores, ensemble, packed):
+def test_every_run_of_tiles_is_filled_as_the_serial_tiles(case, cores, ensemble):
     # runs end at a masked tile, after GROUP tiles, before a narrow last tile and at a band's end
     rows, d, masked = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        x = draw_design((6, 1), rows, d, ensemble, np.asarray(masked, dtype=np.int64))
-        if packed:
-            block, cols = draw_tiles((6, 1), rows, d, ensemble, np.asarray(masked, dtype=np.int64))
-    assert x.tobytes() == tiled_reference((6, 1), rows, d, ensemble, masked).tobytes()
-    if packed:
-        # the packed block holds the design's columns of every tile with an unmasked column
-        held = np.unique(np.setdiff1d(np.arange(d), masked) // TILE_COLS)
-        assert np.array_equal(cols, np.flatnonzero(np.isin(np.arange(d) // TILE_COLS, held)))
-        assert is_design(block, (rows, len(cols)))
-        assert block.tobytes() == x[:, cols].tobytes()
-        assert not np.any(np.delete(x, cols, axis=1))
+        block, cols = draw_tiles((6, 1), rows, d, ensemble, np.asarray(masked, dtype=np.int64))
+    assert_packed_reference(block, cols, (6, 1), rows, d, ensemble, masked)
 
 
 @pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
@@ -292,7 +291,7 @@ def test_fill_scratch_is_one_group_buffer_per_thread(ensemble):
     slack = threads * TILE_ROWS * TILE_COLS * 8 + 2**18
     tracemalloc.start()
     try:
-        x = draw_design((3,), rows, d, ensemble)
+        x, _ = draw_tiles((3,), rows, d, ensemble)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -305,8 +304,8 @@ def test_fill_scratch_is_one_group_buffer_per_thread(ensemble):
 def test_a_design_of_mapped_size_has_its_own_mapping(ensemble):
     d = 2 * TILE_COLS + 3
     rows = -(-core._MAPPED_BYTES // (8 * d))
-    below = draw_design((5,), rows - 1, d, ensemble, [4])
-    x = draw_design((5,), rows, d, ensemble, [4])
+    below, _ = draw_tiles((5,), rows - 1, d, ensemble, [4])
+    x, _ = draw_tiles((5,), rows, d, ensemble, [4])
     assert below.flags.owndata and isinstance(x.base.base.obj, mmap.mmap)
     assert is_design(x, (rows, d))
     assert x.tobytes() == tiled_reference((5,), rows, d, ensemble, [4]).tobytes()
@@ -315,7 +314,7 @@ def test_a_design_of_mapped_size_has_its_own_mapping(ensemble):
 @pytest.mark.parametrize("masked, index", [([-1], -1), ([25], 25), ([3, 20, 4], 20)])
 def test_draw_rejects_a_mask_index_outside_the_columns(masked, index):
     with pytest.raises(ValueError, match=rf"mask index {index} is out of range for d=20"):
-        draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
+        draw_tiles((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
 
 
 def _column_3_selector():
@@ -337,24 +336,25 @@ def _column_3_selector():
 def test_draw_rejects_a_mask_that_is_not_an_integer_array(masked, shown):
     # a bool selector would zero column 3 while the oracle logs it as indices 0 and 1
     with pytest.raises(ValueError, match=re.escape(f"mask must be a 1-D integer array, got {shown}")):
-        draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
+        draw_tiles((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
 
 
 @pytest.mark.parametrize("masked", [None, [], np.asarray([]), np.empty(0, dtype=np.int64)], ids=repr)
 def test_an_empty_mask_draws_every_column(masked):
     # np.asarray([]) is float64, and an empty mask of any dtype masks nothing
-    x = draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
-    assert x.tobytes() == draw_design((1,), 10, 20, Ensemble.GAUSSIAN_SCALED).tobytes()
+    x, cols = draw_tiles((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
+    assert np.array_equal(cols, np.arange(20))
+    assert x.tobytes() == draw_tiles((1,), 10, 20, Ensemble.GAUSSIAN_SCALED)[0].tobytes()
 
 
 def test_blas_workers_are_released_before_a_draw_of_several_tiles(monkeypatch):
     calls = []
     blas = SimpleNamespace(blas_thread_shutdown_=lambda: calls.append(1))
     monkeypatch.setattr(core, "_openblas", lambda: blas)
-    draw_design((1,), TILE_ROWS, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
+    draw_tiles((1,), TILE_ROWS, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
     assert len(calls) == 0
-    draw_design((1,), TILE_ROWS + 1, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
-    draw_design((1,), 3, TILE_COLS + 1, Ensemble.GAUSSIAN_SCALED)
+    draw_tiles((1,), TILE_ROWS + 1, TILE_COLS, Ensemble.GAUSSIAN_SCALED)
+    draw_tiles((1,), 3, TILE_COLS + 1, Ensemble.GAUSSIAN_SCALED)
     assert len(calls) == 2
 
 
@@ -367,21 +367,21 @@ def test_blas_workers_are_kept_while_another_python_thread_runs(monkeypatch):
     other = threading.Thread(target=done.wait)
     other.start()
     try:
-        kept = draw_design((3,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
+        kept, _ = draw_tiles((3,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
     finally:
         done.set()
         other.join(timeout=10)
     assert not other.is_alive()
     assert len(calls) == 0
-    assert kept.tobytes() == draw_design((3,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED).tobytes()
+    assert kept.tobytes() == draw_tiles((3,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)[0].tobytes()
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
 def test_draw_without_the_release_has_the_same_bytes(monkeypatch, ensemble):
-    released = draw_design((4,), TILED_ROWS, TILED_D, ensemble)
+    released, _ = draw_tiles((4,), TILED_ROWS, TILED_D, ensemble)
     monkeypatch.setattr(core, "_openblas", lambda: None)
-    assert draw_design((4,), TILED_ROWS, TILED_D, ensemble).tobytes() == released.tobytes()
+    assert draw_tiles((4,), TILED_ROWS, TILED_D, ensemble)[0].tobytes() == released.tobytes()
 
 
 def test_release_keeps_the_blas_thread_count():
@@ -392,7 +392,7 @@ def test_release_keeps_the_blas_thread_count():
     a = np.ones((300, 300))
     before = threads()
     _ = a @ a  # starts the BLAS workers, which the draw then releases
-    draw_design((2,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
+    draw_tiles((2,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
     assert threads() == before
     np.testing.assert_array_equal(a @ a, np.full((300, 300), 300.0))
     assert threads() == before

@@ -339,9 +339,9 @@ def test_pool_forked_after_threaded_draws_writes_the_serial_csv(tmp_path):
     doc["output"] = str(tmp_path / "pool.csv")
     code = (
         "import json, os, sys, numpy as np\n"
-        "from linfrec.core import Ensemble, draw_design\n"
+        "from linfrec.core import Ensemble, draw_tiles\n"
         "from linfrec.harness import ExperimentConfig, run_experiment\n"
-        "draw_design((1,), 3000, 400, Ensemble.GAUSSIAN_SCALED)\n"
+        "draw_tiles((1,), 3000, 400, Ensemble.GAUSSIAN_SCALED)\n"
         "np.ones((400, 400)) @ np.ones((400, 400))\n"
         "os.environ['LINFREC_THREADS'] = '2'\n"
         "run_experiment(ExperimentConfig.from_json(sys.argv[1]))\n"

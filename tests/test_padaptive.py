@@ -33,32 +33,31 @@ class TestMaskedOracle:
     def test_mask_all_signal_yields_pure_noise(self):
         truth = sparse(30, [2, 5], [1.0, -4.0])
         a = MaskedOracle(Dims(n=100, d=30, k=2), truth, 0.7, master_seed=5)
-        _, y_masked = a.masked_observe(20, np.flatnonzero(truth))
+        _, _, y_masked = a.masked_observe(20, np.flatnonzero(truth))
         # same seed and query index with a zero truth reproduces the noise
         b = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 0.7, master_seed=5)
-        _, y_noise = b.masked_observe(20, np.empty(0, dtype=np.int64))
+        _, _, y_noise = b.masked_observe(20, np.empty(0, dtype=np.int64))
         assert np.array_equal(y_masked, y_noise)
 
     def test_no_mask_no_noise(self):
         truth = sparse(30, [4], [2.0])
         o = MaskedOracle(Dims(n=100, d=30, k=1), truth, 0.0, master_seed=6)
-        x, y = o.masked_observe(25, np.empty(0, dtype=np.int64))
+        x, cols, y = o.masked_observe(25, np.empty(0, dtype=np.int64))
+        assert np.array_equal(cols, np.arange(30))
         assert np.array_equal(y, x @ truth)
 
     def test_replay_determinism(self):
         o1 = make_oracle(seed=42)
         o2 = make_oracle(seed=42)
         for mask in ([], [1], [1, 7]):
-            x1, y1 = o1.masked_observe(15, np.unique(mask))
-            x2, y2 = o2.masked_observe(15, np.unique(mask))
-            assert np.array_equal(x1, x2)
-            assert np.array_equal(y1, y2)
+            for a, b in zip(o1.masked_observe(15, np.unique(mask)), o2.masked_observe(15, np.unique(mask))):
+                assert a.tobytes() == b.tobytes()
 
     def test_masked_columns_are_zero(self):
         o = make_oracle()
         mask = np.array([0, 3, 9])
-        x, _ = o.masked_observe(12, mask)
-        assert np.all(x[:, mask] == 0.0)
+        x, cols, _ = o.masked_observe(12, mask)
+        assert np.all(x[:, np.isin(cols, mask)] == 0.0)
 
     def test_masking_soundness(self):
         # truths that agree off the mask produce identical observations
@@ -67,20 +66,20 @@ class TestMaskedOracle:
         t2 = sparse(30, [5, 11], [123.0, 1.5])
         o1 = MaskedOracle(Dims(n=50, d=30, k=3), t1, 0.3, master_seed=8)
         o2 = MaskedOracle(Dims(n=50, d=30, k=3), t2, 0.3, master_seed=8)
-        _, y1 = o1.masked_observe(18, mask)
-        _, y2 = o2.masked_observe(18, mask)
+        _, _, y1 = o1.masked_observe(18, mask)
+        _, _, y2 = o2.masked_observe(18, mask)
         assert np.array_equal(y1, y2)
 
     def test_fresh_blocks_per_query(self):
         o = make_oracle()
-        x1, _ = o.masked_observe(10, np.empty(0, dtype=np.int64))
-        x2, _ = o.masked_observe(10, np.empty(0, dtype=np.int64))
+        x1, _, _ = o.masked_observe(10, np.empty(0, dtype=np.int64))
+        x2, _, _ = o.masked_observe(10, np.empty(0, dtype=np.int64))
         assert not np.array_equal(x1, x2)
 
     def test_noise_corr_recorded_but_not_transcribed(self):
         # with a zero truth the observation is the noise itself
         o = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 0.7, master_seed=5)
-        x, y = o.masked_observe(20, np.array([3]))
+        x, _, y = o.masked_observe(20, np.array([3]))
         assert o.query_log[0].noise_corr == float(np.max(np.abs(x.T @ y)))
         assert "noise_corr" not in o.transcript_json()
 
@@ -88,16 +87,18 @@ class TestMaskedOracle:
         o = make_oracle(seed=77)
         obs = [o.masked_observe(10, np.unique(m)) for m in ([], [1, 7], [0], range(16, 32))]
         replayed = MaskedOracle.replay(o.transcript_json(), o.truth)
-        for (x1, y1), (x2, y2) in zip(obs, replayed):
-            assert np.array_equal(x1, x2)
-            assert np.array_equal(y1, y2)
+        assert len(replayed) == len(obs)
+        for recorded, again in zip(obs, replayed):
+            for a, b in zip(recorded, again):
+                assert a.tobytes() == b.tobytes()
 
 
     def test_observations_are_c_ordered_float64_arrays(self):
         o = make_oracle(seed=3)
         obs = [o.masked_observe(10, np.unique(m)) for m in ([], [1, 7])]
-        for x, _ in obs + MaskedOracle.replay(o.transcript_json(), o.truth):
+        for x, cols, _ in obs + MaskedOracle.replay(o.transcript_json(), o.truth):
             assert is_design(x, (10, 50))
+            assert np.array_equal(cols, np.arange(50))
 
     @pytest.mark.parametrize(
         "mask",
@@ -110,12 +111,16 @@ class TestMaskedOracle:
         plain = MaskedOracle(Dims(n=TILE_ROWS + 9, d=50, k=3), zero, 0.7, master_seed=4)
         masked = MaskedOracle(Dims(n=TILE_ROWS + 9, d=50, k=3), zero, 0.7, master_seed=4)
         rows = TILE_ROWS + 9
+        keep = np.setdiff1d(np.arange(50), list(mask))
         for _ in range(2):
-            x_plain, y_plain = plain.masked_observe(rows, np.empty(0, dtype=np.int64))
-            x_masked, y_masked = masked.masked_observe(rows, np.unique(mask))
-            keep = np.setdiff1d(np.arange(50), list(mask))
-            assert x_masked[:, keep].tobytes() == x_plain[:, keep].tobytes()
-            assert np.all(x_masked[:, list(mask)] == 0.0)
+            x_plain, cols_plain, y_plain = plain.masked_observe(rows, np.empty(0, dtype=np.int64))
+            x_masked, cols, y_masked = masked.masked_observe(rows, np.unique(mask))
+            assert np.array_equal(cols_plain, np.arange(50))
+            # the tiles drawn are those holding an unmasked column
+            assert np.array_equal(np.unique(cols // TILE_COLS), np.unique(keep // TILE_COLS))
+            assert is_design(x_masked, (rows, len(cols)))
+            assert x_masked[:, np.searchsorted(cols, keep)].tobytes() == x_plain[:, keep].tobytes()
+            assert np.all(x_masked[:, np.isin(cols, list(mask))] == 0.0)
             # a zero truth makes y the noise itself
             assert y_masked.tobytes() == y_plain.tobytes()
 
@@ -148,7 +153,7 @@ class TestMaskedOracle:
         seed, rows = 5, 40
         assert rng_from(seed, 0, 0, 0).standard_normal(4).tobytes() == rng_from(seed, 0).standard_normal(4).tobytes()
         o = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 1.0, master_seed=seed)
-        x, noise = o.masked_observe(rows, np.empty(0, dtype=np.int64))
+        x, _, noise = o.masked_observe(rows, np.empty(0, dtype=np.int64))
         assert noise.tobytes() == rng_from(seed, 0).standard_normal(rows).tobytes()
         first_tile = x[:, :TILE_COLS].ravel()[:rows] * math.sqrt(rows)
         assert not np.any(np.isclose(first_tile, noise, rtol=1e-12, atol=0))
@@ -169,29 +174,29 @@ class TestMaskedOracle:
         ids=["one-column", "three-tiles", "one-tile", "empty", "every-column"],
     )
     def test_restricted_query_is_the_masked_query_on_its_support(self, support):
-        # d = 50: three whole tiles of columns and one of two columns; every
-        # support but the last leaves at least one tile wholly masked
+        # d = 50: three whole tiles of columns and one of two columns; masking
+        # every column outside a support, as Phase III does, draws only the
+        # support's tiles, and their support columns are those an unmasked
+        # query of the same seed draws
         support = np.asarray(support, dtype=np.int64)
         mask = np.setdiff1d(np.arange(50), support)
         truth = np.random.default_rng(2).standard_normal(50)
         rows = TILE_ROWS + 9
         masked = MaskedOracle(Dims(n=3 * rows, d=50, k=3), truth, 0.7, master_seed=4)
-        restricted = MaskedOracle(Dims(n=3 * rows, d=50, k=3), truth, 0.7, master_seed=4)
+        plain = MaskedOracle(Dims(n=3 * rows, d=50, k=3), np.zeros(50), 0.7, master_seed=4)
         for _ in range(2):
-            x, y = masked.masked_observe(rows, mask)
-            x_t, y_t = restricted.restricted_observe(rows, support)
+            x, cols, y = masked.masked_observe(rows, mask)
+            x_plain, _, noise = plain.masked_observe(rows, np.empty(0, dtype=np.int64))
+            assert np.array_equal(np.unique(cols // TILE_COLS), np.unique(support // TILE_COLS))
+            assert np.all(np.isin(support, cols))
+            x_t = x[:, np.searchsorted(cols, support)]
             assert x_t.shape == (rows, len(support))
-            assert x_t.tobytes() == x[:, support].tobytes()
-            assert y_t.tobytes() == y.tobytes()
-        assert [q.noise_corr for q in restricted.query_log] == [q.noise_corr for q in masked.query_log]
-        assert restricted.transcript_json() == masked.transcript_json()
-
-    @pytest.mark.parametrize("support", [[3, 2], [4, 4], [-1, 3], [3, 50], [1.0], [[1, 2]]])
-    def test_restricted_query_rejects_a_support_that_is_not_distinct_columns(self, support):
-        o = make_oracle(d=50)
-        with pytest.raises(ValueError, match=r"support must be strictly increasing integers in \[0, 50\)"):
-            o.restricted_observe(10, np.asarray(support))
-        assert o.query_log == []
+            assert x_t.tobytes() == x_plain[:, support].tobytes()
+            assert np.all(x[:, np.isin(cols, mask)] == 0.0)
+            # y sees the truth through the support's columns alone, plus the
+            # noise an unmasked query of the same seed draws
+            np.testing.assert_allclose(y, x_t @ truth[support] + noise, rtol=1e-12, atol=1e-12)
+        assert [q["mask"] for q in json.loads(masked.transcript_json())["queries"]] == [mask.tolist()] * 2
 
     def test_mask_index_beyond_d_is_rejected(self):
         o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
@@ -247,8 +252,9 @@ def test_replay_returns_observations_or_raises_value_error(data):
         obs = MaskedOracle.replay(json.dumps(mutated_json(data, doc)), o.truth)
     except ValueError:
         return
-    for x, y in obs:
-        assert is_design(x, (len(y), 10))
+    for x, cols, y in obs:
+        assert is_design(x, (len(y), len(cols)))
+        assert cols.dtype == np.int64 and np.all(np.diff(cols) > 0) and np.all((0 <= cols) & (cols < 10))
 
 
 class TestThresholdStats:
@@ -305,11 +311,7 @@ class FakeOrthonormalOracle:
             data[:, mask] = 0.0
         y = data @ self.truth
         self.query_log.append((rows, list(mask)))
-        return data, y
-
-    def restricted_observe(self, rows, support):
-        data, y = self.masked_observe(rows, np.setdiff1d(np.arange(self.dims.d), support))
-        return data[:, support], y
+        return data, np.arange(self.dims.d), y
 
     def rows_consumed(self):
         return sum(r for r, _ in self.query_log)
@@ -324,9 +326,6 @@ class TruthlessOracle:
 
     def masked_observe(self, rows, mask):
         return self._inner.masked_observe(rows, mask)
-
-    def restricted_observe(self, rows, support):
-        return self._inner.restricted_observe(rows, support)
 
     def rows_consumed(self):
         return self._inner.rows_consumed()

@@ -98,6 +98,21 @@ class TestL2Rip:
             tracemalloc.stop()
         assert peak < 8 * d * d
 
+    def test_exact_s1_forms_no_whole_gram(self):
+        # at s = 1 any d within the subset budget passes, so a d x d Gram could be any size
+        d = 3000
+        x = sample_ensemble(Dims(n=8, d=d, k=1), Ensemble.GAUSSIAN_SCALED, seed=2)
+        tracemalloc.start()
+        try:
+            cert = certify_l2_rip(x, epsilon=0.5, s=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d  # an eighth of the d x d Gram's 8 d^2 bytes
+        deviation = np.abs(np.einsum("ij,ij->j", x, x) - 1.0)
+        assert cert.achieved == pytest.approx(deviation.max(), rel=1e-14)
+        assert cert.witness.tolist() == [int(np.argmax(deviation))]
+
     def test_sampled_pass_is_lower_bound_only(self):
         x = sample_ensemble(Dims(n=500, d=40, k=2), Ensemble.GAUSSIAN_SCALED, seed=1)
         cert = certify_l2_rip(x, epsilon=0.5, s=2, mode="sampled", trials=50, seed=9)
