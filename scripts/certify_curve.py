@@ -28,9 +28,10 @@ from pathlib import Path
 
 
 N, S, EPS = 1000, 20, 0.25  # rows, subset size and threshold of every point
+SEED = 0  # the design seed of every point
 
 
-def measure(d: int, seed: int) -> dict:
+def measure(d: int, seed: int = SEED) -> dict:
     from linfrec.core import Dims, Ensemble, sample_ensemble
     from linfrec.ripcert import certify_linf_rip
 
@@ -71,18 +72,17 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this curve in the output file")
     ap.add_argument("--dims", type=int, nargs="+", default=[4000, 8000, 16000, 32000])
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="BENCH_certify_curve.json")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)  # one dimension, in this process
     args = ap.parse_args()
 
     if args.child is not None:
-        print(json.dumps(measure(args.child, args.seed)))
+        print(json.dumps(measure(args.child)))
         return 0
 
     points = []
     for d in args.dims:
-        cmd = [sys.executable, __file__, "--label", args.label, "--child", str(d), "--seed", str(args.seed)]
+        cmd = [sys.executable, __file__, "--label", args.label, "--child", str(d)]
         out = subprocess.run(cmd, capture_output=True, text=True, check=True)
         point = json.loads(out.stdout.strip().splitlines()[-1])
         print(json.dumps(point))
@@ -97,7 +97,7 @@ def main() -> int:
         "n": N,
         "s": S,
         "eps": EPS,
-        "seed": args.seed,
+        "seed": SEED,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "nproc": os.cpu_count(),

@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import RecoveryInstance, save_instance, save_matrix_addressed
-from .linops import checked_support, restricted_gram
+from .linops import restricted_gram
 
 __all__ = [
     "ConstructionFailure",
     "IndistinguishablePair",
-    "MaskingVector",
     "build_indistinguishable_pair",
     "build_masking_vector",
     "build_metric_impossibility_pair",
@@ -37,31 +36,31 @@ class ConstructionFailure(RuntimeError):
 
 
 @dataclass
-class MaskingVector:
-    v: np.ndarray  # length d, supported on S
-    linf_v: float
-    linf_gram_v: float  # ||X^T X v||_inf of the sign-pattern vector M^{-1} u
-    normalized: bool
-
-
-@dataclass
 class IndistinguishablePair:
+    """Two instances sharing X and y; member 2 is noiseless."""
+
     theta1: np.ndarray
     theta2: np.ndarray
     xi1: np.ndarray
-    xi2: np.ndarray
     shared_y: np.ndarray
     budget: int  # the sparsity budget of both members, written by save_pair
 
 
-def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -> MaskingVector:
-    """Build v supported on S maximizing ||v||_inf per unit of ||X^T X v||_inf.
+def _checked_support(s, d: int, name: str) -> np.ndarray:
+    """``s`` as an array, checked to be strictly increasing integers in [0, d)."""
+    s = np.asarray(s)
+    if s.ndim != 1 or s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or (len(s) and (s[0] < 0 or s[-1] >= d)):
+        raise ValueError(f"{name} must be strictly increasing integers in [0, {d}), got {s.tolist()}")
+    return s
+
+
+def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -> np.ndarray:
+    """The length-d v supported on S maximizing ||v||_inf per unit of ||X^T X v||_inf.
 
     With M the restricted Gram, the sign pattern u of the max-l1 row of
     M^{-1} attains ``max_{u in {-1,+1}^S} ||M^{-1} u||_inf`` exactly, so
     ``v_S = M^{-1} u`` is the exact maximizer when only the on-support image
     ``(X^T X v)_S`` is bounded.  Ties between rows go to the smaller index.
-    ``linf_gram_v`` is the full image norm ``||X^T X v||_inf`` of that vector.
 
     If ``normalize`` is false, that sign-pattern vector is returned as is.
     Otherwise the off-support image ``X_j^T X_S v_S`` is bounded too: v is
@@ -72,7 +71,7 @@ def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -
     and the LP's visiting order follow; otherwise a ValueError names it.
     """
     d = x.shape[1]
-    s = checked_support(s, d, "support")
+    s = _checked_support(s, d, "support")
     m = restricted_gram(x, s)
     try:
         m_inv = np.linalg.inv(m)
@@ -82,28 +81,18 @@ def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -
         raise ConstructionFailure("restricted Gram inverse is not finite")
 
     row_l1 = np.abs(m_inv).sum(axis=1)
-    pick = int(np.argmax(row_l1))  # first max: lexicographic tie-break
-    u = np.sign(m_inv[pick])
-    u[u == 0.0] = 1.0
-    v_s = m_inv @ u
-
     v = np.zeros(d)
-    v[s] = v_s
-    gram_v = x.T @ (x @ v)
-    linf_gram = float(np.max(np.abs(gram_v)))
-    if normalize:
-        v[s] = _ratio_maximizer(x.T @ x[:, s], s, row_l1)
-        gram_v = x.T @ (x @ v)
-        scale = float(np.max(np.abs(gram_v)))
-        if scale == 0.0:
-            raise ConstructionFailure("cannot normalize: X^T X v vanished")
-        v = v / scale
-    return MaskingVector(
-        v=v,
-        linf_v=float(np.max(np.abs(v))),
-        linf_gram_v=linf_gram,
-        normalized=bool(normalize),
-    )
+    if not normalize:
+        pick = int(np.argmax(row_l1))  # first max: lexicographic tie-break
+        u = np.sign(m_inv[pick])
+        u[u == 0.0] = 1.0
+        v[s] = m_inv @ u
+        return v
+    v[s] = _ratio_maximizer(x.T @ x[:, s], s, row_l1)
+    scale = float(np.max(np.abs(x.T @ (x @ v))))
+    if scale == 0.0:
+        raise ConstructionFailure("cannot normalize: X^T X v vanished")
+    return v / scale
 
 
 def _ratio_maximizer(image: np.ndarray, s: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -177,26 +166,23 @@ def build_indistinguishable_pair(
     the budget counts distinct columns.
     """
     d = x.shape[1]
-    t = checked_support(t, d, "base support")
+    t = _checked_support(t, d, "base support")
     if len(np.intersect1d(s, t)):
         raise ValueError("masking and base supports must be disjoint")
     if len(s) != len(t):
         raise ValueError(f"|S| = {len(s)} and |T| = {len(t)} must be equal (both k/2)")
 
-    mv = build_masking_vector(x, s, normalize=True)
+    v = build_masking_vector(x, s, normalize=True)
 
     theta1 = np.zeros(d)
     theta1[t] = float(base_magnitude)
-    theta2 = theta1 + mv.v
-    xi1 = x @ mv.v
-    xi2 = np.zeros(x.shape[0])
+    theta2 = theta1 + v
+    xi1 = x @ v
 
     y1 = x @ theta1 + xi1
     y2 = x @ theta2
     _check_shared(y1, y2)
-    return IndistinguishablePair(
-        theta1=theta1, theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y1, budget=len(s) + len(t)
-    )
+    return IndistinguishablePair(theta1=theta1, theta2=theta2, xi1=xi1, shared_y=y1, budget=len(s) + len(t))
 
 
 def build_metric_impossibility_pair(x: np.ndarray, i: int) -> IndistinguishablePair:
@@ -207,16 +193,15 @@ def build_metric_impossibility_pair(x: np.ndarray, i: int) -> IndistinguishableP
     noise: both members force sup-norm estimation error 1/2 on some member
     while every such metric stays near zero.
     """
-    n, d = x.shape
+    d = x.shape[1]
     if not 0 <= i < d:
         raise ValueError(f"column index {i} out of range for d={d}")
     theta2 = np.zeros(d)
     theta2[i] = 1.0
     xi1 = x[:, i].copy()
-    xi2 = np.zeros(n)
     y = x[:, i].copy()
     _check_shared(y, x @ theta2)
-    return IndistinguishablePair(theta1=np.zeros(d), theta2=theta2, xi1=xi1, xi2=xi2, shared_y=y, budget=1)
+    return IndistinguishablePair(theta1=np.zeros(d), theta2=theta2, xi1=xi1, shared_y=y, budget=1)
 
 
 def save_pair(
@@ -231,7 +216,7 @@ def save_pair(
     matrix_path = save_matrix_addressed(x, out_dir)
 
     inst1 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta1, noise=pair.xi1, budget=pair.budget)
-    inst2 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta2, noise=pair.xi2, budget=pair.budget)
+    inst2 = RecoveryInstance(x=x, y=pair.shared_y, truth=pair.theta2, noise=np.zeros(x.shape[0]), budget=pair.budget)
     p1 = out_dir / f"{stem}-member1.json"
     p2 = out_dir / f"{stem}-member2.json"
     save_instance(inst1, p1, matrix_path)

@@ -307,8 +307,9 @@ def draw_tiles(
     equal to those ``rng_from`` gives, and a negative key part raises a
     ValueError as a SeedSequence does.
 
-    A mask index outside ``[0, d)`` raises a ValueError naming it, and so
-    does a nonempty mask that is not a 1-D integer array.
+    A nonempty mask that is not a 1-D integer array raises a ValueError
+    naming its dtype and shape, and then a mask index outside ``[0, d)`` one
+    naming it.
 
     The column tiles drawn are dealt in contiguous blocks to one thread per
     core this process may use (cores divided among the harness's pool
@@ -337,11 +338,11 @@ def draw_tiles(
     keep = np.ones(d, dtype=bool)
     if masked is not None and len(masked):
         masked = np.asarray(masked)
+        if masked.ndim != 1 or masked.dtype.kind not in "iu":
+            raise ValueError(f"mask must be a 1-D integer array, got {masked.dtype} of shape {masked.shape}")
         outside = masked[(masked < 0) | (masked >= d)]
         if len(outside):
             raise ValueError(f"mask index {outside[0]} is out of range for d={d}")
-        if masked.ndim != 1 or masked.dtype.kind not in "iu":
-            raise ValueError(f"mask must be a 1-D integer array, got {masked.dtype} of shape {masked.shape}")
         keep[masked] = False
     tiles = np.flatnonzero(np.logical_or.reduceat(keep, np.arange(0, d, TILE_COLS)))
     cols = (tiles[:, None] * TILE_COLS + np.arange(TILE_COLS)).ravel()

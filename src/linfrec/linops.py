@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "SolverFailure",
-    "checked_support",
     "hard_threshold_values",
     "inf_op_norm",
     "restricted_gram",
@@ -28,14 +27,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (achieved residual {residual:.3e})")
         self.residual = residual
-
-
-def checked_support(s, d: int, name: str) -> np.ndarray:
-    """``s`` as an array, checked to be strictly increasing integers in [0, d)."""
-    s = np.asarray(s)
-    if s.ndim != 1 or s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or (len(s) and (s[0] < 0 or s[-1] >= d)):
-        raise ValueError(f"{name} must be strictly increasing integers in [0, {d}), got {s.tolist()}")
-    return s
 
 
 def hard_threshold_values(v: np.ndarray, k: int) -> np.ndarray:

@@ -120,6 +120,19 @@ def _finite(value: float, name: str = "epsilon") -> float:
     return out
 
 
+def _finite_design(x: np.ndarray) -> None:
+    """Reject a NaN or infinite entry, which would decide every verdict; min and max copy nothing."""
+    if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0))):
+        raise ValueError("design has a non-finite entry")
+
+
+def _exact_mode(mode: str) -> bool:
+    """Whether ``mode`` is "exact"; anything but it or "sampled" is a ValueError."""
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'sampled'")
+    return mode == "exact"
+
+
 def _subset_size(s: int, d: int) -> int:
     """s capped at d, checked to be at least 1."""
     s = min(int(s), d)
@@ -183,10 +196,11 @@ def certify_l2_rip(
     are formed one by one.  Sampled mode forms only its s x s blocks and can
     only certify failure; a clean pass is reported as a lower bound.
     """
+    _finite_design(x)
     d = x.shape[1]
-    epsilon, s = _finite(epsilon), _subset_size(s, d)
+    epsilon, s, exact = _finite(epsilon), _subset_size(s, d), _exact_mode(mode)
 
-    if mode == "exact":
+    if exact:
         n_subsets = math.comb(d, s)
         if n_subsets > EXACT_SUBSET_BUDGET:
             raise BudgetExceeded(
@@ -203,7 +217,7 @@ def certify_l2_rip(
         evals = np.linalg.eigvalsh(block)
         return float(max(abs(evals[0] - 1.0), abs(evals[-1] - 1.0)))
 
-    return _scan_certificate(CertKind.L2_RIP, epsilon, s, subsets, deviation, exact=mode == "exact")
+    return _scan_certificate(CertKind.L2_RIP, epsilon, s, subsets, deviation, exact=exact)
 
 
 def _upper_panels(x: np.ndarray):
@@ -361,10 +375,11 @@ def certify_linf_rip(
     seed: int = 0,
 ) -> RipCertificate:
     """Check the sup-norm RIP: row-l1 of every restricted deviation <= eps."""
+    _finite_design(x)
     d = x.shape[1]
     epsilon, s = _finite(epsilon), _subset_size(s, d)
 
-    if mode == "exact":
+    if _exact_mode(mode):
         worst, witness = _linf_panel_scan(x, s)
         verdict = Verdict.HOLDS if worst <= epsilon else Verdict.FAILS
         return RipCertificate(
@@ -385,6 +400,7 @@ def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
     The witness is the first largest entry in row-major order, which for a
     symmetric matrix lies in the upper triangle, the part the panels form.
     """
+    _finite_design(x)
     alpha = _finite(alpha, "alpha")
     worst, i, j = -np.inf, 0, 0
     for lo, u in _upper_panels(x):

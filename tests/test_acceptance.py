@@ -55,7 +55,7 @@ def test_criterion_01_exact_half_step_contraction():
         else:
             free = np.setdiff1d(np.arange(d), np.flatnonzero(truth))
             s = np.sort(rng.choice(free, size=min(2 * k, len(free)), replace=False))
-            noise = x @ build_masking_vector(x, s).v
+            noise = x @ build_masking_vector(x, s)
         inst = build_instance(x, truth, noise, k)
         steps = iht(x, inst.y, k, 1.0, 0.01).iterations
         eps, sigma_m = cert.achieved, float(np.max(np.abs(x.T @ noise), initial=0.0))
@@ -357,9 +357,9 @@ def test_criterion_12_solver_and_sign_argmax_oracles():
         n = max(60, 4 * ssize)
         x = rng.standard_normal((n, 30)) / math.sqrt(n)
         s = np.sort(rng.choice(30, size=ssize, replace=False))
-        mv = build_masking_vector(x, s, normalize=False)
+        v = build_masking_vector(x, s, normalize=False)
         brute = brute_force_sign_max(np.linalg.inv(restricted_gram(x, s)))
-        sign_gap = max(sign_gap, abs(mv.linf_v - brute))
+        sign_gap = max(sign_gap, abs(float(np.max(np.abs(v))) - brute))
     ok = worst_rel <= 1e-8 and sign_gap <= 1e-12
     report(12, ok, f"solver vs dense oracle worst rel err {worst_rel:.2e} over 500 systems; sign argmax max gap {sign_gap:.2e}")
     assert worst_rel <= 1e-8

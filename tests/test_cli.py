@@ -260,6 +260,20 @@ VALID = {"kind": "oblivious_recovery", "grid": [{"n": 240, "d": 30, "k": 3}], "t
             f"master_seed must be a nonnegative integer, got {-(2**70)}",
             id="huge-negative-seed",
         ),
+        # named at load time, not by a pool worker's trial
+        pytest.param(
+            dict(VALID, grid=[{"n": 240, "d": 30, "k": 3}, {"n": 10, "d": 5, "k": 7}]),
+            "grid point 1: need 1 <= k <= d, got k=7, d=5",
+            id="grid-k-above-d",
+        ),
+        pytest.param(
+            dict(VALID, grid=[{"n": 240, "d": 30, "k": 0}]),
+            "grid point 0: need 1 <= k <= d, got k=0, d=30",
+            id="grid-k-zero",
+        ),
+        pytest.param(
+            dict(VALID, grid=[{"n": 0, "d": 30, "k": 3}]), "grid point 0: need n >= 1, got n=0", id="grid-n-zero"
+        ),
     ],
 )
 def test_run_malformed_config_is_reported(tmp_path, capsys, cfg, message):

@@ -330,11 +330,14 @@ def _column_3_selector():
         (np.ones(5, dtype=bool), "bool of shape (5,)"),
         (np.array([3.0]), "float64 of shape (1,)"),
         (np.array([[1, 2]]), "int64 of shape (1, 2)"),
+        (np.array(["a"]), "<U1 of shape (1,)"),
+        ([None], "object of shape (1,)"),
     ],
-    ids=["bool-selector", "bool-short", "float", "2-D"],
+    ids=["bool-selector", "bool-short", "float", "2-D", "str", "none"],
 )
 def test_draw_rejects_a_mask_that_is_not_an_integer_array(masked, shown):
-    # a bool selector would zero column 3 while the oracle logs it as indices 0 and 1
+    # a bool selector would zero column 3 while the oracle logs it as indices 0 and 1;
+    # the shape and dtype are checked before the range, which a str or None mask cannot be compared in
     with pytest.raises(ValueError, match=re.escape(f"mask must be a 1-D integer array, got {shown}")):
         draw_tiles((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, masked)
 

@@ -447,8 +447,7 @@ class TestAdaptiveIht:
         if adversarial_noise:
             free = np.setdiff1d(np.arange(d), np.flatnonzero(truth))
             s = np.sort(rng.choice(free, size=2 * k, replace=False))
-            mv = build_masking_vector(x, s, normalize=True)
-            noise = x @ mv.v
+            noise = x @ build_masking_vector(x, s, normalize=True)
         else:
             noise = gaussian_noise(n, 0.02, seed + 1)
         inst = build_instance(x, truth, noise, k)

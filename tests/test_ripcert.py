@@ -387,6 +387,33 @@ def test_certifiers_reject_a_huge_integer_threshold(certify):
         certify(np.eye(5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "certify",
+    [
+        lambda x: certify_l2_rip(x, epsilon=0.25, s=2),
+        lambda x: certify_l2_rip(x, epsilon=0.25, s=2, mode="sampled", trials=20),
+        lambda x: certify_linf_rip(x, epsilon=0.25, s=2),
+        lambda x: certify_linf_rip(x, epsilon=0.25, s=2, mode="sampled", trials=20),
+        lambda x: certify_pi(x, alpha=0.25),
+    ],
+    ids=["l2-exact", "l2-sampled", "linf-exact", "linf-sampled", "pi"],
+)
+def test_certifiers_reject_a_design_with_a_non_finite_entry(certify, bad):
+    # a NaN or infinite entry would decide the verdict, in every certifier and mode
+    x = np.eye(12)
+    x[3, 5] = bad
+    with pytest.raises(ValueError, match="design has a non-finite entry"):
+        certify(x)
+
+
+@pytest.mark.parametrize("certify", [certify_l2_rip, certify_linf_rip])
+def test_certifiers_name_an_unknown_mode(certify):
+    # a misspelt mode must not run the sampled scan
+    with pytest.raises(ValueError, match="unknown mode 'exakt'; expected 'exact' or 'sampled'"):
+        certify(np.eye(5), 0.25, 2, mode="exakt")
+
+
 def test_certificate_json():
     cert = certify_pi(planted_matrix(4, 0.2), alpha=0.1)
     doc = json.loads(certificate_to_json(cert))
