@@ -5,16 +5,19 @@ This is a quick tour of the harness: oblivious recovery, adaptive recovery
 under masking noise, the oblivious/adaptive separation, and the masked-query
 pipeline.  The acceptance suite (tests/test_acceptance.py) runs the full-size
 versions with 100 trials; this script defaults to 20 so it finishes in about
-a minute.  Results land in ./results/*.csv, readable by ``linfrec report``.
+a minute.  Results land in ./results/*.csv, and ``linfrec report`` prints
+their table.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import sys
 from pathlib import Path
 
-from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment, write_csv
+from linfrec import cli
+from linfrec.harness import ExperimentConfig, ExperimentKind, run_experiment
 
 
 def configs(trials: int, seed: int) -> list[ExperimentConfig]:
@@ -60,23 +63,12 @@ def main() -> None:
     args = ap.parse_args()
     out = Path(args.out_dir)
     out.mkdir(exist_ok=True)
+    paths = []
     for cfg in configs(args.trials, args.seed):
-        records, summary = run_experiment(cfg)
-        path = out / f"{cfg.kind.value}.csv"
-        write_csv(records, path)
-        for g in summary["grids"]:
-            print(
-                f"{cfg.kind.value:<22} n={g['n']:>6} d={g['d']:>5} k={g['k']:>3} "
-                f"pass {g['passes']}/{g['trials']} median_error={g['median_error']:.4g}"
-            )
-        if "masking_scaling" in summary:
-            ms = summary["masking_scaling"]
-            print(
-                f"  masking scaling: medians {[f'{m:.3f}' for m in ms['median_v_linf']]}, "
-                f"slope vs log k = {ms['slope_vs_log_k']:.3f}, "
-                f"vs log sqrt(k) = {ms['slope_vs_log_sqrt_k']:.3f}"
-            )
-        print(f"  -> {path}")
+        cfg.output = str(out / f"{cfg.kind.value}.csv")
+        run_experiment(cfg)
+        paths.append(cfg.output)
+    sys.exit(cli.main(["report", *paths]))
 
 
 if __name__ == "__main__":

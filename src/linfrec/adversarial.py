@@ -166,6 +166,7 @@ def build_indistinguishable_pair(
     the budget counts distinct columns.
     """
     d = x.shape[1]
+    s = _checked_support(s, d, "support")
     t = _checked_support(t, d, "base support")
     if len(np.intersect1d(s, t)):
         raise ValueError("masking and base supports must be disjoint")

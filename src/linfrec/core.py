@@ -336,8 +336,8 @@ def draw_tiles(
     """
     ensemble = Ensemble(ensemble)
     keep = np.ones(d, dtype=bool)
-    if masked is not None and len(masked):
-        masked = np.asarray(masked)
+    masked = np.asarray(() if masked is None else masked)
+    if masked.size or masked.ndim != 1:  # an empty 1-D mask of any dtype masks nothing
         if masked.ndim != 1 or masked.dtype.kind not in "iu":
             raise ValueError(f"mask must be a 1-D integer array, got {masked.dtype} of shape {masked.shape}")
         outside = masked[(masked < 0) | (masked >= d)]

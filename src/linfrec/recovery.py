@@ -118,11 +118,17 @@ def iht(
     return RecoveryReport(estimate=theta, iterations=n_iters)
 
 
-def _split_rows(data: np.ndarray, y: np.ndarray, parts: int) -> tuple[list, list, int]:
-    """``parts`` equal consecutive row blocks (views), and the rows left over."""
-    size = data.shape[0] // parts
+def _split_rows(data: np.ndarray, y: np.ndarray, parts: int, least: int) -> tuple[list, list, int]:
+    """``parts`` equal consecutive row blocks (views), and the rows left over.
+
+    Blocks of fewer than ``least`` rows are a ValueError naming n and the rows needed.
+    """
+    n = data.shape[0]
+    if n < parts * least:
+        raise ValueError(f"n={n} is too few rows for {parts} blocks of at least {least}; need n >= {parts * least}")
+    size = n // parts
     blocks = [slice(i * size, (i + 1) * size) for i in range(parts)]
-    return [data[b] for b in blocks], [y[b] for b in blocks], data.shape[0] - parts * size
+    return [data[b] for b in blocks], [y[b] for b in blocks], n - parts * size
 
 
 def oblivious_recover(
@@ -135,12 +141,13 @@ def oblivious_recover(
     correction support L.  Phase 3 solves restricted least squares on L over
     the last third and adds the correction.  Output support is contained in
     supp(warm start) union L.  Each third counts as rescaled by sqrt(3); with
-    ``gain`` the input counts as ``sqrt(gain) * (x, y)`` as well.
+    ``gain`` the input counts as ``sqrt(gain) * (x, y)`` as well.  Fewer than
+    3 rows, which leave a third empty, raise a ValueError.
     """
     y = _observations(x, y)
     k = _sparsity(k, x.shape[1])
     _halvings(R, r)  # checks the caller's R and r, not the warm start's sqrt(k) * r
-    xs, ys, dropped = _split_rows(x, y, 3)
+    xs, ys, dropped = _split_rows(x, y, 3, 1)
     x1, x2, x3 = xs
     y1, y2, y3 = ys
     gain *= 3.0
@@ -177,7 +184,9 @@ def osr_reduction(x: np.ndarray, y: np.ndarray, k: int, R: float, r: float) -> R
     the round before the first failed check (the zero vector if the first
     check fails), else the final iterate.  A round whose inner least-squares
     step cannot be solved counts as a failed check: the estimate never
-    existed, so the last validated iterate is returned.
+    existed, so the last validated iterate is returned.  Each of the
+    2T blocks, T = ceil(log2(R/r)), needs 3 rows for the oblivious thirds,
+    so n < 6T raises a ValueError before any round.
     """
     y = _observations(x, y)
     d = x.shape[1]
@@ -187,7 +196,7 @@ def osr_reduction(x: np.ndarray, y: np.ndarray, k: int, R: float, r: float) -> R
         return RecoveryReport(estimate=np.zeros(d), iterations=0)
 
     parts = 2 * big_t
-    xs, ys, dropped = _split_rows(x, y, parts)
+    xs, ys, dropped = _split_rows(x, y, parts, 3)  # each odd block feeds oblivious_recover's thirds
 
     theta_prev = np.zeros(d)
     rho = R

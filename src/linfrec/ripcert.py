@@ -10,15 +10,16 @@ Three properties of the Gram deviation G = X^T X - I are certified:
   off-diagonal magnitudes, so no subset enumeration is needed.
 * pairwise incoherence: an entrywise bound on |G_ij|.
 
-Only exact l2 certification, whose subset budget bounds d, holds G whole.
-The exact sup-norm and incoherence certifiers scan its upper triangle in row
-panels X[:, lo:hi]^T X[:, c0:], c0 = lo rounded down to a multiple of 64, of
-at most PANEL_BYTES each, which is half the multiply-adds of whole panels.
+No certifier holds G whole: l2 certification and the sampled sup-norm mode
+form only s x s blocks, each from its columns.  The exact sup-norm and
+incoherence certifiers scan its upper triangle in row panels
+X[:, lo:hi]^T X[:, c0:], c0 = lo rounded down to a multiple of 64, of at
+most PANEL_BYTES each, which is half the multiply-adds of whole panels.
 Both entries of a pair are read from the upper triangle.  The sup-norm scan
 keeps every row's s-1 largest magnitudes, with their columns, in one d x (s-1)
 keeper: a later row's part left of the panel is carried forward through its
 column, and its own panel completes it.  So their memory is
-O(n d + PANEL_BYTES + d s); the sampled modes form only s x s blocks.
+O(n d + PANEL_BYTES + d s).
 
 Also provides the averaged-coherence floor (which is at least 1/n for any
 matrix) and the minimum sample count compatible with sup-norm RIP at (eps, s).
@@ -30,7 +31,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,15 +98,10 @@ class RipCertificate:
 
 
 def certificate_to_json(cert: RipCertificate) -> str:
-    doc = {
-        "kind": cert.kind.value,
-        "threshold": cert.threshold,
-        "s": cert.s,
-        "verdict": cert.verdict.value,
-        "achieved": cert.achieved,
-        "witness": None if cert.witness is None else cert.witness.tolist(),
-        "exact": cert.exact,
-    }
+    """The certificate's fields in declaration order; the enums write their values."""
+    doc = asdict(cert)
+    if cert.witness is not None:
+        doc["witness"] = cert.witness.tolist()
     return json.dumps(doc)
 
 
@@ -152,13 +148,27 @@ def _sampled_subsets(d: int, s: int, seed: int, trials: int):
     return (np.sort(rng_from(seed, t).choice(d, size=s, replace=False)) for t in range(trials))
 
 
-def _scan_certificate(kind: CertKind, epsilon: float, s: int, subsets, value, exact: bool) -> RipCertificate:
-    """Certificate from the worst ``value(idx)`` over ``subsets``.
+def _certificate(kind: CertKind, threshold: float, s: int, worst: float, witness: np.ndarray, exact: bool) -> RipCertificate:
+    """The verdict on ``worst``, the largest value found, with ``witness`` attaining it.
 
-    A failure carries the worst subset as its witness; a clean scan holds
-    when it was exhaustive and is only a lower bound (without a witness)
-    when it was sampled.
+    Above the threshold (or at NaN) the certificate fails, with the witness.
+    At or below it an exhaustive search holds; a sampled one is only a lower
+    bound and carries no witness.
     """
+    if not worst <= threshold:
+        verdict = Verdict.FAILS
+    elif exact:
+        verdict = Verdict.HOLDS
+    else:
+        verdict, witness = Verdict.LOWER_BOUND_ONLY, None
+    return RipCertificate(
+        kind=kind, threshold=float(threshold), s=s, verdict=verdict,
+        achieved=float(worst), witness=witness, exact=exact,
+    )
+
+
+def _scan_certificate(kind: CertKind, epsilon: float, s: int, subsets, value, exact: bool) -> RipCertificate:
+    """Certificate from the first worst ``value(idx)`` over ``subsets``."""
     worst = -np.inf
     witness = None
     for sub in subsets:
@@ -167,16 +177,7 @@ def _scan_certificate(kind: CertKind, epsilon: float, s: int, subsets, value, ex
         if val > worst:
             worst = val
             witness = idx
-    if worst <= epsilon:
-        verdict = Verdict.HOLDS if exact else Verdict.LOWER_BOUND_ONLY
-        wit = witness if exact else None
-    else:
-        verdict = Verdict.FAILS
-        wit = witness
-    return RipCertificate(
-        kind=kind, threshold=float(epsilon), s=s, verdict=verdict,
-        achieved=float(worst), witness=wit, exact=exact,
-    )
+    return _certificate(kind, epsilon, s, worst, witness, exact)
 
 
 def certify_l2_rip(
@@ -191,10 +192,9 @@ def certify_l2_rip(
 
     Exact mode enumerates all size-s subsets (eigenvalues of principal
     submatrices interlace, so size-s blocks dominate smaller ones) and
-    requires at most EXACT_SUBSET_BUDGET subsets.  For s > 1 that bounds d,
-    so it reads the whole Gram; at s = 1 it does not, and the 1 x 1 blocks
-    are formed one by one.  Sampled mode forms only its s x s blocks and can
-    only certify failure; a clean pass is reported as a lower bound.
+    requires at most EXACT_SUBSET_BUDGET subsets.  Sampled mode can only
+    certify failure; a clean pass is reported as a lower bound.  Both form
+    each s x s block from its columns, so neither holds the whole Gram.
     """
     _finite_design(x)
     d = x.shape[1]
@@ -207,14 +207,11 @@ def certify_l2_rip(
                 f"C({d},{s}) = {n_subsets} subsets exceeds the exact budget {EXACT_SUBSET_BUDGET}"
             )
         subsets = itertools.combinations(range(d), s)
-        g = x.T @ x if s > 1 else None
     else:
         subsets = _sampled_subsets(d, s, seed, trials)
-        g = None
 
     def deviation(idx: np.ndarray) -> float:
-        block = restricted_gram(x, idx) if g is None else g[np.ix_(idx, idx)]
-        evals = np.linalg.eigvalsh(block)
+        evals = np.linalg.eigvalsh(restricted_gram(x, idx))
         return float(max(abs(evals[0] - 1.0), abs(evals[-1] - 1.0)))
 
     return _scan_certificate(CertKind.L2_RIP, epsilon, s, subsets, deviation, exact=exact)
@@ -381,11 +378,7 @@ def certify_linf_rip(
 
     if _exact_mode(mode):
         worst, witness = _linf_panel_scan(x, s)
-        verdict = Verdict.HOLDS if worst <= epsilon else Verdict.FAILS
-        return RipCertificate(
-            kind=CertKind.LINF_RIP, threshold=float(epsilon), s=s, verdict=verdict,
-            achieved=float(worst), witness=witness, exact=True,
-        )
+        return _certificate(CertKind.LINF_RIP, epsilon, s, worst, witness, exact=True)
 
     def deviation(idx: np.ndarray) -> float:
         return inf_op_norm(restricted_gram(x, idx) - np.eye(len(idx)))
@@ -409,11 +402,7 @@ def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
         pj = int(np.argmax(u[pi]))
         if u[pi, pj] > worst:
             worst, i, j = float(u[pi, pj]), lo + pi, lo + pj
-    verdict = Verdict.HOLDS if worst <= alpha else Verdict.FAILS
-    return RipCertificate(
-        kind=CertKind.PAIRWISE_INCOHERENCE, threshold=float(alpha), s=2,
-        verdict=verdict, achieved=worst, witness=np.unique([i, j]), exact=True,
-    )
+    return _certificate(CertKind.PAIRWISE_INCOHERENCE, alpha, 2, worst, np.unique([i, j]), exact=True)
 
 
 def welch_floor(x: np.ndarray) -> float:
@@ -421,6 +410,7 @@ def welch_floor(x: np.ndarray) -> float:
 
     ||U^T U||_F = ||U U^T||_F, so the smaller of the two Gram matrices is formed.
     """
+    _finite_design(x)
     norms = np.linalg.norm(x, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column")

@@ -67,6 +67,25 @@ def dense_linf_scan(g: np.ndarray, s: int) -> tuple[float, np.ndarray]:
     return best, best_subset
 
 
+def dense_l2_scan(x: np.ndarray, s: int) -> tuple[float, np.ndarray]:
+    """Exact l2-RIP value and witness from the whole Gram, over every size-s subset.
+
+    Each s x s block is indexed out of X^T X; the value is the larger of
+    |lambda_min - 1| and |lambda_max - 1|, and the first strict maximum in
+    lexicographic subset order wins.
+    """
+    g = x.T @ x
+    best = -np.inf
+    best_subset = None
+    for sub in itertools.combinations(range(g.shape[0]), s):
+        idx = np.asarray(sub, dtype=np.int64)
+        evals = np.linalg.eigvalsh(g[np.ix_(idx, idx)])
+        val = float(max(abs(evals[0] - 1.0), abs(evals[-1] - 1.0)))
+        if val > best:
+            best, best_subset = val, idx
+    return best, best_subset
+
+
 def brute_force_sign_max(m_inv: np.ndarray) -> float:
     """max over u in {-1,+1}^s of ||m_inv u||_inf by exhaustive search."""
     s = m_inv.shape[0]

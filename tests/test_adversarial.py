@@ -272,6 +272,12 @@ class TestIndistinguishablePair:
         with pytest.raises(ValueError, match=re.escape(message)):
             build_indistinguishable_pair(gaussian(50, 100, seed=4), np.array([0, 1]), np.array(base), 1.0)
 
+    def test_masking_support_is_checked_before_it_is_read(self):
+        # a 2-D S would otherwise be measured by its rows against T's columns
+        message = "support must be strictly increasing integers in [0, 100), got [[0, 1]]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_indistinguishable_pair(gaussian(50, 100, seed=4), np.array([[0, 1]]), np.array([2, 3]), 1.0)
+
 
 class TestMetricImpossibilityPair:
     def test_forced_unit_separation_and_shared_column(self):

@@ -332,8 +332,11 @@ def _column_3_selector():
         (np.array([[1, 2]]), "int64 of shape (1, 2)"),
         (np.array(["a"]), "<U1 of shape (1,)"),
         ([None], "object of shape (1,)"),
+        (3, "int64 of shape ()"),
+        (np.int64(3), "int64 of shape ()"),
+        (np.empty((0, 2), dtype=np.int64), "int64 of shape (0, 2)"),
     ],
-    ids=["bool-selector", "bool-short", "float", "2-D", "str", "none"],
+    ids=["bool-selector", "bool-short", "float", "2-D", "str", "none", "int", "np-int64", "2-D-empty"],
 )
 def test_draw_rejects_a_mask_that_is_not_an_integer_array(masked, shown):
     # a bool selector would zero column 3 while the oracle logs it as indices 0 and 1;

@@ -283,6 +283,12 @@ class TestOblivious:
         rep = oblivious_recover(x, rng.standard_normal(91), 2, 1.0, 0.5)
         assert rep.diagnostics["truncated_rows"] == 1
 
+    def test_fewer_rows_than_thirds_raise(self):
+        # two rows leave the last third empty, and the zero estimate came back as recovered
+        x = sample_ensemble(Dims(n=2, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 5)
+        with pytest.raises(ValueError, match=re.escape("n=2 is too few rows for 3 blocks of at least 1; need n >= 3")):
+            oblivious_recover(x, np.ones(2), 2, 1.0, 0.5)
+
     def test_error_within_frozen_constant_smoke(self):
         # scaled-down version of the reference configuration
         n, d, k, trials = 900, 500, 5, 30
@@ -370,6 +376,13 @@ class TestReduction:
         x = sample_ensemble(Dims(n=30, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 6)
         rep = osr_reduction(x, rng.standard_normal(30), 2, 1.0, 1.5)
         assert np.array_equal(rep.estimate, np.zeros(10))
+
+    def test_blocks_too_small_to_split_raise(self):
+        # 5 rows over T = 7 rounds: every holdout block was empty and validated the zero estimate
+        x = sample_ensemble(Dims(n=5, d=10, k=2), Ensemble.GAUSSIAN_SCALED, 6)
+        message = "n=5 is too few rows for 14 blocks of at least 3; need n >= 42"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            osr_reduction(x, np.ones(5), 2, 1.0, 1.0 / 128)
 
     def test_noiseless_orthonormal_splits_exact(self, rng):
         d, k = 12, 2

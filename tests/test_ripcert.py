@@ -1,16 +1,14 @@
-import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_linf_cert, dense_linf_scan, orthonormal_columns
+from conftest import brute_force_linf_cert, dense_l2_scan, dense_linf_scan, orthonormal_columns
 from linfrec import ripcert
 from linfrec.core import Dims, Ensemble, sample_ensemble
 from linfrec.ripcert import (
     BudgetExceeded,
-    CertKind,
     Verdict,
     certificate_to_json,
     certify_l2_rip,
@@ -99,7 +97,8 @@ class TestL2Rip:
         assert peak < 8 * d * d
 
     def test_exact_s1_forms_no_whole_gram(self):
-        # at s = 1 any d within the subset budget passes, so a d x d Gram could be any size
+        # at s = 1 any d within the subset budget passes, so a d x d Gram could be any size;
+        # at s = 2 and d = 200 (19,900 blocks) each block is formed from its own columns too
         d = 3000
         x = sample_ensemble(Dims(n=8, d=d, k=1), Ensemble.GAUSSIAN_SCALED, seed=2)
         tracemalloc.start()
@@ -112,6 +111,33 @@ class TestL2Rip:
         deviation = np.abs(np.einsum("ij,ij->j", x, x) - 1.0)
         assert cert.achieved == pytest.approx(deviation.max(), rel=1e-14)
         assert cert.witness.tolist() == [int(np.argmax(deviation))]
+
+        d = 200
+        x = sample_ensemble(Dims(n=8, d=d, k=2), Ensemble.GAUSSIAN_SCALED, seed=2)
+        tracemalloc.start()
+        try:
+            cert = certify_l2_rip(x, epsilon=0.5, s=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d
+        achieved, witness = dense_l2_scan(x, 2)
+        assert cert.achieved == pytest.approx(achieved, rel=1e-13)
+        assert cert.witness.tolist() == witness.tolist()
+
+    def test_exact_blocks_equal_the_whole_gram_scan(self):
+        # each s x s block formed from its columns against the block indexed out of X^T X
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            n, d = int(rng.integers(5, 401)), int(rng.integers(3, 41))
+            s = int(rng.integers(1, 4))
+            x = rng.standard_normal((n, d)) / np.sqrt(n)
+            achieved, witness = dense_l2_scan(x, s)
+            epsilon = float(rng.uniform(0.5, 1.5)) * achieved
+            cert = certify_l2_rip(x, epsilon=epsilon, s=s)
+            assert cert.achieved == pytest.approx(achieved, rel=1e-13)
+            assert cert.witness.tolist() == witness.tolist()
+            assert cert.verdict is (Verdict.HOLDS if achieved <= epsilon else Verdict.FAILS)
 
     def test_sampled_pass_is_lower_bound_only(self):
         x = sample_ensemble(Dims(n=500, d=40, k=2), Ensemble.GAUSSIAN_SCALED, seed=1)
@@ -396,8 +422,9 @@ def test_certifiers_reject_a_huge_integer_threshold(certify):
         lambda x: certify_linf_rip(x, epsilon=0.25, s=2),
         lambda x: certify_linf_rip(x, epsilon=0.25, s=2, mode="sampled", trials=20),
         lambda x: certify_pi(x, alpha=0.25),
+        welch_floor,
     ],
-    ids=["l2-exact", "l2-sampled", "linf-exact", "linf-sampled", "pi"],
+    ids=["l2-exact", "l2-sampled", "linf-exact", "linf-sampled", "pi", "welch"],
 )
 def test_certifiers_reject_a_design_with_a_non_finite_entry(certify, bad):
     # a NaN or infinite entry would decide the verdict, in every certifier and mode
@@ -415,10 +442,28 @@ def test_certifiers_name_an_unknown_mode(certify):
 
 
 def test_certificate_json():
-    cert = certify_pi(planted_matrix(4, 0.2), alpha=0.1)
-    doc = json.loads(certificate_to_json(cert))
-    assert doc["kind"] == CertKind.PAIRWISE_INCOHERENCE.value
-    assert doc["verdict"] == "fails"
-    assert doc["exact"] is True
-    assert doc["witness"] == [0, 1]
-    assert doc["achieved"] == pytest.approx(0.2)
+    # the whole string, one certificate per verdict: the fields in order, the witness as a list
+    cases = [
+        (
+            certify_pi(planted_matrix(4, 0.2), alpha=0.1),
+            '{"kind": "pairwise_incoherence", "threshold": 0.1, "s": 2, "verdict": "fails", '
+            '"achieved": 0.2, "witness": [0, 1], "exact": true}',
+        ),
+        (
+            certify_l2_rip(np.eye(6), 0.01, 2),
+            '{"kind": "l2_rip", "threshold": 0.01, "s": 2, "verdict": "holds", '
+            '"achieved": 0.0, "witness": [0, 1], "exact": true}',
+        ),
+        (
+            certify_linf_rip(np.eye(6), 0.25, 2, mode="sampled", trials=5),
+            '{"kind": "linf_rip", "threshold": 0.25, "s": 2, "verdict": "lower_bound_only", '
+            '"achieved": 0.0, "witness": null, "exact": false}',
+        ),
+        (
+            certify_linf_rip(planted_matrix(5, 0.3), 0.25, 3),
+            '{"kind": "linf_rip", "threshold": 0.25, "s": 3, "verdict": "fails", '
+            '"achieved": 0.39000000000000007, "witness": [0, 1, 2], "exact": true}',
+        ),
+    ]
+    for cert, expected in cases:
+        assert certificate_to_json(cert) == expected
