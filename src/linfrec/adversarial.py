@@ -148,7 +148,7 @@ def _ratio_maximizer(image: np.ndarray, s: np.ndarray, bounds: np.ndarray) -> np
 
 def _check_shared(y1: np.ndarray, y2: np.ndarray) -> None:
     tol = PAIR_RTOL * (1.0 + float(np.max(np.abs(y1), initial=0.0)))
-    if float(np.max(np.abs(y1 - y2), initial=0.0)) > tol:
+    if not float(np.max(np.abs(y1 - y2), initial=0.0)) <= tol:  # NaN fails too
         raise ConstructionFailure("pair members do not share an observation vector")
 
 
@@ -163,8 +163,11 @@ def build_indistinguishable_pair(
 
     ``s`` and ``t`` must be disjoint and equally sized (each half the sparsity
     budget of the instances being emulated); ``t`` is checked as ``s`` is, so
-    the budget counts distinct columns.
+    the budget counts distinct columns.  A non-finite ``base_magnitude`` is a
+    ValueError naming it.
     """
+    if not np.isfinite(float(base_magnitude)):
+        raise ValueError(f"base_magnitude must be a finite number, got {base_magnitude!r}")
     d = x.shape[1]
     s = _checked_support(s, d, "support")
     t = _checked_support(t, d, "base support")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -59,7 +60,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    try:
+        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{args.config}: not JSON: {exc}") from None
     cfg.output = args.out or cfg.output
     _, summary = run_experiment(cfg)
     print(json.dumps(summary, indent=2))
@@ -135,6 +139,22 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    """A ``--signal-magnitude`` or ``--base-magnitude``; nan or inf is a usage error naming the option."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    """A ``--sigma`` value; nan, inf or a negative one is a usage error naming the option."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="linfrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -149,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[design], help="generate and write a recovery instance")
     p.add_argument("--noise", choices=["zero", "gaussian"], default="gaussian")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--signal-magnitude", type=float, default=1.0)
+    p.add_argument("--sigma", type=nonnegative_float, default=1.0)
+    p.add_argument("--signal-magnitude", type=finite_float, default=1.0)
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("run", help="run an experiment config")
@@ -170,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify, usage_error=p.error)
 
     p = sub.add_parser("adversarial", parents=[design], help="write an indistinguishable instance pair")
-    p.add_argument("--base-magnitude", type=float, default=1.0)
+    p.add_argument("--base-magnitude", type=finite_float, default=1.0)
     p.set_defaults(fn=_cmd_adversarial)
 
     p = sub.add_parser("report", help="aggregate result CSVs")

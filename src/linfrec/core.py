@@ -54,9 +54,7 @@ RESIDUAL_RTOL = 1e-10
 
 MATRIX_MAGIC = b"LFRMAT01"  # 8 magic bytes, then u32 n, u32 d, row-major f64 LE
 
-# Instance formats read, oldest first; the last is written.  A v1 file is a
-# v2 file plus the fields model, noise.kind and noise.sigma, which are ignored.
-INSTANCE_FORMATS = ("linfrec-instance-v1", "linfrec-instance-v2")
+INSTANCE_FORMAT = "linfrec-instance-v2"
 
 
 # A design is drawn in tiles of TILE_ROWS x TILE_COLS entries, tile (i, j)
@@ -511,7 +509,7 @@ def save_instance(inst: RecoveryInstance, path: str | Path, matrix_file: str | P
     """
     matrix_file = Path(matrix_file)
     doc = {
-        "format": INSTANCE_FORMATS[-1],
+        "format": INSTANCE_FORMAT,
         "matrix": {"file": matrix_file.name, "sha256": matrix_sha256(matrix_file)},
         "y": inst.y.tolist(),
         "truth": {"values": inst.truth.tolist(), "budget": inst.budget},
@@ -552,8 +550,11 @@ def _json_floats(doc, length: int, *keys) -> np.ndarray:
 
 def load_instance(path: str | Path) -> RecoveryInstance:
     path = Path(path)
-    doc = json.loads(path.read_text())
-    if not isinstance(doc, dict) or doc.get("format") not in INSTANCE_FORMATS:
+    try:
+        doc = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
         raise ValueError(f"{path}: not a linfrec instance file")
     matrix_file = path.parent / json_field(doc, str, "matrix", "file")
     if matrix_sha256(matrix_file) != json_field(doc, str, "matrix", "sha256"):

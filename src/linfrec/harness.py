@@ -42,6 +42,7 @@ from .padaptive import (
     SNR_CONSTANT,
     MaskedOracle,
     SupportBlowupError,
+    _check_rounds,
     adaptive_support_recover,
     default_r_inf,
     threshold_stats,
@@ -139,6 +140,12 @@ class ExperimentConfig:
             valid, wanted = _ALGORITHM_VALUES[key]
             if not valid(value):
                 raise ValueError(f"algorithm.{key} must be {wanted}, got {value!r}")
+        if self.kind is ExperimentKind.PARTIAL_ADAPTIVE:
+            for i, point in enumerate(self.grid):
+                try:
+                    _check_rounds(point["n"], _rounds(self, point["k"]))
+                except ValueError as exc:  # here, not in a pool worker's trial
+                    raise ValueError(f"grid point {i}: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -379,12 +386,17 @@ def _trial_metric_equivalence(dims: Dims, cfg: ExperimentConfig, seed: int):
     return mr.ols_over_support, None, mr.m_gram, 6.0, extra
 
 
+def _rounds(cfg: ExperimentConfig, k: int) -> int:
+    """A partial_adaptive trial's adaptive rounds: ``algorithm.rounds``, else max(1, ceil(2 ln k))."""
+    return int(cfg.algorithm.get("rounds", max(1, math.ceil(2.0 * math.log(k)))))
+
+
 def _trial_partial_adaptive(dims: Dims, cfg: ExperimentConfig, seed: int):
     sigma = float(cfg.noise.get("sigma", 1.0))
     min_signal = 100.0 * sigma * math.sqrt(math.log(dims.d))
     truth = make_signal(dims.d, dims.k, rng_from(seed, 1), "pm_uniform_above", min_signal)
     oracle = MaskedOracle(dims, truth, sigma, derive_seed(seed, 0), ensemble=cfg.ensemble)
-    n_rounds = int(cfg.algorithm.get("rounds", math.ceil(2.0 * math.log(dims.k))))
+    n_rounds = _rounds(cfg, dims.k)
     R = float(np.linalg.norm(truth))
     r_inf = float(cfg.algorithm.get("r_inf", default_r_inf(sigma, dims.d)))
     rep = adaptive_support_recover(oracle, n_rounds, R, sigma, r_inf)

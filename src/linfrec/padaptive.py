@@ -10,14 +10,12 @@ support.
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, draw_tiles, gaussian_noise, json_field
+from .core import Dims, Ensemble, draw_tiles, gaussian_noise
 from .linops import hard_threshold_values, restricted_ols
 from .recovery import RecoveryReport, iht
 
@@ -43,10 +41,8 @@ class SupportBlowupError(RuntimeError):
 @dataclass
 class QueryRecord:
     rows: int
-    mask: list[int]
-    sub_seed: int
-    # ||X^T xi||_inf of the block: analysis only, never in the transcript
-    noise_corr: float = 0.0
+    # ||X^T xi||_inf of the block: analysis only
+    noise_corr: float
 
 
 class MaskedOracle:
@@ -100,49 +96,11 @@ class MaskedOracle:
         signal = x @ self.truth[cols]
         y = signal + xi
         corr = float(np.max(np.abs(x.T @ (y - signal)), initial=0.0))
-        self.query_log.append(QueryRecord(rows, [int(i) for i in mask], qi, corr))
+        self.query_log.append(QueryRecord(rows, corr))
         return x, cols, y
 
     def rows_consumed(self) -> int:
         return sum(q.rows for q in self.query_log)
-
-    def transcript_json(self) -> str:
-        doc = {
-            "format": "linfrec-oracle-transcript-v1",
-            "dims": {"n": self.dims.n, "d": self.dims.d, "k": self.dims.k},
-            "noise_sigma": self.noise_sigma,
-            "master_seed": self.master_seed,
-            "ensemble": self.ensemble.value,
-            "queries": [
-                {"rows": q.rows, "mask": q.mask, "sub_seed": q.sub_seed} for q in self.query_log
-            ],
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def replay(cls, transcript: str, truth: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Regenerate the ``(block, cols, y)`` sequence of a recorded transcript."""
-        doc = json.loads(transcript)
-        if not isinstance(doc, dict) or doc.get("format") != "linfrec-oracle-transcript-v1":
-            raise ValueError("not an oracle transcript")
-        dims = Dims(*(json_field(doc, numbers.Integral, "dims", key) for key in ("n", "d", "k")))
-        oracle = cls(
-            dims,
-            truth,
-            json_field(doc, numbers.Real, "noise_sigma"),
-            json_field(doc, numbers.Integral, "master_seed"),
-            Ensemble(json_field(doc, str, "ensemble")),
-        )
-        out = []
-        for i in range(len(json_field(doc, list, "queries"))):
-            rows = json_field(doc, numbers.Integral, "queries", i, "rows")
-            n_mask = len(json_field(doc, list, "queries", i, "mask"))
-            mask = [json_field(doc, numbers.Integral, "queries", i, "mask", j) for j in range(n_mask)]
-            outside = [m for m in mask if not 0 <= m < dims.d]
-            if outside:  # named as the integer it is, before an array could round it to a float
-                raise ValueError(f"mask index {outside[0]} is out of range for d={dims.d}")
-            out.append(oracle.masked_observe(rows, np.asarray(mask)))
-        return out
 
 
 @dataclass
@@ -184,6 +142,14 @@ def default_r_inf(noise_sigma: float, d: int) -> float:
     return 0.5 * SNR_CONSTANT * noise_sigma * math.sqrt(2.0 * math.log(d))
 
 
+def _check_rounds(n: int, rounds: int) -> None:
+    """Reject fewer than one round, or an n-row budget that leaves each round no rows (n < 3 * rounds)."""
+    if rounds < 1:
+        raise ValueError("need at least one adaptive round")
+    if n < 3 * rounds:
+        raise ValueError(f"n={n} leaves each of rounds={rounds} rounds no rows; need n >= {3 * rounds}")
+
+
 def adaptive_support_recover(
     oracle: MaskedOracle, rounds: int, R: float, r2: float, r_inf: float
 ) -> RecoveryReport:
@@ -199,11 +165,8 @@ def adaptive_support_recover(
     n below 3 * rounds, which leaves each round no rows, raises a ValueError
     naming both before the first query.
     """
-    if rounds < 1:
-        raise ValueError("need at least one adaptive round")
     n, d, k = oracle.dims.n, oracle.dims.d, oracle.dims.k
-    if n < 3 * rounds:
-        raise ValueError(f"n={n} leaves each of rounds={rounds} rounds no rows; need n >= 3 * rounds = {3 * rounds}")
+    _check_rounds(n, rounds)
     x0, _, y0 = oracle.masked_observe(n // 3, np.empty(0, dtype=np.int64))
     warm = iht(x0, y0, k, R, r2)
     del x0, y0  # the warm block is the largest; free it before the later draws

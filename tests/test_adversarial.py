@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import linfrec
 from conftest import brute_force_sign_max, dense_lp_ratio, orthonormal_columns
-from linfrec import core
+from linfrec import adversarial, core
 from linfrec.adversarial import (
     ConstructionFailure,
     build_indistinguishable_pair,
@@ -277,6 +277,16 @@ class TestIndistinguishablePair:
         message = "support must be strictly increasing integers in [0, 100), got [[0, 1]]"
         with pytest.raises(ValueError, match=re.escape(message)):
             build_indistinguishable_pair(gaussian(50, 100, seed=4), np.array([[0, 1]]), np.array([2, 3]), 1.0)
+
+    @pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf])
+    def test_base_magnitude_must_be_finite(self, base):
+        # a NaN or infinite base would give a NaN shared observation
+        with pytest.raises(ValueError, match=f"base_magnitude must be a finite number, got {base}"):
+            build_indistinguishable_pair(gaussian(50, 100, seed=4), np.array([0, 1]), np.array([2, 3]), base)
+
+    def test_a_nan_observation_is_not_shared(self):
+        with pytest.raises(ConstructionFailure, match="do not share an observation vector"):
+            adversarial._check_shared(np.array([1.0, np.nan]), np.array([1.0, np.nan]))
 
 
 class TestMetricImpossibilityPair:

@@ -131,6 +131,33 @@ def test_negative_seed_is_a_usage_error_naming_it(capsys, argv):
     assert capsys.readouterr().err.splitlines()[-1].endswith("argument --seed: must be a nonnegative integer, got -1")
 
 
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        (["gen", "--sigma", "-1"], "--sigma", "must be a finite nonnegative number, got -1.0"),
+        (["gen", "--sigma", "nan"], "--sigma", "must be a finite nonnegative number, got nan"),
+        (["gen", "--signal-magnitude", "inf"], "--signal-magnitude", "must be a finite number, got inf"),
+        (["adversarial", "--base-magnitude", "nan"], "--base-magnitude", "must be a finite number, got nan"),
+    ],
+    ids=["negative-sigma", "nan-sigma", "inf-signal-magnitude", "nan-base-magnitude"],
+)
+def test_a_bad_magnitude_is_a_usage_error_naming_it(tmp_path, capsys, argv, option, message):
+    dims = ["--n", "40", "--d", "80", "--k", "6", "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, *dims])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {option}: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_names_a_config_that_is_not_json(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text("not json")
+    code, _, err = run_cli(capsys, "run", str(cfg_path))
+    assert code == 1
+    assert err.startswith(f"linfrec: error: {cfg_path}: not JSON: Expecting value")
+
+
 def test_sweep_is_an_unknown_command():
     with pytest.raises(SystemExit) as exc_info:
         main(["sweep", "cfg.json"])

@@ -25,7 +25,7 @@ from linfrec.core import (
     TILE_ROWS,
     TILE_TAG,
     Dims,
-    INSTANCE_FORMATS,
+    INSTANCE_FORMAT,
     Ensemble,
     RecoveryInstance,
     build_instance,
@@ -637,14 +637,22 @@ def _saved_instance(out_dir):
         (lambda doc: doc["truth"].__setitem__("budget", "2"), "field truth.budget has type str"),
         (lambda doc: doc["noise"].__setitem__("values", None), "field noise.values has type NoneType"),
         (lambda doc: doc["truth"].__setitem__("budget", 1), "nnz 2 exceeds budget 1"),
+        (lambda doc: doc.__setitem__("format", "linfrec-instance-v1"), "not a linfrec instance file"),
     ],
-    ids=["no-y", "short-y", "str-budget", "null-noise-values", "budget-below-nnz"],
+    ids=["no-y", "short-y", "str-budget", "null-noise-values", "budget-below-nnz", "v1-format"],
 )
 def test_load_instance_names_the_malformed_field(tmp_path, mutate, message):
     path, doc = _saved_instance(tmp_path)
     mutate(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
+        load_instance(path)
+
+
+def test_load_instance_names_a_file_that_is_not_json(tmp_path):
+    path, _ = _saved_instance(tmp_path)
+    path.write_text("{")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not JSON: Expecting property name"):
         load_instance(path)
 
 
@@ -682,30 +690,4 @@ def test_instance_roundtrip_and_hash_check(tmp_path):
     mp.write_bytes(mp.read_bytes()[:-1] + b"\x00")
     with pytest.raises(ValueError):
         load_instance(ip)
-    assert json.loads(ip.read_text())["format"] == INSTANCE_FORMATS[-1] == "linfrec-instance-v2"
-
-
-def test_v1_instance_loads_and_its_tags_are_ignored(tmp_path):
-    x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    mp = tmp_path / "m.bin"
-    save_matrix(x, mp)
-    v1 = {
-        "format": "linfrec-instance-v1",
-        "model": "oblivious",
-        "matrix": {"file": "m.bin", "sha256": matrix_sha256(mp)},
-        "y": [1.5, -1.75, 0.5],
-        "truth": {"values": [1.0, -1.0], "budget": 2},
-        "noise": {"values": [0.5, 0.25, 0.5], "kind": "isotropic_gaussian", "sigma": 0.5},
-    }
-    (tmp_path / "v1.json").write_text(json.dumps(v1))
-    back = load_instance(tmp_path / "v1.json")
-    want = build_instance(x, np.array([1.0, -1.0]), np.array([0.5, 0.25, 0.5]), 2)
-    save_instance(want, tmp_path / "v2.json", mp)
-    for inst in (back, load_instance(tmp_path / "v2.json")):
-        assert inst.x.tobytes() == x.tobytes()
-        assert inst.y.tobytes() == want.y.tobytes()
-        assert inst.truth.tobytes() == want.truth.tobytes() and inst.budget == 2
-        assert inst.noise.tobytes() == want.noise.tobytes()
-    # v2 is v1 without the three tags
-    v2 = json.loads((tmp_path / "v2.json").read_text())
-    assert set(v1) - set(v2) == {"model"} and set(v1["noise"]) - set(v2["noise"]) == {"kind", "sigma"}
+    assert json.loads(ip.read_text())["format"] == INSTANCE_FORMAT == "linfrec-instance-v2"

@@ -237,14 +237,27 @@ def test_partial_adaptive_budget_honesty():
 
 @pytest.mark.parametrize(
     "point, algorithm, rounds",
-    [({"n": 2, "d": 20, "k": 2}, {}, 2), ({"n": 30, "d": 20, "k": 2}, {"rounds": 20}, 20)],
-    ids=["n-2-default-rounds", "n-30-rounds-20"],
+    [
+        ({"n": 2, "d": 20, "k": 2}, {}, 2),
+        ({"n": 30, "d": 20, "k": 2}, {"rounds": 20}, 20),
+        ({"n": 5, "d": 20, "k": 3}, {}, 3),
+    ],
+    ids=["n-2-default-rounds", "n-30-rounds-20", "n-5-default-rounds"],
 )
-def test_partial_adaptive_names_a_budget_too_small_for_its_rounds(point, algorithm, rounds, monkeypatch):
-    monkeypatch.delenv("LINFREC_THREADS", raising=False)
-    cfg = tiny_config(ExperimentKind.PARTIAL_ADAPTIVE, grid=[point], trials=1, algorithm=algorithm)
-    with pytest.raises(ValueError, match=rf"n={point['n']} leaves each of rounds={rounds} rounds no rows"):
-        run_experiment(cfg)
+def test_partial_adaptive_names_a_budget_too_small_for_its_rounds(point, algorithm, rounds):
+    # named when the config is built, before any trial or pool worker runs
+    grid = [{"n": 900, "d": 20, "k": 2}, point]
+    message = rf"^grid point 1: n={point['n']} leaves each of rounds={rounds} rounds no rows; need n >= {3 * rounds}$"
+    with pytest.raises(ValueError, match=message):
+        tiny_config(ExperimentKind.PARTIAL_ADAPTIVE, grid=grid, trials=1, algorithm=algorithm)
+
+
+def test_partial_adaptive_runs_at_k_1():
+    # the default ceil(2 ln k) rounds is 0 at k = 1; one round runs instead
+    cfg = tiny_config(ExperimentKind.PARTIAL_ADAPTIVE, grid=[{"n": 600, "d": 50, "k": 1}], trials=2)
+    records, _ = run_experiment(cfg)
+    assert [rec.extra.get("failed") for rec in records] == [None, None]
+    assert [rec.extra["rows_consumed"] for rec in records] == [600.0, 600.0]
 
 
 def test_failures_recorded_not_fatal():

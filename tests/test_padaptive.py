@@ -1,12 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import is_design, mutated_json, orthonormal_columns
+from conftest import is_design, orthonormal_columns
 from linfrec import core
 from linfrec.core import TILE_COLS, TILE_ROWS, TILE_TAG, Dims, Ensemble, rng_from
 from linfrec.padaptive import (
@@ -46,7 +43,7 @@ class TestMaskedOracle:
         assert np.array_equal(cols, np.arange(30))
         assert np.array_equal(y, x @ truth)
 
-    def test_replay_determinism(self):
+    def test_same_queries_of_one_seed_give_the_same_bytes(self):
         o1 = make_oracle(seed=42)
         o2 = make_oracle(seed=42)
         for mask in ([], [1], [1, 7]):
@@ -81,22 +78,11 @@ class TestMaskedOracle:
         o = MaskedOracle(Dims(n=100, d=30, k=2), np.zeros(30), 0.7, master_seed=5)
         x, _, y = o.masked_observe(20, np.array([3]))
         assert o.query_log[0].noise_corr == float(np.max(np.abs(x.T @ y)))
-        assert "noise_corr" not in o.transcript_json()
-
-    def test_transcript_replay(self):
-        o = make_oracle(seed=77)
-        obs = [o.masked_observe(10, np.unique(m)) for m in ([], [1, 7], [0], range(16, 32))]
-        replayed = MaskedOracle.replay(o.transcript_json(), o.truth)
-        assert len(replayed) == len(obs)
-        for recorded, again in zip(obs, replayed):
-            for a, b in zip(recorded, again):
-                assert a.tobytes() == b.tobytes()
-
 
     def test_observations_are_c_ordered_float64_arrays(self):
         o = make_oracle(seed=3)
         obs = [o.masked_observe(10, np.unique(m)) for m in ([], [1, 7])]
-        for x, cols, _ in obs + MaskedOracle.replay(o.transcript_json(), o.truth):
+        for x, cols, _ in obs:
             assert is_design(x, (10, 50))
             assert np.array_equal(cols, np.arange(50))
 
@@ -196,65 +182,23 @@ class TestMaskedOracle:
             # y sees the truth through the support's columns alone, plus the
             # noise an unmasked query of the same seed draws
             np.testing.assert_allclose(y, x_t @ truth[support] + noise, rtol=1e-12, atol=1e-12)
-        assert [q["mask"] for q in json.loads(masked.transcript_json())["queries"]] == [mask.tolist()] * 2
 
     def test_mask_index_beyond_d_is_rejected(self):
         o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
-        with pytest.raises(ValueError, match="mask index 99 is out of range for d=10"):
-            o.masked_observe(5, np.array([2, 99]))
+        big = 2**63 + 5  # a uint64 index
+        for mask, index in ((np.array([2, 99]), 99), (np.array([-1, 2]), -1), (np.array([2, big], dtype=np.uint64), big)):
+            with pytest.raises(ValueError, match=f"mask index {index} is out of range for d=10"):
+                o.masked_observe(5, mask)
         assert o.query_log == []
 
-
-def _transcript():
-    """An oracle at d=10 after two queries, and its transcript document."""
-    o = make_oracle(d=10, truth=sparse(10, [1, 7], [3.0, -2.0]))
-    for mask in ([], [1, 7]):
-        o.masked_observe(4, np.unique(mask))
-    return o, json.loads(o.transcript_json())
-
-
-BAD_SIGMA = "noise_sigma must be a finite nonnegative number"
-
-
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda doc: doc["dims"].pop("k"), "missing field dims.k"),
-        (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 99), "mask index 99 is out of range for d=10"),
-        (lambda doc: doc["queries"][1]["mask"].__setitem__(0, 2**70), f"mask index {2**70} is out of range for d=10"),
-        (lambda doc: doc["queries"][1]["mask"].__setitem__(0, -1), "mask index -1 is out of range for d=10"),
-        (lambda doc: doc["queries"][1]["mask"].__setitem__(1, 2**63 + 5), "mask index 9223372036854775813 is out of range for d=10"),
-        (lambda doc: doc["queries"][0].__setitem__("rows", "4"), "field queries.0.rows has type str"),
-        (lambda doc: doc.__setitem__("master_seed", 1.5), "field master_seed has type float"),
-        (lambda doc: doc.__setitem__("master_seed", -1), "master_seed must be a nonnegative integer, got -1"),
-        (lambda doc: doc.__setitem__("noise_sigma", math.nan), f"{BAD_SIGMA}, got nan"),
-        (lambda doc: doc.__setitem__("noise_sigma", math.inf), f"{BAD_SIGMA}, got inf"),
-        (lambda doc: doc.__setitem__("noise_sigma", -1), f"{BAD_SIGMA}, got -1"),
-        (lambda doc: doc.__setitem__("noise_sigma", 10**400), f"{BAD_SIGMA}, got 1000"),
-    ],
-    ids=[
-        "no-dims-k", "mask-index-99", "huge-mask-index", "negative-mask-index", "uint64-mask-index", "str-rows", "float-master-seed", "negative-master-seed",
-        "nan-sigma", "inf-sigma", "negative-sigma", "huge-int-sigma",
-    ],
-)
-def test_replay_names_the_malformed_field(mutate, message):
-    o, doc = _transcript()
-    mutate(doc)
-    with pytest.raises(ValueError, match=message):
-        MaskedOracle.replay(json.dumps(doc), o.truth)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_replay_returns_observations_or_raises_value_error(data):
-    o, doc = _transcript()
-    try:
-        obs = MaskedOracle.replay(json.dumps(mutated_json(data, doc)), o.truth)
-    except ValueError:
-        return
-    for x, cols, y in obs:
-        assert is_design(x, (len(y), len(cols)))
-        assert cols.dtype == np.int64 and np.all(np.diff(cols) > 0) and np.all((0 <= cols) & (cols < 10))
+    @pytest.mark.parametrize(
+        "sigma, shown",
+        [(math.nan, "nan"), (math.inf, "inf"), (-1, "-1"), (10**400, "1000")],
+        ids=["nan", "inf", "negative", "huge-int"],
+    )
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma, shown):
+        with pytest.raises(ValueError, match=f"noise_sigma must be a finite nonnegative number, got {shown}"):
+            MaskedOracle(Dims(n=10, d=10, k=1), np.zeros(10), sigma, master_seed=5)
 
 
 class TestThresholdStats:
@@ -374,9 +318,9 @@ class TestAdaptiveSupportRecover:
     def test_monotone_mask_growth_and_budget(self):
         oracle, params = monotone_fixture()
         n, rounds = oracle.dims.n, params[0]
-        adaptive_support_recover(oracle, *params)
+        rep = adaptive_support_recover(oracle, *params)
         # phase two masks grow monotonically; total row budget is exact
-        masks = [set(q.mask) for q in oracle.query_log[1:-1]]
+        masks = [set(m) for m in rep.diagnostics["support_sets"][:-1]]
         for a, b in zip(masks, masks[1:]):
             assert a <= b
         assert oracle.rows_consumed() == n
