@@ -185,10 +185,8 @@ class TestMaskedOracle:
 
     def test_mask_index_beyond_d_is_rejected(self):
         o = make_oracle(d=10, truth=sparse(10, [1], [1.0]))
-        big = 2**63 + 5  # a uint64 index
-        for mask, index in ((np.array([2, 99]), 99), (np.array([-1, 2]), -1), (np.array([2, big], dtype=np.uint64), big)):
-            with pytest.raises(ValueError, match=f"mask index {index} is out of range for d=10"):
-                o.masked_observe(5, mask)
+        with pytest.raises(ValueError, match="mask index 99 is out of range for d=10"):
+            o.masked_observe(5, np.array([2, 99]))
         assert o.query_log == []
 
     @pytest.mark.parametrize(
@@ -199,6 +197,41 @@ class TestMaskedOracle:
     def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma, shown):
         with pytest.raises(ValueError, match=f"noise_sigma must be a finite nonnegative number, got {shown}"):
             MaskedOracle(Dims(n=10, d=10, k=1), np.zeros(10), sigma, master_seed=5)
+
+
+def _queries():
+    """An oracle at d=10 after two queries, and the seed and queries that replay them."""
+    o = make_oracle(d=10, truth=sparse(10, [1, 7], [3.0, -2.0]))
+    queries = [(4, np.empty(0, dtype=np.int64)), (4, np.array([1, 7]))]
+    for rows, mask in queries:
+        o.masked_observe(rows, mask)
+    return o, {"master_seed": o.master_seed, "queries": queries}
+
+
+def _replay(o, doc):
+    """Re-issue a recorded query sequence on a fresh oracle of ``o``'s instance."""
+    fresh = MaskedOracle(o.dims, o.truth, o.noise_sigma, master_seed=doc["master_seed"])
+    return [fresh.masked_observe(rows, mask) for rows, mask in doc["queries"]]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc["queries"].__setitem__(1, (4, np.array([7, 99]))), "mask index 99 is out of range for d=10"),
+        (lambda doc: doc["queries"].__setitem__(1, (4, np.array([-1, 7]))), "mask index -1 is out of range for d=10"),
+        (
+            lambda doc: doc["queries"].__setitem__(1, (4, np.array([1, 2**63 + 5], dtype=np.uint64))),
+            "mask index 9223372036854775813 is out of range for d=10",
+        ),
+        (lambda doc: doc.__setitem__("master_seed", -1), "master_seed must be a nonnegative integer, got -1"),
+    ],
+    ids=["mask-index-99", "negative-mask-index", "uint64-mask-index", "negative-master-seed"],
+)
+def test_replay_names_the_malformed_field(mutate, message):
+    o, doc = _queries()
+    mutate(doc)
+    with pytest.raises(ValueError, match=message):
+        _replay(o, doc)
 
 
 class TestThresholdStats:
