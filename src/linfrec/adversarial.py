@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RecoveryInstance, save_instance, save_matrix_addressed
+from .core import RecoveryInstance, check, save_instance, save_matrix_addressed
 from .linops import restricted_gram
 
 __all__ = [
@@ -166,8 +166,7 @@ def build_indistinguishable_pair(
     the budget counts distinct columns.  A non-finite ``base_magnitude`` is a
     ValueError naming it.
     """
-    if not np.isfinite(float(base_magnitude)):
-        raise ValueError(f"base_magnitude must be a finite number, got {base_magnitude!r}")
+    base_magnitude = check(base_magnitude, "base_magnitude", "a finite number")
     d = x.shape[1]
     s = _checked_support(s, d, "support")
     t = _checked_support(t, d, "base support")
@@ -179,7 +178,7 @@ def build_indistinguishable_pair(
     v = build_masking_vector(x, s, normalize=True)
 
     theta1 = np.zeros(d)
-    theta1[t] = float(base_magnitude)
+    theta1[t] = base_magnitude
     theta2 = theta1 + v
     xi1 = x @ v
 
@@ -198,7 +197,7 @@ def build_metric_impossibility_pair(x: np.ndarray, i: int) -> IndistinguishableP
     while every such metric stays near zero.
     """
     d = x.shape[1]
-    if not 0 <= i < d:
+    if check(i, "i", "a nonnegative integer") >= d:
         raise ValueError(f"column index {i} out of range for d={d}")
     theta2 = np.zeros(d)
     theta2[i] = 1.0

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .adversarial import build_indistinguishable_pair, save_pair
 from .core import (
+    SCALARS,
     Dims,
     Ensemble,
     build_instance,
@@ -131,28 +131,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def nonnegative_int(text: str) -> int:
-    """A ``--seed`` value; argparse reports a negative one as a usage error naming the option."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
-    return value
+def scalar(parse, wanted: str):
+    """An argparse type: the text as ``parse`` reads it, held to the scalar rule's ``wanted``.
 
+    A value the rule rejects is a usage error naming the option.
+    """
 
-def finite_float(text: str) -> float:
-    """A ``--signal-magnitude`` or ``--base-magnitude``; nan or inf is a usage error naming the option."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {value}")
-    return value
+    def read(text: str):
+        value = parse(text)
+        if not SCALARS[wanted](value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value!r}")
+        return value
 
-
-def nonnegative_float(text: str) -> float:
-    """A ``--sigma`` value; nan, inf or a negative one is a usage error naming the option."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {value}")
-    return value
+    read.__name__ = parse.__name__  # argparse's name for it when parse fails: "invalid int value: 'x'"
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,17 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     design = argparse.ArgumentParser(add_help=False)  # the design and output options gen and adversarial share
-    design.add_argument("--n", type=int, required=True)
-    design.add_argument("--d", type=int, required=True)
-    design.add_argument("--k", type=int, required=True)
+    design.add_argument("--n", type=scalar(int, "a positive integer"), required=True)
+    design.add_argument("--d", type=scalar(int, "a positive integer"), required=True)
+    design.add_argument("--k", type=scalar(int, "a positive integer"), required=True)
     design.add_argument("--ensemble", choices=sorted(_ENSEMBLES), default="gaussian")
-    design.add_argument("--seed", type=nonnegative_int, default=0)
+    design.add_argument("--seed", type=scalar(int, "a nonnegative integer"), default=0)
     design.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("gen", parents=[design], help="generate and write a recovery instance")
     p.add_argument("--noise", choices=["zero", "gaussian"], default="gaussian")
-    p.add_argument("--sigma", type=nonnegative_float, default=1.0)
-    p.add_argument("--signal-magnitude", type=finite_float, default=1.0)
+    p.add_argument("--sigma", type=scalar(float, "a finite nonnegative number"), default=1.0)
+    p.add_argument("--signal-magnitude", type=scalar(float, "a finite number"), default=1.0)
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("run", help="run an experiment config")
@@ -186,11 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
+    p.add_argument("--seed", type=scalar(int, "a nonnegative integer"), default=0)
     p.set_defaults(fn=_cmd_certify, usage_error=p.error)
 
     p = sub.add_parser("adversarial", parents=[design], help="write an indistinguishable instance pair")
-    p.add_argument("--base-magnitude", type=finite_float, default=1.0)
+    p.add_argument("--base-magnitude", type=scalar(float, "a finite number"), default=1.0)
     p.set_defaults(fn=_cmd_adversarial)
 
     p = sub.add_parser("report", help="aggregate result CSVs")

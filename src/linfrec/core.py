@@ -35,7 +35,9 @@ __all__ = [
     "Dims",
     "Ensemble",
     "RecoveryInstance",
+    "SCALARS",
     "build_instance",
+    "check",
     "draw_tiles",
     "gaussian_noise",
     "json_field",
@@ -121,15 +123,50 @@ def rng_from(seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number (never a bool) that is finite."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# The scalar rule: each phrase a number or count argument can be wanted as,
+# and its test.  No test passes a bool, and an integer beyond the float range
+# is not finite.
+SCALARS = {
+    "a finite number": _finite,
+    "a finite nonnegative number": lambda value: _finite(value) and value >= 0,
+    "a positive integer": lambda value: _integer(value) and value >= 1,
+    "a nonnegative integer": lambda value: _integer(value) and value >= 0,
+}
+
+
+def check(value, name: str, wanted: str) -> float | int:
+    """``value`` as a float (an int for the integer phrases) if it is ``wanted``, a key of SCALARS.
+
+    Anything else is a ValueError naming ``name``, the phrase and the value.
+    """
+    if not SCALARS[wanted](value):
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    return int(value) if wanted.endswith("integer") else float(value)
+
+
 @dataclass(frozen=True)
 class Dims:
-    """Problem dimensions: n rows (samples), d columns, sparsity budget k."""
+    """Problem dimensions: n rows (samples), d columns, sparsity budget k, all integers."""
 
     n: int
     d: int
     k: int
 
     def __post_init__(self):
+        for name in ("n", "d", "k"):
+            check(getattr(self, name), name, "a nonnegative integer")
         if not (1 <= self.k <= self.d):
             raise ValueError(f"need 1 <= k <= d, got k={self.k}, d={self.d}")
         if self.n < 1:
@@ -376,12 +413,13 @@ def sample_ensemble(dims: Dims, ensemble: Ensemble, seed: int) -> np.ndarray:
     arguments return bit-identical matrices.  The design is
     ``draw_tiles((seed,), n, d, ensemble)``'s block.
     """
-    return draw_tiles((seed,), dims.n, dims.d, ensemble)[0]
+    return draw_tiles((check(seed, "seed", "a nonnegative integer"),), dims.n, dims.d, ensemble)[0]
 
 
 def gaussian_noise(n: int, sigma: float, *key: int) -> np.ndarray:
     """Length-n i.i.d. ``N(0, sigma^2)`` noise drawn from ``rng_from(*key)``."""
-    return rng_from(*key).standard_normal(n) * float(sigma)
+    sigma = check(sigma, "sigma", "a finite nonnegative number")
+    return rng_from(*key).standard_normal(check(n, "n", "a nonnegative integer")) * sigma
 
 
 @dataclass
@@ -403,7 +441,7 @@ class RecoveryInstance:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.truth = np.ascontiguousarray(self.truth, dtype=np.float64)
         self.noise = np.asarray(self.noise, dtype=np.float64)
-        self.budget = int(self.budget)
+        self.budget = check(self.budget, "budget", "a nonnegative integer")
         nnz = np.count_nonzero(self.truth)
         if nnz > self.budget:
             raise ValueError(f"nnz {nnz} exceeds budget {self.budget}")

@@ -30,6 +30,7 @@ from .adversarial import ConstructionFailure, build_indistinguishable_pair, buil
 from .core import (
     Dims,
     Ensemble,
+    check,
     gaussian_noise,
     json_field,
     replace_file,
@@ -118,11 +119,8 @@ class ExperimentConfig:
                 Dims(**point)
             except ValueError as exc:  # here, not in a pool worker's trial
                 raise ValueError(f"grid point {i}: {exc}") from None
-        json_field(doc, numbers.Integral, "trials")
-        if json_field(doc, numbers.Integral, "master_seed") < 0:
-            raise ValueError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        check(json_field(doc, numbers.Integral, "trials"), "trials", "a positive integer")
+        check(json_field(doc, numbers.Integral, "master_seed"), "master_seed", "a nonnegative integer")
         _check_keys(self.noise, ("kind", "sigma"), "noise")
         if self.noise.get("kind", "gaussian") not in ("gaussian", "zero"):
             raise ValueError(f"unknown noise kind {self.noise['kind']!r}")
@@ -130,16 +128,16 @@ class ExperimentConfig:
             # its oracle draws Gaussian noise at noise.sigma whatever the kind
             raise ValueError("noise.kind 'zero' is not supported by partial_adaptive; set noise.sigma instead")
         if "sigma" in self.noise:
-            sigma = json_field(doc, numbers.Real, "noise", "sigma")
-            if not (_finite_number(sigma) and sigma >= 0):
-                raise ValueError(f"noise.sigma must be a finite nonnegative number, got {sigma!r}")
+            check(json_field(doc, numbers.Real, "noise", "sigma"), "noise.sigma", "a finite nonnegative number")
         if self.output is not None:
             json_field(doc, str, "output")
         _check_keys(self.algorithm, _KINDS[self.kind][2], "algorithm", f" for {self.kind.value}")
         for key, value in self.algorithm.items():
-            valid, wanted = _ALGORITHM_VALUES[key]
-            if not valid(value):
-                raise ValueError(f"algorithm.{key} must be {wanted}, got {value!r}")
+            wanted = _ALGORITHM_VALUES[key]
+            if isinstance(wanted, str):
+                check(value, f"algorithm.{key}", wanted)
+            elif not wanted[0](value):
+                raise ValueError(f"algorithm.{key} must be {wanted[1]}, got {value!r}")
         if self.kind is ExperimentKind.PARTIAL_ADAPTIVE:
             for i, point in enumerate(self.grid):
                 try:
@@ -158,27 +156,15 @@ class ExperimentConfig:
         return cls(**doc)
 
 
-def _finite_number(value) -> bool:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _positive_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
-# algorithm key -> (test of its value, what the test accepts)
+# algorithm key -> the scalar rule's phrase for its value, or a value set's
+# (test of its value, what the test accepts)
 _ALGORITHM_VALUES = {
     "certify": (lambda value: isinstance(value, bool), "true or false"),
-    "epsilon": (_finite_number, "a finite number"),
-    "error_constant": (_finite_number, "a finite number"),
+    "epsilon": "a finite number",
+    "error_constant": "a finite number",
     "mode": (lambda value: value in ("equivalence", "impossibility"), "'equivalence' or 'impossibility'"),
-    "r_inf": (_finite_number, "a finite number"),
-    "rounds": (_positive_int, "a positive integer"),
+    "r_inf": "a finite number",
+    "rounds": "a positive integer",
 }
 
 
@@ -226,6 +212,7 @@ def make_signal(
     d: int, k: int, rng: np.random.Generator, kind: str = "pm_uniform", magnitude: float = 1.0
 ) -> np.ndarray:
     """A k-sparse signal on a uniform random support with uniform random signs."""
+    magnitude = check(magnitude, "magnitude", "a finite number")
     support = np.sort(rng.choice(d, size=k, replace=False)).astype(np.int64)
     signs = rng.integers(2, size=k) * 2.0 - 1.0
     if kind == "pm_uniform":
@@ -245,7 +232,7 @@ def make_noise(n: int, spec: dict, seed: int) -> np.ndarray:
     """Length-n noise of a config's noise spec: zeros for kind "zero", else Gaussian of its sigma."""
     if spec.get("kind", "gaussian") == "zero":
         return np.zeros(n)
-    return gaussian_noise(n, float(spec.get("sigma", 1.0)), seed)
+    return gaussian_noise(n, spec.get("sigma", 1.0), seed)
 
 
 def disjoint_subsets(d: int, size_a: int, size_b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import SCALARS
+
 __all__ = [
     "SolverFailure",
     "hard_threshold_values",
@@ -33,16 +35,15 @@ def hard_threshold_values(v: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude coordinates (ties to the smaller index)."""
     v = np.asarray(v, dtype=np.float64)
     d = len(v)
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
+    if not (SCALARS["a nonnegative integer"](k) and k <= d):
+        raise ValueError(f"need 0 <= k <= d, got k={k!r}, d={d}")
     if k == 0:
         return np.zeros(d)
     if k >= d:
         return v.copy()
-    # lexsort: primary key -|v| (descending magnitude), secondary key index.
-    order = np.lexsort((np.arange(d), -np.abs(v)))
+    # a stable sort of -|v|: descending magnitude, ties to the smaller index
+    keep = np.argsort(-np.abs(v), kind="stable")[:k]
     out = np.zeros(d)
-    keep = order[:k]
     out[keep] = v[keep]
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dims, Ensemble, draw_tiles, gaussian_noise
+from .core import SCALARS, Dims, Ensemble, check, draw_tiles, gaussian_noise
 from .linops import hard_threshold_values, restricted_ols
 from .recovery import RecoveryReport, iht
 
@@ -72,15 +72,8 @@ class MaskedOracle:
         truth = np.ascontiguousarray(truth, dtype=np.float64)
         if truth.shape != (dims.d,):
             raise ValueError(f"truth has shape {truth.shape}, expected ({dims.d},)")
-        try:
-            self.noise_sigma = float(noise_sigma)
-        except OverflowError:  # an integer beyond the float range
-            self.noise_sigma = math.inf
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
-        self.master_seed = int(master_seed)
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed}")
+        self.noise_sigma = check(noise_sigma, "noise_sigma", "a finite nonnegative number")
+        self.master_seed = check(master_seed, "master_seed", "a nonnegative integer")
         self.dims = dims
         self.truth = truth
         self.ensemble = Ensemble(ensemble)
@@ -88,8 +81,7 @@ class MaskedOracle:
 
     def masked_observe(self, rows: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw and log the next query: the drawn tiles' block, their columns and y."""
-        if rows < 1:
-            raise ValueError("must request at least one row")
+        check(rows, "rows", "a positive integer")
         qi = len(self.query_log)
         x, cols = draw_tiles((self.master_seed, qi), rows, self.dims.d, self.ensemble, mask)
         xi = gaussian_noise(rows, self.noise_sigma, self.master_seed, qi)
@@ -139,13 +131,14 @@ def default_r_inf(noise_sigma: float, d: int) -> float:
     noise correlation level, which is not observable a priori; the Gaussian
     tail proxy sigma * sqrt(2 ln d) stands in for it.
     """
-    return 0.5 * SNR_CONSTANT * noise_sigma * math.sqrt(2.0 * math.log(d))
+    sigma, d = check(noise_sigma, "noise_sigma", "a finite nonnegative number"), check(d, "d", "a positive integer")
+    return 0.5 * SNR_CONSTANT * sigma * math.sqrt(2.0 * math.log(d))
 
 
 def _check_rounds(n: int, rounds: int) -> None:
     """Reject fewer than one round, or an n-row budget that leaves each round no rows (n < 3 * rounds)."""
-    if rounds < 1:
-        raise ValueError("need at least one adaptive round")
+    if not SCALARS["a positive integer"](rounds):
+        raise ValueError(f"need at least one adaptive round: rounds must be a positive integer, got {rounds!r}")
     if n < 3 * rounds:
         raise ValueError(f"n={n} leaves each of rounds={rounds} rounds no rows; need n >= {3 * rounds}")
 
@@ -167,6 +160,8 @@ def adaptive_support_recover(
     """
     n, d, k = oracle.dims.n, oracle.dims.d, oracle.dims.k
     _check_rounds(n, rounds)
+    for value, name in ((R, "R"), (r2, "r2"), (r_inf, "r_inf")):  # before the first query
+        check(value, name, "a finite number")
     x0, _, y0 = oracle.masked_observe(n // 3, np.empty(0, dtype=np.int64))
     warm = iht(x0, y0, k, R, r2)
     del x0, y0  # the warm block is the largest; free it before the later draws

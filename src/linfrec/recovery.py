@@ -16,11 +16,11 @@ count (its ``gain``), which is what the rescaled rows would give.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import SCALARS, check
 from .linops import SolverFailure, hard_threshold_values, restricted_ols
 
 __all__ = [
@@ -60,11 +60,7 @@ def _halvings(R: float, r: float) -> int:
     It is not used throughout, because it can round an exact power of two
     up by an ulp and so add a halving.
     """
-    try:
-        valid = 0.0 < float(R) < math.inf and 0.0 < float(r) < math.inf
-    except OverflowError:  # an integer beyond the float range
-        valid = False
-    if not valid:
+    if not (SCALARS["a finite number"](R) and SCALARS["a finite number"](r) and R > 0 and r > 0):
         raise ValueError(f"R and r must be positive and finite, got R={R!r}, r={r!r}")
     if r >= R:
         return 0
@@ -74,7 +70,7 @@ def _halvings(R: float, r: float) -> int:
 
 def _sparsity(k, d: int) -> int:
     """``k`` checked to be an integer (never a bool) in [0, d]."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= d:
+    if not (SCALARS["a nonnegative integer"](k) and k <= d):
         raise ValueError(f"k must be an integer in [0, {d}], got k={k!r}")
     return int(k)
 
@@ -101,6 +97,7 @@ def iht(
     d = x.shape[1]
     k = _sparsity(k, d)
     n_iters = _halvings(R, r)
+    gain = check(gain, "gain", "a finite number")
     theta = np.zeros(d)
     if n_iters == 0:
         return RecoveryReport(estimate=theta, iterations=0)
@@ -150,7 +147,7 @@ def oblivious_recover(
     xs, ys, dropped = _split_rows(x, y, 3, 1)
     x1, x2, x3 = xs
     y1, y2, y3 = ys
-    gain *= 3.0
+    gain = 3.0 * check(gain, "gain", "a finite number")
 
     # at k = 0 every iterate is zero; sqrt(1) * r keeps the resolution positive
     warm = iht(x1, y1, k, R, math.sqrt(max(k, 1)) * r, gain=gain)

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import rng_from
+from .core import SCALARS, check, rng_from
 from .linops import inf_op_norm, restricted_gram
 
 __all__ = [
@@ -105,17 +105,6 @@ def certificate_to_json(cert: RipCertificate) -> str:
     return json.dumps(doc)
 
 
-def _finite(value: float, name: str = "epsilon") -> float:
-    """A threshold as a float, checked to be finite: a NaN one would decide every verdict."""
-    try:
-        out = float(value)
-    except OverflowError:  # an integer beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return out
-
-
 def _finite_design(x: np.ndarray) -> None:
     """Reject a NaN or infinite entry, which would decide every verdict; min and max copy nothing."""
     if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0))):
@@ -130,11 +119,8 @@ def _exact_mode(mode: str) -> bool:
 
 
 def _subset_size(s: int, d: int) -> int:
-    """s capped at d, checked to be at least 1."""
-    s = min(int(s), d)
-    if s < 1:
-        raise ValueError("subset size must be at least 1")
-    return s
+    """s, checked to be a positive integer, capped at d."""
+    return min(check(s, "s", "a positive integer"), d)
 
 
 def _sampled_subsets(d: int, s: int, seed: int, trials: int):
@@ -143,8 +129,7 @@ def _sampled_subsets(d: int, s: int, seed: int, trials: int):
     Subset t is drawn from ``rng_from(seed, t)``, so results do not depend on
     evaluation order.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    seed, trials = check(seed, "seed", "a nonnegative integer"), check(trials, "trials", "a positive integer")
     return (np.sort(rng_from(seed, t).choice(d, size=s, replace=False)) for t in range(trials))
 
 
@@ -198,7 +183,7 @@ def certify_l2_rip(
     """
     _finite_design(x)
     d = x.shape[1]
-    epsilon, s, exact = _finite(epsilon), _subset_size(s, d), _exact_mode(mode)
+    epsilon, s, exact = check(epsilon, "epsilon", "a finite number"), _subset_size(s, d), _exact_mode(mode)
 
     if exact:
         n_subsets = math.comb(d, s)
@@ -374,7 +359,7 @@ def certify_linf_rip(
     """Check the sup-norm RIP: row-l1 of every restricted deviation <= eps."""
     _finite_design(x)
     d = x.shape[1]
-    epsilon, s = _finite(epsilon), _subset_size(s, d)
+    epsilon, s = check(epsilon, "epsilon", "a finite number"), _subset_size(s, d)
 
     if _exact_mode(mode):
         worst, witness = _linf_panel_scan(x, s)
@@ -394,7 +379,7 @@ def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
     symmetric matrix lies in the upper triangle, the part the panels form.
     """
     _finite_design(x)
-    alpha = _finite(alpha, "alpha")
+    alpha = check(alpha, "alpha", "a finite number")
     worst, i, j = -np.inf, 0, 0
     for lo, u in _upper_panels(x):
         np.abs(u, out=u)
@@ -422,8 +407,8 @@ def welch_floor(x: np.ndarray) -> float:
 
 def linf_rip_sample_floor(epsilon: float, s: int) -> float:
     """Minimum n for (eps, s) sup-norm RIP when d >= s^3 / eps^2."""
-    if not (0.0 < epsilon < 0.5):
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if s < 2:
-        raise ValueError(f"subset size must be at least 2, got {s}")
+    if not (SCALARS["a finite number"](epsilon) and 0.0 < epsilon < 0.5):
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
+    if not (SCALARS["a positive integer"](s) and s >= 2):
+        raise ValueError(f"s must be an integer of at least 2, got {s!r}")
     return s * s / (144.0 * epsilon * epsilon)

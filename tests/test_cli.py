@@ -66,12 +66,12 @@ def test_certify_outputs_json_certificate(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--kind", "l2-rip", "--eps", "0.5", "--s", "0"], "subset size must be at least 1"),
-        (["--kind", "linf-rip", "--eps", "0.5", "--s", "-1"], "subset size must be at least 1"),
+        (["--kind", "l2-rip", "--eps", "0.5", "--s", "0"], "s must be a positive integer, got 0"),
+        (["--kind", "linf-rip", "--eps", "0.5", "--s", "-1"], "s must be a positive integer, got -1"),
         (["--kind", "l2-rip", "--eps", "0.5", "--s", "2", "--mode", "sampled", "--trials", "0"],
-         "trials must be at least 1, got 0"),
+         "trials must be a positive integer, got 0"),
         (["--kind", "linf-rip", "--eps", "0.5", "--s", "2", "--mode", "sampled", "--trials", "-3"],
-         "trials must be at least 1, got -3"),
+         "trials must be a positive integer, got -3"),
         (["--kind", "l2-rip", "--eps", "nan", "--s", "2"], "epsilon must be a finite number, got nan"),
         (["--kind", "linf-rip", "--eps", "inf", "--s", "2"], "epsilon must be a finite number, got inf"),
         (["--kind", "pi", "--alpha", "nan"], "alpha must be a finite number, got nan"),

@@ -41,6 +41,24 @@ class TestHardThreshold:
         twice = hard_threshold_values(once, k)
         assert np.array_equal(once, twice)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v=arrays(
+            np.float64,
+            st.integers(2, 40),
+            elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]), st.floats()),
+        ),
+        data=st.data(),
+    )
+    def test_keeps_what_a_lexsort_by_magnitude_then_index_keeps(self, v, data):
+        # ties (and the +-0, NaN and infinite entries drawn often here) go to
+        # the smaller index, as a lexsort on (-|v|, index) orders them
+        k = data.draw(st.integers(1, len(v) - 1))
+        keep = np.lexsort((np.arange(len(v)), -np.abs(v)))[:k]
+        expected = np.zeros(len(v))
+        expected[keep] = v[keep]
+        assert hard_threshold_values(v, k).tobytes() == expected.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.data(),
