@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RecoveryInstance, check, save_instance, save_matrix_addressed
+from .core import RecoveryInstance, check, check_support, save_instance, save_matrix_addressed
 from .linops import restricted_gram
 
 __all__ = [
@@ -46,14 +46,6 @@ class IndistinguishablePair:
     budget: int  # the sparsity budget of both members, written by save_pair
 
 
-def _checked_support(s, d: int, name: str) -> np.ndarray:
-    """``s`` as an array, checked to be strictly increasing integers in [0, d)."""
-    s = np.asarray(s)
-    if s.ndim != 1 or s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or (len(s) and (s[0] < 0 or s[-1] >= d)):
-        raise ValueError(f"{name} must be strictly increasing integers in [0, {d}), got {s.tolist()}")
-    return s
-
-
 def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -> np.ndarray:
     """The length-d v supported on S maximizing ||v||_inf per unit of ||X^T X v||_inf.
 
@@ -67,11 +59,11 @@ def build_masking_vector(x: np.ndarray, s: np.ndarray, normalize: bool = True) -
     the exact solution of the linear program behind the full ratio (see
     ``_ratio_maximizer``), rescaled so ||X^T X v||_inf = 1.
 
-    S must be strictly increasing integers in [0, d), which the row tie-break
-    and the LP's visiting order follow; otherwise a ValueError names it.
+    S goes through ``core.check_support``: its indices increase strictly,
+    and the row tie-break and the LP's visiting order follow them.
     """
     d = x.shape[1]
-    s = _checked_support(s, d, "support")
+    s = check_support(s, "support", d)
     m = restricted_gram(x, s)
     try:
         m_inv = np.linalg.inv(m)
@@ -168,8 +160,8 @@ def build_indistinguishable_pair(
     """
     base_magnitude = check(base_magnitude, "base_magnitude", "a finite number")
     d = x.shape[1]
-    s = _checked_support(s, d, "support")
-    t = _checked_support(t, d, "base support")
+    s = check_support(s, "support", d)
+    t = check_support(t, "base support", d)
     if len(np.intersect1d(s, t)):
         raise ValueError("masking and base supports must be disjoint")
     if len(s) != len(t):

@@ -38,6 +38,10 @@ __all__ = [
     "SCALARS",
     "build_instance",
     "check",
+    "check_design",
+    "check_mask",
+    "check_support",
+    "check_vector",
     "draw_tiles",
     "gaussian_noise",
     "json_field",
@@ -118,15 +122,16 @@ def rng_from(seed: int, *subkeys: int) -> np.random.Generator:
     (two for an integer of 2**32 or more) and pads it with zero words to
     four, so zeros at the end of a key that fit within those four words are
     ignored.  ``(1, 2)``, ``(1, 2, 0)`` and ``(1, 2, 0, 0)`` give one stream.
+    Each key part must be a nonnegative integer (see ``check``).
     """
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(s) for s in subkeys))
-    return np.random.Generator(np.random.SFC64(ss))
+    key = tuple(check(part, "key part", "a nonnegative integer") for part in (seed, *subkeys))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a real number (never a bool) that is finite."""
+def _number(value) -> bool:
+    """Whether ``value`` is a real number (never a bool) in the float range, and not NaN."""
     try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -136,11 +141,12 @@ def _integer(value) -> bool:
 
 
 # The scalar rule: each phrase a number or count argument can be wanted as,
-# and its test.  No test passes a bool, and an integer beyond the float range
-# is not finite.
+# and its test.  No test passes a bool, and no number phrase an integer
+# beyond the float range.
 SCALARS = {
-    "a finite number": _finite,
-    "a finite nonnegative number": lambda value: _finite(value) and value >= 0,
+    "a finite number": lambda value: _number(value) and math.isfinite(value),
+    "a finite nonnegative number": lambda value: _number(value) and math.isfinite(value) and value >= 0,
+    "a number other than NaN": _number,
     "a positive integer": lambda value: _integer(value) and value >= 1,
     "a nonnegative integer": lambda value: _integer(value) and value >= 0,
 }
@@ -154,6 +160,61 @@ def check(value, name: str, wanted: str) -> float | int:
     if not SCALARS[wanted](value):
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
     return int(value) if wanted.endswith("integer") else float(value)
+
+
+# The array rule: each vector, index set and design argument goes through one
+# of the checks below, and anything else is a ValueError naming the argument.
+# No check copies a float64 vector or a design.
+
+
+def _finite_entries(a: np.ndarray) -> bool:
+    """Whether ``a`` holds no NaN or infinity; NaN propagates through min and max, which copy nothing."""
+    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
+
+
+def check_vector(values, name: str, length: int) -> np.ndarray:
+    """``values``, integers or floats (never bools or strings), as a float64 vector of ``length`` finite entries."""
+    try:  # an object array may hold numbers, and a None in it reads as NaN
+        vector = np.asarray(values)
+        vector = vector.astype(np.float64, copy=False) if vector.dtype.kind in "iufO" else None
+    except (TypeError, ValueError, OverflowError):  # a ragged list, a string among numbers, a huge integer
+        vector = None
+    if vector is None:
+        raise ValueError(f"{name} is not an array of numbers")
+    if vector.shape != (length,):
+        raise ValueError(f"{name} has shape {vector.shape}, expected ({length},)")
+    if not _finite_entries(vector):
+        raise ValueError(f"{name} has non-finite entries")
+    return vector
+
+
+def check_support(values, name: str, d: int) -> np.ndarray:
+    """``values`` as an int64 array of strictly increasing indices in [0, d)."""
+    s = np.asarray(values)
+    if s.ndim != 1 or s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or (len(s) and (s[0] < 0 or s[-1] >= d)):
+        raise ValueError(f"{name} must be strictly increasing integers in [0, {d}), got {s.tolist()}")
+    return s.astype(np.int64, copy=False)
+
+
+def check_mask(values, name: str, d: int) -> np.ndarray:
+    """``values`` as an int64 array of indices in [0, d) in any order; an empty 1-D one of any dtype masks nothing."""
+    mask = np.asarray(values)
+    if mask.ndim == 1 and not mask.size:
+        return np.empty(0, dtype=np.int64)
+    if mask.ndim != 1 or mask.dtype.kind not in "iu":  # first: a str or None mask cannot be compared
+        raise ValueError(f"{name} must be a 1-D integer array, got {mask.dtype} of shape {mask.shape}")
+    outside = mask[(mask < 0) | (mask >= d)]
+    if len(outside):
+        raise ValueError(f"{name} index {outside[0]} is out of range for d={d}")
+    return mask.astype(np.int64, copy=False)
+
+
+def check_design(x, name: str) -> np.ndarray:
+    """``x`` as an array, checked to hold no NaN or infinity."""
+    x = np.asarray(x)
+    if not _finite_entries(x):
+        raise ValueError(f"{name} has a non-finite entry")
+    return x
 
 
 @dataclass(frozen=True)
@@ -199,10 +260,8 @@ _WORD = 0xFFFFFFFF
 
 
 def _words(part: int) -> list[int]:
-    """The 32-bit words a SeedSequence reads the integer ``part`` as, least significant first."""
-    part = int(part)
-    if part < 0:
-        raise ValueError("expected non-negative integer")
+    """The 32-bit words a SeedSequence reads the nonnegative integer ``part`` as, least significant first."""
+    part = check(part, "key part", "a nonnegative integer")
     return [part >> shift & _WORD for shift in range(0, max(part.bit_length(), 1), 32)]
 
 
@@ -337,14 +396,8 @@ def draw_tiles(
     C-ordered rows x len(cols) float64 array, those tiles packed side by
     side, equal to the design's ``[:, cols]``; the design is zero in every
     other column.  Where no tile is wholly masked, ``cols`` is every column
-    and ``block`` is the whole design.  The tiles' seeded SFC64 states are
-    computed in one vectorized SeedSequence/SFC64 pass (``_tile_states``),
-    equal to those ``rng_from`` gives, and a negative key part raises a
-    ValueError as a SeedSequence does.
-
-    A nonempty mask that is not a 1-D integer array raises a ValueError
-    naming its dtype and shape, and then a mask index outside ``[0, d)`` one
-    naming it.
+    and ``block`` is the whole design.  The mask goes through ``check_mask``,
+    and each key part through the scalar rule, as in ``rng_from``.
 
     The column tiles drawn are dealt in contiguous blocks to one thread per
     core this process may use (cores divided among the harness's pool
@@ -355,10 +408,7 @@ def draw_tiles(
     generator set to each tile's state in turn, and scales and copies it to
     its packed columns of ``block`` (``_fill``).  Each tile comes from its own
     key and writes only its own entries, so the bytes depend neither on the
-    threads nor on the runs.
-
-    A block of 128 KiB or more lives in its own anonymous mapping
-    (``_mapped_zeros``), so its pages go back to the system when it is freed.
+    threads nor on the runs.  The block comes from ``_mapped_zeros``.
 
     Before a draw of more than one tile, OpenBLAS's idle worker threads are
     released, since they busy-wait for a while after every BLAS call and
@@ -371,14 +421,7 @@ def draw_tiles(
     """
     ensemble = Ensemble(ensemble)
     keep = np.ones(d, dtype=bool)
-    masked = np.asarray(() if masked is None else masked)
-    if masked.size or masked.ndim != 1:  # an empty 1-D mask of any dtype masks nothing
-        if masked.ndim != 1 or masked.dtype.kind not in "iu":
-            raise ValueError(f"mask must be a 1-D integer array, got {masked.dtype} of shape {masked.shape}")
-        outside = masked[(masked < 0) | (masked >= d)]
-        if len(outside):
-            raise ValueError(f"mask index {outside[0]} is out of range for d={d}")
-        keep[masked] = False
+    keep[check_mask(() if masked is None else masked, "mask", d)] = False
     tiles = np.flatnonzero(np.logical_or.reduceat(keep, np.arange(0, d, TILE_COLS)))
     cols = (tiles[:, None] * TILE_COLS + np.arange(TILE_COLS)).ravel()
     cols = cols[cols < d]
@@ -426,8 +469,8 @@ def gaussian_noise(n: int, sigma: float, *key: int) -> np.ndarray:
 class RecoveryInstance:
     """An (X, y, truth, noise) bundle with the truth's sparsity budget.
 
-    The truth is a length-d and the noise a length-n float64 array.  The
-    truth has at most ``budget`` nonzeros, and ``y`` equals
+    ``y``, the truth and the noise go through ``check_vector`` (lengths n, d
+    and n).  The truth has at most ``budget`` nonzeros, and ``y`` equals
     ``X theta + xi`` up to roundoff; both are checked on construction.
     """
 
@@ -438,9 +481,9 @@ class RecoveryInstance:
     budget: int
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.float64)
-        self.truth = np.ascontiguousarray(self.truth, dtype=np.float64)
-        self.noise = np.asarray(self.noise, dtype=np.float64)
+        n, d = self.x.shape
+        self.y, self.noise = check_vector(self.y, "y", n), check_vector(self.noise, "noise", n)
+        self.truth = check_vector(self.truth, "truth", d)
         self.budget = check(self.budget, "budget", "a nonnegative integer")
         nnz = np.count_nonzero(self.truth)
         if nnz > self.budget:
@@ -454,10 +497,7 @@ class RecoveryInstance:
 def build_instance(x: np.ndarray, truth: np.ndarray, noise: np.ndarray, budget: int) -> RecoveryInstance:
     """Assemble an instance, computing y = X theta + xi."""
     n, d = x.shape
-    if len(truth) != d:
-        raise ValueError(f"truth length {len(truth)} != d {d}")
-    if len(noise) != n:
-        raise ValueError(f"noise length {len(noise)} != n {n}")
+    truth, noise = check_vector(truth, "truth", d), check_vector(noise, "noise", n)
     return RecoveryInstance(x=x, y=x @ truth + noise, truth=truth, noise=noise, budget=budget)
 
 
@@ -529,10 +569,7 @@ def load_matrix(path: str | Path) -> np.ndarray:
     body = raw[len(MATRIX_MAGIC) + 8 :]
     if len(body) != 8 * n * d:
         raise ValueError(f"{path}: payload is {len(body)} bytes, expected {8 * n * d}")
-    x = np.frombuffer(body, dtype="<f8").reshape(n, d).astype(np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{path}: payload has non-finite entries")
-    return x
+    return check_design(np.frombuffer(body, dtype="<f8").reshape(n, d), f"{path}: payload").astype(np.float64)
 
 
 def matrix_sha256(path: str | Path) -> str:
@@ -574,16 +611,8 @@ def json_field(doc, kind, *keys):
 
 
 def _json_floats(doc, length: int, *keys) -> np.ndarray:
-    """A JSON list of ``length`` numbers as a float64 array."""
-    name = ".".join(keys)
-    values = json_field(doc, list, *keys)
-    try:
-        values = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"field {name} is not a list of numbers") from None
-    if values.shape != (length,):
-        raise ValueError(f"field {name} has shape {values.shape}, expected ({length},)")
-    return values
+    """A JSON list of ``length`` finite numbers as a float64 array."""
+    return check_vector(json_field(doc, list, *keys), f"field {'.'.join(keys)}", length)
 
 
 def load_instance(path: str | Path) -> RecoveryInstance:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SCALARS
+from .core import SCALARS, check_vector
 
 __all__ = [
     "SolverFailure",
@@ -33,7 +33,7 @@ class SolverFailure(RuntimeError):
 
 def hard_threshold_values(v: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude coordinates (ties to the smaller index)."""
-    v = np.asarray(v, dtype=np.float64)
+    v = check_vector(v, "v", np.size(v))
     d = len(v)
     if not (SCALARS["a nonnegative integer"](k) and k <= d):
         raise ValueError(f"need 0 <= k <= d, got k={k!r}, d={d}")
@@ -110,5 +110,6 @@ def restricted_ols(x: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
+    rhs = check_vector(rhs, "rhs", x.shape[0])
     cols = x[:, s]
-    return _cg_solve(cols, cols.T @ np.asarray(rhs, dtype=np.float64))
+    return _cg_solve(cols, cols.T @ rhs)

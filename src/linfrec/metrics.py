@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_vector
 from .linops import SolverFailure, restricted_ols
 
 __all__ = ["MetricReport", "compute_metrics"]
@@ -31,11 +32,9 @@ class MetricReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def compute_metrics(x: np.ndarray, xi: np.ndarray, s: np.ndarray) -> MetricReport:
-    noise = np.asarray(xi, dtype=np.float64)
+def compute_metrics(x: np.ndarray, noise: np.ndarray, s: np.ndarray) -> MetricReport:
     n = x.shape[0]
-    if len(noise) != n:
-        raise ValueError(f"noise length {len(noise)} != n {n}")
+    noise = check_vector(noise, "noise", n)
     corr = x.T @ noise
     m_gram = float(np.max(np.abs(corr), initial=0.0))
     m_gram_support = float(np.max(np.abs(corr[s]), initial=0.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SCALARS, Dims, Ensemble, check, draw_tiles, gaussian_noise
+from .core import SCALARS, Dims, Ensemble, check, check_vector, draw_tiles, gaussian_noise
 from .linops import hard_threshold_values, restricted_ols
 from .recovery import RecoveryReport, iht
 
@@ -69,13 +69,10 @@ class MaskedOracle:
         master_seed: int,
         ensemble: Ensemble = Ensemble.GAUSSIAN_SCALED,
     ):
-        truth = np.ascontiguousarray(truth, dtype=np.float64)
-        if truth.shape != (dims.d,):
-            raise ValueError(f"truth has shape {truth.shape}, expected ({dims.d},)")
+        self.truth = check_vector(truth, "truth", dims.d)
         self.noise_sigma = check(noise_sigma, "noise_sigma", "a finite nonnegative number")
         self.master_seed = check(master_seed, "master_seed", "a nonnegative integer")
         self.dims = dims
-        self.truth = truth
         self.ensemble = Ensemble(ensemble)
         self.query_log: list[QueryRecord] = []
 
@@ -112,9 +109,11 @@ def threshold_stats(
 
     False positives pass the test off the true support; false negatives fail
     it on the support.  ``fn_energy_ratio`` is the fraction of signal l2 mass
-    sitting on the false negatives.
+    sitting on the false negatives.  The threshold may be infinite, not NaN.
     """
-    corr = np.abs(x.T @ np.asarray(y, dtype=np.float64))
+    y, truth = check_vector(y, "y", x.shape[0]), check_vector(truth, "truth", x.shape[1])
+    threshold = check(threshold, "threshold", "a number other than NaN")
+    corr = np.abs(x.T @ y)
     on = truth != 0
     hit = corr >= threshold
     s_fp = np.flatnonzero(hit & ~on)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SCALARS, check
+from .core import SCALARS, check, check_vector
 from .linops import SolverFailure, hard_threshold_values, restricted_ols
 
 __all__ = [
@@ -41,16 +41,6 @@ class RecoveryReport:
     estimate: np.ndarray  # length d, float64
     iterations: int
     diagnostics: dict = field(default_factory=dict)
-
-
-def _observations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``y`` as float64, checked to be finite with one entry per row of ``x``."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y has non-finite entries")
-    return y
 
 
 def _halvings(R: float, r: float) -> int:
@@ -93,7 +83,7 @@ def iht(
     iteration is then O(dk) beside the threshold.  The first iteration equals
     the residual form bit for bit; later ones may differ in the last bits.
     """
-    y = _observations(x, y)
+    y = check_vector(y, "y", x.shape[0])
     d = x.shape[1]
     k = _sparsity(k, d)
     n_iters = _halvings(R, r)
@@ -141,7 +131,7 @@ def oblivious_recover(
     ``gain`` the input counts as ``sqrt(gain) * (x, y)`` as well.  Fewer than
     3 rows, which leave a third empty, raise a ValueError.
     """
-    y = _observations(x, y)
+    y = check_vector(y, "y", x.shape[0])
     k = _sparsity(k, x.shape[1])
     _halvings(R, r)  # checks the caller's R and r, not the warm start's sqrt(k) * r
     xs, ys, dropped = _split_rows(x, y, 3, 1)
@@ -185,7 +175,7 @@ def osr_reduction(x: np.ndarray, y: np.ndarray, k: int, R: float, r: float) -> R
     2T blocks, T = ceil(log2(R/r)), needs 3 rows for the oblivious thirds,
     so n < 6T raises a ValueError before any round.
     """
-    y = _observations(x, y)
+    y = check_vector(y, "y", x.shape[0])
     d = x.shape[1]
     k = _sparsity(k, d)
     big_t = _halvings(R, r)

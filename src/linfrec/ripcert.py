@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import SCALARS, check, rng_from
+from .core import SCALARS, check, check_design, rng_from
 from .linops import inf_op_norm, restricted_gram
 
 __all__ = [
@@ -105,22 +105,11 @@ def certificate_to_json(cert: RipCertificate) -> str:
     return json.dumps(doc)
 
 
-def _finite_design(x: np.ndarray) -> None:
-    """Reject a NaN or infinite entry, which would decide every verdict; min and max copy nothing."""
-    if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0))):
-        raise ValueError("design has a non-finite entry")
-
-
 def _exact_mode(mode: str) -> bool:
     """Whether ``mode`` is "exact"; anything but it or "sampled" is a ValueError."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'sampled'")
     return mode == "exact"
-
-
-def _subset_size(s: int, d: int) -> int:
-    """s, checked to be a positive integer, capped at d."""
-    return min(check(s, "s", "a positive integer"), d)
 
 
 def _sampled_subsets(d: int, s: int, seed: int, trials: int):
@@ -181,9 +170,10 @@ def certify_l2_rip(
     certify failure; a clean pass is reported as a lower bound.  Both form
     each s x s block from its columns, so neither holds the whole Gram.
     """
-    _finite_design(x)
+    x = check_design(x, "design")
     d = x.shape[1]
-    epsilon, s, exact = check(epsilon, "epsilon", "a finite number"), _subset_size(s, d), _exact_mode(mode)
+    epsilon, s = check(epsilon, "epsilon", "a finite number"), min(check(s, "s", "a positive integer"), d)
+    exact = _exact_mode(mode)
 
     if exact:
         n_subsets = math.comb(d, s)
@@ -357,9 +347,9 @@ def certify_linf_rip(
     seed: int = 0,
 ) -> RipCertificate:
     """Check the sup-norm RIP: row-l1 of every restricted deviation <= eps."""
-    _finite_design(x)
+    x = check_design(x, "design")
     d = x.shape[1]
-    epsilon, s = check(epsilon, "epsilon", "a finite number"), _subset_size(s, d)
+    epsilon, s = check(epsilon, "epsilon", "a finite number"), min(check(s, "s", "a positive integer"), d)
 
     if _exact_mode(mode):
         worst, witness = _linf_panel_scan(x, s)
@@ -378,7 +368,7 @@ def certify_pi(x: np.ndarray, alpha: float) -> RipCertificate:
     The witness is the first largest entry in row-major order, which for a
     symmetric matrix lies in the upper triangle, the part the panels form.
     """
-    _finite_design(x)
+    x = check_design(x, "design")
     alpha = check(alpha, "alpha", "a finite number")
     worst, i, j = -np.inf, 0, 0
     for lo, u in _upper_panels(x):
@@ -395,7 +385,7 @@ def welch_floor(x: np.ndarray) -> float:
 
     ||U^T U||_F = ||U U^T||_F, so the smaller of the two Gram matrices is formed.
     """
-    _finite_design(x)
+    x = check_design(x, "design")
     norms = np.linalg.norm(x, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column")

@@ -147,10 +147,38 @@ def test_tile_states_seed_the_streams_of_rng_from(key, tiles):
 
 @pytest.mark.parametrize("key", [(-1,), (3, -1), (2**64, 0, -(2**40))])
 def test_a_negative_key_part_is_rejected(key):
-    with pytest.raises(ValueError, match="expected non-negative integer"):
+    message = re.escape(f"key part must be a nonnegative integer, got {min(key)}")
+    with pytest.raises(ValueError, match=message):
         core._tile_states(key, np.array([0]), np.array([0]))
-    with pytest.raises(ValueError, match="expected non-negative integer"):
+    with pytest.raises(ValueError, match=message):
         draw_tiles(key, 10, 20, Ensemble.GAUSSIAN_SCALED)
+    with pytest.raises(ValueError, match=message):
+        rng_from(*key)
+
+
+@pytest.mark.parametrize(
+    "key", [(2.7,), (3, 2.0), (5, np.float64(1.5)), (4, True)], ids=["2.7", "2.0", "np-1.5", "True"]
+)
+def test_a_key_part_that_is_not_an_integer_is_rejected(key):
+    # int() would read 2.7 as 2, so gaussian_noise(4, 1.0, 2.7) drew key (2,)'s noise
+    message = re.escape(f"key part must be a nonnegative integer, got {key[-1]!r}")
+    for draw in (
+        lambda: rng_from(*key),
+        lambda: gaussian_noise(4, 1.0, *key),
+        lambda: core._tile_states(key, np.array([0]), np.array([0])),
+        lambda: draw_tiles(key, 10, 20, Ensemble.GAUSSIAN_SCALED),
+    ):
+        with pytest.raises(ValueError, match=message):
+            draw()
+
+
+def test_an_integer_key_part_of_any_type_keeps_its_stream():
+    # the key-part check returns int(part): numpy integers draw what Python ints draw
+    want = rng_from(7, 2**40, 3).standard_normal(5).tobytes()
+    assert rng_from(np.int64(7), np.uint64(2**40), np.int32(3)).standard_normal(5).tobytes() == want
+    assert draw_tiles((np.uint32(7), 3), 10, 20, Ensemble.GAUSSIAN_SCALED)[0].tobytes() == (
+        draw_tiles((7, 3), 10, 20, Ensemble.GAUSSIAN_SCALED)[0].tobytes()
+    )
 
 
 def test_seeding_unlike_numpys_is_refused(monkeypatch):
@@ -494,7 +522,7 @@ def test_load_instance_rejects_nan_observation(tmp_path):
     doc = json.loads(ip.read_text())
     doc["y"][0] = float("nan")
     ip.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="observation"):
+    with pytest.raises(ValueError, match="field y has non-finite entries"):
         load_instance(ip)
 
 

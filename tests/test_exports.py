@@ -1,5 +1,5 @@
 """Every name a linfrec module lists in ``__all__`` resolves, so a deleted function cannot stay exported;
-no module but ``core`` repeats the scalar rule."""
+no module but ``core`` repeats the scalar rule or the array rule."""
 
 import importlib
 import pkgutil
@@ -23,4 +23,15 @@ def test_only_core_catches_overflow_error():
     # the float range to "not finite"; another such catch is a copy of it
     source = Path(linfrec.__file__).parent
     copies = [path.name for path in sorted(source.glob("*.py")) if "except OverflowError" in path.read_text()]
+    assert copies == ["core.py"]
+
+
+@pytest.mark.parametrize(
+    "message", ["has non-finite entries", "has a non-finite entry", "must be strictly increasing integers"]
+)
+def test_only_core_words_the_array_rule(message):
+    # the array rule (core.check_vector, check_support, check_design) is the one
+    # place these messages are raised; another module holding one holds a copy
+    source = Path(linfrec.__file__).parent
+    copies = [path.name for path in sorted(source.glob("*.py")) if message in path.read_text()]
     assert copies == ["core.py"]

@@ -46,13 +46,16 @@ class TestHardThreshold:
         v=arrays(
             np.float64,
             st.integers(2, 40),
-            elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]), st.floats()),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False, allow_infinity=False)
+            ),
         ),
         data=st.data(),
     )
     def test_keeps_what_a_lexsort_by_magnitude_then_index_keeps(self, v, data):
-        # ties (and the +-0, NaN and infinite entries drawn often here) go to
-        # the smaller index, as a lexsort on (-|v|, index) orders them
+        # ties (and the +-0 entries drawn often here) go to the smaller index,
+        # as a lexsort on (-|v|, index) orders them; a NaN or infinite entry is
+        # a ValueError under the array rule (tests/test_arrays.py)
         k = data.draw(st.integers(1, len(v) - 1))
         keep = np.lexsort((np.arange(len(v)), -np.abs(v)))[:k]
         expected = np.zeros(len(v))

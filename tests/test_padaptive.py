@@ -250,6 +250,13 @@ class TestThresholdStats:
         assert np.array_equal(stats.s_fn, np.flatnonzero(truth))
         assert stats.fn_energy_ratio == 1.0
 
+    def test_minus_infinite_threshold_passes_everything(self):
+        # -inf is a number the threshold may be (NaN is not: see test_scalars.py)
+        q = orthonormal_columns(20, 10, seed=10)
+        truth = sparse(10, [2, 6], [3.0, -1.5])
+        stats = threshold_stats(q, q @ truth, truth, threshold=-np.inf)
+        assert np.array_equal(stats.s_fp, np.setdiff1d(np.arange(10), [2, 6])) and len(stats.s_fn) == 0
+
     def test_fp_fn_control_monte_carlo(self):
         # at the problem's signal-to-noise floor the threshold keeps false
         # positives at O(k) and captures most of the signal energy

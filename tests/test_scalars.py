@@ -8,10 +8,20 @@ import pytest
 
 from linfrec.adversarial import build_indistinguishable_pair, build_metric_impossibility_pair
 from linfrec.cli import main
-from linfrec.core import SCALARS, Dims, Ensemble, build_instance, check, gaussian_noise, sample_ensemble
+from linfrec.core import (
+    SCALARS,
+    Dims,
+    Ensemble,
+    build_instance,
+    check,
+    draw_tiles,
+    gaussian_noise,
+    rng_from,
+    sample_ensemble,
+)
 from linfrec.harness import make_signal
 from linfrec.linops import hard_threshold_values
-from linfrec.padaptive import MaskedOracle, adaptive_support_recover, default_r_inf
+from linfrec.padaptive import MaskedOracle, adaptive_support_recover, default_r_inf, threshold_stats
 from linfrec.recovery import iht, oblivious_recover, osr_reduction
 from linfrec.ripcert import certify_l2_rip, certify_linf_rip, certify_pi, linf_rip_sample_floor
 
@@ -25,6 +35,8 @@ from linfrec.ripcert import certify_l2_rip, certify_linf_rip, certify_pi, linf_r
         (np.int64(3), "a positive integer", 3),
         (0, "a nonnegative integer", 0),
         (10**400, "a positive integer", 10**400),
+        (math.inf, "a number other than NaN", math.inf),
+        (-(10**300), "a number other than NaN", -1e300),
     ],
 )
 def test_check_returns_a_float_or_an_int(value, wanted, out):
@@ -38,6 +50,7 @@ REJECTED = {
     "a finite nonnegative number": [*BAD, 10**400, -1, -0.5],
     "a positive integer": [*BAD, 1.5, 0, -1],
     "a nonnegative integer": [*BAD, 1.5, -1],
+    "a number other than NaN": [True, False, "1", None, math.nan, 10**400, -(10**400)],
 }
 
 
@@ -119,15 +132,22 @@ COUNTS = {
     "gaussian_noise.n": lambda v: gaussian_noise(v, 1.0, 1),
     "sample_ensemble.seed": lambda v: sample_ensemble(Dims(n=4, d=8, k=1), Ensemble.GAUSSIAN_SCALED, v),
     "build_instance.budget": _instance,
+    "rng_from.key": lambda v: rng_from(1, v),
+    "gaussian_noise.key": lambda v: gaussian_noise(4, 1.0, 3, v),
+    "draw_tiles.key": lambda v: draw_tiles((1, v), 10, 20, Ensemble.GAUSSIAN_SCALED),
 }
+
+# an infinite threshold passes no coordinate (+inf) or every one (-inf)
+INFINITE_OK = {"threshold_stats.threshold": lambda v: threshold_stats(_design(), np.zeros(30), np.ones(10), v)}
 
 BAD_NUMBERS = {"True": True, "str": "0.25", "nan": math.nan, "inf": math.inf, "huge": 10**400, "-huge": -(10**400)}
 # 10**400 is a count the rule accepts (a seed may be that large)
 BAD_COUNTS = {**{k: v for k, v in BAD_NUMBERS.items() if k != "huge"}, "2.5": 2.5, "2.0": 2.0}
+BAD_INFINITE_OK = {k: v for k, v in BAD_NUMBERS.items() if k != "inf"}
 
 CASES = [
     pytest.param(call, where.rsplit(".", 1)[1], value, id=f"{where}-{label}")
-    for table, bad in ((NUMBERS, BAD_NUMBERS), (COUNTS, BAD_COUNTS))
+    for table, bad in ((NUMBERS, BAD_NUMBERS), (COUNTS, BAD_COUNTS), (INFINITE_OK, BAD_INFINITE_OK))
     for where, call in table.items()
     for label, value in bad.items()
 ]
