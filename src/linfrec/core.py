@@ -8,7 +8,10 @@ bit-for-bit.  A design is drawn in fixed tiles, each from its own key, so a
 tile can be skipped or drawn alone without moving any other entry, and the
 tiles can be filled on several threads without moving any byte.  A tile's
 stream is defined by ``rng_from``; a draw computes the seeded SFC64 states of
-all its tiles in one vectorized SeedSequence/SFC64 pass instead.
+all its tiles in one vectorized SeedSequence/SFC64 pass instead.  A design of
+_MAPPED_BYTES or more lives in its own anonymous mapping, and the mapping of
+the most recently freed one is kept for the next draw of its byte size, so
+that draw neither faults in nor zeroes new pages.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numbers
 import os
 import struct
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,11 +77,17 @@ TILE_TAG = 0x74696C65  # "tile"
 # one contiguous buffer of at most GROUP * TILE_ROWS * TILE_COLS doubles (1 MiB).
 GROUP = 8
 # A design of at least _MAPPED_BYTES is drawn into its own anonymous mapping
-# (see _mapped_zeros); glibc maps a block this large itself until its dynamic
+# (see _mapped_block); glibc maps a block this large itself until its dynamic
 # threshold rises.  Mappings of _HUGE_BYTES or more get the huge-page advice
 # numpy gives its own arrays of that size.
 _MAPPED_BYTES = 1 << 17
 _HUGE_BYTES = 1 << 22
+
+# The slot: the mapping of the most recently freed design, or None.  The lock
+# guards it, and each critical section only swaps one reference, so no array
+# is freed, and no finalizer runs, while the lock is held.
+_spare: mmap.mmap | None = None
+_spare_lock = threading.Lock()
 
 # Processes drawing designs at once: 1 in-process, the pool size in the
 # harness's pool workers (set by _share_cores), so that all processes' fill
@@ -85,10 +95,28 @@ _HUGE_BYTES = 1 << 22
 _workers = 1
 
 
+def _swap_spare(pages: mmap.mmap | None) -> mmap.mmap | None:
+    """Put ``pages`` in the slot and return the mapping it held.
+
+    A mapping nothing else holds is unmapped as its last reference goes, so
+    the caller closes the returned one by dropping it.
+    """
+    global _spare
+    with _spare_lock:
+        held, _spare = _spare, pages
+    return held
+
+
 def _share_cores(workers: int) -> None:
-    """Draw as one of ``workers`` processes that share this process's cores."""
+    """Draw as one of ``workers`` processes that share this process's cores.
+
+    The harness's pool workers run this first.  It drops any spare mapping
+    inherited from the parent, whose pages the worker would otherwise copy on
+    its first write to them.
+    """
     global _workers
     _workers = workers
+    _swap_spare(None)
 
 
 def _cores() -> int:
@@ -191,7 +219,7 @@ def check_vector(values, name: str, length: int) -> np.ndarray:
 def check_support(values, name: str, d: int) -> np.ndarray:
     """``values`` as an int64 array of strictly increasing indices in [0, d)."""
     s = np.asarray(values)
-    if s.ndim != 1 or s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]) or (len(s) and (s[0] < 0 or s[-1] >= d)):
+    if s.ndim != 1 or s.dtype.kind not in "iu" or (s[1:] <= s[:-1]).any() or (len(s) and (s[0] < 0 or s[-1] >= d)):
         raise ValueError(f"{name} must be strictly increasing integers in [0, {d}), got {s.tolist()}")
     return s.astype(np.int64, copy=False)
 
@@ -359,24 +387,37 @@ def _fill(x: np.ndarray, states: np.ndarray, ensemble: Ensemble, tiles: np.ndarr
             x[top : top + height, at : at + width].reshape(height, stop - start, -1)[...] = band.transpose(1, 0, 2)
 
 
-def _mapped_zeros(rows: int, d: int) -> np.ndarray:
-    """A zero rows x d float64 array in its own private anonymous mapping, unmapped when it is freed.
+def _mapped_block(rows: int, d: int) -> np.ndarray:
+    """A rows x d float64 array of undefined contents, in its own private anonymous mapping if large.
 
-    ``np.zeros`` takes an array below 32 MiB from glibc's heap once glibc's
+    ``np.empty`` takes an array below 32 MiB from glibc's heap once glibc's
     dynamic mmap threshold has risen past its size.  A freed design there
     stays resident whenever a small block lands above it, and whether one
     does depends on how the fill threads interleave, so the peak RSS of the
     same draws could differ by a whole design from one run to the next.  An
     array below _MAPPED_BYTES, or one on a platform without private mappings,
-    comes from ``np.zeros``.
+    comes from ``np.empty``.
+
+    When the array is freed, a finalizer puts its mapping in the slot, and
+    the mapping held there before is unmapped.  The next draw of the same
+    byte size takes the slot's mapping instead of mapping pages the kernel
+    must fault in and zero; a draw of another size unmaps it before mapping
+    its own, so a spare and a new design never coexist.  The array is never
+    handed out while it is held, and ``_fill`` writes every entry.
     """
     nbytes = rows * d * 8
     if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
-        return np.zeros((rows, d))
-    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-    if nbytes >= _HUGE_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
-        pages.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(pages, dtype=np.float64).reshape(rows, d)
+        return np.empty((rows, d))
+    pages = _swap_spare(None)
+    if pages is not None and len(pages) != nbytes:
+        pages = None  # unmaps the spare of another size
+    if pages is None:
+        pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+        if nbytes >= _HUGE_BYTES and hasattr(mmap, "MADV_HUGEPAGE"):
+            pages.madvise(mmap.MADV_HUGEPAGE)
+    flat = np.frombuffer(pages, dtype=np.float64)
+    weakref.finalize(flat, _swap_spare, pages).atexit = False
+    return flat.reshape(rows, d)
 
 
 def draw_tiles(
@@ -392,7 +433,7 @@ def draw_tiles(
     draw holds.
 
     Returns ``(block, cols)``.  Only the tiles holding an unmasked column are
-    drawn: ``cols`` is their sorted int64 columns and ``block`` a fresh
+    drawn: ``cols`` is their sorted int64 columns and ``block`` a new
     C-ordered rows x len(cols) float64 array, those tiles packed side by
     side, equal to the design's ``[:, cols]``; the design is zero in every
     other column.  Where no tile is wholly masked, ``cols`` is every column
@@ -408,7 +449,9 @@ def draw_tiles(
     generator set to each tile's state in turn, and scales and copies it to
     its packed columns of ``block`` (``_fill``).  Each tile comes from its own
     key and writes only its own entries, so the bytes depend neither on the
-    threads nor on the runs.  The block comes from ``_mapped_zeros``.
+    threads nor on the runs.  The block comes from ``_mapped_block``, and may
+    take over the memory of the design freed last: the fill writes every
+    entry, so no byte of that design shows.
 
     Before a draw of more than one tile, OpenBLAS's idle worker threads are
     released, since they busy-wait for a while after every BLAS call and
@@ -428,7 +471,7 @@ def draw_tiles(
     row_tiles = math.ceil(rows / TILE_ROWS)
     lanes = _tile_states(key, np.repeat(np.arange(row_tiles), len(tiles)), np.tile(tiles, row_tiles))
     states = lanes.reshape(row_tiles, len(tiles), 4)
-    block = _mapped_zeros(rows, len(cols))
+    block = _mapped_block(rows, len(cols))
     blas = _openblas()
     several = len(tiles) * row_tiles > 1
     if blas is not None and several and threading.active_count() == 1:

@@ -203,8 +203,9 @@ CSV_COLUMNS = [f.name for f in fields(TrialRecord) if f.name != "wall_time_s"]
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
-    """Stable 64-bit seed from (master_seed, *key)."""
-    words = np.random.SeedSequence((int(master_seed),) + tuple(int(v) for v in key)).generate_state(2, np.uint64)
+    """Stable 64-bit seed from (master_seed, *key); each part must be a nonnegative integer (see ``core.check``)."""
+    key = tuple(check(part, "key part", "a nonnegative integer") for part in (master_seed, *key))
+    words = np.random.SeedSequence(key).generate_state(2, np.uint64)
     return int(words[0])
 
 

@@ -3,14 +3,15 @@
 Hard thresholding, the max-row-l1 operator norm, restricted Gram blocks, and
 the one restricted least-squares solver: matrix-free conjugate gradients,
 which never forms the restricted Gram or its inverse.  An index set S (a
-support) is a sorted 1-D int64 array of column indices.
+support) is a 1-D array of strictly increasing column indices, checked by
+``core.check_support``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import SCALARS, check_vector
+from .core import SCALARS, check_support, check_vector
 
 __all__ = [
     "SolverFailure",
@@ -59,7 +60,8 @@ def inf_op_norm(m: np.ndarray) -> float:
 
 
 def restricted_gram(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """[X^T X]_{S x S} as an |S| x |S| array, S an int64 index array."""
+    """[X^T X]_{S x S} as an |S| x |S| array, S a nonempty support (see ``core.check_support``)."""
+    s = check_support(s, "support", x.shape[1])
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
     cols = x[:, s]  # a fresh copy, so cols.T @ cols is numpy's exactly symmetric product
@@ -106,8 +108,10 @@ def restricted_ols(x: np.ndarray, s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``rhs`` lives in observation space (length n).  The returned w satisfies
     ``||A w - b||_inf <= DEFAULT_TOL * (1 + ||b||_inf)`` on the true residual,
     or SolverFailure is raised with the achieved residual.  A singular but
-    consistent system (such as |S| > n) yields its min-norm solution.
+    consistent system (such as |S| > n) yields its min-norm solution.  S is
+    a nonempty support (see ``core.check_support``).
     """
+    s = check_support(s, "support", x.shape[1])
     if len(s) == 0:
         raise ValueError("index set must be nonempty")
     rhs = check_vector(rhs, "rhs", x.shape[0])

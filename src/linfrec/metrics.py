@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_vector
+from .core import check_support, check_vector
 from .linops import SolverFailure, restricted_ols
 
 __all__ = ["MetricReport", "compute_metrics"]
@@ -33,8 +33,9 @@ class MetricReport:
 
 
 def compute_metrics(x: np.ndarray, noise: np.ndarray, s: np.ndarray) -> MetricReport:
-    n = x.shape[0]
+    n, d = x.shape
     noise = check_vector(noise, "noise", n)
+    s = check_support(s, "support", d)
     corr = x.T @ noise
     m_gram = float(np.max(np.abs(corr), initial=0.0))
     m_gram_support = float(np.max(np.abs(corr[s]), initial=0.0))

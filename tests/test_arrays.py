@@ -25,7 +25,7 @@ from linfrec.core import (
     save_instance,
     save_matrix_addressed,
 )
-from linfrec.linops import hard_threshold_values, restricted_ols
+from linfrec.linops import hard_threshold_values, restricted_gram, restricted_ols
 from linfrec.metrics import compute_metrics
 from linfrec.padaptive import MaskedOracle, threshold_stats
 from linfrec.recovery import iht, oblivious_recover, osr_reduction
@@ -130,6 +130,9 @@ SUPPORTS = {
     "build_masking_vector.support": ("support", lambda s: build_masking_vector(_wide(), s)),
     "build_indistinguishable_pair.s": ("support", lambda s: build_indistinguishable_pair(_wide(), s, [10, 11], 1)),
     "build_indistinguishable_pair.t": ("base support", lambda t: build_indistinguishable_pair(_wide(), [10, 11], t, 1)),
+    "restricted_ols.s": ("support", lambda s: restricted_ols(_wide(), s, np.zeros(30))),
+    "restricted_gram.s": ("support", lambda s: restricted_gram(_wide(), s)),
+    "compute_metrics.s": ("support", lambda s: compute_metrics(_wide(), np.zeros(30), s)),
 }
 MASKS = {
     "draw_tiles.mask": lambda m: draw_tiles((1,), 10, 20, Ensemble.GAUSSIAN_SCALED, m),

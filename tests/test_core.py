@@ -7,6 +7,8 @@ import struct
 import sys
 import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -337,6 +339,152 @@ def test_a_design_of_mapped_size_has_its_own_mapping(ensemble):
     assert below.flags.owndata and isinstance(x.base.base.obj, mmap.mmap)
     assert is_design(x, (rows, d))
     assert x.tobytes() == tiled_reference((5,), rows, d, ensemble, [4]).tobytes()
+
+
+def _pages(x):
+    """The mapping a design of mapped size lives in."""
+    return x.base.base.obj
+
+
+@pytest.fixture
+def empty_slot():
+    """No spare mapping before or after the test."""
+    core._swap_spare(None)
+    yield
+    core._swap_spare(None)
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED])
+def test_the_next_draw_of_a_freed_designs_size_takes_its_mapping(empty_slot, ensemble):
+    x, _ = draw_tiles((1,), TILED_ROWS, TILED_D, ensemble)
+    pages = _pages(x)
+    x[...] = np.nan  # no byte of the freed design may show in the next one
+    del x
+    assert core._spare is pages
+    y, _ = draw_tiles((2,), TILED_ROWS, TILED_D, ensemble, [4])
+    assert _pages(y) is pages and core._spare is None
+    assert y.tobytes() == tiled_reference((2,), TILED_ROWS, TILED_D, ensemble, [4]).tobytes()
+
+
+def test_a_held_design_is_never_handed_out_again(empty_slot):
+    ensemble = Ensemble.GAUSSIAN_SCALED
+    first, _ = draw_tiles((1,), TILED_ROWS, TILED_D, ensemble)
+    del first
+    held, _ = draw_tiles((2,), TILED_ROWS, TILED_D, ensemble)  # takes the spare
+    view = held[:, 3:]  # a view holds the design as well
+    pages = _pages(held)
+    del held
+    assert core._spare is None
+    again, _ = draw_tiles((3,), TILED_ROWS, TILED_D, ensemble)
+    assert _pages(again) is not pages
+    assert view.tobytes() == tiled_reference((2,), TILED_ROWS, TILED_D, ensemble)[:, 3:].tobytes()
+    assert again.tobytes() == tiled_reference((3,), TILED_ROWS, TILED_D, ensemble).tobytes()
+
+
+def test_freeing_a_design_unmaps_the_spare_it_displaces(empty_slot):
+    x, _ = draw_tiles((1,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
+    y, _ = draw_tiles((2,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
+    first, second = weakref.ref(_pages(x)), weakref.ref(_pages(y))
+    del x
+    assert core._spare is first()
+    del y
+    assert core._spare is second() and first() is None
+
+
+def test_a_draw_of_another_size_unmaps_the_spare_first(monkeypatch, empty_slot):
+    # so a spare and a new design never hold memory at once
+    x, _ = draw_tiles((1,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
+    spare = weakref.ref(_pages(x))
+    del x
+    assert core._spare is spare()
+    spare_at_map = []
+    mapping = mmap.mmap
+
+    def recording(*args, **kwargs):
+        spare_at_map.append(spare())
+        return mapping(*args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", recording)
+    y, _ = draw_tiles((2,), TILED_ROWS + 1, TILED_D, Ensemble.GAUSSIAN_SCALED)
+    assert spare_at_map == [None] and core._spare is None
+    assert y.tobytes() == tiled_reference((2,), TILED_ROWS + 1, TILED_D, Ensemble.GAUSSIAN_SCALED).tobytes()
+
+
+def test_a_pool_worker_drops_the_spare_it_inherits(monkeypatch, empty_slot):
+    monkeypatch.setattr(core, "_workers", core._workers)  # restored after the test
+    x, _ = draw_tiles((1,), TILED_ROWS, TILED_D, Ensemble.GAUSSIAN_SCALED)
+    spare = weakref.ref(_pages(x))
+    del x
+    assert core._spare is spare()
+    core._share_cores(2)
+    assert core._spare is None and spare() is None
+
+
+def test_threads_drawing_at_once_each_get_their_own_design(empty_slot):
+    # two threads draw and free designs of two sizes, so each takes and
+    # leaves spares while the other draws; every block must be its reference
+    sizes = [TILED_ROWS, TILED_ROWS + 1]
+    plan = [(t, r, sizes[(t + r // 2) % 2]) for t in range(2) for r in range(8)]
+    want = {(t, r): tiled_reference((t, r), rows, TILED_D, Ensemble.GAUSSIAN_SCALED).tobytes() for t, r, rows in plan}
+    start = threading.Barrier(2)
+
+    def drawer(t):
+        start.wait()
+        wrong = []
+        for _, r, rows in [step for step in plan if step[0] == t]:
+            x, _ = draw_tiles((t, r), rows, TILED_D, Ensemble.GAUSSIAN_SCALED)
+            if x.tobytes() != want[t, r]:
+                wrong.append(r)
+            x[...] = np.nan
+            del x
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(drawer, range(2))) == [[], []]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# shapes above and below _MAPPED_BYTES; masking a whole tile narrows the block to another byte size
+SLOT_SHAPES = [(40, TILED_D), (520, 2 * TILE_COLS + 1), (TILED_ROWS, TILED_D), (TILED_ROWS, 3 * TILE_COLS)]
+
+
+@st.composite
+def slot_steps(draw):
+    """Draws in turn: a shape, a mask (a whole tile and a few columns), and what becomes of the design."""
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows, d = draw(st.sampled_from(SLOT_SHAPES))
+        whole = draw(st.sets(st.integers(0, math.ceil(d / TILE_COLS) - 1), max_size=1))
+        masked = {c for t in whole for c in range(t * TILE_COLS, min(d, (t + 1) * TILE_COLS))}
+        masked |= draw(st.sets(st.integers(0, d - 1), max_size=3))
+        steps.append((rows, d, sorted(masked), draw(st.sampled_from(["hold", "free", "free-oldest-held"]))))
+    return steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=slot_steps(), ensemble=st.sampled_from([Ensemble.GAUSSIAN_SCALED, Ensemble.RADEMACHER_SCALED]))
+def test_any_sequence_of_draws_holds_and_frees_gets_every_design(steps, ensemble):
+    core._swap_spare(None)
+    held = []
+    for key, (rows, d, masked, fate) in enumerate(steps):
+        if fate == "free-oldest-held" and held:
+            oldest = held.pop(0)[0]
+            oldest[...] = np.nan
+            del oldest
+        block, cols = draw_tiles((key,), rows, d, ensemble, np.asarray(masked, dtype=np.int64))
+        assert_packed_reference(block, cols, (key,), rows, d, ensemble, masked)
+        if fate == "hold":
+            held.append((block, cols, key, rows, d, masked))
+        else:
+            block[...] = np.nan
+        del block
+    for block, cols, key, rows, d, masked in held:
+        assert_packed_reference(block, cols, (key,), rows, d, ensemble, masked)
+    core._swap_spare(None)
 
 
 @pytest.mark.parametrize("masked, index", [([-1], -1), ([25], 25), ([3, 20, 4], 20)])

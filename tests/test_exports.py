@@ -1,5 +1,5 @@
 """Every name a linfrec module lists in ``__all__`` resolves, so a deleted function cannot stay exported;
-no module but ``core`` repeats the scalar rule or the array rule."""
+no module but ``core`` repeats the scalar rule or the array rule, or maps memory."""
 
 import importlib
 import pkgutil
@@ -34,4 +34,14 @@ def test_only_core_words_the_array_rule(message):
     # place these messages are raised; another module holding one holds a copy
     source = Path(linfrec.__file__).parent
     copies = [path.name for path in sorted(source.glob("*.py")) if message in path.read_text()]
+    assert copies == ["core.py"]
+
+
+@pytest.mark.parametrize("call", ["mmap.mmap(", "weakref.finalize("])
+def test_only_core_maps_memory(call):
+    # core._mapped_block is the one allocator of mapped designs, and its
+    # finalizer the one thing that hands a freed mapping on; a mapping made or
+    # kept elsewhere would escape the spare slot and its peak-memory rule
+    source = Path(linfrec.__file__).parent
+    copies = [path.name for path in sorted(source.glob("*.py")) if call in path.read_text()]
     assert copies == ["core.py"]

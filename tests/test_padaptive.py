@@ -393,13 +393,13 @@ class TestAdaptiveSupportRecover:
 
     def test_final_query_draws_only_the_tiles_of_its_support(self, monkeypatch):
         widths = []
-        mapped_zeros = core._mapped_zeros
+        mapped_block = core._mapped_block
 
         def recording(rows, d):
             widths.append(d)
-            return mapped_zeros(rows, d)
+            return mapped_block(rows, d)
 
-        monkeypatch.setattr(core, "_mapped_zeros", recording)
+        monkeypatch.setattr(core, "_mapped_block", recording)
         oracle, params = monotone_fixture()
         rep = adaptive_support_recover(oracle, *params)
         tiles = np.unique(np.asarray(rep.diagnostics["support_sets"][-1]) // TILE_COLS)

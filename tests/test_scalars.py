@@ -19,7 +19,7 @@ from linfrec.core import (
     rng_from,
     sample_ensemble,
 )
-from linfrec.harness import make_signal
+from linfrec.harness import derive_seed, make_signal
 from linfrec.linops import hard_threshold_values
 from linfrec.padaptive import MaskedOracle, adaptive_support_recover, default_r_inf, threshold_stats
 from linfrec.recovery import iht, oblivious_recover, osr_reduction
@@ -135,6 +135,7 @@ COUNTS = {
     "rng_from.key": lambda v: rng_from(1, v),
     "gaussian_noise.key": lambda v: gaussian_noise(4, 1.0, 3, v),
     "draw_tiles.key": lambda v: draw_tiles((1, v), 10, 20, Ensemble.GAUSSIAN_SCALED),
+    "derive_seed.key": lambda v: derive_seed(1, v),
 }
 
 # an infinite threshold passes no coordinate (+inf) or every one (-inf)
